@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import BINARY, RiskNetwork, StateVector, binary_state
+from .model import BINARY, RiskNetwork, StateVector, binary_state, pin_arrays
 
 PRODUCT = "product"
 ADDITIVE = "additive"
@@ -119,17 +119,6 @@ def _advance(
     return nxt
 
 
-def _pin_arrays(config: SimConfig, n: int):
-    if not config.pinned:
-        return np.empty(0, dtype=int), np.empty(0)
-    idx = np.array(sorted(config.pinned), dtype=int)
-    if idx[0] < 0 or idx[-1] >= n:
-        bad = idx[-1] if idx[-1] >= n else idx[0]
-        raise ValidationError(f"pinned index {bad} out of range for {n} nodes")
-    val = np.array([float(config.pinned[i]) for i in idx])
-    return idx, val
-
-
 def step_discrete(
     net: RiskNetwork,
     state: StateVector,
@@ -142,7 +131,7 @@ def step_discrete(
     """
     if state.mode != BINARY:
         raise ValidationError("step_discrete needs a binary state")
-    pin_idx, pin_val = _pin_arrays(config, net.n)
+    pin_idx, pin_val = pin_arrays(config.pinned, net.n)
     u = rng.random(net.n)
     return binary_state(_advance(net, state.values, u, config, pin_idx, pin_val))
 
@@ -159,7 +148,7 @@ def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> Even
         raise ValidationError(
             f"initial state has {init.n} entries for a {net.n}-node network"
         )
-    pin_idx, pin_val = _pin_arrays(config, net.n)
+    pin_idx, pin_val = pin_arrays(config.pinned, net.n)
     rng = np.random.default_rng(config.seed)
     out = np.empty((config.steps + 1, net.n))
     out[0] = init.values

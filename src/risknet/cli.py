@@ -112,7 +112,7 @@ def _cmd_steady_state(args) -> int:
             doc = {name: float(v) for name, v in zip(net.names, x_s.values)}
             (out / "steady_state.json").write_text(json.dumps(doc, indent=2) + "\n")
         else:
-            netio._write_csv(
+            netio.write_csv(
                 out / "steady_state.csv",
                 ["node", "steady_state"],
                 [[name, float(v)] for name, v in zip(net.names, x_s.values)],
@@ -127,7 +127,7 @@ def _cmd_linearize(args) -> int:
     sys_lin = linearize(net, driver, x_s)
     rank = controllability_rank(sys_lin)
     out = _out_dir(args)
-    netio._write_csv(
+    netio.write_csv(
         out / "jacobian.csv", list(net.names),
         [[float(v) for v in row] for row in sys_lin.A],
     )

@@ -8,11 +8,14 @@ Gains come from the standard backward value recursion on the linear model
 taken at the natural steady state, restricted to the driven coordinates.
 Two control phases are provided:
 
-* reactive: feedback ``u(k) = -K(k) (x(k) - target)`` rolled out on the
-  nonlinear map, driving ongoing activity toward inactivity;
+* reactive: feedback ``u(k) = -K(k) x(k)`` rolled out on the nonlinear map,
+  driving ongoing activity toward the all-inactive state;
 * proactive: starting at inactivity, each driven node's expected activation
   inflow is cancelled exactly, holding it down while undriven nodes evolve
   freely.
+
+Both phases share one rollout: the nonlinear map is stepped forward while
+the driven nodes receive the phase's signal.
 
 Costs are always measured on the realized nonlinear trajectory, on absolute
 states (deviation from the all-inactive target), not on deviations from the
@@ -27,35 +30,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularInnerMatrix, ValidationError
-from .model import (
-    CONTINUOUS,
-    CostMatrices,
-    DriverSet,
-    RiskNetwork,
-    StateVector,
-    zeros_state,
-)
-from .dynamics import LinearizedSystem, find_steady_state, linearize, step_continuous
+from .model import CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, pin_arrays
+from .dynamics import LinearizedSystem, find_steady_state, linearize, unclamped_step
 
 
 @dataclass(frozen=True, eq=False)
 class ControlProblem:
-    """A regulation problem: linear model, costs, horizon, target state."""
+    """A regulation problem toward the all-inactive state: linear model,
+    costs, horizon."""
 
     sys: LinearizedSystem
     costs: CostMatrices
     horizon: int
-    target: StateVector | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if self.costs.n != self.sys.n:
             raise DimensionMismatch("cost matrices sized for a different network")
-        target = self.target if self.target is not None else zeros_state(self.sys.n)
-        if target.mode != CONTINUOUS or target.n != self.sys.n:
-            raise ValidationError("target must be a continuous state of matching length")
-        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +98,8 @@ def riccati_schedule(prob: ControlProblem) -> GainSchedule:
         K(k) = (Rd + S'P(k+1)S)^-1 S'P(k+1)A
         P(k) = Q + A'P(k+1)A - A'P(k+1)S K(k)
 
-    The optimal driven signal is ``u(k) = -K(k) (x(k) - target)``.
+    The optimal driven signal toward the all-inactive state is
+    ``u(k) = -K(k) x(k)``.
     """
     A = prob.sys.A
     d = list(prob.sys.driver.indices)
@@ -154,16 +147,48 @@ def evaluate_cost(
     return state_cost, control_cost, state_cost + control_cost
 
 
-def _check_driver_pin_overlap(driver: DriverSet, pinned: dict | None):
-    if pinned:
-        overlap = set(driver.indices) & set(pinned)
-        if overlap:
-            raise ValidationError(
-                f"pinned nodes cannot be driven: {sorted(overlap)}"
-            )
+def _pin_arrays(driver: DriverSet, pinned: dict | None, n: int):
+    """:func:`~risknet.model.pin_arrays`, plus the rule that a pinned node
+    cannot be driven."""
+    idx, val = pin_arrays(pinned, n)
+    overlap = sorted(set(driver.indices) & set(idx.tolist()))
+    if overlap:
+        raise ValidationError(f"pinned nodes cannot be driven: {overlap}")
+    return idx, val
 
 
-def _finish_run(states, signals, costs, saturation) -> ControlRun:
+def _rollout(
+    net: RiskNetwork,
+    driver: DriverSet,
+    costs: CostMatrices,
+    x0: np.ndarray,
+    steps: int,
+    signal,
+    pinned: dict | None = None,
+) -> ControlRun:
+    """Step the nonlinear map ``steps`` times from ``x0``.
+
+    ``signal(k, x)`` returns the driven nodes' signals (in index order) for
+    step k at state x.  Pinned nodes are forced to their value at every
+    step, including the initial state.
+    """
+    pin_idx, pin_val = _pin_arrays(driver, pinned, net.n)
+    d = list(driver.indices)
+    states = np.empty((steps + 1, net.n))
+    signals = np.zeros((steps, net.n))
+    x = np.array(x0, dtype=float)
+    x[pin_idx] = pin_val
+    states[0] = x
+    saturation = 0
+    for k in range(steps):
+        signals[k, d] = signal(k, x)
+        raw = unclamped_step(net, x, signals[k], driver)
+        saturation += int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
+        x = np.clip(raw, 0.0, 1.0)
+        x[pin_idx] = pin_val
+        states[k + 1] = x
+    if not np.isfinite(states).all():
+        raise ValidationError("rollout produced a non-finite state; check the gains")
     state_cost, control_cost, total = evaluate_cost(states, signals, costs)
     return ControlRun(
         states=states,
@@ -171,7 +196,7 @@ def _finish_run(states, signals, costs, saturation) -> ControlRun:
         state_cost=state_cost,
         control_cost=control_cost,
         total_cost=total,
-        saturation_count=int(saturation),
+        saturation_count=saturation,
     )
 
 
@@ -186,22 +211,22 @@ def run_reactive(
     """Finite-horizon feedback run from ongoing activity toward inactivity.
 
     Linearizes at the natural steady state, builds the gain schedule for
-    ``steps`` with an all-inactive target, then rolls the nonlinear map
-    forward under ``u(k) = -K(k) x(k)`` on the driven nodes.  Pinned nodes
-    are forced to their value at every step (including the initial state)
-    and must not appear in the driver set.
+    ``steps``, then rolls the nonlinear map forward under
+    ``u(k) = -K(k) x(k)`` on the driven nodes, which steers toward the
+    all-inactive state.  Pinned nodes (``{index: 0 or 1}``) are forced to
+    their value at every step (including the initial state) and must not
+    appear in the driver set.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if init.mode != CONTINUOUS or init.n != net.n:
         raise ValidationError("init must be a continuous state of matching length")
-    _check_driver_pin_overlap(driver, pinned)
+    _pin_arrays(driver, pinned, net.n)  # reject bad pins before the gain schedule
 
     x_s = find_steady_state(net)
     sys = linearize(net, driver, x_s)
-    prob = ControlProblem(sys=sys, costs=costs, horizon=steps)
-    schedule = riccati_schedule(prob)
-    return rollout_feedback(net, driver, costs, init, schedule, prob.target, pinned)
+    schedule = riccati_schedule(ControlProblem(sys=sys, costs=costs, horizon=steps))
+    return rollout_feedback(net, driver, costs, init, schedule, pinned)
 
 
 def rollout_feedback(
@@ -210,32 +235,13 @@ def rollout_feedback(
     costs: CostMatrices,
     init: StateVector,
     schedule: GainSchedule,
-    target: StateVector,
     pinned: dict | None = None,
 ) -> ControlRun:
     """Roll the nonlinear map under a precomputed gain schedule."""
-    steps = len(schedule.K)
-    pin_idx = np.array(sorted(pinned), dtype=int) if pinned else np.empty(0, dtype=int)
-    pin_val = np.array([float(pinned[i]) for i in pin_idx]) if pinned else np.empty(0)
-
-    states = np.empty((steps + 1, net.n))
-    signals = np.zeros((steps, net.n))
-    x = init.values.copy()
-    if pin_idx.size:
-        x[pin_idx] = pin_val
-    states[0] = x
-    saturation = 0
-    for k in range(steps):
-        reduced = -schedule.K[k] @ (x - target.values)
-        u = driver.embed(reduced)
-        signals[k] = u
-        nxt, sat = step_continuous(net, StateVector(x, CONTINUOUS), u, driver)
-        saturation += int(sat.sum())
-        x = nxt.values.copy()
-        if pin_idx.size:
-            x[pin_idx] = pin_val
-        states[k + 1] = x
-    return _finish_run(states, signals, costs, saturation)
+    K = schedule.K
+    return _rollout(
+        net, driver, costs, init.values, len(K), lambda k, x: -K[k] @ x, pinned
+    )
 
 
 def run_proactive(
@@ -254,18 +260,9 @@ def run_proactive(
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     d = list(driver.indices)
-    states = np.empty((steps + 1, net.n))
-    signals = np.zeros((steps, net.n))
-    x = np.zeros(net.n)
-    states[0] = x
-    saturation = 0
-    for k in range(steps):
+
+    def cancel_inflow(k, x):
         s = net.inflow(x)
-        u = np.zeros(net.n)
-        u[d] = -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
-        signals[k] = u
-        nxt, sat = step_continuous(net, StateVector(x, CONTINUOUS), u, driver)
-        saturation += int(sat.sum())
-        x = nxt.values.copy()
-        states[k + 1] = x
-    return _finish_run(states, signals, costs, saturation)
+        return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
+
+    return _rollout(net, driver, costs, np.zeros(net.n), steps, cancel_inflow)

@@ -37,7 +37,8 @@ def unclamped_step(
         if u.shape != (net.n,):
             raise ValidationError(f"control vector has shape {u.shape}, expected ({net.n},)")
         if driver is not None:
-            raw = raw + driver.B @ u
+            d = list(driver.indices)
+            raw[d] += u[d]
         else:
             raw = raw + u
     return raw

@@ -12,7 +12,7 @@ Everything is deterministic given the plan seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -282,27 +282,8 @@ def _assign_ranks(evaluations: list, phases: tuple) -> tuple:
             key=lambda i: (ranked[i][phase].total_cost, i),
         )
         for rank, i in enumerate(order, start=1):
-            out = ranked[i][phase]
-            ranked[i][phase] = PhaseOutcome(
-                state_cost=out.state_cost,
-                control_cost=out.control_cost,
-                total_cost=out.total_cost,
-                saturation_count=out.saturation_count,
-                rank=rank,
-                error=out.error,
-            )
-    return tuple(
-        DriverEvaluation(
-            label=ev.label,
-            kind=ev.kind,
-            indices=ev.indices,
-            stratum=ev.stratum,
-            initially_active=ev.initially_active,
-            steady_peak=ev.steady_peak,
-            outcomes=ranked[i],
-        )
-        for i, ev in enumerate(evaluations)
-    )
+            ranked[i][phase] = replace(ranked[i][phase], rank=rank)
+    return tuple(replace(ev, outcomes=out) for ev, out in zip(evaluations, ranked))
 
 
 def _quartiles(values: list) -> dict:
@@ -321,7 +302,8 @@ def run_experiment(
     ``init`` defaults to the natural steady state (ongoing natural
     operation).  Failures of individual control runs are recorded on the
     evaluation rather than aborting the sweep; sampling failures
-    (StratumInfeasible) propagate.
+    (StratumInfeasible, also raised for a sampled set outside its stratum)
+    propagate.
     """
     x_s = find_steady_state(net)
     if init is None:
@@ -330,20 +312,26 @@ def run_experiment(
         raise ValidationError("init length does not match the network")
 
     sets = sample_driver_sets(plan, net, init, x_s)
-    strata: list = []
     if plan.stratify_by == STRATIFY_NONE:
         strata = [None] * len(sets)
     else:
-        for value, count in plan.groups:
-            strata.extend([value] * count)
+        strata = [value for value, count in plan.groups for _ in range(count)]
+    entries = [
+        (f"sample_{k:04d}", "sample", driver, stratum)
+        for k, (driver, stratum) in enumerate(zip(sets, strata, strict=True))
+    ] + [
+        (name, "baseline", DriverSet(indices, net.n), None)
+        for name, indices in sorted(plan.baseline_sets.items())
+    ]
 
     evaluations = []
-    for k, driver in enumerate(sets):
+    for label, kind, driver, stratum in entries:
         a, p = classify_drivers(net, driver, init, x_s, plan.top_fraction)
-        if strata[k] is not None:
-            got = a if plan.stratify_by == STRATIFY_ACTIVE else p
-            assert got == strata[k], (
-                f"set {k} violates its stratum: {got} != {strata[k]}"
+        got = a if plan.stratify_by == STRATIFY_ACTIVE else p
+        if stratum is not None and got != stratum:
+            raise StratumInfeasible(
+                f"{label} {driver.indices} has {plan.stratify_by} count {got}, "
+                f"outside its stratum {stratum}"
             )
         outcomes = {
             phase: _evaluate_phase(phase, net, driver, costs, init, plan)
@@ -351,28 +339,10 @@ def run_experiment(
         }
         evaluations.append(
             DriverEvaluation(
-                label=f"sample_{k:04d}",
-                kind="sample",
+                label=label,
+                kind=kind,
                 indices=driver.indices,
-                stratum=strata[k],
-                initially_active=a,
-                steady_peak=p,
-                outcomes=outcomes,
-            )
-        )
-    for name, indices in sorted(plan.baseline_sets.items()):
-        driver = DriverSet(indices, net.n)
-        a, p = classify_drivers(net, driver, init, x_s, plan.top_fraction)
-        outcomes = {
-            phase: _evaluate_phase(phase, net, driver, costs, init, plan)
-            for phase in plan.phases
-        }
-        evaluations.append(
-            DriverEvaluation(
-                label=name,
-                kind="baseline",
-                indices=driver.indices,
-                stratum=None,
+                stratum=stratum,
                 initially_active=a,
                 steady_peak=p,
                 outcomes=outcomes,

@@ -144,6 +144,23 @@ def degree_stats(net: RiskNetwork) -> tuple:
     return float(degrees.mean()), float(degrees.std())
 
 
+def pin_arrays(pinned: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted indices and float values of a ``{node index: 0 or 1}`` pin map.
+
+    Raises
+    ------
+    ValidationError
+        An index outside ``range(n)`` or a value other than 0 or 1.
+    """
+    idx = np.array(sorted(pinned or ()), dtype=int)
+    for i in idx:
+        if not 0 <= i < n:
+            raise ValidationError(f"pinned index {i} out of range for {n} nodes")
+        if pinned[i] not in (0, 1):
+            raise ValidationError(f"pinned value for node {i} must be 0 or 1")
+    return idx, np.array([float(pinned[i]) for i in idx])
+
+
 BINARY = "binary"
 CONTINUOUS = "continuous"
 

@@ -66,7 +66,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """Write a header row and canonically formatted data rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -162,11 +163,11 @@ def save_network(path, net: RiskNetwork):
 def write_event_log(path, log: EventLog, names):
     if len(names) != log.n:
         raise ValidationError("header length does not match the log")
-    _write_csv(path, list(names), [[int(v) for v in row] for row in log.states])
+    write_csv(path, list(names), [[int(v) for v in row] for row in log.states])
 
 
-def load_matrix_csv(path) -> tuple[list, np.ndarray]:
-    """Read any toolkit-emitted numeric CSV back as (header, float matrix)."""
+def _read_csv(path, convert) -> tuple[list, list]:
+    """Read a header row and data rows, each cell passed through ``convert``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -178,28 +179,21 @@ def load_matrix_csv(path) -> tuple[list, np.ndarray]:
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {k + 1} has {len(row)} fields")
             try:
-                rows.append([float(v) for v in row])
+                rows.append([convert(v) for v in row])
             except ValueError as exc:
                 raise ParseError(f"{path}: row {k + 1}: {exc}") from None
+    return header, rows
+
+
+def load_matrix_csv(path) -> tuple[list, np.ndarray]:
+    """Read any toolkit-emitted numeric CSV back as (header, float matrix)."""
+    header, rows = _read_csv(path, float)
     return header, np.array(rows) if rows else np.empty((0, len(header)))
 
 
 def load_event_log(path) -> tuple[list, EventLog]:
     """Read an event log CSV; returns (node names, log)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        rows = []
-        for k, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {k + 1} has {len(row)} fields")
-            try:
-                rows.append([int(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {k + 1}: {exc}") from None
+    header, rows = _read_csv(path, int)
     if not rows:
         raise ParseError(f"{path}: no state rows")
     return header, EventLog(np.array(rows))
@@ -223,10 +217,10 @@ def write_control_run(out_dir, run: ControlRun, names, prefix: str = "control"):
 
     out = pathlib.Path(out_dir)
     (out / f"{prefix}.json").write_text(_dump_json(control_run_to_dict(run)))
-    _write_csv(out / f"{prefix}_trajectory.csv", list(names),
-               [[float(v) for v in row] for row in run.states])
-    _write_csv(out / f"{prefix}_signals.csv", list(names),
-               [[float(v) for v in row] for row in run.signals])
+    write_csv(out / f"{prefix}_trajectory.csv", list(names),
+              [[float(v) for v in row] for row in run.states])
+    write_csv(out / f"{prefix}_signals.csv", list(names),
+              [[float(v) for v in row] for row in run.signals])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +314,7 @@ def experiment_rows(result: ExperimentResult, names) -> list:
 
 def write_experiment_csv(path, result: ExperimentResult, names):
     """One row per (driver set, phase); columns per EXPERIMENT_HEADER."""
-    _write_csv(path, EXPERIMENT_HEADER, experiment_rows(result, names))
+    write_csv(path, EXPERIMENT_HEADER, experiment_rows(result, names))
 
 
 def experiment_summary(result: ExperimentResult) -> dict:

@@ -7,8 +7,8 @@ avoid the code paths they check.
 import numpy as np
 
 from risknet.control import evaluate_cost
-from risknet.dynamics import unclamped_step
-from risknet.model import CostMatrices, DriverSet, build_network
+from risknet.dynamics import step_continuous, unclamped_step
+from risknet.model import CostMatrices, DriverSet, build_network, continuous_state
 
 
 def random_network(rng, n, edge_prob=0.35, weighted=False, ext_scale=0.5):
@@ -135,3 +135,29 @@ def brute_force_linear_optimum(A, driver, costs, tau, x0):
     U = np.linalg.solve(M, -c)
     J = const + 2.0 * c @ U + U @ M @ U
     return float(J), U.reshape(tau, m)
+
+
+def reference_rollout(net, driver, x0, steps, signal, pinned=None):
+    """Nonlinear rollout one validated ``step_continuous`` call at a time.
+
+    ``signal(k, x)`` gives the driven nodes' signals in index order; pinned
+    nodes are forced to their value at every step, including the first.
+    Returns (states, full-length signals, saturation count).
+    """
+    pins = dict(pinned or {})
+    states = np.empty((steps + 1, net.n))
+    signals = np.zeros((steps, net.n))
+    x = np.array(x0, dtype=float)
+    for i, v in pins.items():
+        x[i] = v
+    states[0] = x
+    saturation = 0
+    for k in range(steps):
+        signals[k] = driver.embed(signal(k, x))
+        nxt, sat = step_continuous(net, continuous_state(x), signals[k], driver)
+        saturation += int(sat.sum())
+        x = nxt.values.copy()
+        for i, v in pins.items():
+            x[i] = v
+        states[k + 1] = x
+    return states, signals, saturation

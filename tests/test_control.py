@@ -3,14 +3,16 @@ import pytest
 
 from risknet.control import (
     ControlProblem,
+    GainSchedule,
     _solve_gain,
     control_energy,
     evaluate_cost,
     riccati_schedule,
+    rollout_feedback,
     run_proactive,
     run_reactive,
 )
-from risknet.dynamics import LinearizedSystem, find_steady_state, step_continuous
+from risknet.dynamics import LinearizedSystem, find_steady_state, linearize, step_continuous
 from risknet.errors import DimensionMismatch, SingularInnerMatrix, ValidationError
 from risknet.model import (
     CostMatrices,
@@ -25,6 +27,7 @@ from helpers import (
     linear_feedback_cost,
     linear_open_loop_cost,
     random_linear_instance,
+    reference_rollout,
 )
 
 
@@ -229,10 +232,31 @@ class TestReactive:
                 pinned={0: 1},
             )
 
+    @pytest.mark.parametrize("node", [-1, 3])
+    def test_pinned_index_out_of_range_rejected(self, node):
+        net = build_network(
+            ["a", "b", "c"], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.5, 0.5, 0.5],
+            [[0, 1, 1], [0, 0, 1], [0, 0, 0]],
+        )
+        with pytest.raises(ValidationError, match="out of range"):
+            run_reactive(
+                net, DriverSet((1,), 3), identity_costs(3), zeros_state(3), 5,
+                pinned={node: 1},
+            )
+
     def test_steps_validated(self):
         net = scalar_net()
         with pytest.raises(ValidationError):
             run_reactive(net, DriverSet((0,), 1), identity_costs(1), zeros_state(1), 0)
+
+    def test_non_finite_gain_rejected(self):
+        net = scalar_net()
+        schedule = GainSchedule(K=(np.full((1, 1), np.nan),), P=())
+        with pytest.raises(ValidationError):
+            rollout_feedback(
+                net, DriverSet((0,), 1), identity_costs(1), continuous_state([0.5]),
+                schedule,
+            )
 
 
 class TestProactive:
@@ -269,6 +293,57 @@ class TestProactive:
         assert np.all(run.states[:, 0] == 0.0)  # driven node held down
         assert run.states[-1, 1] > 0.1  # free node drifts up
         assert np.all(run.signals[:, 1] == 0.0)
+
+
+def saturating_net():
+    """Three sources feed node c at weight 1, so c's raw update exceeds 1
+    while c is still low; c feeds d."""
+    E = np.zeros((5, 5))
+    E[0, 4] = E[1, 4] = E[2, 4] = 1.0
+    E[4, 3] = 1.0
+    return build_network(
+        ["a1", "a2", "a3", "d", "c"],
+        [0.6, 0.6, 0.6, 0.1, 0.05],
+        [0.0, 0.0, 0.0, 0.3, 0.6],
+        [0.9, 0.9, 0.9, 0.6, 0.6],
+        E,
+    )
+
+
+class TestRolloutMatchesStepLoop:
+    """The shared rollout reproduces a per-step ``step_continuous`` loop
+    bit for bit, saturation included."""
+
+    def assert_same(self, run, reference):
+        states, signals, saturation = reference
+        assert saturation > 0
+        assert np.array_equal(run.states, states)
+        assert np.array_equal(run.signals, signals)
+        assert run.saturation_count == saturation
+
+    def test_pinned_reactive(self):
+        net = saturating_net()
+        driver = DriverSet((3, 4), 5)
+        costs = CostMatrices(Q_f=10 * np.eye(5), Q=10 * np.eye(5), R=np.eye(5))
+        init = continuous_state(np.ones(5))
+        run = run_reactive(net, driver, costs, init, 30, pinned={0: 1})
+        sys = linearize(net, driver, find_steady_state(net))
+        K = riccati_schedule(ControlProblem(sys=sys, costs=costs, horizon=30)).K
+        self.assert_same(run, reference_rollout(
+            net, driver, init.values, 30, lambda k, x: -K[k] @ x, pinned={0: 1}
+        ))
+
+    def test_proactive(self):
+        net = saturating_net()
+        driver = DriverSet((3,), 5)
+        run = run_proactive(net, driver, identity_costs(5), 30)
+        d = list(driver.indices)
+
+        def cancel_inflow(k, x):
+            s = net.inflow(x)
+            return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
+
+        self.assert_same(run, reference_rollout(net, driver, np.zeros(5), 30, cancel_inflow))
 
 
 class TestMonotonicity:

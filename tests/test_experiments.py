@@ -152,6 +152,22 @@ class TestSampling:
 
 
 class TestRunExperiment:
+    def test_set_outside_its_stratum_raises(self, monkeypatch):
+        net = small_net()
+        top = sorted(top_steady_nodes(find_steady_state(net), 0.3))
+        rest = [i for i in range(net.n) if i not in top]
+        wrong = DriverSet((top[0], *rest[:3]), net.n)  # one top node, stratum 0
+        monkeypatch.setattr(
+            "risknet.experiments.sample_driver_sets", lambda *args: [wrong]
+        )
+        plan = ExperimentPlan(
+            driver_size=4, num_sets=1, seed=3,
+            stratify_by="steady_peak", groups=((0, 1),),
+            phase="proactive", steps_proactive=5, top_fraction=0.3,
+        )
+        with pytest.raises(StratumInfeasible, match="sample_0000"):
+            run_experiment(plan, net, None, identity_costs(net.n))
+
     def test_zero_cost_when_nothing_happens(self):
         n = 5
         E = np.zeros((n, n))
