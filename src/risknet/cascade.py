@@ -84,9 +84,14 @@ class EventLog:
         return self.states.shape[1]
 
 
-def _survival_logs(net: RiskNetwork) -> np.ndarray:
-    """Matrix L with L[j, i] = log(1 - E[j, i] * p_ext[i]), floored."""
-    return np.log(np.maximum(1.0 - net.E * net.p_ext[None, :], _LOG_FLOOR))
+def _activation(net: RiskNetwork, variant: str):
+    """State array -> per-node activation probabilities, built once per run."""
+    if variant == PRODUCT:
+        # logs[j, i] = log(1 - E[j, i] * p_ext[i]), floored
+        logs = np.log(np.maximum(1.0 - net.E * net.p_ext[None, :], _LOG_FLOOR))
+        quiet = 1.0 - net.p_int
+        return lambda x: 1.0 - quiet * np.exp(x @ logs)
+    return lambda x: np.minimum(1.0, net.p_int + net.p_ext * net.inflow(x))
 
 
 def activation_probability(
@@ -96,23 +101,19 @@ def activation_probability(
 
     Only meaningful for entries where ``state`` is 0; returned for all nodes.
     """
-    x = np.asarray(state, dtype=float)
-    if variant == PRODUCT:
-        survive = np.exp(x @ _survival_logs(net))
-        return 1.0 - (1.0 - net.p_int) * survive
-    return np.minimum(1.0, net.p_int + net.p_ext * net.inflow(x))
+    return _activation(net, variant)(np.asarray(state, dtype=float))
 
 
 def _advance(
     net: RiskNetwork,
     x: np.ndarray,
     u: np.ndarray,
-    config: SimConfig,
+    activation,
     pin_idx: np.ndarray,
     pin_val: np.ndarray,
 ) -> np.ndarray:
     """One synchronous transition; ``u`` is a vector of n uniform draws."""
-    act = activation_probability(net, x, config.variant)
+    act = activation(x)
     nxt = np.where(x == 1.0, (u < net.p_con).astype(float), (u < act).astype(float))
     if pin_idx.size:
         nxt[pin_idx] = pin_val
@@ -133,7 +134,8 @@ def step_discrete(
         raise ValidationError("step_discrete needs a binary state")
     pin_idx, pin_val = pin_arrays(config.pinned, net.n)
     u = rng.random(net.n)
-    return binary_state(_advance(net, state.values, u, config, pin_idx, pin_val))
+    activation = _activation(net, config.variant)
+    return binary_state(_advance(net, state.values, u, activation, pin_idx, pin_val))
 
 
 def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> EventLog:
@@ -153,8 +155,9 @@ def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> Even
     out = np.empty((config.steps + 1, net.n))
     out[0] = init.values
     x = init.values
+    activation = _activation(net, config.variant)
     for k in range(config.steps):
-        x = _advance(net, x, rng.random(net.n), config, pin_idx, pin_val)
+        x = _advance(net, x, rng.random(net.n), activation, pin_idx, pin_val)
         out[k + 1] = x
     return EventLog(out)
 

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: generate, simulate, steady-state, linearize, control, fit,
-experiment.  Shared flags (--seed, --output-dir, --format) follow the
-subcommand.  Exit codes: 0 success, 1 validation error, 2 numerical
-failure; errors go to stderr as one JSON line.
+experiment.  Each flag goes to the subcommands that read it: --output-dir
+to all, --seed to generate and simulate, --format to steady-state.  Exit
+codes: 0 success, 1 validation error, 2 numerical failure; errors go to
+stderr as one JSON line.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import netio
-from .cascade import SimConfig, run_discrete
+from . import dynamics, netio
+from .cascade import ADDITIVE, PRODUCT, SimConfig, run_discrete
 from .control import run_proactive, run_reactive
 from .dynamics import controllability_rank, find_steady_state, linearize
 from .errors import NumericalError, RiskNetError, ValidationError
 from .estimation import count_transitions, fit_probabilities
-from .experiments import run_experiment
+from .experiments import PHASE_PROACTIVE, PHASE_REACTIVE, run_experiment
 from .model import (
     DriverSet,
     RiskNetwork,
@@ -35,6 +36,13 @@ from .model import (
 
 def _parse_names(net: RiskNetwork, spec: str) -> list:
     return [net.index_of(name.strip()) for name in spec.split(",") if name.strip()]
+
+
+def _initial_actives(net: RiskNetwork, spec: str) -> np.ndarray:
+    """0/1 vector with ones at the comma-separated node names in ``spec``."""
+    init = np.zeros(net.n)
+    init[_parse_names(net, spec)] = 1.0
+    return init
 
 
 def _parse_pins(net: RiskNetwork, pins: list) -> dict:
@@ -51,15 +59,6 @@ def _out_dir(args) -> Path:
     out = Path(args.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _print_state(names, values, fmt):
-    if fmt == "json":
-        doc = {name: float(v) for name, v in zip(names, values)}
-        print(json.dumps(doc, indent=2))
-    else:
-        for name, v in zip(names, values):
-            print(f"{name},{float(v):.9g}")
 
 
 def _cmd_generate(args) -> int:
@@ -84,9 +83,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     net = netio.load_network(args.network)
-    init = np.zeros(net.n)
-    if args.init_active:
-        init[_parse_names(net, args.init_active)] = 1.0
+    init = _initial_actives(net, args.init_active)
     config = SimConfig(
         steps=args.steps,
         seed=args.seed,
@@ -105,17 +102,18 @@ def _cmd_steady_state(args) -> int:
     x_s = find_steady_state(
         net, tol=args.tol, max_iter=args.max_iter, damping=args.damping
     )
-    _print_state(net.names, x_s.values, args.format)
-    if args.output_dir is not None:
-        out = _out_dir(args)
-        if args.format == "json":
-            doc = {name: float(v) for name, v in zip(net.names, x_s.values)}
-            (out / "steady_state.json").write_text(json.dumps(doc, indent=2) + "\n")
-        else:
+    pairs = [(name, float(v)) for name, v in zip(net.names, x_s.values)]
+    if args.format == "json":
+        doc = dict(pairs)
+        print(netio.dump_json(doc), end="")
+        if args.output_dir is not None:
+            netio.write_json(_out_dir(args) / "steady_state.json", doc)
+    else:
+        for name, v in pairs:
+            print(f"{name},{v:.9g}")
+        if args.output_dir is not None:
             netio.write_csv(
-                out / "steady_state.csv",
-                ["node", "steady_state"],
-                [[name, float(v)] for name, v in zip(net.names, x_s.values)],
+                _out_dir(args) / "steady_state.csv", ["node", "steady_state"], pairs
             )
     return 0
 
@@ -137,7 +135,7 @@ def _cmd_linearize(args) -> int:
         "controllable": rank == net.n,
         "drivers": [net.names[i] for i in driver.indices],
     }
-    (out / "controllability.json").write_text(json.dumps(doc, indent=2) + "\n")
+    netio.write_json(out / "controllability.json", doc)
     print(f"controllability rank {rank} of {net.n}")
     return 0
 
@@ -146,14 +144,17 @@ def _cmd_control(args) -> int:
     net = netio.load_network(args.network)
     driver = DriverSet(tuple(_parse_names(net, args.drivers)), net.n)
     costs = identity_costs(net.n)
-    if args.phase == "proactive":
+    if args.phase == PHASE_PROACTIVE:
+        if args.pin or args.init_active:
+            raise ValidationError(
+                "--pin and --init-active apply to the reactive phase only; "
+                "a proactive run starts inactive and unpinned"
+            )
         run = run_proactive(net, driver, costs, args.steps)
     else:
         pinned = _parse_pins(net, args.pin)
         if args.init_active:
-            init = np.zeros(net.n)
-            init[_parse_names(net, args.init_active)] = 1.0
-            init = continuous_state(init)
+            init = continuous_state(_initial_actives(net, args.init_active))
         else:
             init = find_steady_state(net)
         run = run_reactive(net, driver, costs, init, args.steps, pinned)
@@ -191,7 +192,7 @@ def _cmd_fit(args) -> int:
         ],
     }
     path = _out_dir(args) / "fitted_params.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    netio.write_json(path, doc)
     print(f"wrote {path}")
     return 0
 
@@ -201,9 +202,7 @@ def _cmd_experiment(args) -> int:
     plan, costs = netio.load_plan(args.plan, net)
     init = None
     if args.init_active:
-        init = np.zeros(net.n)
-        init[_parse_names(net, args.init_active)] = 1.0
-        init = continuous_state(init)
+        init = continuous_state(_initial_actives(net, args.init_active))
     result = run_experiment(plan, net, init, costs)
     out = _out_dir(args)
     netio.write_experiment_csv(out / "results.csv", result, net.names)
@@ -213,13 +212,6 @@ def _cmd_experiment(args) -> int:
         f"({len(result.evaluations)} driver sets x {len(plan.phases)} phase(s))"
     )
     return 0
-
-
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--output-dir", default=None, help="directory for output files")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="stdout/report format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,41 +228,41 @@ def _build_parser() -> argparse.ArgumentParser:
     for key in ("p-int", "p-ext", "p-con"):
         p.add_argument(f"--{key}-range", type=float, nargs=2, metavar=("LO", "HI"),
                        default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("simulate", help="run the discrete cascade, write events.csv")
     p.add_argument("network")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--variant", choices=("product", "additive"), default="product")
+    p.add_argument("--variant", choices=(PRODUCT, ADDITIVE), default=PRODUCT)
     p.add_argument("--init-active", default="", help="comma-separated node names")
     p.add_argument("--pin", action="append", default=[], metavar="NAME=0|1")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("steady-state", help="print the natural steady state")
     p.add_argument("network")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10**6)
-    p.add_argument("--damping", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=dynamics.STEADY_STATE_TOL)
+    p.add_argument("--max-iter", type=int, default=dynamics.STEADY_STATE_MAX_ITER)
+    p.add_argument("--damping", type=float, default=None, help="in (0, 1]")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="stdout and output-file format")
     p.set_defaults(handler=_cmd_steady_state)
 
     p = sub.add_parser("linearize", help="emit the Jacobian and controllability rank")
     p.add_argument("network")
     p.add_argument("--drivers", required=True, help="comma-separated node names")
-    _add_common(p)
     p.set_defaults(handler=_cmd_linearize)
 
     p = sub.add_parser("control", help="one reactive or proactive control run")
     p.add_argument("network")
     p.add_argument("--drivers", required=True, help="comma-separated node names")
-    p.add_argument("--phase", choices=("reactive", "proactive"), default="reactive")
+    p.add_argument("--phase", choices=(PHASE_REACTIVE, PHASE_PROACTIVE),
+                   default=PHASE_REACTIVE)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--init-active", default="",
                    help="reactive initial actives (default: steady state)")
     p.add_argument("--pin", action="append", default=[], metavar="NAME=0|1")
-    _add_common(p)
     p.set_defaults(handler=_cmd_control)
 
     p = sub.add_parser("fit", help="fit transition probabilities from an event log")
@@ -278,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("network", help="network file providing the topology")
     p.add_argument("--smoothing", type=float, default=0.0)
     p.add_argument("--pin", action="append", default=[], metavar="NAME=0|1")
-    _add_common(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("experiment", help="run a driver-set experiment plan")
@@ -286,9 +277,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("plan")
     p.add_argument("--init-active", default="",
                    help="initial actives (default: steady state)")
-    _add_common(p)
     p.set_defaults(handler=_cmd_experiment)
 
+    for p in sub.choices.values():
+        p.add_argument("--output-dir", default=None, help="directory for output files")
     return parser
 
 

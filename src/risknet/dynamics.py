@@ -75,18 +75,22 @@ def find_steady_state(
 
     Plain fixed-point iteration from ``x0`` (all-zeros by default); the
     returned point satisfies ``max |step(x) - x| <= tol``.  Set ``damping``
-    (e.g. 0.5) to average each update with the current iterate, which tames
-    oscillatory dynamics.  No uniqueness is claimed: the result is the fixed
-    point reached from ``x0``.
+    in (0, 1] (e.g. 0.5) to average each update with the current iterate,
+    which tames oscillatory dynamics.  No uniqueness is claimed: the result
+    is the fixed point reached from ``x0``.
 
     Raises
     ------
+    ValidationError
+        ``tol`` <= 0, or ``damping`` outside (0, 1] (0 never moves).
     NoConvergence
         If ``max_iter`` iterations pass without meeting ``tol``; carries the
         last residual.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
+    if damping is not None and not 0.0 < damping <= 1.0:
+        raise ValidationError(f"damping must be in (0, 1], got {damping}")
     x = np.zeros(net.n) if x0 is None else np.asarray(x0.values, dtype=float)
     residual = np.inf
     for _ in range(max_iter):

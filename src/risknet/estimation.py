@@ -72,7 +72,8 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
 
     ``pinned`` is an optional collection of node indices whose columns are
     excluded (their transitions are forced, not sampled), yielding zero
-    trials and no exposures for those nodes.
+    trials and no exposures for those nodes.  An index outside ``range(n)``
+    raises ValidationError.
     """
     E = np.asarray(E, dtype=float)
     X = log.states.astype(float)
@@ -93,6 +94,9 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
 
     exposed = ~active & (S > 0.0)
     skip = set(int(i) for i in pinned) if pinned is not None else set()
+    for i in sorted(skip):
+        if not 0 <= i < n:
+            raise ValidationError(f"pinned index {i} out of range for {n} nodes")
     exposures = []
     for i in range(n):
         if i in skip:

@@ -19,7 +19,7 @@ import numpy as np
 from .control import run_proactive, run_reactive
 from .dynamics import find_steady_state
 from .errors import RiskNetError, StratumInfeasible, ValidationError
-from .model import CostMatrices, DriverSet, RiskNetwork, StateVector
+from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, pin_arrays
 
 STRATIFY_NONE = "none"
 STRATIFY_ACTIVE = "initially_active"
@@ -156,10 +156,13 @@ def sample_driver_sets(
 
     Raises
     ------
+    ValidationError
+        A pin the network cannot hold; checked before any set is drawn.
     StratumInfeasible
         A group's class count is impossible for this network/init, or its
         quota was not met within the attempt cap.
     """
+    pin_arrays(plan.pinned, net.n)
     candidates = np.array(sorted(set(range(net.n)) - set(plan.pinned)), dtype=int)
     if plan.driver_size > candidates.size:
         raise ValidationError(

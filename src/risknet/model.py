@@ -200,8 +200,8 @@ def continuous_state(values) -> StateVector:
     return StateVector(np.asarray(values, dtype=float), CONTINUOUS)
 
 
-def zeros_state(n: int, mode: str = CONTINUOUS) -> StateVector:
-    return StateVector(np.zeros(n), mode)
+def zeros_state(n: int) -> StateVector:
+    return StateVector(np.zeros(n), CONTINUOUS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,24 +230,11 @@ class DriverSet:
         return len(self.indices)
 
     @property
-    def B(self) -> np.ndarray:
-        """n x n diagonal binary matrix with ones on the driven nodes."""
-        B = np.zeros((self.n, self.n))
-        B[self.indices, self.indices] = 1.0
-        return B
-
-    @property
     def selection(self) -> np.ndarray:
         """n x m column selection: identity columns of the driven nodes."""
         S = np.zeros((self.n, self.size))
         S[self.indices, np.arange(self.size)] = 1.0
         return S
-
-    def embed(self, reduced: np.ndarray) -> np.ndarray:
-        """Place an m-vector of driver signals into a full-length vector."""
-        full = np.zeros(self.n)
-        full[list(self.indices)] = reduced
-        return full
 
 
 def _check_symmetric_matrix(label: str, M, n: int) -> np.ndarray:

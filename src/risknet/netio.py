@@ -17,12 +17,14 @@ Network schema (version 1)::
 Plan schema (version 1): the :class:`~risknet.experiments.ExperimentPlan`
 fields with node names in place of indices, plus a cost specification
 ``{"kind": "identity"}``, ``{"kind": "diagonal", "q_f": [...], "q": [...],
-"r": [...]}`` or ``{"kind": "dense", ...}`` with full matrices.
+"r": [...]}`` or ``{"kind": "dense", ...}`` with full matrices.  Both
+documents reject top-level keys outside their schema.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import networkx as nx
@@ -55,8 +57,15 @@ DEFAULT_PROB_RANGES = {
 # ---------------------------------------------------------------------------
 # canonical serialization helpers
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+def dump_json(doc) -> str:
+    """Canonical JSON text: two-space indent, non-ASCII kept, final newline."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def write_json(path, doc):
+    """Write ``doc`` to ``path`` as canonical JSON (:func:`dump_json`)."""
+    with open(path, "w") as fh:
+        fh.write(dump_json(doc))
 
 
 def _fmt(x) -> str:
@@ -111,14 +120,22 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _check_version(doc: dict, where: str):
+def _check_document(doc: dict, keys, where: str):
+    """Check the schema version, then reject any top-level key not in ``keys``."""
     version = _require(doc, "schema_version", where)
     if version != SCHEMA_VERSION:
         raise UnknownSchemaVersion(f"{where}: schema_version {version!r} not supported")
+    for key in doc:
+        if key not in keys:
+            raise ParseError(f"{where}: unknown field {key!r}")
+
+
+_PLAN_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentPlan))
+_PLAN_KEYS = _PLAN_FIELDS + ("schema_version", "costs")
 
 
 def network_from_dict(doc: dict, where: str = "network") -> RiskNetwork:
-    _check_version(doc, where)
+    _check_document(doc, ("schema_version", "nodes", "edges"), where)
     nodes = _require(doc, "nodes", where)
     names, p_int, p_ext, p_con = [], [], [], []
     for k, node in enumerate(nodes):
@@ -153,8 +170,7 @@ def load_network(path) -> RiskNetwork:
 def save_network(path, net: RiskNetwork):
     """Write a network file in canonical formatting (save/load round-trips
     are byte-stable)."""
-    with open(path, "w") as fh:
-        fh.write(_dump_json(network_to_dict(net)))
+    write_json(path, network_to_dict(net))
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +227,15 @@ def control_run_to_dict(run: ControlRun) -> dict:
     }
 
 
-def write_control_run(out_dir, run: ControlRun, names, prefix: str = "control"):
-    """Write <prefix>.json (costs) plus trajectory and signal CSVs."""
+def write_control_run(out_dir, run: ControlRun, names):
+    """Write control.json (costs) plus the trajectory and signal CSVs."""
     import pathlib
 
     out = pathlib.Path(out_dir)
-    (out / f"{prefix}.json").write_text(_dump_json(control_run_to_dict(run)))
-    write_csv(out / f"{prefix}_trajectory.csv", list(names),
+    write_json(out / "control.json", control_run_to_dict(run))
+    write_csv(out / "control_trajectory.csv", list(names),
               [[float(v) for v in row] for row in run.states])
-    write_csv(out / f"{prefix}_signals.csv", list(names),
+    write_csv(out / "control_signals.csv", list(names),
               [[float(v) for v in row] for row in run.signals])
 
 
@@ -245,29 +261,20 @@ def costs_from_spec(spec: dict, n: int) -> CostMatrices:
 
 def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
     """Resolve a plan document against a network; returns
-    (ExperimentPlan, CostMatrices)."""
-    _check_version(doc, where)
-    pinned = {
-        net.index_of(name): int(v) for name, v in doc.get("pinned", {}).items()
-    }
-    baselines = {
+    (ExperimentPlan, CostMatrices).  Omitted fields take the
+    ``ExperimentPlan`` defaults; ``num_sets``, which it requires, is 1."""
+    _check_document(doc, _PLAN_KEYS, where)
+    fields = {key: doc[key] for key in _PLAN_FIELDS if key in doc}
+    fields["driver_size"] = _require(doc, "driver_size", where)
+    fields["seed"] = _require(doc, "seed", where)
+    fields.setdefault("num_sets", 1)
+    pinned = {net.index_of(name): v for name, v in doc.get("pinned", {}).items()}
+    fields["pinned"] = pinned
+    fields["baseline_sets"] = {
         str(label): tuple(net.index_of(name) for name in names)
         for label, names in doc.get("baseline_sets", {}).items()
     }
-    groups = tuple((v, c) for v, c in doc.get("groups", []))
-    plan = ExperimentPlan(
-        driver_size=_require(doc, "driver_size", where),
-        num_sets=doc.get("num_sets", 1),
-        seed=_require(doc, "seed", where),
-        pinned=pinned,
-        stratify_by=doc.get("stratify_by", "none"),
-        groups=groups,
-        phase=doc.get("phase", "reactive"),
-        steps_reactive=doc.get("steps_reactive", 500),
-        steps_proactive=doc.get("steps_proactive", 50),
-        baseline_sets=baselines,
-        top_fraction=doc.get("top_fraction", 0.25),
-    )
+    plan = ExperimentPlan(**fields)
     if plan.driver_size > net.n - len(pinned):
         raise ValidationError(
             f"{where}: driver_size {plan.driver_size} exceeds the "
@@ -346,8 +353,7 @@ def experiment_summary(result: ExperimentResult) -> dict:
 
 
 def write_experiment_summary(path, result: ExperimentResult):
-    with open(path, "w") as fh:
-        fh.write(_dump_json(experiment_summary(result)))
+    write_json(path, experiment_summary(result))
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +374,15 @@ def generate_synthetic(
     target_degree_std: float,
     prob_ranges: dict | None = None,
     seed: int = 0,
-    max_attempts: int = GENERATOR_MAX_ATTEMPTS,
 ) -> RiskNetwork:
     """Seeded random network hitting prescribed degree statistics.
 
     Draws a degree sequence from N(mean, std), realizes it exactly with a
     Havel-Hakimi construction randomized by seeded edge swaps, and accepts
     when the realized mean/std fall within 10% of the targets (up to
-    ``max_attempts`` redraws).  Every undirected edge becomes a symmetric
-    pair of weight-1 directed links; node probabilities are drawn uniformly
-    from ``prob_ranges`` (keys p_int, p_ext, p_con).
+    ``GENERATOR_MAX_ATTEMPTS`` redraws).  Every undirected edge becomes a
+    symmetric pair of weight-1 directed links; node probabilities are drawn
+    uniformly from ``prob_ranges`` (keys p_int, p_ext, p_con).
 
     Raises
     ------
@@ -399,7 +404,7 @@ def generate_synthetic(
 
     last = None
     graph = None
-    for _ in range(max_attempts):
+    for _ in range(GENERATOR_MAX_ATTEMPTS):
         d = _draw_degree_sequence(rng, n, target_mean_degree, target_degree_std)
         swap_seed = int(rng.integers(2**32))
         if not nx.is_graphical(d):
@@ -419,7 +424,7 @@ def generate_synthetic(
     if graph is None:
         raise TargetsUnreachable(
             f"degree targets (mean {target_mean_degree}, std {target_degree_std}) "
-            f"not met in {max_attempts} attempts; last realization {last}"
+            f"not met in {GENERATOR_MAX_ATTEMPTS} attempts; last realization {last}"
         )
 
     E = np.zeros((n, n))

@@ -73,13 +73,14 @@ def linear_feedback_cost(A, driver, costs, schedule, x0):
     n = A.shape[0]
     tau = len(schedule.K)
     S = driver.selection
+    d = list(driver.indices)
     states = np.empty((tau + 1, n))
     signals = np.zeros((tau, n))
     x = np.asarray(x0, dtype=float).copy()
     states[0] = x
     for k in range(tau):
         reduced = -schedule.K[k] @ x
-        signals[k] = driver.embed(reduced)
+        signals[k, d] = reduced
         x = A @ x + S @ reduced
         states[k + 1] = x
     return evaluate_cost(states, signals, costs)[2]
@@ -90,12 +91,13 @@ def linear_open_loop_cost(A, driver, costs, x0, U):
     n = A.shape[0]
     tau = U.shape[0]
     S = driver.selection
+    d = list(driver.indices)
     states = np.empty((tau + 1, n))
     signals = np.zeros((tau, n))
     x = np.asarray(x0, dtype=float).copy()
     states[0] = x
     for k in range(tau):
-        signals[k] = driver.embed(U[k])
+        signals[k, d] = U[k]
         x = A @ x + S @ U[k]
         states[k + 1] = x
     return evaluate_cost(states, signals, costs)[2]
@@ -145,6 +147,7 @@ def reference_rollout(net, driver, x0, steps, signal, pinned=None):
     Returns (states, full-length signals, saturation count).
     """
     pins = dict(pinned or {})
+    d = list(driver.indices)
     states = np.empty((steps + 1, net.n))
     signals = np.zeros((steps, net.n))
     x = np.array(x0, dtype=float)
@@ -153,7 +156,7 @@ def reference_rollout(net, driver, x0, steps, signal, pinned=None):
     states[0] = x
     saturation = 0
     for k in range(steps):
-        signals[k] = driver.embed(signal(k, x))
+        signals[k, d] = signal(k, x)
         nxt, sat = step_continuous(net, continuous_state(x), signals[k], driver)
         saturation += int(sat.sum())
         x = nxt.values.copy()

@@ -143,6 +143,47 @@ def test_control_bad_pin_value(chain_net, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("extra", [["--pin", "a=1"], ["--init-active", "a"]])
+def test_control_proactive_rejects_reactive_only_flags(chain_net, tmp_path, capsys, extra):
+    code = cli_main([
+        "control", str(chain_net), "--drivers", "b", "--phase", "proactive",
+        "--steps", "5", "--output-dir", str(tmp_path),
+    ] + extra)
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["linearize", "{net}", "--drivers", "a"], ["--format", "json"]),
+    (["experiment", "{net}", "{plan}"], ["--seed", "1"]),
+    (["fit", "{log}", "{net}"], ["--seed", "1"]),
+    (["steady-state", "{net}"], ["--seed", "1"]),
+])
+def test_flag_the_subcommand_would_ignore_is_rejected(
+    chain_net, tmp_path, capsys, command, extra
+):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0,
+        "steps_reactive": 5,
+    }))
+    log = tmp_path / "log.csv"
+    log.write_text("a,b,c\n0,0,0\n1,0,0\n")
+    argv = [a.format(net=chain_net, plan=plan, log=log) for a in command]
+    argv += ["--output-dir", str(tmp_path / "out")]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert cli_main(argv + extra) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_steady_state_rejects_damping_outside_unit_interval(one_node_net, capsys):
+    code = cli_main(["steady-state", str(one_node_net), "--damping", "0",
+                     "--max-iter", "100"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
 def test_experiment_rows_and_byte_identical_reruns(chain_net, tmp_path, capsys):
     plan = {
         "schema_version": 1,

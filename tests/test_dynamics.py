@@ -115,6 +115,12 @@ class TestSteadyState:
         with pytest.raises(ValidationError):
             find_steady_state(scalar_net(), tol=0.0)
 
+    @pytest.mark.parametrize("damping", [0.0, -0.5, 1.5])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        # 0 never moves the iterate; -0.5 diverges; 1.5 is not an average
+        with pytest.raises(ValidationError, match="damping"):
+            find_steady_state(scalar_net(), damping=damping, max_iter=100)
+
 
 class TestJacobian:
     def test_scalar_value(self):

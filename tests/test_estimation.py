@@ -54,6 +54,12 @@ class TestCountTransitions:
         assert len(c.exposures[1][0]) == 0
         assert c.int_trials[0] == 1 and c.con_trials[0] == 1
 
+    @pytest.mark.parametrize("pinned", [{-1}, {2}, {-1, 7}])
+    def test_pinned_index_out_of_range_rejected(self, pinned):
+        log = EventLog(np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="out of range"):
+            count_transitions(np.zeros((2, 2)), log, pinned=pinned)
+
     def test_dimension_mismatch(self):
         log = EventLog(np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):

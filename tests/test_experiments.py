@@ -152,6 +152,14 @@ class TestSampling:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("index", [-1, 10])
+    def test_pinned_index_outside_network_rejected(self, index):
+        net = small_net()  # 10 nodes
+        plan = ExperimentPlan(driver_size=3, num_sets=2, seed=1, pinned={index: 1},
+                              steps_reactive=5)
+        with pytest.raises(ValidationError, match="pinned index"):
+            run_experiment(plan, net, None, identity_costs(net.n))
+
     def test_set_outside_its_stratum_raises(self, monkeypatch):
         net = small_net()
         top = sorted(top_steady_nodes(find_steady_state(net), 0.3))

@@ -10,6 +10,7 @@ from risknet.errors import (
     UnknownSchemaVersion,
     ValidationError,
 )
+from risknet.experiments import ExperimentPlan
 from risknet.model import build_network, degree_stats
 from risknet.netio import (
     DEGREE_TOLERANCE,
@@ -92,6 +93,13 @@ class TestNetworkFiles:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="p_ext"):
+            load_network(path)
+
+    def test_unknown_field_named(self, tmp_path):
+        doc = {"schema_version": 1, "nodes": MINIMAL["nodes"], "edge": []}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="'edge'"):
             load_network(path)
 
     def test_edge_direction_convention(self, tmp_path):
@@ -212,6 +220,24 @@ class TestPlanFiles:
         path.write_text(json.dumps(self.base_doc()))
         plan, _ = load_plan(path, self.net4())
         assert plan.num_sets == 5
+
+    def test_unknown_field_named(self):
+        doc = self.base_doc()
+        doc["steps_reactve"] = 100
+        with pytest.raises(ParseError, match="steps_reactve"):
+            plan_from_dict(doc, self.net4())
+
+    def test_omitted_fields_take_the_plan_defaults(self):
+        doc = {"schema_version": 1, "driver_size": 2, "seed": 11}
+        plan, costs = plan_from_dict(doc, self.net4())
+        assert plan == ExperimentPlan(driver_size=2, num_sets=1, seed=11)
+        assert np.array_equal(costs.R, np.eye(4))
+
+    def test_fractional_pin_value_rejected(self):
+        doc = self.base_doc()
+        doc["pinned"] = {"a": 0.5}
+        with pytest.raises(ValidationError, match="0 or 1"):
+            plan_from_dict(doc, self.net4())
 
     def test_unknown_pinned_name(self):
         doc = self.base_doc()
