@@ -54,7 +54,6 @@ from .dynamics import (
     unclamped_step,
 )
 from .control import (
-    ControlProblem,
     ControlRun,
     GainSchedule,
     control_energy,

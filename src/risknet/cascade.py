@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import BINARY, RiskNetwork, StateVector, binary_state, pin_arrays
+from .model import BINARY, RiskNetwork, StateVector, binary_state, check_integer, pin_arrays
 
 PRODUCT = "product"
 ADDITIVE = "additive"
@@ -48,6 +48,8 @@ class SimConfig:
     pinned: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_integer("steps", self.steps)
+        check_integer("seed", self.seed)
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if self.seed < 0:

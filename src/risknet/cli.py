@@ -23,7 +23,7 @@ from .control import run_proactive, run_reactive
 from .dynamics import controllability_rank, find_steady_state, linearize
 from .errors import NumericalError, RiskNetError, ValidationError
 from .estimation import count_transitions, fit_probabilities
-from .experiments import PHASE_PROACTIVE, PHASE_REACTIVE, run_experiment
+from .experiments import PHASE_PROACTIVE, PHASE_REACTIVE, ExperimentPlan, run_experiment
 from .model import (
     DriverSet,
     RiskNetwork,
@@ -150,14 +150,16 @@ def _cmd_control(args) -> int:
                 "--pin and --init-active apply to the reactive phase only; "
                 "a proactive run starts inactive and unpinned"
             )
-        run = run_proactive(net, driver, costs, args.steps)
+        steps = ExperimentPlan.steps_proactive if args.steps is None else args.steps
+        run = run_proactive(net, driver, costs, steps)
     else:
         pinned = _parse_pins(net, args.pin)
         if args.init_active:
             init = continuous_state(_initial_actives(net, args.init_active))
         else:
             init = find_steady_state(net)
-        run = run_reactive(net, driver, costs, init, args.steps, pinned)
+        steps = ExperimentPlan.steps_reactive if args.steps is None else args.steps
+        run = run_reactive(net, driver, costs, init, steps, pinned)
     out = _out_dir(args)
     netio.write_control_run(out, run, net.names)
     print(
@@ -259,7 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drivers", required=True, help="comma-separated node names")
     p.add_argument("--phase", choices=(PHASE_REACTIVE, PHASE_PROACTIVE),
                    default=PHASE_REACTIVE)
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=int, default=None,
+                   help=f"default: a plan's {ExperimentPlan.steps_reactive} reactive or "
+                        f"{ExperimentPlan.steps_proactive} proactive steps")
     p.add_argument("--init-active", default="",
                    help="reactive initial actives (default: steady state)")
     p.add_argument("--pin", action="append", default=[], metavar="NAME=0|1")

@@ -5,7 +5,8 @@ The objective charges both risk activity and control effort:
     J = x(tau)' Q_f x(tau) + sum_{k<tau} [ x(k)' Q x(k) + u(k)' R u(k) ]
 
 Gains come from the standard backward value recursion on the linear model
-taken at the natural steady state, restricted to the driven coordinates.
+taken at the natural steady state, restricted to the driven coordinates;
+the schedule keeps the gains and the value matrix at k = 0, nothing else.
 Two control phases are provided:
 
 * reactive: feedback ``u(k) = -K(k) x(k)`` rolled out on the nonlinear map,
@@ -35,28 +36,13 @@ from .dynamics import LinearizedSystem, find_steady_state, linearize, unclamped_
 
 
 @dataclass(frozen=True, eq=False)
-class ControlProblem:
-    """A regulation problem toward the all-inactive state: linear model,
-    costs, horizon."""
-
-    sys: LinearizedSystem
-    costs: CostMatrices
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        if self.costs.n != self.sys.n:
-            raise DimensionMismatch("cost matrices sized for a different network")
-
-
-@dataclass(frozen=True, eq=False)
 class GainSchedule:
     """Time-varying gains K(0..tau-1) (each m x n, rows = driven nodes in
-    index order) and value matrices P(0..tau)."""
+    index order) and the value matrix P0 = P(0), so the optimal linear cost
+    from x0 is ``x0 @ P0 @ x0``."""
 
     K: tuple
-    P: tuple
+    P0: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +75,11 @@ def _solve_gain(inner: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def riccati_schedule(prob: ControlProblem) -> GainSchedule:
-    """Backward value recursion for the finite-horizon regulator.
+def riccati_schedule(
+    sys: LinearizedSystem, costs: CostMatrices, horizon: int
+) -> GainSchedule:
+    """Backward value recursion for the finite-horizon regulator toward the
+    all-inactive state.
 
     With S the driver column selection, Rd the driver block of R and
     P(tau) = Q_f, for k = tau-1 .. 0:
@@ -98,25 +87,33 @@ def riccati_schedule(prob: ControlProblem) -> GainSchedule:
         K(k) = (Rd + S'P(k+1)S)^-1 S'P(k+1)A
         P(k) = Q + A'P(k+1)A - A'P(k+1)S K(k)
 
-    The optimal driven signal toward the all-inactive state is
-    ``u(k) = -K(k) x(k)``.
-    """
-    A = prob.sys.A
-    d = list(prob.sys.driver.indices)
-    Rd = prob.costs.R[np.ix_(d, d)]
-    Q, Q_f = prob.costs.Q, prob.costs.Q_f
-    tau = prob.horizon
+    Only the running value matrix is kept; the schedule holds every gain
+    and P(0).  The optimal driven signal is ``u(k) = -K(k) x(k)``.
 
-    P = [None] * (tau + 1)
-    K = [None] * tau
-    P[tau] = Q_f
-    for k in range(tau - 1, -1, -1):
-        Pn = P[k + 1]
+    Raises
+    ------
+    ValidationError
+        ``horizon < 1``.
+    DimensionMismatch
+        The costs are sized for a different network.
+    """
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    if costs.n != sys.n:
+        raise DimensionMismatch("cost matrices sized for a different network")
+    A = sys.A
+    d = list(sys.driver.indices)
+    Rd = costs.R[np.ix_(d, d)]
+    Q = costs.Q
+
+    K = [None] * horizon
+    Pn = costs.Q_f
+    for k in range(horizon - 1, -1, -1):
         inner = Rd + Pn[np.ix_(d, d)]
         K[k] = _solve_gain(inner, Pn[d, :] @ A)
         Pk = Q + A.T @ (Pn @ A) - (A.T @ Pn[:, d]) @ K[k]
-        P[k] = 0.5 * (Pk + Pk.T)
-    return GainSchedule(K=tuple(K), P=tuple(P))
+        Pn = 0.5 * (Pk + Pk.T)
+    return GainSchedule(K=tuple(K), P0=Pn)
 
 
 def control_energy(signals: np.ndarray) -> float:
@@ -225,7 +222,7 @@ def run_reactive(
 
     x_s = find_steady_state(net)
     sys = linearize(net, driver, x_s)
-    schedule = riccati_schedule(ControlProblem(sys=sys, costs=costs, horizon=steps))
+    schedule = riccati_schedule(sys, costs, steps)
     return rollout_feedback(net, driver, costs, init, schedule, pinned)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .control import run_proactive, run_reactive
 from .dynamics import find_steady_state
 from .errors import RiskNetError, StratumInfeasible, ValidationError
-from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, pin_arrays
+from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer, pin_arrays
 
 STRATIFY_NONE = "none"
 STRATIFY_ACTIVE = "initially_active"
@@ -43,7 +43,8 @@ class ExperimentPlan:
     required when ``stratify_by`` is not "none"; ``num_sets`` then equals
     the group total.  ``pinned`` nodes are excluded from candidacy and held
     at their value during reactive runs.  ``baseline_sets`` maps a label to
-    an explicit index tuple.
+    an explicit index tuple.  Counts, sizes, steps and the seed must be
+    integers.
     """
 
     driver_size: int
@@ -59,6 +60,8 @@ class ExperimentPlan:
     top_fraction: float = 0.25
 
     def __post_init__(self):
+        for label in ("driver_size", "num_sets", "seed", "steps_reactive", "steps_proactive"):
+            check_integer(label, getattr(self, label))
         if self.driver_size < 1:
             raise ValidationError("driver_size must be >= 1")
         if self.seed < 0:
@@ -69,7 +72,12 @@ class ExperimentPlan:
             raise ValidationError(f"unknown phase {self.phase!r}")
         if not 0.0 < self.top_fraction <= 1.0:
             raise ValidationError("top_fraction must be in (0, 1]")
-        groups = tuple((int(v), int(c)) for v, c in self.groups)
+        for pair in self.groups:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValidationError(f"group {pair!r} must be a (stratum value, count) pair")
+            check_integer("stratum value", pair[0])
+            check_integer("stratum count", pair[1])
+        groups = tuple(tuple(pair) for pair in self.groups)
         object.__setattr__(self, "groups", groups)
         if self.stratify_by == STRATIFY_NONE:
             if self.num_sets < 1:
@@ -114,25 +122,28 @@ def top_steady_nodes(x_s: StateVector, top_fraction: float) -> set:
     return set(int(i) for i in order[:k])
 
 
+def _driver_classes(init: StateVector, x_s: StateVector, top_fraction: float) -> dict:
+    """The node sets that strata count, keyed by ``stratify_by``: the initially
+    active nodes (entry >= 0.5) and the most active nodes at the natural
+    steady state."""
+    return {
+        STRATIFY_ACTIVE: set(int(i) for i in np.flatnonzero(init.values >= ACTIVE_THRESHOLD)),
+        STRATIFY_PEAK: top_steady_nodes(x_s, top_fraction),
+    }
+
+
 def classify_drivers(
     net: RiskNetwork,
     driver: DriverSet,
     init: StateVector,
     x_s: StateVector,
-    top_fraction: float = 0.25,
+    top_fraction: float = ExperimentPlan.top_fraction,
 ) -> tuple[int, int]:
     """Count the driven nodes that are initially active (entry >= 0.5) and
     those among the most active nodes at the natural steady state."""
-    active = set(int(i) for i in np.flatnonzero(init.values >= ACTIVE_THRESHOLD))
-    top = top_steady_nodes(x_s, top_fraction)
+    classes = _driver_classes(init, x_s, top_fraction)
     members = set(driver.indices)
-    return len(members & active), len(members & top)
-
-
-def _stratum_class(plan: ExperimentPlan, init: StateVector, x_s: StateVector) -> set:
-    if plan.stratify_by == STRATIFY_ACTIVE:
-        return set(int(i) for i in np.flatnonzero(init.values >= ACTIVE_THRESHOLD))
-    return top_steady_nodes(x_s, plan.top_fraction)
+    return len(members & classes[STRATIFY_ACTIVE]), len(members & classes[STRATIFY_PEAK])
 
 
 def _uniform_subsets(rng: np.random.Generator, m: int, size: int, rows: int) -> np.ndarray:
@@ -178,7 +189,7 @@ def sample_driver_sets(
             sets.append(DriverSet(tuple(int(i) for i in chosen), net.n))
         return sets
 
-    members = _stratum_class(plan, init, x_s)
+    members = _driver_classes(init, x_s, plan.top_fraction)[plan.stratify_by]
     in_class = np.array([c in members for c in candidates])
     n_in = int(in_class.sum())
     n_out = candidates.size - n_in

@@ -10,6 +10,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,13 @@ def degree_stats(net: RiskNetwork) -> tuple:
     support = (net.E != 0) | (net.E.T != 0)
     degrees = support.sum(axis=1)
     return float(degrees.mean()), float(degrees.std())
+
+
+def check_integer(label: str, value):
+    """Reject anything but an integer: floats, strings and booleans raise
+    ``ValidationError``; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{label} must be an integer, got {value!r}")
 
 
 def pin_arrays(pinned: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:

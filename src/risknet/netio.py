@@ -17,8 +17,13 @@ Network schema (version 1)::
 Plan schema (version 1): the :class:`~risknet.experiments.ExperimentPlan`
 fields with node names in place of indices, plus a cost specification
 ``{"kind": "identity"}``, ``{"kind": "diagonal", "q_f": [...], "q": [...],
-"r": [...]}`` or ``{"kind": "dense", ...}`` with full matrices.  Both
-documents reject top-level keys outside their schema.
+"r": [...]}`` or ``{"kind": "dense", ...}`` with full matrices.
+
+Every object in both documents, nested ones included, rejects keys outside
+its schema (a cost spec, outside its kind's keys), and every value must have
+its schema's JSON kind: names are strings; probabilities, weights, settings
+and cost entries are numbers, not strings or booleans.  Each rejection is a
+``ParseError`` naming the key and its place, e.g. ``nodes[0]``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import numpy as np
 from .cascade import EventLog
 from .control import ControlRun
 from .errors import (
+    DimensionMismatch,
     ParseError,
     TargetsUnreachable,
     UnknownSchemaVersion,
@@ -114,43 +120,97 @@ def _load_json(path) -> dict:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
 
 
-def _require(doc: dict, key: str, where: str):
+#: The JSON kinds the schemas use, as the Python types ``json.load`` yields.
+_KINDS = {"an object": dict, "a list": list, "a string": str, "a number": (int, float)}
+
+
+def _typed(value, kind: str, what: str):
+    """``value`` if it has the JSON kind ``kind`` (booleans are not numbers)."""
+    if isinstance(value, _KINDS[kind]) and not isinstance(value, bool):
+        return value
+    found = "a boolean" if isinstance(value, bool) else next(
+        (k for k, types in _KINDS.items() if isinstance(value, types)), "null"
+    )
+    raise ParseError(f"{what} must be {kind}, got {found}")
+
+
+def _object(value, keys, what: str) -> dict:
+    """``value`` as a JSON object with no key outside ``keys``: the key rule
+    for documents and every object nested in them."""
+    _typed(value, "an object", what)
+    for key in value:
+        if key not in keys:
+            raise ParseError(f"{what}: unknown field {key!r}")
+    return value
+
+
+def _require(doc: dict, key: str, where: str, kind: str | None = None):
+    """``doc[key]``, which must be present and, given ``kind``, of that kind."""
     if key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
-    return doc[key]
+    if kind is None:
+        return doc[key]
+    return _typed(doc[key], kind, f"{where}: {key}")
 
 
-def _check_document(doc: dict, keys, where: str):
+def _record(value, kinds: dict, what: str) -> list:
+    """The fields of a JSON object that has exactly the keys of ``kinds``,
+    each of its kind, in ``kinds`` order."""
+    _object(value, kinds, what)
+    return [_require(value, key, what, kind) for key, kind in kinds.items()]
+
+
+def _numbers(value, ndim: int, what: str) -> np.ndarray:
+    """A list of numbers (``ndim`` 1) or of equal-length such lists (2)."""
+    items = _typed(value, "a list", what)
+    if ndim == 1:
+        return np.array(
+            [_typed(v, "a number", f"{what}[{i}]") for i, v in enumerate(items)], dtype=float
+        )
+    rows = [_numbers(row, 1, f"{what}[{i}]") for i, row in enumerate(items)]
+    if len({row.size for row in rows}) > 1:
+        raise ParseError(f"{what}: rows differ in length")
+    return np.array(rows, dtype=float)
+
+
+def _check_document(doc, keys, where: str):
     """Check the schema version, then reject any top-level key not in ``keys``."""
-    version = _require(doc, "schema_version", where)
+    version = _require(_typed(doc, "an object", where), "schema_version", where)
     if version != SCHEMA_VERSION:
         raise UnknownSchemaVersion(f"{where}: schema_version {version!r} not supported")
-    for key in doc:
-        if key not in keys:
-            raise ParseError(f"{where}: unknown field {key!r}")
+    _object(doc, keys, where)
 
 
+_NODE_KINDS = {"name": "a string", "p_int": "a number", "p_ext": "a number", "p_con": "a number"}
+_EDGE_KINDS = {"from": "a string", "to": "a string", "weight": "a number"}
 _PLAN_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentPlan))
 _PLAN_KEYS = _PLAN_FIELDS + ("schema_version", "costs")
+#: Every plan field is a number (integers are checked by ExperimentPlan)
+#: except these.
+_PLAN_KINDS = dict.fromkeys(_PLAN_FIELDS, "a number") | {
+    "pinned": "an object",
+    "stratify_by": "a string",
+    "groups": "a list",
+    "phase": "a string",
+    "baseline_sets": "an object",
+}
 
 
 def network_from_dict(doc: dict, where: str = "network") -> RiskNetwork:
     _check_document(doc, ("schema_version", "nodes", "edges"), where)
-    nodes = _require(doc, "nodes", where)
-    names, p_int, p_ext, p_con = [], [], [], []
-    for k, node in enumerate(nodes):
-        names.append(str(_require(node, "name", f"{where}: nodes[{k}]")))
-        p_int.append(_require(node, "p_int", f"{where}: nodes[{k}]"))
-        p_ext.append(_require(node, "p_ext", f"{where}: nodes[{k}]"))
-        p_con.append(_require(node, "p_con", f"{where}: nodes[{k}]"))
+    rows = [
+        _record(node, _NODE_KINDS, f"{where}: nodes[{k}]")
+        for k, node in enumerate(_require(doc, "nodes", where, "a list"))
+    ]
+    names = [row[0] for row in rows]
+    probs = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 3)
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
     E = np.zeros((n, n))
     seen = set()
-    for k, edge in enumerate(doc.get("edges", [])):
-        src = _require(edge, "from", f"{where}: edges[{k}]")
-        dst = _require(edge, "to", f"{where}: edges[{k}]")
-        weight = _require(edge, "weight", f"{where}: edges[{k}]")
+    edges = _typed(doc.get("edges", []), "a list", f"{where}: edges")
+    for k, edge in enumerate(edges):
+        src, dst, weight = _record(edge, _EDGE_KINDS, f"{where}: edges[{k}]")
         if src not in index or dst not in index:
             raise ValidationError(
                 f"{where}: edge {src!r} -> {dst!r} references an unknown node"
@@ -159,7 +219,7 @@ def network_from_dict(doc: dict, where: str = "network") -> RiskNetwork:
             raise ValidationError(f"{where}: duplicate edge {src!r} -> {dst!r}")
         seen.add((src, dst))
         E[index[src], index[dst]] = weight
-    return build_network(names, p_int, p_ext, p_con, E)
+    return build_network(names, *probs.T, E)
 
 
 def load_network(path) -> RiskNetwork:
@@ -242,21 +302,31 @@ def write_control_run(out_dir, run: ControlRun, names):
 # ---------------------------------------------------------------------------
 # experiment plans and results
 
-_COST_KINDS = ("identity", "diagonal", "dense")
+#: The keys each cost kind takes.
+_COST_KEYS = {
+    "identity": ("kind",),
+    "diagonal": ("kind", "q_f", "q", "r"),
+    "dense": ("kind", "q_f", "q", "r"),
+}
 
 
 def costs_from_spec(spec: dict, n: int) -> CostMatrices:
-    kind = _require(spec, "kind", "costs")
-    if kind not in _COST_KINDS:
-        raise ParseError(f"costs: unknown kind {kind!r}")
+    where = "costs"
+    kind = _require(_typed(spec, "an object", where), "kind", where, "a string")
+    if kind not in _COST_KEYS:
+        raise ParseError(f"{where}: unknown kind {kind!r}")
+    _object(spec, _COST_KEYS[kind], where)
     if kind == "identity":
         return identity_costs(n)
-    q_f = np.asarray(_require(spec, "q_f", "costs"), dtype=float)
-    q = np.asarray(_require(spec, "q", "costs"), dtype=float)
-    r = np.asarray(_require(spec, "r", "costs"), dtype=float)
+    ndim = 1 if kind == "diagonal" else 2
+    q_f, q, r = (_numbers(_require(spec, key, where), ndim, f"{where}: {key}")
+                 for key in ("q_f", "q", "r"))
     if kind == "diagonal":
-        return CostMatrices(Q_f=np.diag(q_f), Q=np.diag(q), R=np.diag(r))
-    return CostMatrices(Q_f=q_f, Q=q, R=r)
+        q_f, q, r = np.diag(q_f), np.diag(q), np.diag(r)
+    costs = CostMatrices(Q_f=q_f, Q=q, R=r)
+    if costs.n != n:
+        raise DimensionMismatch(f"{where}: sized for {costs.n} nodes, the network has {n}")
+    return costs
 
 
 def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
@@ -264,16 +334,23 @@ def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
     (ExperimentPlan, CostMatrices).  Omitted fields take the
     ``ExperimentPlan`` defaults; ``num_sets``, which it requires, is 1."""
     _check_document(doc, _PLAN_KEYS, where)
-    fields = {key: doc[key] for key in _PLAN_FIELDS if key in doc}
-    fields["driver_size"] = _require(doc, "driver_size", where)
-    fields["seed"] = _require(doc, "seed", where)
-    fields.setdefault("num_sets", 1)
-    pinned = {net.index_of(name): v for name, v in doc.get("pinned", {}).items()}
-    fields["pinned"] = pinned
-    fields["baseline_sets"] = {
-        str(label): tuple(net.index_of(name) for name in names)
-        for label, names in doc.get("baseline_sets", {}).items()
+    for key in ("driver_size", "seed"):
+        _require(doc, key, where)
+    fields = {
+        key: _require(doc, key, where, kind)
+        for key, kind in _PLAN_KINDS.items() if key in doc
     }
+    fields.setdefault("num_sets", 1)
+    pinned = {net.index_of(name): v for name, v in fields.get("pinned", {}).items()}
+    fields["pinned"] = pinned
+    baselines = {}
+    for label, names in fields.get("baseline_sets", {}).items():
+        what = f"{where}: baseline_sets[{label!r}]"
+        baselines[label] = tuple(
+            net.index_of(_typed(name, "a string", f"{what}[{i}]"))
+            for i, name in enumerate(_typed(names, "a list", what))
+        )
+    fields["baseline_sets"] = baselines
     plan = ExperimentPlan(**fields)
     if plan.driver_size > net.n - len(pinned):
         raise ValidationError(

@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from risknet.cascade import SimConfig, monte_carlo_mean
-from risknet.control import ControlProblem, riccati_schedule
+from risknet.control import riccati_schedule
 from risknet.dynamics import (
     LinearizedSystem,
     find_steady_state,
@@ -70,8 +70,7 @@ def test_criterion_2_riccati_matches_least_squares_and_beats_random():
         n = int(rng.integers(1, 4))
         A, driver, costs, tau, x0 = random_linear_instance(rng, n)
         sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(n), driver=driver)
-        prob = ControlProblem(sys=sys_lin, costs=costs, horizon=tau)
-        schedule = riccati_schedule(prob)
+        schedule = riccati_schedule(sys_lin, costs, tau)
         fb = linear_feedback_cost(A, driver, costs, schedule, x0)
         opt, _ = brute_force_linear_optimum(A, driver, costs, tau, x0)
         worst_rel = max(worst_rel, abs(fb - opt) / max(abs(opt), 1e-12))
@@ -270,8 +269,7 @@ def test_criterion_9_driver_monotonicity_on_linear_cost():
             sys_lin = LinearizedSystem(
                 A=A, x_lin=zeros_state(4), driver=DriverSet(indices, 4)
             )
-            prob = ControlProblem(sys=sys_lin, costs=costs, horizon=tau)
-            return float(x0 @ riccati_schedule(prob).P[0] @ x0)
+            return float(x0 @ riccati_schedule(sys_lin, costs, tau).P0 @ x0)
 
         # grow a random nested chain of driver sets
         order = [int(i) for i in rng.permutation(4)]

@@ -36,6 +36,16 @@ def test_config_validation():
         SimConfig(steps=1, seed=0, pinned={0: 2})
 
 
+@pytest.mark.parametrize("steps, seed", [(2.5, 0), (2, 1.5), ("3", 0), (2, True)])
+def test_config_rejects_non_integer(steps, seed):
+    with pytest.raises(ValidationError, match="integer"):
+        SimConfig(steps=steps, seed=seed)
+
+
+def test_config_accepts_numpy_integers():
+    assert SimConfig(steps=np.int64(3), seed=np.uint32(7)).steps == 3
+
+
 def test_event_log_validation():
     with pytest.raises(ValidationError):
         EventLog(np.array([[0, 2]]))

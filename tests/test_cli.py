@@ -3,7 +3,7 @@ import json
 import pytest
 
 from risknet.cli import cli_main
-from risknet.netio import load_event_log, load_network, save_network
+from risknet.netio import load_event_log, load_matrix_csv, load_network, save_network
 from risknet.model import build_network
 
 
@@ -134,6 +134,18 @@ def test_control_proactive_pin_free(chain_net, tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("phase, steps", [("reactive", 500), ("proactive", 50)])
+def test_control_steps_default_to_the_plan_default_of_the_phase(
+    chain_net, tmp_path, phase, steps
+):
+    assert cli_main([
+        "control", str(chain_net), "--drivers", "b", "--phase", phase,
+        "--output-dir", str(tmp_path),
+    ]) == 0
+    _, states = load_matrix_csv(tmp_path / "control_trajectory.csv")
+    assert states.shape == (steps + 1, 3)
+
+
 def test_control_bad_pin_value(chain_net, tmp_path, capsys):
     code = cli_main([
         "control", str(chain_net), "--drivers", "b", "--pin", "a=2",
@@ -175,6 +187,39 @@ def test_flag_the_subcommand_would_ignore_is_rejected(
     capsys.readouterr()
     assert cli_main(argv + extra) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, mutate", [
+    ("network", lambda d: d["nodes"].__setitem__(0, 1)),
+    ("network", lambda d: d["nodes"][0].update(p_int="abc")),
+    ("network", lambda d: d["nodes"][0].update(p_int="0.05")),
+    ("network", lambda d: d["edges"][0].update(weight="x")),
+    ("network", lambda d: d["nodes"][0].update(p_cont=0.9)),
+    ("plan", lambda d: d.update(pinned=["a"])),
+    ("plan", lambda d: d.update(driver_size="2")),
+    ("plan", lambda d: d.update(baseline_sets={"b": "a"})),
+    ("plan", lambda d: d.update(costs={"kind": "identity", "q": [5]})),
+])
+def test_malformed_document_exits_one_with_a_json_line(
+    chain_net, tmp_path, capsys, document, mutate
+):
+    docs = {
+        "network": json.loads(chain_net.read_text()),
+        "plan": {"schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0,
+                 "steps_reactive": 5},
+    }
+    mutate(docs[document])
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    code = cli_main([
+        "experiment", str(paths["network"]), str(paths["plan"]),
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ParseError"
 
 
 def test_steady_state_rejects_damping_outside_unit_interval(one_node_net, capsys):

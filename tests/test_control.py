@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from risknet.control import (
-    ControlProblem,
     GainSchedule,
     _solve_gain,
     control_energy,
@@ -22,6 +22,7 @@ from risknet.model import (
     identity_costs,
     zeros_state,
 )
+from risknet.netio import generate_synthetic
 from helpers import (
     brute_force_linear_optimum,
     linear_feedback_cost,
@@ -46,47 +47,44 @@ def scalar_net(p_int=0.1, p_con=0.7):
 
 class TestRiccatiSchedule:
     def test_scalar_one_step_gain(self):
-        prob = ControlProblem(
-            sys=linear_system(np.array([[0.5]]), (0,)),
-            costs=identity_costs(1),
-            horizon=1,
+        sched = riccati_schedule(
+            linear_system(np.array([[0.5]]), (0,)), identity_costs(1), 1
         )
-        sched = riccati_schedule(prob)
         assert sched.K[0][0, 0] == pytest.approx(0.25)
-        assert np.array_equal(sched.P[1], np.eye(1))
+        assert sched.P0[0, 0] == pytest.approx(1.125)
 
     def test_zero_dynamics_zero_gain(self):
-        prob = ControlProblem(
-            sys=linear_system(np.zeros((3, 3)), (0, 2)),
-            costs=identity_costs(3),
-            horizon=4,
+        sched = riccati_schedule(
+            linear_system(np.zeros((3, 3)), (0, 2)), identity_costs(3), 4
         )
-        sched = riccati_schedule(prob)
         assert all(np.allclose(K, 0.0) for K in sched.K)
 
     def test_zero_state_costs_zero_gain(self):
         n = 3
         costs = CostMatrices(Q_f=np.zeros((n, n)), Q=np.zeros((n, n)), R=np.eye(n))
         rng = np.random.default_rng(0)
-        prob = ControlProblem(
-            sys=linear_system(rng.uniform(-1, 1, (n, n)), (1,)),
-            costs=costs,
-            horizon=3,
+        sched = riccati_schedule(
+            linear_system(rng.uniform(-1, 1, (n, n)), (1,)), costs, 3
         )
-        sched = riccati_schedule(prob)
         assert all(np.allclose(K, 0.0) for K in sched.K)
-        assert all(np.allclose(P, 0.0) for P in sched.P)
+        assert np.allclose(sched.P0, 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_value_matrices_symmetric_psd(self, seed):
         rng = np.random.default_rng(seed)
         A, driver, costs, tau, _ = random_linear_instance(rng, 4, tau=3)
-        prob = ControlProblem(sys=linear_system(A, driver.indices), costs=costs, horizon=tau)
-        sched = riccati_schedule(prob)
-        assert len(sched.P) == tau + 1 and len(sched.K) == tau
-        for P in sched.P:
-            assert np.allclose(P, P.T)
-            assert np.linalg.eigvalsh(P).min() >= -1e-8
+        for h in range(1, tau + 1):
+            sched = riccati_schedule(linear_system(A, driver.indices), costs, h)
+            assert len(sched.K) == h
+            assert np.allclose(sched.P0, sched.P0.T)
+            assert np.linalg.eigvalsh(sched.P0).min() >= -1e-8
+
+    def test_horizon_and_cost_size_validated(self):
+        sys = linear_system(np.array([[0.5]]), (0,))
+        with pytest.raises(ValidationError, match="horizon"):
+            riccati_schedule(sys, identity_costs(1), 0)
+        with pytest.raises(DimensionMismatch):
+            riccati_schedule(sys, identity_costs(2), 1)
 
     def test_singular_inner_matrix_guard(self):
         with pytest.raises(SingularInnerMatrix):
@@ -95,25 +93,46 @@ class TestRiccatiSchedule:
             _solve_gain(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))  # indefinite
 
 
+class TestStationaryLimit:
+    """Over a long horizon the schedule reaches the stationary regulator:
+    P0 solves the discrete algebraic Riccati equation and K(0) is its gain."""
+
+    @pytest.mark.parametrize("net_seed, drivers", [
+        (1, (3, 8, 11, 17, 22, 29, 35)),  # criterion 7's policy_mix set
+        (1, (0,)),
+        (2, (1, 5, 9)),
+    ])
+    def test_long_horizon_matches_dare(self, net_seed, drivers):
+        net = generate_synthetic(40, 18.27, 4.60, seed=net_seed)
+        sys = linearize(net, DriverSet(drivers, net.n), find_steady_state(net))
+        costs = identity_costs(net.n)
+        sched = riccati_schedule(sys, costs, 500)
+        A, B = sys.A, sys.driver.selection
+        Rd = B.T @ costs.R @ B
+        P = solve_discrete_are(A, B, costs.Q, Rd)
+        K = np.linalg.solve(Rd + B.T @ P @ B, B.T @ P @ A)
+        assert np.linalg.norm(sched.P0 - P) <= 1e-12 * np.linalg.norm(P)
+        assert np.linalg.norm(sched.K[0] - K) <= 1e-12 * np.linalg.norm(K)
+
+
 class TestLinearOptimality:
     @pytest.mark.parametrize("seed", range(8))
     def test_schedule_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         A, driver, costs, tau, x0 = random_linear_instance(rng, n)
-        prob = ControlProblem(sys=linear_system(A, driver.indices), costs=costs, horizon=tau)
-        sched = riccati_schedule(prob)
+        sched = riccati_schedule(linear_system(A, driver.indices), costs, tau)
         fb = linear_feedback_cost(A, driver, costs, sched, x0)
         opt, _ = brute_force_linear_optimum(A, driver, costs, tau, x0)
         assert fb == pytest.approx(opt, rel=1e-8, abs=1e-12)
         # value function gives the same number
-        assert x0 @ sched.P[0] @ x0 == pytest.approx(opt, rel=1e-8, abs=1e-12)
+        assert x0 @ sched.P0 @ x0 == pytest.approx(opt, rel=1e-8, abs=1e-12)
 
     def test_random_signals_never_beat_schedule(self):
         rng = np.random.default_rng(99)
         A, driver, costs, tau, x0 = random_linear_instance(rng, 3, tau=3)
-        prob = ControlProblem(sys=linear_system(A, driver.indices), costs=costs, horizon=tau)
-        fb = linear_feedback_cost(A, driver, costs, riccati_schedule(prob), x0)
+        sched = riccati_schedule(linear_system(A, driver.indices), costs, tau)
+        fb = linear_feedback_cost(A, driver, costs, sched, x0)
         for _ in range(200):
             U = rng.normal(size=(tau, driver.size))
             assert linear_open_loop_cost(A, driver, costs, x0, U) >= fb - 1e-9
@@ -251,7 +270,7 @@ class TestReactive:
 
     def test_non_finite_gain_rejected(self):
         net = scalar_net()
-        schedule = GainSchedule(K=(np.full((1, 1), np.nan),), P=())
+        schedule = GainSchedule(K=(np.full((1, 1), np.nan),), P0=np.zeros((1, 1)))
         with pytest.raises(ValidationError):
             rollout_feedback(
                 net, DriverSet((0,), 1), identity_costs(1), continuous_state([0.5]),
@@ -328,7 +347,7 @@ class TestRolloutMatchesStepLoop:
         init = continuous_state(np.ones(5))
         run = run_reactive(net, driver, costs, init, 30, pinned={0: 1})
         sys = linearize(net, driver, find_steady_state(net))
-        K = riccati_schedule(ControlProblem(sys=sys, costs=costs, horizon=30)).K
+        K = riccati_schedule(sys, costs, 30).K
         self.assert_same(run, reference_rollout(
             net, driver, init.values, 30, lambda k, x: -K[k] @ x, pinned={0: 1}
         ))
@@ -352,10 +371,8 @@ class TestMonotonicity:
         A, _, costs, tau, x0 = random_linear_instance(rng, 4, m=1, tau=3)
 
         def optimal(indices):
-            prob = ControlProblem(
-                sys=linear_system(A, indices), costs=costs, horizon=tau
-            )
-            return float(x0 @ riccati_schedule(prob).P[0] @ x0)
+            sched = riccati_schedule(linear_system(A, indices), costs, tau)
+            return float(x0 @ sched.P0 @ x0)
 
         small = optimal((1,))
         medium = optimal((1, 3))

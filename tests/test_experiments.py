@@ -74,6 +74,29 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             ExperimentPlan(driver_size=2, num_sets=1, seed=0, top_fraction=0.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"driver_size": 2.0},
+        {"num_sets": 1.5},
+        {"seed": 1.5},
+        {"seed": True},
+        {"steps_reactive": 10.5},
+        {"steps_proactive": "50"},
+        {"stratify_by": "steady_peak", "groups": ((1.5, 2),)},
+        {"stratify_by": "steady_peak", "groups": ((1, 2.9),)},
+        {"stratify_by": "steady_peak", "groups": (1, 2)},
+    ])
+    def test_non_integer_setting_rejected(self, fields):
+        settings = dict(driver_size=2, num_sets=1, seed=0) | fields
+        with pytest.raises(ValidationError, match="integer|pair"):
+            ExperimentPlan(**settings)
+
+    def test_numpy_integers_accepted(self):
+        plan = ExperimentPlan(
+            driver_size=np.int64(2), num_sets=np.int32(1), seed=np.uint8(3),
+            stratify_by="steady_peak", groups=((np.int64(1), np.int64(2)),),
+        )
+        assert plan.groups == ((1, 2),) and plan.num_sets == 2
+
     def test_stratified_num_sets_derived_from_groups(self):
         plan = ExperimentPlan(
             driver_size=3, num_sets=999, seed=0,

@@ -5,6 +5,7 @@ import pytest
 
 from risknet.cascade import EventLog
 from risknet.errors import (
+    DimensionMismatch,
     ParseError,
     TargetsUnreachable,
     UnknownSchemaVersion,
@@ -100,6 +101,52 @@ class TestNetworkFiles:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="'edge'"):
+            load_network(path)
+
+    @pytest.mark.parametrize("place, extra", [
+        ("nodes", {"p_cont": 0.9}),
+        ("edges", {"w": 0.5}),
+    ])
+    def test_unknown_nested_field_named(self, tmp_path, place, extra):
+        doc = {
+            "schema_version": 1,
+            "nodes": [dict(MINIMAL["nodes"][0]), dict(MINIMAL["nodes"][0], name="b")],
+            "edges": [{"from": "a", "to": "b", "weight": 1.0}],
+        }
+        doc[place][0].update(extra)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        key = next(iter(extra))
+        with pytest.raises(ParseError, match=rf"{place}\[0\]: unknown field '{key}'"):
+            load_network(path)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["nodes"].__setitem__(0, 1), r"nodes\[0\] must be an object, got a number"),
+        (lambda d: d["nodes"][0].update(p_int="abc"), r"nodes\[0\]: p_int must be a number, got a string"),
+        (lambda d: d["nodes"][0].update(p_int="0.05"), r"nodes\[0\]: p_int must be a number"),
+        (lambda d: d["nodes"][0].update(p_con=True), r"p_con must be a number, got a boolean"),
+        (lambda d: d["nodes"][0].update(name=5), r"nodes\[0\]: name must be a string"),
+        (lambda d: d["edges"][0].update(weight="x"), r"edges\[0\]: weight must be a number"),
+        (lambda d: d["edges"][0].update(to=["b"]), r"edges\[0\]: to must be a string, got a list"),
+        (lambda d: d.update(nodes={"a": {}}), r"nodes must be a list, got an object"),
+        (lambda d: d.update(edges=None), r"edges must be a list, got null"),
+    ])
+    def test_malformed_value_rejected(self, tmp_path, mutate, message):
+        doc = {
+            "schema_version": 1,
+            "nodes": [dict(MINIMAL["nodes"][0]), dict(MINIMAL["nodes"][0], name="b")],
+            "edges": [{"from": "a", "to": "b", "weight": 1.0}],
+        }
+        mutate(doc)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            load_network(path)
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps([MINIMAL]))
+        with pytest.raises(ParseError, match="must be an object, got a list"):
             load_network(path)
 
     def test_edge_direction_convention(self, tmp_path):
@@ -237,6 +284,59 @@ class TestPlanFiles:
         doc = self.base_doc()
         doc["pinned"] = {"a": 0.5}
         with pytest.raises(ValidationError, match="0 or 1"):
+            plan_from_dict(doc, self.net4())
+
+    @pytest.mark.parametrize("costs, key", [
+        ({"kind": "identity", "q": [5, 5, 5, 5]}, "q"),
+        ({"kind": "diagonal", "q_f": [1] * 4, "q": [1] * 4, "r": [1] * 4, "Q": [1] * 4}, "Q"),
+    ])
+    def test_unknown_costs_field_named(self, costs, key):
+        doc = self.base_doc()
+        doc["costs"] = costs
+        with pytest.raises(ParseError, match=f"costs: unknown field '{key}'"):
+            plan_from_dict(doc, self.net4())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pinned", ["a"], "pinned must be an object, got a list"),
+        ("driver_size", "2", "driver_size must be a number, got a string"),
+        ("seed", True, "seed must be a number, got a boolean"),
+        ("top_fraction", "0.5", "top_fraction must be a number"),
+        ("groups", {"1": 2}, "groups must be a list, got an object"),
+        ("baseline_sets", {"pick": "b"}, r"baseline_sets\['pick'\] must be a list, got a string"),
+        ("baseline_sets", {"pick": ["b", 2]}, r"baseline_sets\['pick'\]\[1\] must be a string"),
+        ("costs", ["identity"], "costs must be an object, got a list"),
+        ("costs", {"kind": 1}, "kind must be a string"),
+        ("costs", {"kind": "diagonal", "q_f": ["1", 1, 1, 1], "q": [1] * 4, "r": [1] * 4},
+         r"q_f\[0\] must be a number, got a string"),
+        ("costs", {"kind": "diagonal", "q_f": [1] * 4, "q": [1] * 4, "r": [True] * 4},
+         r"r\[0\] must be a number, got a boolean"),
+        ("costs", {"kind": "dense", "q_f": [[1, 0], [0]], "q": [[1]], "r": [[1]]},
+         "q_f: rows differ in length"),
+    ])
+    def test_malformed_value_rejected(self, field, value, message):
+        doc = self.base_doc()
+        doc[field] = value
+        with pytest.raises(ParseError, match=message):
+            plan_from_dict(doc, self.net4())
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5),
+        ("steps_reactive", 10.5),
+        ("num_sets", 5.0),
+        ("groups", [[1.5, 2]]),
+        ("groups", [[1, 2.9]]),
+        ("groups", [[1, 2, 3]]),
+    ])
+    def test_non_integer_setting_rejected(self, field, value):
+        doc = dict(self.base_doc(), stratify_by="steady_peak", groups=[[1, 2]])
+        doc[field] = value
+        with pytest.raises(ValidationError, match="integer|pair"):
+            plan_from_dict(doc, self.net4())
+
+    def test_costs_sized_for_another_network_rejected(self):
+        doc = self.base_doc()
+        doc["costs"] = {"kind": "diagonal", "q_f": [1] * 3, "q": [1] * 3, "r": [1] * 3}
+        with pytest.raises(DimensionMismatch, match="3 nodes, the network has 4"):
             plan_from_dict(doc, self.net4())
 
     def test_unknown_pinned_name(self):
