@@ -90,6 +90,16 @@ def riccati_schedule(
     Only the running value matrix is kept; the schedule holds every gain
     and P(0).  The optimal driven signal is ``u(k) = -K(k) x(k)``.
 
+    Over a long horizon, rounding settles P into a cycle of bitwise-equal
+    matrices.  Both K(k) and P(k) are functions of P(k+1) alone, so once
+    ``P(k) == P(k + p)`` bit for bit, every earlier step repeats with period
+    p: the recursion stops there, runs ``k mod p`` more steps to reach P(0),
+    and fills the earlier gains by ``K(j) = K(j + p)``.  The result is
+    exactly the full recursion's, with no tolerance.  The cycle is found by
+    Brent's method: the running P is compared with one checkpoint, which
+    moves to the running P at power-of-two distances.  Earlier gains share
+    their arrays with the cycle's, so every gain is read-only.
+
     Raises
     ------
     ValidationError
@@ -108,11 +118,25 @@ def riccati_schedule(
 
     K = [None] * horizon
     Pn = costs.Q_f
-    for k in range(horizon - 1, -1, -1):
+    # Brent's checkpoint: the bits of P(mark_k); period stays 0 until P(k)
+    # repeats them.
+    mark, mark_k, power, period = Pn.tobytes(), horizon, 1, 0
+    k = horizon
+    while k > 0 and not (period and k % period == 0):
+        k -= 1
         inner = Rd + Pn[np.ix_(d, d)]
         K[k] = _solve_gain(inner, Pn[d, :] @ A)
+        K[k].flags.writeable = False
         Pk = Q + A.T @ (Pn @ A) - (A.T @ Pn[:, d]) @ K[k]
         Pn = 0.5 * (Pk + Pk.T)
+        if not period:
+            bits = Pn.tobytes()
+            if bits == mark:
+                period = mark_k - k
+            elif mark_k - k == power:
+                mark, mark_k, power = bits, k, 2 * power
+    for j in range(k - 1, -1, -1):
+        K[j] = K[j + period]
     return GainSchedule(K=tuple(K), P0=Pn)
 
 
@@ -170,7 +194,7 @@ def _rollout(
     step, including the initial state.
     """
     pin_idx, pin_val = _pin_arrays(driver, pinned, net.n)
-    d = list(driver.indices)
+    d = np.array(driver.indices)
     states = np.empty((steps + 1, net.n))
     signals = np.zeros((steps, net.n))
     x = np.array(x0, dtype=float)
@@ -178,8 +202,10 @@ def _rollout(
     states[0] = x
     saturation = 0
     for k in range(steps):
-        signals[k, d] = signal(k, x)
-        raw = unclamped_step(net, x, signals[k], driver)
+        u = signal(k, x)
+        signals[k, d] = u
+        raw = unclamped_step(net, x)
+        raw[d] += u
         saturation += int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
         x = np.clip(raw, 0.0, 1.0)
         x[pin_idx] = pin_val
@@ -214,14 +240,19 @@ def run_reactive(
     their value at every step (including the initial state) and must not
     appear in the driver set.
     """
+    return _reactive(net, driver, costs, init, steps, pinned)
+
+
+def _reactive(net, driver, costs, init, steps, pinned, x_s=None) -> ControlRun:
+    """:func:`run_reactive` at the natural steady state ``x_s``, which is
+    solved for here when None; a sweep passes the one it found already."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if init.mode != CONTINUOUS or init.n != net.n:
         raise ValidationError("init must be a continuous state of matching length")
     _pin_arrays(driver, pinned, net.n)  # reject bad pins before the gain schedule
 
-    x_s = find_steady_state(net)
-    sys = linearize(net, driver, x_s)
+    sys = linearize(net, driver, find_steady_state(net) if x_s is None else x_s)
     schedule = riccati_schedule(sys, costs, steps)
     return rollout_feedback(net, driver, costs, init, schedule, pinned)
 

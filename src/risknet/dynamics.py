@@ -29,9 +29,8 @@ def unclamped_step(
 ) -> np.ndarray:
     """Raw update ``F + G + B u`` before projection onto [0, 1]."""
     x = np.asarray(x, dtype=float)
-    internal = net.p_int * (1.0 - x) + net.p_con * x
-    network = net.p_ext * net.inflow(x) * (1.0 - x)
-    raw = internal + network
+    off = 1.0 - x
+    raw = net.p_int * off + net.p_con * x + net.p_ext * net.inflow(x) * off
     if u is not None:
         u = np.asarray(u, dtype=float)
         if u.shape != (net.n,):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .cascade import EventLog
 from .errors import DimensionMismatch, ValidationError
+from .model import check_integer
 
 #: Golden-section bracket width at which the search stops.
 GOLDEN_TOL = 1e-9
@@ -72,8 +73,8 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
 
     ``pinned`` is an optional collection of node indices whose columns are
     excluded (their transitions are forced, not sampled), yielding zero
-    trials and no exposures for those nodes.  An index outside ``range(n)``
-    raises ValidationError.
+    trials and no exposures for those nodes.  A non-integer index or one
+    outside ``range(n)`` raises ValidationError.
     """
     E = np.asarray(E, dtype=float)
     X = log.states.astype(float)
@@ -93,7 +94,9 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
     int_hits = (inactive_quiet & activated).sum(axis=0).astype(float)
 
     exposed = ~active & (S > 0.0)
-    skip = set(int(i) for i in pinned) if pinned is not None else set()
+    skip = set(pinned) if pinned is not None else set()
+    for i in skip:
+        check_integer("pinned index", i)
     for i in sorted(skip):
         if not 0 <= i < n:
             raise ValidationError(f"pinned index {i} out of range for {n} nodes")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import run_proactive, run_reactive
+from .control import _reactive, run_proactive
 from .dynamics import find_steady_state
 from .errors import RiskNetError, StratumInfeasible, ValidationError
 from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer, pin_arrays
@@ -100,10 +100,11 @@ class ExperimentPlan:
         for i, v in self.pinned.items():
             if v not in (0, 1):
                 raise ValidationError(f"pinned value for node {i} must be 0 or 1")
-        baselines = {
-            str(name): tuple(sorted(int(i) for i in idx))
-            for name, idx in self.baseline_sets.items()
-        }
+        baselines = {}
+        for name, idx in self.baseline_sets.items():
+            for i in idx:
+                check_integer(f"baseline set {name!r} index", i)
+            baselines[str(name)] = tuple(sorted(int(i) for i in idx))
         object.__setattr__(self, "baseline_sets", baselines)
 
     @property
@@ -132,8 +133,12 @@ def _driver_classes(init: StateVector, x_s: StateVector, top_fraction: float) ->
     }
 
 
+def _class_counts(driver: DriverSet, classes: dict) -> tuple[int, int]:
+    members = set(driver.indices)
+    return len(members & classes[STRATIFY_ACTIVE]), len(members & classes[STRATIFY_PEAK])
+
+
 def classify_drivers(
-    net: RiskNetwork,
     driver: DriverSet,
     init: StateVector,
     x_s: StateVector,
@@ -141,9 +146,7 @@ def classify_drivers(
 ) -> tuple[int, int]:
     """Count the driven nodes that are initially active (entry >= 0.5) and
     those among the most active nodes at the natural steady state."""
-    classes = _driver_classes(init, x_s, top_fraction)
-    members = set(driver.indices)
-    return len(members & classes[STRATIFY_ACTIVE]), len(members & classes[STRATIFY_PEAK])
+    return _class_counts(driver, _driver_classes(init, x_s, top_fraction))
 
 
 def _uniform_subsets(rng: np.random.Generator, m: int, size: int, rows: int) -> np.ndarray:
@@ -262,12 +265,13 @@ def _evaluate_phase(
     driver: DriverSet,
     costs: CostMatrices,
     init: StateVector,
+    x_s: StateVector,
     plan: ExperimentPlan,
 ) -> PhaseOutcome:
     try:
         if phase == PHASE_REACTIVE:
-            run = run_reactive(
-                net, driver, costs, init, plan.steps_reactive, plan.pinned
+            run = _reactive(
+                net, driver, costs, init, plan.steps_reactive, plan.pinned, x_s
             )
         else:
             run = run_proactive(net, driver, costs, plan.steps_proactive)
@@ -314,10 +318,11 @@ def run_experiment(
     """Sample, evaluate, and rank driver sets per the plan.
 
     ``init`` defaults to the natural steady state (ongoing natural
-    operation).  Failures of individual control runs are recorded on the
-    evaluation rather than aborting the sweep; sampling failures
-    (StratumInfeasible, also raised for a sampled set outside its stratum)
-    propagate.
+    operation).  The natural steady state and the driver classes are
+    computed once and shared by every evaluation.  Failures of individual
+    control runs are recorded on the evaluation rather than aborting the
+    sweep; sampling failures (StratumInfeasible, also raised for a sampled
+    set outside its stratum) propagate.
     """
     x_s = find_steady_state(net)
     if init is None:
@@ -338,9 +343,10 @@ def run_experiment(
         for name, indices in sorted(plan.baseline_sets.items())
     ]
 
+    classes = _driver_classes(init, x_s, plan.top_fraction)
     evaluations = []
     for label, kind, driver, stratum in entries:
-        a, p = classify_drivers(net, driver, init, x_s, plan.top_fraction)
+        a, p = _class_counts(driver, classes)
         got = a if plan.stratify_by == STRATIFY_ACTIVE else p
         if stratum is not None and got != stratum:
             raise StratumInfeasible(
@@ -348,7 +354,7 @@ def run_experiment(
                 f"outside its stratum {stratum}"
             )
         outcomes = {
-            phase: _evaluate_phase(phase, net, driver, costs, init, plan)
+            phase: _evaluate_phase(phase, net, driver, costs, init, x_s, plan)
             for phase in plan.phases
         }
         evaluations.append(

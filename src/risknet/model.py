@@ -158,8 +158,11 @@ def pin_arrays(pinned: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ValidationError
-        An index outside ``range(n)`` or a value other than 0 or 1.
+        A non-integer index, an index outside ``range(n)`` or a value other
+        than 0 or 1.
     """
+    for i in pinned or ():
+        check_integer("pinned index", i)
     idx = np.array(sorted(pinned or ()), dtype=int)
     for i in idx:
         if not 0 <= i < n:
@@ -224,6 +227,8 @@ class DriverSet:
     n: int
 
     def __post_init__(self):
+        for i in self.indices:
+            check_integer("driver index", i)
         idx = tuple(sorted(set(int(i) for i in self.indices)))
         if not idx:
             raise ValidationError("driver set must be nonempty")

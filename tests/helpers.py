@@ -6,7 +6,7 @@ avoid the code paths they check.
 
 import numpy as np
 
-from risknet.control import evaluate_cost
+from risknet.control import _solve_gain, evaluate_cost
 from risknet.dynamics import step_continuous, unclamped_step
 from risknet.model import CostMatrices, DriverSet, build_network, continuous_state
 
@@ -66,6 +66,21 @@ def random_linear_instance(rng, n, m=None, tau=None):
     )
     x0 = rng.uniform(-1.0, 1.0, size=n)
     return A, driver, costs, tau, x0
+
+
+def reference_schedule(sys, costs, horizon):
+    """The backward value recursion run over the whole horizon, one step at
+    a time with no early stop; returns (gains K(0..tau-1), P(0))."""
+    A = sys.A
+    d = list(sys.driver.indices)
+    Rd = costs.R[np.ix_(d, d)]
+    K = [None] * horizon
+    Pn = costs.Q_f
+    for k in range(horizon - 1, -1, -1):
+        K[k] = _solve_gain(Rd + Pn[np.ix_(d, d)], Pn[d, :] @ A)
+        Pk = costs.Q + A.T @ (Pn @ A) - (A.T @ Pn[:, d]) @ K[k]
+        Pn = 0.5 * (Pk + Pk.T)
+    return K, Pn
 
 
 def linear_feedback_cost(A, driver, costs, schedule, x0):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
 from risknet.control import (
@@ -14,6 +15,7 @@ from risknet.control import (
 )
 from risknet.dynamics import LinearizedSystem, find_steady_state, linearize, step_continuous
 from risknet.errors import DimensionMismatch, SingularInnerMatrix, ValidationError
+from risknet.experiments import ExperimentPlan, sample_driver_sets
 from risknet.model import (
     CostMatrices,
     DriverSet,
@@ -29,6 +31,7 @@ from helpers import (
     linear_open_loop_cost,
     random_linear_instance,
     reference_rollout,
+    reference_schedule,
 )
 
 
@@ -113,6 +116,73 @@ class TestStationaryLimit:
         K = np.linalg.solve(Rd + B.T @ P @ B, B.T @ P @ A)
         assert np.linalg.norm(sched.P0 - P) <= 1e-12 * np.linalg.norm(P)
         assert np.linalg.norm(sched.K[0] - K) <= 1e-12 * np.linalg.norm(K)
+
+
+def criterion_7_sets(net_seed):
+    """The linearized criterion-7 network of ``net_seed`` and its driver
+    sets: ``policy_mix``, ``(0,)`` and the first 5 sets the sweep samples."""
+    net = generate_synthetic(40, 18.27, 4.60, seed=net_seed)
+    x_s = find_steady_state(net)
+    plan = ExperimentPlan(driver_size=7, num_sets=5, seed=2017, pinned={0: 1})
+    sets = [DriverSet((3, 8, 11, 17, 22, 29, 35), 40), DriverSet((0,), 40)]
+    return net, x_s, sets + sample_driver_sets(plan, net, x_s, x_s)
+
+
+def assert_same_schedule(sched, reference):
+    """Every gain and P(0) equal the full recursion's bit for bit."""
+    K, P0 = reference
+    assert len(sched.K) == len(K)
+    for got, want in zip(sched.K, K):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert sched.P0.shape == P0.shape and sched.P0.tobytes() == P0.tobytes()
+
+
+class TestEarlyStop:
+    """The recursion stops at the first bitwise cycle of P; the schedule
+    must equal the full recursion (``helpers.reference_schedule``) exactly."""
+
+    @pytest.mark.parametrize("net_seed", [1, 2])
+    def test_criterion_7_sets_match_full_recursion(self, net_seed):
+        net, x_s, sets = criterion_7_sets(net_seed)
+        costs = identity_costs(net.n)
+        for driver in sets:
+            sys = linearize(net, driver, x_s)
+            sched = riccati_schedule(sys, costs, 500)
+            assert_same_schedule(sched, reference_schedule(sys, costs, 500))
+            # the cycle was found: earlier gains repeat the cycle's arrays
+            assert len({id(K) for K in sched.K}) < 500
+
+    def test_every_horizon_up_to_90(self):
+        # period 6, found 70 steps back: horizons 71..90 end at every residue
+        net, x_s, sets = criterion_7_sets(2)
+        sys = linearize(net, sets[0], x_s)
+        costs = identity_costs(net.n)
+        for h in range(1, 91):
+            sched = riccati_schedule(sys, costs, h)
+            assert_same_schedule(sched, reference_schedule(sys, costs, h))
+        assert len({id(K) for K in sched.K}) < 90
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        radius=st.floats(0.05, 0.95),
+        horizon=st.integers(1, 300),
+    )
+    def test_random_stable_instances_match_full_recursion(self, seed, n, radius, horizon):
+        rng = np.random.default_rng(seed)
+        A, driver, costs, _, _ = random_linear_instance(rng, n)
+        rho = np.max(np.abs(np.linalg.eigvals(A)))
+        if rho > 0:
+            A = A * (radius / rho)
+        sys = linear_system(A, driver.indices)
+        sched = riccati_schedule(sys, costs, horizon)
+        assert_same_schedule(sched, reference_schedule(sys, costs, horizon))
+
+    def test_gains_read_only(self):
+        sched = riccati_schedule(linear_system(np.array([[0.5]]), (0,)), identity_costs(1), 50)
+        with pytest.raises(ValueError):
+            sched.K[0][0, 0] = 1.0
 
 
 class TestLinearOptimality:

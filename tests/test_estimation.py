@@ -60,6 +60,11 @@ class TestCountTransitions:
         with pytest.raises(ValidationError, match="out of range"):
             count_transitions(np.zeros((2, 2)), log, pinned=pinned)
 
+    def test_non_integer_pinned_index_rejected(self):
+        log = EventLog(np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="integer"):
+            count_transitions(np.zeros((2, 2)), log, pinned={1.5})
+
     def test_dimension_mismatch(self):
         log = EventLog(np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):

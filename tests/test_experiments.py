@@ -35,7 +35,7 @@ class TestClassifyDrivers:
         net = contractive_network(rng, 8)
         x_s = find_steady_state(net)
         driver = DriverSet((0, 3, 5), 8)
-        active, _ = classify_drivers(net, driver, zeros_state(8), x_s)
+        active, _ = classify_drivers(driver, zeros_state(8), x_s)
         assert active == 0
 
     def test_top_containment(self):
@@ -44,7 +44,7 @@ class TestClassifyDrivers:
         x_s = find_steady_state(net)
         top = sorted(top_steady_nodes(x_s, 0.25))  # ceil(2) = 2 nodes
         driver = DriverSet(tuple(top), 8)
-        _, peak = classify_drivers(net, driver, zeros_state(8), x_s)
+        _, peak = classify_drivers(driver, zeros_state(8), x_s)
         assert peak == len(top)
 
     def test_hand_ranking_with_ties_by_index(self):
@@ -53,7 +53,7 @@ class TestClassifyDrivers:
         )
         x_s = continuous_state([0.9, 0.1, 0.2, 0.8])
         driver = DriverSet((0, 1), 4)
-        active, peak = classify_drivers(net, driver, x_s, x_s, top_fraction=0.5)
+        active, peak = classify_drivers(driver, x_s, x_s, top_fraction=0.5)
         assert peak == 1  # top-2 by value are nodes 0 and 3
         assert active == 1  # only node 0 has init >= 0.5 among the drivers
 
@@ -96,6 +96,14 @@ class TestPlanValidation:
             stratify_by="steady_peak", groups=((np.int64(1), np.int64(2)),),
         )
         assert plan.groups == ((1, 2),) and plan.num_sets == 2
+
+    def test_non_integer_baseline_index_rejected(self):
+        with pytest.raises(ValidationError, match="integer"):
+            ExperimentPlan(driver_size=2, num_sets=1, seed=0, baseline_sets={"b": (0.5, 2.7)})
+        plan = ExperimentPlan(
+            driver_size=2, num_sets=1, seed=0, baseline_sets={"b": (np.int64(2), 0)}
+        )
+        assert plan.baseline_sets == {"b": (0, 2)}
 
     def test_stratified_num_sets_derived_from_groups(self):
         plan = ExperimentPlan(

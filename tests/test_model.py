@@ -16,6 +16,7 @@ from risknet.model import (
     degree_stats,
     identity_costs,
     inflow,
+    pin_arrays,
 )
 from helpers import random_network
 
@@ -141,6 +142,18 @@ class TestDriverSet:
             DriverSet((3,), 3)
         with pytest.raises(ValidationError):
             DriverSet((-1,), 3)
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ValidationError, match="integer"):
+            DriverSet((1.5, 2.9), 4)
+        assert DriverSet((np.int64(2), 1), 4).indices == (1, 2)
+
+
+def test_pin_arrays_rejects_non_integer_index():
+    with pytest.raises(ValidationError, match="integer"):
+        pin_arrays({1.5: 1}, 3)
+    idx, val = pin_arrays({np.int64(1): 1}, 3)
+    assert idx.tolist() == [1] and val.tolist() == [1.0]
 
 
 class TestCostMatrices:
