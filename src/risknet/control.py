@@ -16,7 +16,16 @@ Two control phases are provided:
   freely.
 
 Both phases share one rollout: the nonlinear map is stepped forward while
-the driven nodes receive the phase's signal.
+the driven nodes receive the phase's signal.  The rollout fast-forwards
+exactly.  x(k+1) depends only on x(k), the signal map of step k and the
+pins.  The rollout is given a period p and a window end W such that the
+signal map of step k is the one of step k - p for every p <= k < W: the
+feedback phase reads them from gains that repeat as the same arrays, the
+proactive signal does not depend on k.  If then x(a) equals x(a + q) bit
+for bit, with q a multiple of p and a + q <= W, every later state up to
+x(W), and every signal and saturation count before step W, repeats with
+period q; the rollout copies them instead of stepping, and steps on from
+x(W) as usual.
 
 Costs are always measured on the realized nonlinear trajectory, on absolute
 states (deviation from the all-inactive target), not on deviations from the
@@ -32,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularInnerMatrix, ValidationError
 from .model import CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, pin_arrays
-from .dynamics import LinearizedSystem, find_steady_state, linearize, unclamped_step
+from .dynamics import LinearizedSystem, find_steady_state, jacobian, unclamped_step
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +121,9 @@ def riccati_schedule(
     if costs.n != sys.n:
         raise DimensionMismatch("cost matrices sized for a different network")
     A = sys.A
-    d = list(sys.driver.indices)
-    Rd = costs.R[np.ix_(d, d)]
+    d = np.array(sys.driver.indices)
+    dd = np.ix_(d, d)
+    Rd = costs.R[dd]
     Q = costs.Q
 
     K = [None] * horizon
@@ -124,7 +134,7 @@ def riccati_schedule(
     k = horizon
     while k > 0 and not (period and k % period == 0):
         k -= 1
-        inner = Rd + Pn[np.ix_(d, d)]
+        inner = Rd + Pn[dd]
         K[k] = _solve_gain(inner, Pn[d, :] @ A)
         K[k].flags.writeable = False
         Pk = Q + A.T @ (Pn @ A) - (A.T @ Pn[:, d]) @ K[k]
@@ -186,30 +196,57 @@ def _rollout(
     steps: int,
     signal,
     pinned: dict | None = None,
+    period: int = 0,
+    cycle_end: int = 0,
 ) -> ControlRun:
     """Step the nonlinear map ``steps`` times from ``x0``.
 
     ``signal(k, x)`` returns the driven nodes' signals (in index order) for
     step k at state x.  Pinned nodes are forced to their value at every
     step, including the initial state.
+
+    The caller declares that ``signal(k, .)`` is the map ``signal(k -
+    period, .)`` for every ``period <= k < cycle_end`` (``period`` 0: no
+    repeat).  At multiples of ``period`` the state is compared with one
+    checkpoint, which moves to the current state at power-of-two distances
+    (Brent's method).  Once x(k) equals the checkpoint x(k - q) bit for bit,
+    everything up to ``cycle_end`` is copied from q steps earlier.
     """
     pin_idx, pin_val = _pin_arrays(driver, pinned, net.n)
     d = np.array(driver.indices)
     states = np.empty((steps + 1, net.n))
     signals = np.zeros((steps, net.n))
+    saturation = np.zeros(steps, dtype=np.int64)
     x = np.array(x0, dtype=float)
     x[pin_idx] = pin_val
     states[0] = x
-    saturation = 0
-    for k in range(steps):
+    end = min(cycle_end, steps)
+    # Brent's checkpoint: the bits of x(mark_k)
+    mark, mark_k, power = x.tobytes(), 0, period
+    k = 0
+    while k < steps:
+        if period and k % period == 0 and 0 < k < end:
+            bits = x.tobytes()
+            if bits == mark:
+                # x(j) = x(j - q) for j <= end: copy by period q
+                q = k - mark_k
+                back = np.arange(end - k) % q - q
+                states[k + 1:end + 1] = states[k + 1 + back]
+                signals[k:end] = signals[k + back]
+                saturation[k:end] = saturation[k + back]
+                k, x, period = end, states[end].copy(), 0
+                continue
+            if k - mark_k == power:
+                mark, mark_k, power = bits, k, 2 * power
         u = signal(k, x)
         signals[k, d] = u
         raw = unclamped_step(net, x)
         raw[d] += u
-        saturation += int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
-        x = np.clip(raw, 0.0, 1.0)
+        saturation[k] = np.count_nonzero((raw < 0.0) | (raw > 1.0))
+        x = raw.clip(0.0, 1.0)
         x[pin_idx] = pin_val
         states[k + 1] = x
+        k += 1
     if not np.isfinite(states).all():
         raise ValidationError("rollout produced a non-finite state; check the gains")
     state_cost, control_cost, total = evaluate_cost(states, signals, costs)
@@ -219,7 +256,7 @@ def _rollout(
         state_cost=state_cost,
         control_cost=control_cost,
         total_cost=total,
-        saturation_count=saturation,
+        saturation_count=int(saturation.sum()),
     )
 
 
@@ -243,16 +280,21 @@ def run_reactive(
     return _reactive(net, driver, costs, init, steps, pinned)
 
 
-def _reactive(net, driver, costs, init, steps, pinned, x_s=None) -> ControlRun:
-    """:func:`run_reactive` at the natural steady state ``x_s``, which is
-    solved for here when None; a sweep passes the one it found already."""
+def _reactive(net, driver, costs, init, steps, pinned, x_s=None, A=None) -> ControlRun:
+    """:func:`run_reactive` at the natural steady state ``x_s`` with the
+    Jacobian ``A`` there; each is computed here when None.  A sweep passes
+    the ones it found already."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if init.mode != CONTINUOUS or init.n != net.n:
         raise ValidationError("init must be a continuous state of matching length")
     _pin_arrays(driver, pinned, net.n)  # reject bad pins before the gain schedule
 
-    sys = linearize(net, driver, find_steady_state(net) if x_s is None else x_s)
+    if x_s is None:
+        x_s = find_steady_state(net)
+    if A is None:
+        A = jacobian(net, x_s)
+    sys = LinearizedSystem(A=A, x_lin=x_s, driver=driver)
     schedule = riccati_schedule(sys, costs, steps)
     return rollout_feedback(net, driver, costs, init, schedule, pinned)
 
@@ -265,11 +307,33 @@ def rollout_feedback(
     schedule: GainSchedule,
     pinned: dict | None = None,
 ) -> ControlRun:
-    """Roll the nonlinear map under a precomputed gain schedule."""
+    """Roll the nonlinear map under a precomputed gain schedule.
+
+    Where the gains repeat by identity, ``K[j] is K[j - p]`` (the same
+    array, as in :func:`riccati_schedule`'s cycle) for every ``p <= j < W``,
+    the rollout stops stepping once the closed-loop state repeats bit for
+    bit at a multiple of p, and copies the states, signals and saturation
+    counts forward to step W; the gains after it are stepped as usual.
+    This is exact: the next state depends only on the current state, the
+    gain array of the step and the pins, so equal bits with equal gains
+    give equal bits.  The result is byte for byte the one of stepping every
+    gain.
+    """
     K = schedule.K
     return _rollout(
-        net, driver, costs, init.values, len(K), lambda k, x: -K[k] @ x, pinned
+        net, driver, costs, init.values, len(K), lambda k, x: -K[k] @ x, pinned,
+        *_gain_window(K),
     )
+
+
+def _gain_window(K: tuple) -> tuple[int, int]:
+    """``(p, W)``: the first p > 0 with ``K[p] is K[0]`` and the first
+    ``W >= p`` with ``K[W] is not K[W - p]`` (or ``len(K)``); ``(0, 0)``
+    when no gain is the array of gain 0."""
+    p = next((j for j in range(1, len(K)) if K[j] is K[0]), 0)
+    if not p:
+        return 0, 0
+    return p, next((j for j in range(p, len(K)) if K[j] is not K[j - p]), len(K))
 
 
 def run_proactive(
@@ -283,7 +347,9 @@ def run_proactive(
     Starts at the all-inactive state (the reactive phase's goal).  Each
     step, every driven node i receives
     ``u_i = -(p_int_i + p_ext_i * s_i) * (1 - x_i)``, exactly cancelling its
-    expected activation inflow; undriven nodes evolve freely.
+    expected activation inflow; undriven nodes evolve freely.  The signal
+    does not depend on the step, so the rollout may fast-forward with
+    period 1 over the whole horizon.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -293,4 +359,6 @@ def run_proactive(
         s = net.inflow(x)
         return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
 
-    return _rollout(net, driver, costs, np.zeros(net.n), steps, cancel_inflow)
+    return _rollout(
+        net, driver, costs, np.zeros(net.n), steps, cancel_inflow, period=1, cycle_end=steps
+    )

@@ -60,7 +60,7 @@ def step_continuous(
         raise ValidationError("step_continuous needs a continuous state")
     raw = unclamped_step(net, x.values, u, driver)
     saturated = (raw < 0.0) | (raw > 1.0)
-    return continuous_state(np.clip(raw, 0.0, 1.0)), saturated
+    return continuous_state(raw.clip(0.0, 1.0)), saturated
 
 
 def find_steady_state(
@@ -93,7 +93,7 @@ def find_steady_state(
     x = np.zeros(net.n) if x0 is None else np.asarray(x0.values, dtype=float)
     residual = np.inf
     for _ in range(max_iter):
-        fx = np.clip(unclamped_step(net, x), 0.0, 1.0)
+        fx = unclamped_step(net, x).clip(0.0, 1.0)
         residual = float(np.max(np.abs(fx - x)))
         if residual <= tol:
             return continuous_state(x)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import _reactive, run_proactive
-from .dynamics import find_steady_state
-from .errors import RiskNetError, StratumInfeasible, ValidationError
+from .dynamics import find_steady_state, jacobian
+from .errors import RiskNetError, SaturatedPoint, StratumInfeasible, ValidationError
 from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer, pin_arrays
 
 STRATIFY_NONE = "none"
@@ -266,12 +266,13 @@ def _evaluate_phase(
     costs: CostMatrices,
     init: StateVector,
     x_s: StateVector,
+    A: np.ndarray | None,
     plan: ExperimentPlan,
 ) -> PhaseOutcome:
     try:
         if phase == PHASE_REACTIVE:
             run = _reactive(
-                net, driver, costs, init, plan.steps_reactive, plan.pinned, x_s
+                net, driver, costs, init, plan.steps_reactive, plan.pinned, x_s, A
             )
         else:
             run = run_proactive(net, driver, costs, plan.steps_proactive)
@@ -318,11 +319,11 @@ def run_experiment(
     """Sample, evaluate, and rank driver sets per the plan.
 
     ``init`` defaults to the natural steady state (ongoing natural
-    operation).  The natural steady state and the driver classes are
-    computed once and shared by every evaluation.  Failures of individual
-    control runs are recorded on the evaluation rather than aborting the
-    sweep; sampling failures (StratumInfeasible, also raised for a sampled
-    set outside its stratum) propagate.
+    operation).  The natural steady state, the Jacobian there and the
+    driver classes are computed once and shared by every evaluation.
+    Failures of individual control runs are recorded on the evaluation
+    rather than aborting the sweep; sampling failures (StratumInfeasible,
+    also raised for a sampled set outside its stratum) propagate.
     """
     x_s = find_steady_state(net)
     if init is None:
@@ -344,6 +345,10 @@ def run_experiment(
     ]
 
     classes = _driver_classes(init, x_s, plan.top_fraction)
+    try:
+        A = jacobian(net, x_s)
+    except SaturatedPoint:
+        A = None  # each reactive evaluation raises and records it
     evaluations = []
     for label, kind, driver, stratum in entries:
         a, p = _class_counts(driver, classes)
@@ -354,7 +359,7 @@ def run_experiment(
                 f"outside its stratum {stratum}"
             )
         outcomes = {
-            phase: _evaluate_phase(phase, net, driver, costs, init, x_s, plan)
+            phase: _evaluate_phase(phase, net, driver, costs, init, x_s, A, plan)
             for phase in plan.phases
         }
         evaluations.append(

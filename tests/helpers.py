@@ -179,3 +179,18 @@ def reference_rollout(net, driver, x0, steps, signal, pinned=None):
             x[i] = v
         states[k + 1] = x
     return states, signals, saturation
+
+
+def saturating_net():
+    """Three sources feed node c at weight 1, so c's raw update exceeds 1
+    while c is still low; c feeds d."""
+    E = np.zeros((5, 5))
+    E[0, 4] = E[1, 4] = E[2, 4] = 1.0
+    E[4, 3] = 1.0
+    return build_network(
+        ["a1", "a2", "a3", "d", "c"],
+        [0.6, 0.6, 0.6, 0.1, 0.05],
+        [0.0, 0.0, 0.0, 0.3, 0.6],
+        [0.9, 0.9, 0.9, 0.6, 0.6],
+        E,
+    )

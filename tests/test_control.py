@@ -5,6 +5,8 @@ from scipy.linalg import solve_discrete_are
 
 from risknet.control import (
     GainSchedule,
+    _gain_window,
+    _rollout,
     _solve_gain,
     control_energy,
     evaluate_cost,
@@ -27,11 +29,14 @@ from risknet.model import (
 from risknet.netio import generate_synthetic
 from helpers import (
     brute_force_linear_optimum,
+    contractive_network,
+    interior_state,
     linear_feedback_cost,
     linear_open_loop_cost,
     random_linear_instance,
     reference_rollout,
     reference_schedule,
+    saturating_net,
 )
 
 
@@ -384,21 +389,6 @@ class TestProactive:
         assert np.all(run.signals[:, 1] == 0.0)
 
 
-def saturating_net():
-    """Three sources feed node c at weight 1, so c's raw update exceeds 1
-    while c is still low; c feeds d."""
-    E = np.zeros((5, 5))
-    E[0, 4] = E[1, 4] = E[2, 4] = 1.0
-    E[4, 3] = 1.0
-    return build_network(
-        ["a1", "a2", "a3", "d", "c"],
-        [0.6, 0.6, 0.6, 0.1, 0.05],
-        [0.0, 0.0, 0.0, 0.3, 0.6],
-        [0.9, 0.9, 0.9, 0.6, 0.6],
-        E,
-    )
-
-
 class TestRolloutMatchesStepLoop:
     """The shared rollout reproduces a per-step ``step_continuous`` loop
     bit for bit, saturation included."""
@@ -433,6 +423,178 @@ class TestRolloutMatchesStepLoop:
             return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
 
         self.assert_same(run, reference_rollout(net, driver, np.zeros(5), 30, cancel_inflow))
+
+
+def cancel_inflow_signal(net, driver):
+    """The proactive signal, written out independently of ``run_proactive``."""
+    d = list(driver.indices)
+
+    def cancel_inflow(k, x):
+        s = net.inflow(x)
+        return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
+
+    return cancel_inflow
+
+
+def counted(signal):
+    """``signal`` with a count of its calls: one per computed step."""
+    def wrapped(k, x):
+        wrapped.calls += 1
+        return signal(k, x)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def assert_same_run(run, reference, costs):
+    """The run is the reference rollout byte for byte, costs included."""
+    states, signals, saturation = reference
+    assert run.states.shape == states.shape and run.states.tobytes() == states.tobytes()
+    assert run.signals.shape == signals.shape and run.signals.tobytes() == signals.tobytes()
+    assert run.saturation_count == saturation
+    assert (run.state_cost, run.control_cost, run.total_cost) == evaluate_cost(
+        states, signals, costs
+    )
+
+
+def feedback_reference(net, driver, x0, K, pinned):
+    return reference_rollout(net, driver, x0, len(K), lambda k, x: -K[k] @ x, pinned)
+
+
+class TestFastForward:
+    """Once the closed-loop state repeats bit for bit inside the gains'
+    window of identity repeats, the rollout copies states, signals and
+    saturation counts instead of stepping; the run must still be
+    ``helpers.reference_rollout`` byte for byte."""
+
+    @pytest.mark.parametrize("net_seed", [1, 2])
+    def test_criterion_7_sets_match_reference(self, net_seed):
+        net, x_s, sets = criterion_7_sets(net_seed)
+        costs = identity_costs(net.n)
+        for driver in sets:
+            pinned = None if 0 in driver.indices else {0: 1}
+            sys = linearize(net, driver, x_s)
+            full = riccati_schedule(sys, costs, 500)
+            _, end = _gain_window(full.K)
+            signal = counted(lambda k, x: -full.K[k] @ x)
+            _rollout(net, driver, costs, x_s.values, 500, signal, pinned, *_gain_window(full.K))
+            assert signal.calls < 300
+            # the step where the state repeated: every later step up to the
+            # gain window's end was copied
+            found = signal.calls - (500 - end)
+            assert 0 < found < end
+            # schedules of their own length, with and without a gain window
+            for h in (40, 65, 150, 193, 194, 260):
+                sched = riccati_schedule(sys, costs, h)
+                assert_same_run(
+                    rollout_feedback(net, driver, costs, x_s, sched, pinned),
+                    feedback_reference(net, driver, x_s.values, sched.K, pinned),
+                    costs,
+                )
+            # the 500-step gains cut short: horizons ending before, at and
+            # after the repeat and the window's end
+            for h in (found - 1, found, found + 1, end - 1, end, end + 1, 500):
+                sched = GainSchedule(K=full.K[:h], P0=full.P0)
+                reference = feedback_reference(net, driver, x_s.values, sched.K, pinned)
+                signal = counted(lambda k, x: -sched.K[k] @ x)
+                run = _rollout(net, driver, costs, x_s.values, h, signal, pinned,
+                               *_gain_window(sched.K))
+                assert signal.calls == (found if found < h else h) + max(0, h - end)
+                assert_same_run(run, reference, costs)
+                assert_same_run(
+                    rollout_feedback(net, driver, costs, x_s, sched, pinned), reference, costs
+                )
+
+    def test_saturation_counts_copied(self):
+        # the repeating closed loop clamps one node at every step
+        net = saturating_net()
+        driver = DriverSet((3, 4), 5)
+        costs = CostMatrices(Q_f=10 * np.eye(5), Q=10 * np.eye(5), R=np.eye(5))
+        sched = riccati_schedule(linearize(net, driver, find_steady_state(net)), costs, 500)
+        signal = counted(lambda k, x: -sched.K[k] @ x)
+        run = _rollout(net, driver, costs, np.ones(5), 500, signal, {0: 1},
+                       *_gain_window(sched.K))
+        assert signal.calls < 100
+        reference = feedback_reference(net, driver, np.ones(5), sched.K, {0: 1})
+        assert reference[2] == 500
+        assert_same_run(run, reference, costs)
+
+    def test_proactive_long_horizon(self):
+        net, _, sets = criterion_7_sets(1)
+        costs = identity_costs(net.n)
+        driver = sets[0]
+        reference = reference_rollout(
+            net, driver, np.zeros(net.n), 300, cancel_inflow_signal(net, driver)
+        )
+        assert_same_run(run_proactive(net, driver, costs, 300), reference, costs)
+        signal = counted(cancel_inflow_signal(net, driver))
+        run = _rollout(net, driver, costs, np.zeros(net.n), 300, signal,
+                       period=1, cycle_end=300)
+        assert_same_run(run, reference, costs)
+        assert signal.calls < 300
+
+    def test_equal_but_distinct_gains_step_every_gain(self):
+        # identity, not equality, marks a repeat: copied gains are all stepped
+        net, x_s, sets = criterion_7_sets(1)
+        costs = identity_costs(net.n)
+        driver = sets[0]
+        full = riccati_schedule(linearize(net, driver, x_s), costs, 500)
+        K = tuple(k.copy() for k in full.K)
+        assert _gain_window(K) == (0, 0)
+        signal = counted(lambda k, x: -K[k] @ x)
+        run = _rollout(net, driver, costs, x_s.values, 500, signal, {0: 1}, *_gain_window(K))
+        assert signal.calls == 500
+        reference = feedback_reference(net, driver, x_s.values, full.K, {0: 1})
+        assert_same_run(run, reference, costs)
+        assert_same_run(
+            rollout_feedback(net, driver, costs, x_s, GainSchedule(K=K, P0=full.P0), {0: 1}),
+            reference,
+            costs,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        horizon=st.integers(1, 300),
+        pin=st.booleans(),
+    )
+    def test_random_stable_instances_match_reference(self, seed, n, horizon, pin):
+        rng = np.random.default_rng(seed)
+        net = contractive_network(rng, n)
+        _, driver, costs, _, _ = random_linear_instance(rng, n)
+        free = sorted(set(range(n)) - set(driver.indices))
+        pinned = {free[0]: int(rng.integers(0, 2))} if pin and free else None
+        x_s = find_steady_state(net)
+        sched = riccati_schedule(linearize(net, driver, x_s), costs, horizon)
+        x0 = interior_state(rng, n)
+        assert_same_run(
+            rollout_feedback(net, driver, costs, continuous_state(x0), sched, pinned),
+            feedback_reference(net, driver, x0, sched.K, pinned),
+            costs,
+        )
+        assert_same_run(
+            run_proactive(net, driver, costs, horizon),
+            reference_rollout(net, driver, np.zeros(n), horizon,
+                              cancel_inflow_signal(net, driver)),
+            costs,
+        )
+
+
+class TestGainWindow:
+    def test_riccati_cycle_is_a_window(self):
+        net, x_s, sets = criterion_7_sets(1)
+        sys = linearize(net, sets[0], x_s)
+        period, end = _gain_window(riccati_schedule(sys, identity_costs(net.n), 500).K)
+        assert 1 <= period <= end < 500
+        assert _gain_window(riccati_schedule(sys, identity_costs(net.n), 40).K) == (0, 0)
+
+    def test_window_read_from_identity(self):
+        a, b, c = np.zeros((1, 2)), np.ones((1, 2)), np.ones((1, 2))
+        assert _gain_window((a, b, a, b, c)) == (2, 4)
+        assert _gain_window((a, a, a, a)) == (1, 4)
+        assert _gain_window((a, b, c, b)) == (0, 0)  # a repeat must start at gain 0
+        assert _gain_window((a,)) == (0, 0)
 
 
 class TestMonotonicity:

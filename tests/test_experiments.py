@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risknet import experiments
 from risknet.dynamics import find_steady_state
 from risknet.errors import StratumInfeasible, ValidationError
 from risknet.experiments import (
@@ -18,7 +19,7 @@ from risknet.model import (
     zeros_state,
 )
 from risknet.netio import experiment_rows, generate_synthetic
-from helpers import contractive_network
+from helpers import contractive_network, saturating_net
 
 
 def small_net(seed=3):
@@ -270,3 +271,29 @@ class TestRunExperiment:
             summary = res.stratum_summary[("proactive", value)]
             assert summary["control_cost"]["q1"] <= summary["control_cost"]["median"]
             assert summary["control_cost"]["median"] <= summary["control_cost"]["q3"]
+
+
+class TestSaturatedSteadyState:
+    def test_every_reactive_evaluation_records_the_same_error(self, monkeypatch):
+        # A true fixed point never saturates, so the sweep is handed a point
+        # where node c's raw update is 1.85: the Jacobian there is undefined.
+        net = saturating_net()
+        point = continuous_state(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+        monkeypatch.setattr(experiments, "find_steady_state", lambda net: point)
+        plan = ExperimentPlan(
+            driver_size=2, num_sets=4, seed=5, phase="both", pinned={0: 1},
+            steps_reactive=20, steps_proactive=5,
+            baseline_sets={"free": (1, 2), "pinned": (0, 1)},
+        )
+        res = run_experiment(plan, net, None, identity_costs(net.n))
+        assert np.array_equal(res.steady_state, point.values)
+        for ev in res.evaluations:
+            reactive = ev.outcomes["reactive"]
+            if ev.label == "pinned":  # the pin rule is checked first
+                assert reactive.error == "ValidationError: pinned nodes cannot be driven: [0]"
+            else:
+                assert reactive.error == (
+                    "SaturatedPoint: update map saturates at node 4 (raw value 1.85)"
+                )
+            assert np.isnan(reactive.total_cost) and reactive.rank == 0
+            assert ev.outcomes["proactive"].error == ""
