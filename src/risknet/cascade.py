@@ -106,20 +106,46 @@ def activation_probability(
     return _activation(net, variant)(np.asarray(state, dtype=float))
 
 
-def _advance(
-    net: RiskNetwork,
-    x: np.ndarray,
-    u: np.ndarray,
-    activation,
-    pin_idx: np.ndarray,
-    pin_val: np.ndarray,
-) -> np.ndarray:
-    """One synchronous transition; ``u`` is a vector of n uniform draws."""
-    act = activation(x)
-    nxt = np.where(x == 1.0, (u < net.p_con).astype(float), (u < act).astype(float))
-    if pin_idx.size:
-        nxt[pin_idx] = pin_val
-    return nxt
+#: Steps whose uniforms one ``rng.random`` call draws: a run of any length
+#: holds at most this many rows of draws at once.
+_BLOCK_STEPS = 1024
+
+
+def _runner(net: RiskNetwork, config: SimConfig):
+    """The transition kernel every entry point shares, built once per run.
+
+    ``run(x, rng, out)`` writes the state after transition k + 1 from the
+    0/1 float state ``x`` into ``out[k]`` for every row of ``out``.  It draws
+    n uniforms per step in step order, ``rng.random((rows, n))`` for a block
+    of rows, which gives the same bits as one ``rng.random(n)`` call per step.
+    """
+    pin_idx, pin_val = pin_arrays(config.pinned, net.n)
+    activation = _activation(net, config.variant)
+    p_con = net.p_con
+
+    def run(x: np.ndarray, rng: np.random.Generator, out: np.ndarray):
+        steps = len(out)
+        for start in range(0, steps, _BLOCK_STEPS):
+            draws = rng.random((min(_BLOCK_STEPS, steps - start), net.n))
+            for k, u in enumerate(draws, start):
+                # an active node persists below p_con, an inactive one
+                # activates below its activation probability
+                x = (u < np.where(x == 1.0, p_con, activation(x))).astype(float)
+                if pin_idx.size:
+                    x[pin_idx] = pin_val
+                out[k] = x
+
+    return run
+
+
+def _check_init(net: RiskNetwork, init: StateVector):
+    """A run starts from a binary state with one entry per node."""
+    if init.mode != BINARY:
+        raise ValidationError("run_discrete needs a binary initial state")
+    if init.n != net.n:
+        raise ValidationError(
+            f"initial state has {init.n} entries for a {net.n}-node network"
+        )
 
 
 def step_discrete(
@@ -134,33 +160,24 @@ def step_discrete(
     """
     if state.mode != BINARY:
         raise ValidationError("step_discrete needs a binary state")
-    pin_idx, pin_val = pin_arrays(config.pinned, net.n)
-    u = rng.random(net.n)
-    activation = _activation(net, config.variant)
-    return binary_state(_advance(net, state.values, u, activation, pin_idx, pin_val))
+    out = np.empty((1, net.n))
+    _runner(net, config)(state.values, rng, out)
+    return binary_state(out[0])
 
 
 def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> EventLog:
     """Simulate ``config.steps`` transitions from ``init``.
 
-    Deterministic given ``config.seed``.  Row 0 of the log is ``init``
-    verbatim; pins apply from row 1 on.
+    Deterministic given ``config.seed``: the run consumes ``steps × n``
+    uniforms from ``default_rng(seed)`` in the order of ``steps`` successive
+    :func:`step_discrete` calls on that generator, and its log equals theirs.
+    Row 0 of the log is ``init`` verbatim; pins apply from row 1 on.
     """
-    if init.mode != BINARY:
-        raise ValidationError("run_discrete needs a binary initial state")
-    if init.n != net.n:
-        raise ValidationError(
-            f"initial state has {init.n} entries for a {net.n}-node network"
-        )
-    pin_idx, pin_val = pin_arrays(config.pinned, net.n)
-    rng = np.random.default_rng(config.seed)
-    out = np.empty((config.steps + 1, net.n))
+    _check_init(net, init)
+    run = _runner(net, config)
+    out = np.empty((config.steps + 1, net.n), dtype=np.uint8)
     out[0] = init.values
-    x = init.values
-    activation = _activation(net, config.variant)
-    for k in range(config.steps):
-        x = _advance(net, x, rng.random(net.n), activation, pin_idx, pin_val)
-        out[k + 1] = x
+    run(init.values, np.random.default_rng(config.seed), out[1:])
     return EventLog(out)
 
 
@@ -178,18 +195,20 @@ def monte_carlo_mean(
 ) -> np.ndarray:
     """Per-step empirical mean state over independent seeded trials.
 
-    Returns a (steps+1, n) float array.  Trial t runs with seed
-    ``trial_seed(config.seed, t)``.
+    Returns a (steps+1, n) float array.  Trial t runs with its own
+    generator, seeded ``trial_seed(config.seed, t)``, and the trials' states
+    are summed in trial order.  The trials are not stacked into one
+    ``(trials, n)`` product: its rows can differ from ``x @ logs`` in the last
+    bits.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    total = np.zeros((config.steps + 1, net.n))
+    _check_init(net, init)
+    run = _runner(net, config)
+    out = np.empty((config.steps + 1, net.n))
+    out[0] = init.values
+    total = np.zeros_like(out)
     for t in range(trials):
-        cfg = SimConfig(
-            steps=config.steps,
-            seed=trial_seed(config.seed, t),
-            variant=config.variant,
-            pinned=config.pinned,
-        )
-        total += run_discrete(net, init, cfg).states
+        run(init.values, np.random.default_rng(trial_seed(config.seed, t)), out[1:])
+        total += out
     return total / trials

@@ -236,10 +236,25 @@ def save_network(path, net: RiskNetwork):
 # ---------------------------------------------------------------------------
 # event logs
 
+def _event_rows(states: np.ndarray) -> np.ndarray:
+    """The canonical event-log body as a byte matrix, one row per line: 0/1
+    digits joined by commas, each line ended by ``\r\n``, which are the bytes
+    :func:`write_csv` writes for the same rows."""
+    steps, n = states.shape
+    rows = np.full((steps, max(2 * n + 1, 2)), ord(","), dtype=np.uint8)
+    rows[:, 0:2 * n:2] = states + ord("0")
+    rows[:, -2:] = (ord("\r"), ord("\n"))
+    return rows
+
+
 def write_event_log(path, log: EventLog, names):
+    """Write the node-name header through ``csv`` and the 0/1 rows in the
+    canonical form of :func:`_event_rows`."""
     if len(names) != log.n:
         raise ValidationError("header length does not match the log")
-    write_csv(path, list(names), [[int(v) for v in row] for row in log.states])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(list(names))
+        fh.write(_event_rows(log.states).tobytes().decode("ascii"))
 
 
 def _read_csv(path, convert) -> tuple[list, list]:
@@ -267,12 +282,40 @@ def load_matrix_csv(path) -> tuple[list, np.ndarray]:
     return header, np.array(rows) if rows else np.empty((0, len(header)))
 
 
+def _canonical_states(body: str, n: int) -> np.ndarray | None:
+    """The 0/1 matrix of an event-log body in the canonical form of
+    :func:`_event_rows`, or None if ``body`` is empty or not in that form."""
+    width = max(2 * n + 1, 2)
+    if not body or len(body) % width or not body.isascii():
+        return None
+    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, width)
+    states = rows[:, 0:2 * n:2] - ord("0")
+    if np.any(states > 1) or not np.array_equal(_event_rows(states), rows):
+        return None
+    return states
+
+
 def load_event_log(path) -> tuple[list, EventLog]:
-    """Read an event log CSV; returns (node names, log)."""
-    header, rows = _read_csv(path, int)
-    if not rows:
-        raise ParseError(f"{path}: no state rows")
-    return header, EventLog(np.array(rows))
+    """Read an event log CSV; returns (node names, log).
+
+    A body in the canonical form :func:`write_event_log` writes is read as
+    one array; any other file goes through :func:`_read_csv`, which accepts
+    what ``csv`` and ``int`` accept and names the first bad row.
+    """
+    states = None
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is not None:
+                states = _canonical_states(fh.read(), len(header))
+    except (UnicodeDecodeError, csv.Error):
+        pass  # _read_csv raises it again, as it always has
+    if states is None:
+        header, rows = _read_csv(path, int)
+        if not rows:
+            raise ParseError(f"{path}: no state rows")
+        states = np.array(rows)
+    return header, EventLog(states)
 
 
 # ---------------------------------------------------------------------------

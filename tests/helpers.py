@@ -4,11 +4,22 @@ The oracles here (finite differences, stacked least-squares) deliberately
 avoid the code paths they check.
 """
 
+import dataclasses
+
 import numpy as np
 
+from risknet.cascade import EventLog, activation_probability, trial_seed
 from risknet.control import _solve_gain, evaluate_cost
 from risknet.dynamics import step_continuous, unclamped_step
-from risknet.model import CostMatrices, DriverSet, build_network, continuous_state
+from risknet.errors import ParseError
+from risknet.model import (
+    CostMatrices,
+    DriverSet,
+    build_network,
+    continuous_state,
+    pin_arrays,
+)
+from risknet.netio import _read_csv, write_csv
 
 
 def random_network(rng, n, edge_prob=0.35, weighted=False, ext_scale=0.5):
@@ -194,3 +205,43 @@ def saturating_net():
         [0.9, 0.9, 0.9, 0.6, 0.6],
         E,
     )
+
+
+def reference_run_discrete(net, init, config):
+    """The cascade one step at a time: one ``rng.random(n)`` call per step
+    from ``default_rng(config.seed)``, the two-branch update, then the pins.
+    Returns the (steps+1, n) float states."""
+    pin_idx, pin_val = pin_arrays(config.pinned, net.n)
+    rng = np.random.default_rng(config.seed)
+    x = np.array(init.values, dtype=float)
+    rows = [x]
+    for _ in range(config.steps):
+        u = rng.random(net.n)
+        act = activation_probability(net, x, config.variant)
+        x = np.where(x == 1.0, (u < net.p_con).astype(float), (u < act).astype(float))
+        x[pin_idx] = pin_val
+        rows.append(x)
+    return np.array(rows)
+
+
+def reference_monte_carlo_mean(net, init, config, trials):
+    """The per-trial loop: trial t runs ``reference_run_discrete`` with seed
+    ``trial_seed(config.seed, t)``; states are summed in trial order."""
+    total = np.zeros((config.steps + 1, net.n))
+    for t in range(trials):
+        cfg = dataclasses.replace(config, seed=trial_seed(config.seed, t))
+        total += reference_run_discrete(net, init, cfg)
+    return total / trials
+
+
+def reference_write_event_log(path, log, names):
+    """An event log written one ``csv`` cell at a time."""
+    write_csv(path, list(names), [[int(v) for v in row] for row in log.states])
+
+
+def reference_load_event_log(path):
+    """An event log read one ``csv`` cell at a time, each cell through ``int``."""
+    header, rows = _read_csv(path, int)
+    if not rows:
+        raise ParseError(f"{path}: no state rows")
+    return header, EventLog(np.array(rows))

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risknet.cascade import (
+    _BLOCK_STEPS,
     ADDITIVE,
     PRODUCT,
     EventLog,
@@ -15,7 +20,7 @@ from risknet.cascade import (
 from risknet.dynamics import step_continuous
 from risknet.errors import ValidationError
 from risknet.model import binary_state, build_network, continuous_state
-from helpers import random_network
+from helpers import random_network, reference_monte_carlo_mean, reference_run_discrete
 
 
 def chain_forced():
@@ -190,3 +195,92 @@ class TestMonteCarlo:
         net = chain_forced()
         with pytest.raises(ValidationError):
             monte_carlo_mean(net, binary_state([0, 0]), SimConfig(steps=1, seed=0), 0)
+
+
+def weighted_instance(seed, n, variant, pin):
+    """A weighted random network, a random 0/1 start and a config that pins
+    node 0 (to a random value) when ``pin`` is set."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, edge_prob=0.6, weighted=True, ext_scale=0.9)
+    init = binary_state((rng.random(n) < 0.5).astype(float))
+    pinned = {0: int(rng.integers(2))} if pin else {}
+    return net, init, pinned
+
+
+class TestAgainstReference:
+    """The block-drawn kernel against the one-step-at-a-time loop, bit for bit."""
+
+    def test_block_draws_equal_per_step_draws(self):
+        rows = np.random.default_rng(8).random((_BLOCK_STEPS + 1, 7))
+        rng = np.random.default_rng(8)
+        assert np.array_equal(rows, [rng.random(7) for _ in range(_BLOCK_STEPS + 1)])
+
+    @pytest.mark.parametrize("variant", [PRODUCT, ADDITIVE])
+    @pytest.mark.parametrize("pin", [False, True])
+    @pytest.mark.parametrize(
+        "steps", [1, 5, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 3]
+    )
+    def test_run_matches_reference(self, variant, pin, steps):
+        net, init, pinned = weighted_instance(steps, 7, variant, pin)
+        cfg = SimConfig(steps=steps, seed=steps + 11, variant=variant, pinned=pinned)
+        log = run_discrete(net, init, cfg)
+        assert log.states.dtype == np.uint8
+        assert np.array_equal(log.states, reference_run_discrete(net, init, cfg))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        steps=st.integers(1, 40),
+        variant=st.sampled_from([PRODUCT, ADDITIVE]),
+        pin=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_run_equals_successive_steps(self, seed, n, steps, variant, pin):
+        net, init, pinned = weighted_instance(seed, n, variant, pin)
+        cfg = SimConfig(steps=steps, seed=seed, variant=variant, pinned=pinned)
+        rng = np.random.default_rng(seed)
+        state, rows = init, [init.values]
+        for _ in range(steps):
+            state = step_discrete(net, state, rng, cfg)
+            rows.append(state.values)
+        assert np.array_equal(run_discrete(net, init, cfg).states, rows)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        steps=st.integers(1, 8),
+        trials=st.integers(1, 12),
+        variant=st.sampled_from([PRODUCT, ADDITIVE]),
+        pin=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_monte_carlo_equals_serial_trials(self, seed, n, steps, trials, variant, pin):
+        net, init, pinned = weighted_instance(seed, n, variant, pin)
+        cfg = SimConfig(steps=steps, seed=seed, variant=variant, pinned=pinned)
+        assert np.array_equal(
+            monte_carlo_mean(net, init, cfg, trials),
+            reference_monte_carlo_mean(net, init, cfg, trials),
+        )
+
+    def test_monte_carlo_long_run_matches_serial_trials(self):
+        net, init, pinned = weighted_instance(3, 5, PRODUCT, True)
+        cfg = SimConfig(steps=_BLOCK_STEPS + 1, seed=40, pinned=pinned)
+        assert np.array_equal(
+            monte_carlo_mean(net, init, cfg, 3), reference_monte_carlo_mean(net, init, cfg, 3)
+        )
+
+
+def test_long_run_draws_in_blocks():
+    # the uniforms of a long run are drawn a block at a time: the run's peak
+    # (the 1-byte log cells, their copy and check in EventLog, one block of
+    # draws) stays below half the 8 bytes a cell that drawing every step's
+    # uniforms at once would take on its own
+    n, steps = 8, 100_000
+    net = random_network(np.random.default_rng(12), n)
+    tracemalloc.start()
+    try:
+        run_discrete(net, binary_state(np.zeros(n)), SimConfig(steps=steps, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * steps * n

@@ -1,7 +1,11 @@
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risknet.cascade import EventLog
 from risknet.errors import (
@@ -25,7 +29,7 @@ from risknet.netio import (
     write_control_run,
     write_event_log,
 )
-from helpers import random_network
+from helpers import random_network, reference_load_event_log, reference_write_event_log
 
 
 MINIMAL = {
@@ -184,6 +188,141 @@ class TestEventLogFiles:
         path.write_text("")
         with pytest.raises(ParseError):
             load_event_log(path)
+
+
+def load_outcome(load, path):
+    """What ``load`` makes of ``path``: ("ok", names, states) or the error's
+    type name and text, with the path written as PATH."""
+    try:
+        names, log = load(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc).replace(str(path), "PATH")
+    return "ok", names, log.states.tolist()
+
+
+#: Files that are not in the canonical form, and what the reader makes of
+#: each: the cell-by-cell reader's result or error text, unchanged.
+NON_CANONICAL = {
+    "lf_only": (b"a,b\n0,1\n1,0\n", ("ok", ["a", "b"], [[0, 1], [1, 0]])),
+    "cr_only": (b"a,b\r0,1\r1,0\r", ("ok", ["a", "b"], [[0, 1], [1, 0]])),
+    "trailing_blank_line": (
+        b"a,b\r\n0,1\r\n\r\n", ("ParseError", "PATH: row 2 has 0 fields")),
+    "ragged_row": (b"a,b\r\n0,1\r\n0\r\n", ("ParseError", "PATH: row 2 has 1 fields")),
+    "wide_rows_of_canonical_length": (
+        b"a,b\r\n" + b"0,1,0\r\n" * 5, ("ParseError", "PATH: row 1 has 3 fields")),
+    "two": (b"a,b\r\n0,2\r\n", ("ValidationError", "event log entries must be 0 or 1")),
+    "plus_one": (b"a,b\r\n+1,0\r\n", ("ok", ["a", "b"], [[1, 0]])),
+    "space_one": (b"a,b\r\n 1,0\r\n", ("ok", ["a", "b"], [[1, 0]])),
+    "quoted_cell": (b'a,b\r\n"0",1\r\n', ("ok", ["a", "b"], [[0, 1]])),
+    "not_a_number": (
+        b"a,b\r\n0,x\r\n",
+        ("ParseError", "PATH: row 1: invalid literal for int() with base 10: 'x'"),
+    ),
+    "nul_byte": (
+        b"a,b\r\n0,\x001\r\n",
+        ("ParseError", "PATH: row 1: invalid literal for int() with base 10: '\\x001'"),
+    ),
+    "empty_file": (b"", ("ParseError", "PATH: empty file")),
+    "header_only": (b"a,b\r\n", ("ParseError", "PATH: no state rows")),
+    "blank_header_only": (b"\r\n", ("ParseError", "PATH: no state rows")),
+    "missing_final_newline": (b"a,b\r\n0,1\r\n1,0", ("ok", ["a", "b"], [[0, 1], [1, 0]])),
+    "not_utf8": (
+        b"a,b\r\n0,\xff\r\n",
+        ("UnicodeDecodeError",
+         "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+    ),
+}
+
+#: Canonical bodies under headers that ``csv`` quotes.
+CANONICAL = {
+    "quoted_header": (b'"a,x","b""y"\r\n0,1\r\n1,1\r\n',
+                      ("ok", ["a,x", 'b"y'], [[0, 1], [1, 1]])),
+    "header_with_line_break": (b'"a\r\nb",c\r\n0,1\r\n', ("ok", ["a\r\nb", "c"], [[0, 1]])),
+}
+
+#: Node names, including ones ``csv`` must quote.
+NAME = st.text(alphabet='ab,"\r\n é', max_size=4)
+
+
+class TestEventLogBytes:
+    """The whole-array writer and reader against the cell-by-cell ones."""
+
+    @pytest.mark.parametrize("names", [
+        ["a", "b", "c"],
+        ["only"],
+        ["x,y", 'q"r', "p\nq", "", "é"],
+        [],
+    ])
+    def test_writer_bytes_match_reference(self, tmp_path, names):
+        states = (np.random.default_rng(len(names)).random((9, len(names))) < 0.5)
+        log = EventLog(states.astype(int))
+        write_event_log(tmp_path / "new.csv", log, names)
+        reference_write_event_log(tmp_path / "old.csv", log, names)
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "old.csv").read_bytes()
+        assert load_outcome(load_event_log, tmp_path / "new.csv") == (
+            "ok", names, log.states.tolist())
+
+    @given(
+        names=st.lists(NAME, min_size=1, max_size=5),
+        steps=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, names, steps, seed):
+        states = np.random.default_rng(seed).random((steps + 1, len(names))) < 0.5
+        log = EventLog(states.astype(int))
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = pathlib.Path(tmp, "new.csv"), pathlib.Path(tmp, "old.csv")
+            write_event_log(new, log, names)
+            reference_write_event_log(old, log, names)
+            assert new.read_bytes() == old.read_bytes()
+            assert load_outcome(load_event_log, new) == ("ok", names, log.states.tolist())
+
+    @pytest.mark.parametrize("case", sorted(NON_CANONICAL | CANONICAL))
+    def test_reader_outcome(self, tmp_path, case):
+        data, expected = (NON_CANONICAL | CANONICAL)[case]
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        assert load_outcome(load_event_log, path) == expected
+        assert load_outcome(reference_load_event_log, path) == expected
+
+    def test_reader_errors_past_the_first_buffer(self, tmp_path):
+        # a bad byte deep in the file, or a field over csv's size limit in a
+        # row or the header, gives the cell-by-cell reader's error
+        body = b"0,1\r\n" * 5000
+        big = b"1" * 140_000
+        cases = [b"a,b\r\n" + body + b"0,\xff\r\n", b"a,b\r\n" + body + b"0," + big + b"\r\n",
+                 big + b",b\r\n" + body]
+        for k, data in enumerate(cases):
+            path = tmp_path / f"events{k}.csv"
+            path.write_bytes(data)
+            outcome = load_outcome(load_event_log, path)
+            assert outcome[0] != "ok"
+            assert outcome == load_outcome(reference_load_event_log, path)
+
+    @given(
+        n=st.integers(1, 4),
+        steps=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        edits=st.lists(
+            st.tuples(st.integers(0, 10**6), st.sampled_from([*b'01 2+,"x\r\n', None])),
+            min_size=1, max_size=3,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edited_files_read_as_reference(self, n, steps, seed, edits):
+        names = [f"n{i}" for i in range(n)]
+        states = np.random.default_rng(seed).random((steps + 1, n)) < 0.5
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "events.csv")
+            write_event_log(path, EventLog(states.astype(int)), names)
+            data = bytearray(path.read_bytes())
+            for where, byte in edits:  # replace one byte, or delete it
+                data[where % len(data):where % len(data) + 1] = [] if byte is None else [byte]
+            path.write_bytes(bytes(data))
+            assert load_outcome(load_event_log, path) == load_outcome(
+                reference_load_event_log, path)
 
 
 class TestEmittedCsvsSelfRoundTrip:
