@@ -71,11 +71,11 @@ class EventLog:
         s = np.asarray(self.states)
         if s.ndim != 2:
             raise ValidationError("event log must be a 2-D array")
-        if not np.all((s == 0) | (s == 1)):
+        owned = _binary_copy(s)
+        if owned is None:
             raise ValidationError("event log entries must be 0 or 1")
-        frozen = s.astype(np.uint8)
-        frozen.flags.writeable = False
-        object.__setattr__(self, "states", frozen)
+        owned.flags.writeable = False
+        object.__setattr__(self, "states", owned)
 
     @property
     def steps(self) -> int:
@@ -84,6 +84,27 @@ class EventLog:
     @property
     def n(self) -> int:
         return self.states.shape[1]
+
+
+def _binary_copy(s: np.ndarray) -> np.ndarray | None:
+    """A new ``uint8`` copy of ``s`` if every entry is 0 or 1, else None.
+
+    Numeric input is checked by its extremes (and, for floats, by the
+    nonzero count of the copy), so no temporary the size of ``s`` is made
+    beside the copy."""
+    kind = s.dtype.kind
+    if s.size and kind in "bu":
+        ok = s.max() <= 1
+    elif s.size and kind in "if":
+        ok = s.min() >= 0 and s.max() <= 1
+    else:  # empty or not numeric
+        ok = np.all((s == 0) | (s == 1))
+    if not ok:
+        return None
+    owned = s.astype(np.uint8)
+    if kind == "f" and np.count_nonzero(owned) != np.count_nonzero(s):
+        return None  # a fraction in (0, 1) truncated to 0
+    return owned
 
 
 def _activation(net: RiskNetwork, variant: str):

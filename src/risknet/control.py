@@ -31,6 +31,17 @@ Costs are always measured on the realized nonlinear trajectory, on absolute
 states (deviation from the all-inactive target), not on deviations from the
 linearization point: regulating the deviation variable would stabilize the
 very steady state the controller is meant to avoid.
+
+The gain recursion and the rollout both run on a block of driver sets of
+one size in lockstep: every array carries a leading set axis, and each set
+keeps its own cycle checks, cut-offs and failures.  A stacked ``@``,
+``np.linalg.solve`` or ``np.linalg.cholesky`` makes the same BLAS/LAPACK
+call for each matrix as the call on that matrix alone, so every set gets the
+same bits in any block, provided each operand has the layout of the one-set
+call.  Matrix-vector products stay products with an ``(n, 1)`` column (never
+``X @ E``: one matrix product, whose bits differ from the rows' products),
+and the value matrix's driver columns keep the layout of ``P[:, d]``.  The
+public functions run blocks of one set.
 """
 
 from __future__ import annotations
@@ -39,9 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularInnerMatrix, ValidationError
+from .errors import (
+    DimensionMismatch,
+    RiskNetError,
+    SaturatedPoint,
+    SingularInnerMatrix,
+    ValidationError,
+)
 from .model import CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, pin_arrays
-from .dynamics import LinearizedSystem, find_steady_state, jacobian, unclamped_step
+from .dynamics import LinearizedSystem, _raw_map, find_steady_state, jacobian
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +101,19 @@ def _solve_gain(inner: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         ) from None
 
 
+def _one(results: list):
+    """The result of a block of one set; raised if it is an error."""
+    (result,) = results
+    if isinstance(result, RiskNetError):
+        raise result
+    return result
+
+
+def _check_costs(costs: CostMatrices, n: int) -> None:
+    if costs.n != n:
+        raise DimensionMismatch("cost matrices sized for a different network")
+
+
 def riccati_schedule(
     sys: LinearizedSystem, costs: CostMatrices, horizon: int
 ) -> GainSchedule:
@@ -109,6 +139,9 @@ def riccati_schedule(
     moves to the running P at power-of-two distances.  Earlier gains share
     their arrays with the cycle's, so every gain is read-only.
 
+    This is :func:`_riccati_block` with one set; a sweep runs the same
+    recursion on blocks of sets, with the same bits for every set.
+
     Raises
     ------
     ValidationError
@@ -118,36 +151,76 @@ def riccati_schedule(
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if costs.n != sys.n:
-        raise DimensionMismatch("cost matrices sized for a different network")
-    A = sys.A
-    d = np.array(sys.driver.indices)
-    dd = np.ix_(d, d)
-    Rd = costs.R[dd]
-    Q = costs.Q
+    _check_costs(costs, sys.n)
+    return _one(_riccati_block(sys.A, np.array([sys.driver.indices]), costs, horizon))
 
-    K = [None] * horizon
-    Pn = costs.Q_f
-    # Brent's checkpoint: the bits of P(mark_k); period stays 0 until P(k)
-    # repeats them.
-    mark, mark_k, power, period = Pn.tobytes(), horizon, 1, 0
+
+def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: int) -> list:
+    """The recursion of :func:`riccati_schedule` for the driver sets in the
+    rows of ``D`` (all of one size), in lockstep.
+
+    Every set starts at the horizon and the sets step together.  Each keeps
+    its own Brent check on ``P.tobytes()``, leaves the block at its own
+    ``k mod p == 0`` and fills its earlier gains from its cycle.  When the
+    stacked Cholesky guard or solve raises, the sets are solved one by one
+    and the failing ones leave the block.  Returns per set its
+    :class:`GainSchedule` or the :class:`SingularInnerMatrix` that stopped
+    it.
+
+    Each set's ``P[:, d]`` is gathered as columns, in the layout of the
+    one-set ``P[:, d]`` (strides ``(8, 8n)``), and not as the transpose of
+    its rows ``P[d, :]``: P is symmetric only to rounding.
+    """
+    S = D.shape[0]
+    Rd = costs.R[D[:, :, None], D[:, None, :]]
+    Q, AT = costs.Q, A.T
+    out = [None] * S
+    K = [[None] * horizon for _ in range(S)]
+    # Brent's checkpoints: the bits of P(mark_k) per set; a set's period
+    # stays 0 until P(k) repeats them.
+    mark = [costs.Q_f.tobytes()] * S
+    mark_k, power, period = [horizon] * S, [1] * S, [0] * S
+    live = np.arange(S)
+    P = np.broadcast_to(costs.Q_f, (S,) + costs.Q_f.shape)
     k = horizon
-    while k > 0 and not (period and k % period == 0):
+    while live.size:
         k -= 1
-        inner = Rd + Pn[dd]
-        K[k] = _solve_gain(inner, Pn[d, :] @ A)
-        K[k].flags.writeable = False
-        Pk = Q + A.T @ (Pn @ A) - (A.T @ Pn[:, d]) @ K[k]
-        Pn = 0.5 * (Pk + Pk.T)
-        if not period:
-            bits = Pn.tobytes()
-            if bits == mark:
-                period = mark_k - k
-            elif mark_k - k == power:
-                mark, mark_k, power = bits, k, 2 * power
-    for j in range(k - 1, -1, -1):
-        K[j] = K[j + period]
-    return GainSchedule(K=tuple(K), P0=Pn)
+        Dl, r = D[live], np.arange(live.size)[:, None]
+        inner = Rd[live] + P[r[:, :, None], Dl[:, :, None], Dl[:, None, :]]
+        rhs = P[r, Dl] @ A
+        try:
+            np.linalg.cholesky(inner)
+            G = np.linalg.solve(inner, rhs)
+        except np.linalg.LinAlgError:
+            G = np.empty_like(rhs)
+            ok = []
+            for i, s in enumerate(live):
+                try:
+                    G[i] = _solve_gain(inner[i], rhs[i])
+                    ok.append(i)
+                except SingularInnerMatrix as exc:
+                    out[s] = exc
+            live, P, G, Dl, r = live[ok], P[ok], G[ok], Dl[ok], r[:len(ok)]
+        G.flags.writeable = False
+        Pk = Q + AT @ (P @ A) - (AT @ P[r, :, Dl].transpose(0, 2, 1)) @ G
+        P = 0.5 * (Pk + Pk.transpose(0, 2, 1))
+        done = []
+        for i, s in enumerate(live):
+            K[s][k] = G[i]
+            if not period[s]:
+                bits = P[i].tobytes()
+                if bits == mark[s]:
+                    period[s] = mark_k[s] - k
+                elif mark_k[s] - k == power[s]:
+                    mark[s], mark_k[s], power[s] = bits, k, 2 * power[s]
+            if k == 0 or (period[s] and k % period[s] == 0):
+                for j in range(k - 1, -1, -1):
+                    K[s][j] = K[s][j + period[s]]
+                out[s] = GainSchedule(K=tuple(K[s]), P0=P[i])
+                done.append(i)
+        if done:
+            live, P = np.delete(live, done), np.delete(P, done, 0)
+    return out
 
 
 def control_energy(signals: np.ndarray) -> float:
@@ -188,6 +261,112 @@ def _pin_arrays(driver: DriverSet, pinned: dict | None, n: int):
     return idx, val
 
 
+def _rollout_block(
+    net: RiskNetwork,
+    D: np.ndarray,
+    costs: CostMatrices,
+    X0: np.ndarray,
+    steps: int,
+    signal,
+    pinned: dict | None,
+    windows: list,
+) -> list:
+    """Step the nonlinear map ``steps`` times from each row of ``X0``, for
+    the driver sets in the rows of ``D`` (all of one size), in lockstep.
+
+    Each set has its own step counter.  A step takes every set that is not
+    done: ``signal(rows, ks, X, inflow)`` returns the driven nodes' signals
+    (one row per set, in index order) for the sets ``rows`` at their steps
+    ``ks``, states ``X`` and inflows ``inflow = E.T x``, which the raw map
+    shares.  Pinned nodes are forced to their value at every step, including
+    the initial state.
+
+    Set s's ``windows[s] = (period, cycle_end)`` declares that its signal
+    map of step k is the one of step ``k - period`` for every ``period <= k
+    < cycle_end`` (``period`` 0: no repeat).  At multiples of ``period``
+    the set's state is compared with one checkpoint, which moves to the
+    current state at power-of-two distances (Brent's method).  Once x(k)
+    equals the checkpoint x(k - q) bit for bit, everything up to
+    ``cycle_end`` is copied from q steps earlier.
+
+    A set's costs are taken by :func:`evaluate_cost` on its own contiguous
+    rows as soon as it is done.  Returns per set a :class:`ControlRun`, or
+    the error that stopped it: a non-finite state or costs of another size.
+    """
+    S = D.shape[0]
+    pin_idx, pin_val = pin_arrays(pinned, net.n)
+    states = np.empty((S, steps + 1, net.n))
+    signals = np.zeros((S, steps, net.n))
+    saturation = np.zeros((S, steps), dtype=np.int64)
+    X = np.array(X0, dtype=float, order="C")  # rows of unit stride, as one state
+    X[:, pin_idx] = pin_val
+    states[:, 0] = X
+    k = np.zeros(S, dtype=np.int64)
+    period = [p for p, _ in windows]
+    end = [min(w, steps) for _, w in windows]
+    # Brent's checkpoints: the bits of x(mark_k) per set
+    mark, mark_k, power = [x.tobytes() for x in X], [0] * S, list(period)
+    runs = [None] * S
+    live, a, r, Da = list(range(S)), np.arange(S), np.arange(S)[:, None], D
+    while True:
+        moved = False
+        stepping = []
+        for s in live:
+            ks, p = int(k[s]), period[s]
+            if p and ks % p == 0 and 0 < ks < end[s]:
+                bits = states[s, ks].tobytes()
+                if bits == mark[s]:
+                    # x(j) = x(j - q) for j <= end: copy by period q
+                    q, e = ks - mark_k[s], end[s]
+                    back = np.arange(e - ks) % q - q
+                    states[s, ks + 1:e + 1] = states[s, ks + 1 + back]
+                    signals[s, ks:e] = signals[s, ks + back]
+                    saturation[s, ks:e] = saturation[s, ks + back]
+                    k[s], ks, period[s], moved = e, e, 0, True
+                elif ks - mark_k[s] == power[s]:
+                    mark[s], mark_k[s], power[s] = bits, ks, 2 * power[s]
+            if ks < steps:
+                stepping.append(s)
+            else:
+                runs[s] = _finish(states[s], signals[s], saturation[s], costs)
+                moved = True
+        if not stepping:
+            return runs
+        if moved:  # gather the states of the sets still stepping
+            live = stepping
+            a, r, Da = np.array(live), np.arange(len(live))[:, None], D[live]
+            X = states[a, k[a]]
+        ka = k[a]
+        inflow = (net.E.T @ X[:, :, None])[:, :, 0]
+        U = signal(a, ka, X, inflow)
+        raw = _raw_map(net, X, inflow)
+        raw[r, Da] += U
+        saturation[a, ka] = ((raw < 0.0) | (raw > 1.0)).sum(axis=1)
+        X = raw.clip(0.0, 1.0)
+        X[:, pin_idx] = pin_val
+        states[a, ka + 1] = X
+        signals[a[:, None], ka[:, None], Da] = U
+        k[a] = ka + 1
+
+
+def _finish(states, signals, saturation, costs) -> ControlRun | RiskNetError:
+    """One set's :class:`ControlRun` from its filled arrays."""
+    if not np.isfinite(states).all():
+        return ValidationError("rollout produced a non-finite state; check the gains")
+    try:
+        state_cost, control_cost, total = evaluate_cost(states, signals, costs)
+    except DimensionMismatch as exc:
+        return exc
+    return ControlRun(
+        states=states,
+        signals=signals,
+        state_cost=state_cost,
+        control_cost=control_cost,
+        total_cost=total,
+        saturation_count=int(saturation.sum()),
+    )
+
+
 def _rollout(
     net: RiskNetwork,
     driver: DriverSet,
@@ -199,64 +378,31 @@ def _rollout(
     period: int = 0,
     cycle_end: int = 0,
 ) -> ControlRun:
-    """Step the nonlinear map ``steps`` times from ``x0``.
-
+    """:func:`_rollout_block` for one set whose signal is a per-step map:
     ``signal(k, x)`` returns the driven nodes' signals (in index order) for
-    step k at state x.  Pinned nodes are forced to their value at every
-    step, including the initial state.
+    step k at state x, and is called once per computed step.  ``period``
+    and ``cycle_end`` are the set's window."""
+    _pin_arrays(driver, pinned, net.n)
+    return _one(_rollout_block(
+        net, np.array([driver.indices]), costs, np.asarray(x0, dtype=float)[None], steps,
+        lambda rows, ks, X, inflow: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],
+        pinned, [(period, cycle_end)],
+    ))
 
-    The caller declares that ``signal(k, .)`` is the map ``signal(k -
-    period, .)`` for every ``period <= k < cycle_end`` (``period`` 0: no
-    repeat).  At multiples of ``period`` the state is compared with one
-    checkpoint, which moves to the current state at power-of-two distances
-    (Brent's method).  Once x(k) equals the checkpoint x(k - q) bit for bit,
-    everything up to ``cycle_end`` is copied from q steps earlier.
-    """
-    pin_idx, pin_val = _pin_arrays(driver, pinned, net.n)
-    d = np.array(driver.indices)
-    states = np.empty((steps + 1, net.n))
-    signals = np.zeros((steps, net.n))
-    saturation = np.zeros(steps, dtype=np.int64)
-    x = np.array(x0, dtype=float)
-    x[pin_idx] = pin_val
-    states[0] = x
-    end = min(cycle_end, steps)
-    # Brent's checkpoint: the bits of x(mark_k)
-    mark, mark_k, power = x.tobytes(), 0, period
-    k = 0
-    while k < steps:
-        if period and k % period == 0 and 0 < k < end:
-            bits = x.tobytes()
-            if bits == mark:
-                # x(j) = x(j - q) for j <= end: copy by period q
-                q = k - mark_k
-                back = np.arange(end - k) % q - q
-                states[k + 1:end + 1] = states[k + 1 + back]
-                signals[k:end] = signals[k + back]
-                saturation[k:end] = saturation[k + back]
-                k, x, period = end, states[end].copy(), 0
-                continue
-            if k - mark_k == power:
-                mark, mark_k, power = bits, k, 2 * power
-        u = signal(k, x)
-        signals[k, d] = u
-        raw = unclamped_step(net, x)
-        raw[d] += u
-        saturation[k] = np.count_nonzero((raw < 0.0) | (raw > 1.0))
-        x = raw.clip(0.0, 1.0)
-        x[pin_idx] = pin_val
-        states[k + 1] = x
-        k += 1
-    if not np.isfinite(states).all():
-        raise ValidationError("rollout produced a non-finite state; check the gains")
-    state_cost, control_cost, total = evaluate_cost(states, signals, costs)
-    return ControlRun(
-        states=states,
-        signals=signals,
-        state_cost=state_cost,
-        control_cost=control_cost,
-        total_cost=total,
-        saturation_count=int(saturation.sum()),
+
+def _feedback_block(net, D, costs, x0, gains, pinned) -> list:
+    """Roll out ``u(k) = -K(k) x(k)`` for the sets in the rows of ``D``, set
+    s under the gains ``gains[s]`` from the state ``x0``, each with the
+    window :func:`_gain_window` reads from its gains.  A step gathers each
+    set's gain and applies them as one ``K @ X[:, :, None]``."""
+
+    def feedback(rows, ks, X, inflow):
+        Kg = np.array([gains[r][j] for r, j in zip(rows.tolist(), ks.tolist())])
+        return (-Kg @ X[:, :, None])[:, :, 0]
+
+    return _rollout_block(
+        net, D, costs, np.broadcast_to(x0, (len(gains), net.n)), len(gains[0]), feedback,
+        pinned, [_gain_window(K) for K in gains],
     )
 
 
@@ -277,26 +423,54 @@ def run_reactive(
     their value at every step (including the initial state) and must not
     appear in the driver set.
     """
-    return _reactive(net, driver, costs, init, steps, pinned)
+    return _one(_reactive_block(net, [driver], costs, init, steps, pinned))
 
 
-def _reactive(net, driver, costs, init, steps, pinned, x_s=None, A=None) -> ControlRun:
-    """:func:`run_reactive` at the natural steady state ``x_s`` with the
-    Jacobian ``A`` there; each is computed here when None.  A sweep passes
-    the ones it found already."""
+def _reactive_block(net, drivers, costs, init, steps, pinned, x_s=None, A=None) -> list:
+    """:func:`run_reactive` for a block of driver sets of one size, in
+    lockstep, at the natural steady state ``x_s`` with the Jacobian ``A``
+    there; each is computed here when None.  A sweep passes the ones it
+    found already.
+
+    Returns per set its :class:`ControlRun` or the error that stopped it,
+    checked in the order of a one-set run: a pin on a driven node, a
+    saturated ``x_s``, costs of another size, a singular gain equation, a
+    non-finite rollout.  Errors that hold for every set (bad steps or init)
+    are raised.
+    """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if init.mode != CONTINUOUS or init.n != net.n:
         raise ValidationError("init must be a continuous state of matching length")
-    _pin_arrays(driver, pinned, net.n)  # reject bad pins before the gain schedule
-
+    out = [None] * len(drivers)
+    for i, driver in enumerate(drivers):
+        try:
+            _pin_arrays(driver, pinned, net.n)  # reject bad pins before the gain schedule
+        except ValidationError as exc:
+            out[i] = exc
+    live = [i for i, run in enumerate(out) if run is None]
+    if not live:
+        return out
     if x_s is None:
         x_s = find_steady_state(net)
-    if A is None:
-        A = jacobian(net, x_s)
-    sys = LinearizedSystem(A=A, x_lin=x_s, driver=driver)
-    schedule = riccati_schedule(sys, costs, steps)
-    return rollout_feedback(net, driver, costs, init, schedule, pinned)
+    try:
+        if A is None:
+            A = jacobian(net, x_s)
+        _check_costs(costs, net.n)
+    except (SaturatedPoint, DimensionMismatch) as exc:
+        return [exc if run is None else run for run in out]
+    schedules = _riccati_block(A, np.array([drivers[i].indices for i in live]), costs, steps)
+    for i, schedule in zip(live, schedules):
+        out[i] = schedule
+    live = [i for i in live if isinstance(out[i], GainSchedule)]
+    if live:
+        runs = _feedback_block(
+            net, np.array([drivers[i].indices for i in live]), costs, init.values,
+            [out[i].K for i in live], pinned,
+        )
+        for i, run in zip(live, runs):
+            out[i] = run
+    return out
 
 
 def rollout_feedback(
@@ -319,11 +493,10 @@ def rollout_feedback(
     give equal bits.  The result is byte for byte the one of stepping every
     gain.
     """
-    K = schedule.K
-    return _rollout(
-        net, driver, costs, init.values, len(K), lambda k, x: -K[k] @ x, pinned,
-        *_gain_window(K),
-    )
+    _pin_arrays(driver, pinned, net.n)
+    return _one(_feedback_block(
+        net, np.array([driver.indices]), costs, init.values, [schedule.K], pinned
+    ))
 
 
 def _gain_window(K: tuple) -> tuple[int, int]:
@@ -351,14 +524,26 @@ def run_proactive(
     does not depend on the step, so the rollout may fast-forward with
     period 1 over the whole horizon.
     """
+    return _one(_proactive_block(net, [driver], costs, steps))
+
+
+def _proactive_block(net, drivers, costs, steps) -> list:
+    """:func:`run_proactive` for a block of driver sets of one size, in
+    lockstep; returns per set its :class:`ControlRun` or its error.  The
+    inflow ``E.T x`` of a step is computed once and shared by the signal
+    and the raw map."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    d = list(driver.indices)
+    D = np.array([driver.indices for driver in drivers])
+    p_int, p_ext = net.p_int[D], net.p_ext[D]
 
-    def cancel_inflow(k, x):
-        s = net.inflow(x)
-        return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
+    def cancel_inflow(rows, ks, X, inflow):
+        d = D[rows]
+        return -(p_int[rows] + p_ext[rows] * np.take_along_axis(inflow, d, 1)) * (
+            1.0 - np.take_along_axis(X, d, 1)
+        )
 
-    return _rollout(
-        net, driver, costs, np.zeros(net.n), steps, cancel_inflow, period=1, cycle_end=steps
+    return _rollout_block(
+        net, D, costs, np.zeros((len(drivers), net.n)), steps, cancel_inflow,
+        None, [(1, steps)] * len(drivers),
     )

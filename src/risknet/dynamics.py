@@ -21,6 +21,13 @@ STEADY_STATE_TOL = 1e-12
 STEADY_STATE_MAX_ITER = 10**6
 
 
+def _raw_map(net: RiskNetwork, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``F + G`` at the state ``x`` with inflow ``s = E.T x``; elementwise,
+    so ``x`` and ``s`` may also hold one state per row."""
+    off = 1.0 - x
+    return net.p_int * off + net.p_con * x + net.p_ext * s * off
+
+
 def unclamped_step(
     net: RiskNetwork,
     x: np.ndarray,
@@ -29,8 +36,7 @@ def unclamped_step(
 ) -> np.ndarray:
     """Raw update ``F + G + B u`` before projection onto [0, 1]."""
     x = np.asarray(x, dtype=float)
-    off = 1.0 - x
-    raw = net.p_int * off + net.p_con * x + net.p_ext * net.inflow(x) * off
+    raw = _raw_map(net, x, net.inflow(x))
     if u is not None:
         u = np.asarray(u, dtype=float)
         if u.shape != (net.n,):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import _reactive, run_proactive
+from .control import _proactive_block, _reactive_block
 from .dynamics import find_steady_state, jacobian
 from .errors import RiskNetError, SaturatedPoint, StratumInfeasible, ValidationError
 from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer, pin_arrays
@@ -33,6 +33,8 @@ ACTIVE_THRESHOLD = 0.5
 #: Rejection-sampling attempt cap per stratum.
 STRATUM_ATTEMPT_CAP = 10**6
 _BATCH = 4096
+#: Bytes of states and signals a block of lockstep evaluations may hold.
+_BLOCK_BYTES = 5 << 19
 
 
 @dataclass(frozen=True)
@@ -259,30 +261,52 @@ class ExperimentResult:
     stratum_summary: dict
 
 
-def _evaluate_phase(
+def _blocks(drivers: list, steps: int, n: int):
+    """Runs of consecutive driver sets of one size, each at most as long as
+    ``_BLOCK_BYTES`` of ``steps``-step states and signals allow (at least
+    one set)."""
+    size = max(1, _BLOCK_BYTES // (2 * (steps + 1) * n * 8))
+    block: list = []
+    for driver in drivers:
+        if block and (len(block) == size or driver.size != block[0].size):
+            yield block
+            block = []
+        block.append(driver)
+    if block:
+        yield block
+
+
+def _evaluate_block(
     phase: str,
     net: RiskNetwork,
-    driver: DriverSet,
+    drivers: list,
     costs: CostMatrices,
     init: StateVector,
     x_s: StateVector,
     A: np.ndarray | None,
     plan: ExperimentPlan,
-) -> PhaseOutcome:
+) -> list:
+    """One phase's outcomes for a block of driver sets of one size."""
     try:
         if phase == PHASE_REACTIVE:
-            run = _reactive(
-                net, driver, costs, init, plan.steps_reactive, plan.pinned, x_s, A
+            runs = _reactive_block(
+                net, drivers, costs, init, plan.steps_reactive, plan.pinned, x_s, A
             )
         else:
-            run = run_proactive(net, driver, costs, plan.steps_proactive)
+            runs = _proactive_block(net, drivers, costs, plan.steps_proactive)
     except RiskNetError as exc:
+        runs = [exc] * len(drivers)
+    return [_outcome(run) for run in runs]
+
+
+def _outcome(run) -> PhaseOutcome:
+    if isinstance(run, RiskNetError):
         return PhaseOutcome(
             state_cost=float("nan"),
             control_cost=float("nan"),
             total_cost=float("nan"),
             saturation_count=0,
-            error=f"{type(exc).__name__}: {exc}",
+            error=f"{type(run).__name__}: {run}",
         )
     return PhaseOutcome(
         state_cost=run.state_cost,
@@ -321,9 +345,17 @@ def run_experiment(
     ``init`` defaults to the natural steady state (ongoing natural
     operation).  The natural steady state, the Jacobian there and the
     driver classes are computed once and shared by every evaluation.
+
+    Each phase evaluates the entries in lockstep blocks: runs of
+    consecutive driver sets of one size, as many as a fixed budget of
+    ``_BLOCK_BYTES`` (2.5 MiB) for their states and signals allows, at least
+    one.  Every set gets byte for byte the results of evaluating it alone
+    (see :mod:`risknet.control`), and only its :class:`PhaseOutcome` is kept.
     Failures of individual control runs are recorded on the evaluation
-    rather than aborting the sweep; sampling failures (StratumInfeasible,
-    also raised for a sampled set outside its stratum) propagate.
+    rather than aborting the sweep, with the same error text as a one-set
+    run, and leave the other sets of the block unchanged; sampling failures
+    (StratumInfeasible, also raised for a sampled set outside its stratum)
+    propagate before any set is evaluated.
     """
     x_s = find_steady_state(net)
     if init is None:
@@ -345,11 +377,7 @@ def run_experiment(
     ]
 
     classes = _driver_classes(init, x_s, plan.top_fraction)
-    try:
-        A = jacobian(net, x_s)
-    except SaturatedPoint:
-        A = None  # each reactive evaluation raises and records it
-    evaluations = []
+    counts = []
     for label, kind, driver, stratum in entries:
         a, p = _class_counts(driver, classes)
         got = a if plan.stratify_by == STRATIFY_ACTIVE else p
@@ -358,21 +386,33 @@ def run_experiment(
                 f"{label} {driver.indices} has {plan.stratify_by} count {got}, "
                 f"outside its stratum {stratum}"
             )
-        outcomes = {
-            phase: _evaluate_phase(phase, net, driver, costs, init, x_s, A, plan)
-            for phase in plan.phases
-        }
-        evaluations.append(
-            DriverEvaluation(
-                label=label,
-                kind=kind,
-                indices=driver.indices,
-                stratum=stratum,
-                initially_active=a,
-                steady_peak=p,
-                outcomes=outcomes,
-            )
+        counts.append((a, p))
+
+    try:
+        A = jacobian(net, x_s)
+    except SaturatedPoint:
+        A = None  # each reactive evaluation raises and records it
+    drivers = [driver for _, _, driver, _ in entries]
+    outcomes = {}
+    for phase in plan.phases:
+        steps = plan.steps_reactive if phase == PHASE_REACTIVE else plan.steps_proactive
+        outcomes[phase] = [
+            out
+            for block in _blocks(drivers, steps, net.n)
+            for out in _evaluate_block(phase, net, block, costs, init, x_s, A, plan)
+        ]
+    evaluations = [
+        DriverEvaluation(
+            label=label,
+            kind=kind,
+            indices=driver.indices,
+            stratum=stratum,
+            initially_active=a,
+            steady_peak=p,
+            outcomes={phase: outcomes[phase][j] for phase in plan.phases},
         )
+        for j, ((label, kind, driver, stratum), (a, p)) in enumerate(zip(entries, counts))
+    ]
     evaluations = _assign_ranks(evaluations, plan.phases)
 
     summary: dict = {}

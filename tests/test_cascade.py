@@ -284,3 +284,48 @@ def test_long_run_draws_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * steps * n
+
+
+def test_event_log_check_makes_no_log_sized_temporaries():
+    # the run's log, EventLog's one copy of it and at most one block of
+    # draws: checking the 0/1 entries adds nothing the size of the log
+    n, steps = 8, 30_000
+    net = random_network(np.random.default_rng(12), n)
+    tracemalloc.start()
+    try:
+        run_discrete(net, binary_state(np.zeros(n)), SimConfig(steps=steps, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (steps + 1) * n + 8 * _BLOCK_STEPS * n
+
+
+@pytest.mark.parametrize("states", [
+    np.array([[0, 1], [1, 1]], dtype=np.uint8),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0.0, 1.0], [-0.0, 1.0]]),
+    np.array([[True, False]]),
+    np.array([[0, 1]], dtype=object),
+    np.zeros((0, 3)),
+])
+def test_event_log_owns_a_read_only_copy(states):
+    log = EventLog(states)
+    assert log.states.dtype == np.uint8 and not log.states.flags.writeable
+    assert np.array_equal(log.states, states)
+    # the caller's array is neither frozen nor shared
+    assert states.flags.writeable and not np.shares_memory(log.states, states)
+
+
+@pytest.mark.parametrize("states", [
+    np.array([[0, 2]]),
+    np.array([[0, -1]]),
+    np.array([[0.5, 1.0]]),
+    np.array([[np.nan, 1.0]]),
+    np.array([[0.0, np.inf]]),
+    np.array([[0, 256]], dtype=np.uint16),
+    np.array([[0, 2]], dtype=np.uint8),
+    np.array([["0", "1"]]),
+])
+def test_event_log_rejects_entries_other_than_0_and_1(states):
+    with pytest.raises(ValidationError, match="0 or 1"):
+        EventLog(states)
