@@ -122,8 +122,8 @@ def _cmd_linearize(args) -> int:
     net = netio.load_network(args.network)
     driver = DriverSet(tuple(_parse_names(net, args.drivers)), net.n)
     x_s = find_steady_state(net)
-    sys_lin = linearize(net, driver, x_s)
-    rank = controllability_rank(sys_lin)
+    sys_lin = linearize(net, x_s)
+    rank = controllability_rank(sys_lin, driver)
     out = _out_dir(args)
     netio.write_csv(
         out / "jacobian.csv", list(net.names),

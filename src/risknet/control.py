@@ -41,7 +41,10 @@ same bits in any block, provided each operand has the layout of the one-set
 call.  Matrix-vector products stay products with an ``(n, 1)`` column (never
 ``X @ E``: one matrix product, whose bits differ from the rows' products),
 and the value matrix's driver columns keep the layout of ``P[:, d]``.  The
-public functions run blocks of one set.
+kernels read a preparation of the network (``_prepare``: the pins and, for
+the reactive phase, the Jacobian at the natural steady state) and a matrix
+``D`` of driver indices, one row per set.  A sweep prepares its network
+once; the public functions prepare once per call and run blocks of one set.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .model import CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, pin_arrays
-from .dynamics import LinearizedSystem, _raw_map, find_steady_state, jacobian
+from .dynamics import LinearizedSystem, _check_driver, _raw_map, find_steady_state, linearize
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +92,12 @@ class ControlRun:
     saturation_count: int
 
 
-def _solve_gain(inner: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``inner @ K = rhs`` for K, with a definiteness guard."""
+def _solve_gain(inner: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
+    """Solve step k's ``inner @ K = rhs`` for K, with a finiteness and a
+    definiteness guard (numpy's Cholesky returns NaN for a non-finite
+    matrix instead of raising)."""
+    if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
+        raise SingularInnerMatrix(f"gain equation is not finite at step {k}")
     try:
         np.linalg.cholesky(inner)
         return np.linalg.solve(inner, rhs)
@@ -115,7 +122,7 @@ def _check_costs(costs: CostMatrices, n: int) -> None:
 
 
 def riccati_schedule(
-    sys: LinearizedSystem, costs: CostMatrices, horizon: int
+    sys: LinearizedSystem, driver: DriverSet, costs: CostMatrices, horizon: int
 ) -> GainSchedule:
     """Backward value recursion for the finite-horizon regulator toward the
     all-inactive state.
@@ -145,14 +152,17 @@ def riccati_schedule(
     Raises
     ------
     ValidationError
-        ``horizon < 1``.
+        The driver set is sized for a different network, or ``horizon < 1``.
     DimensionMismatch
         The costs are sized for a different network.
+    SingularInnerMatrix
+        The gain equation of a step is singular or not finite.
     """
+    _check_driver(driver, sys.n)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     _check_costs(costs, sys.n)
-    return _one(_riccati_block(sys.A, np.array([sys.driver.indices]), costs, horizon))
+    return _one(_riccati_block(sys.A, np.array([driver.indices]), costs, horizon))
 
 
 def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: int) -> list:
@@ -161,8 +171,9 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
 
     Every set starts at the horizon and the sets step together.  Each keeps
     its own Brent check on ``P.tobytes()``, leaves the block at its own
-    ``k mod p == 0`` and fills its earlier gains from its cycle.  When the
-    stacked Cholesky guard or solve raises, the sets are solved one by one
+    ``k mod p == 0`` and fills its earlier gains from its cycle.  When a
+    gain equation of the stack is not finite, or the stacked Cholesky guard
+    or solve raises, the sets are solved one by one by :func:`_solve_gain`
     and the failing ones leave the block.  Returns per set its
     :class:`GainSchedule` or the :class:`SingularInnerMatrix` that stopped
     it.
@@ -189,6 +200,8 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
         inner = Rd[live] + P[r[:, :, None], Dl[:, :, None], Dl[:, None, :]]
         rhs = P[r, Dl] @ A
         try:
+            if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
+                raise np.linalg.LinAlgError
             np.linalg.cholesky(inner)
             G = np.linalg.solve(inner, rhs)
         except np.linalg.LinAlgError:
@@ -196,7 +209,7 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
             ok = []
             for i, s in enumerate(live):
                 try:
-                    G[i] = _solve_gain(inner[i], rhs[i])
+                    G[i] = _solve_gain(inner[i], rhs[i], k)
                     ok.append(i)
                 except SingularInnerMatrix as exc:
                     out[s] = exc
@@ -251,25 +264,51 @@ def evaluate_cost(
     return state_cost, control_cost, state_cost + control_cost
 
 
-def _pin_arrays(driver: DriverSet, pinned: dict | None, n: int):
-    """:func:`~risknet.model.pin_arrays`, plus the rule that a pinned node
-    cannot be driven."""
-    idx, val = pin_arrays(pinned, n)
-    overlap = sorted(set(driver.indices) & set(idx.tolist()))
-    if overlap:
-        raise ValidationError(f"pinned nodes cannot be driven: {overlap}")
-    return idx, val
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """What the driver sets of one network share: the network, the costs,
+    the pin arrays ``(indices, values)`` and, for the reactive phase, the
+    linearization or the error that stops every reactive set."""
+
+    net: RiskNetwork
+    costs: CostMatrices
+    pins: tuple
+    linear: LinearizedSystem | RiskNetError | None
+
+
+def _prepare(
+    net: RiskNetwork, costs: CostMatrices, pinned: dict | None, x_s: StateVector | None
+) -> _Prepared:
+    """Check the pins (raising ValidationError) and, unless ``x_s`` is None,
+    linearize at ``x_s``: a saturated ``x_s``, then costs of another size,
+    is kept as the error of every reactive set."""
+    linear = None
+    if x_s is not None:
+        try:
+            linear = linearize(net, x_s)
+            _check_costs(costs, net.n)
+        except (SaturatedPoint, DimensionMismatch) as exc:
+            linear = exc
+    return _Prepared(net, costs, pin_arrays(pinned, net.n), linear)
+
+
+def _pin_errors(prep: _Prepared, D: np.ndarray) -> list:
+    """Per row of ``D``: the error for driving a pinned node, or None."""
+    hit = np.isin(D, prep.pins[0])
+    return [
+        ValidationError(f"pinned nodes cannot be driven: {d[h].tolist()}") if h.any() else None
+        for d, h in zip(D, hit)
+    ]
 
 
 def _rollout_block(
-    net: RiskNetwork,
+    prep: _Prepared,
     D: np.ndarray,
-    costs: CostMatrices,
     X0: np.ndarray,
     steps: int,
     signal,
-    pinned: dict | None,
     windows: list,
+    pins: tuple,
 ) -> list:
     """Step the nonlinear map ``steps`` times from each row of ``X0``, for
     the driver sets in the rows of ``D`` (all of one size), in lockstep.
@@ -278,8 +317,8 @@ def _rollout_block(
     done: ``signal(rows, ks, X, inflow)`` returns the driven nodes' signals
     (one row per set, in index order) for the sets ``rows`` at their steps
     ``ks``, states ``X`` and inflows ``inflow = E.T x``, which the raw map
-    shares.  Pinned nodes are forced to their value at every step, including
-    the initial state.
+    shares.  The nodes of ``pins = (indices, values)`` are forced to their
+    value at every step, including the initial state.
 
     Set s's ``windows[s] = (period, cycle_end)`` declares that its signal
     map of step k is the one of step ``k - period`` for every ``period <= k
@@ -293,8 +332,9 @@ def _rollout_block(
     rows as soon as it is done.  Returns per set a :class:`ControlRun`, or
     the error that stopped it: a non-finite state or costs of another size.
     """
+    net, costs = prep.net, prep.costs
+    pin_idx, pin_val = pins
     S = D.shape[0]
-    pin_idx, pin_val = pin_arrays(pinned, net.n)
     states = np.empty((S, steps + 1, net.n))
     signals = np.zeros((S, steps, net.n))
     saturation = np.zeros((S, steps), dtype=np.int64)
@@ -367,42 +407,19 @@ def _finish(states, signals, saturation, costs) -> ControlRun | RiskNetError:
     )
 
 
-def _rollout(
-    net: RiskNetwork,
-    driver: DriverSet,
-    costs: CostMatrices,
-    x0: np.ndarray,
-    steps: int,
-    signal,
-    pinned: dict | None = None,
-    period: int = 0,
-    cycle_end: int = 0,
-) -> ControlRun:
-    """:func:`_rollout_block` for one set whose signal is a per-step map:
-    ``signal(k, x)`` returns the driven nodes' signals (in index order) for
-    step k at state x, and is called once per computed step.  ``period``
-    and ``cycle_end`` are the set's window."""
-    _pin_arrays(driver, pinned, net.n)
-    return _one(_rollout_block(
-        net, np.array([driver.indices]), costs, np.asarray(x0, dtype=float)[None], steps,
-        lambda rows, ks, X, inflow: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],
-        pinned, [(period, cycle_end)],
-    ))
-
-
-def _feedback_block(net, D, costs, x0, gains, pinned) -> list:
-    """Roll out ``u(k) = -K(k) x(k)`` for the sets in the rows of ``D``, set
-    s under the gains ``gains[s]`` from the state ``x0``, each with the
-    window :func:`_gain_window` reads from its gains.  A step gathers each
-    set's gain and applies them as one ``K @ X[:, :, None]``."""
+def _feedback_block(prep, D, x0, gains) -> list:
+    """Roll out ``u(k) = -K(k) x(k)`` under the pins for the sets in the rows
+    of ``D``, set s under the gains ``gains[s]`` from the state ``x0``, each
+    with the window :func:`_gain_window` reads from its gains.  A step
+    gathers each set's gain and applies them as one ``K @ X[:, :, None]``."""
 
     def feedback(rows, ks, X, inflow):
         Kg = np.array([gains[r][j] for r, j in zip(rows.tolist(), ks.tolist())])
         return (-Kg @ X[:, :, None])[:, :, 0]
 
     return _rollout_block(
-        net, D, costs, np.broadcast_to(x0, (len(gains), net.n)), len(gains[0]), feedback,
-        pinned, [_gain_window(K) for K in gains],
+        prep, D, np.broadcast_to(x0, (len(gains), prep.net.n)), len(gains[0]), feedback,
+        [_gain_window(K) for K in gains], prep.pins,
     )
 
 
@@ -423,51 +440,34 @@ def run_reactive(
     their value at every step (including the initial state) and must not
     appear in the driver set.
     """
-    return _one(_reactive_block(net, [driver], costs, init, steps, pinned))
+    prep = _prepare(net, costs, pinned, find_steady_state(net))
+    return _one(_reactive_block(prep, [driver], init, steps))
 
 
-def _reactive_block(net, drivers, costs, init, steps, pinned, x_s=None, A=None) -> list:
+def _reactive_block(prep: _Prepared, drivers: list, init: StateVector, steps: int) -> list:
     """:func:`run_reactive` for a block of driver sets of one size, in
-    lockstep, at the natural steady state ``x_s`` with the Jacobian ``A``
-    there; each is computed here when None.  A sweep passes the ones it
-    found already.
+    lockstep, on a network prepared for the reactive phase.
 
     Returns per set its :class:`ControlRun` or the error that stopped it,
     checked in the order of a one-set run: a pin on a driven node, a
-    saturated ``x_s``, costs of another size, a singular gain equation, a
-    non-finite rollout.  Errors that hold for every set (bad steps or init)
-    are raised.
+    saturated ``x_s``, costs of another size, a singular or non-finite gain
+    equation, a non-finite rollout.  Errors that hold for every set (bad
+    steps or init) are raised.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    if init.mode != CONTINUOUS or init.n != net.n:
+    if init.mode != CONTINUOUS or init.n != prep.net.n:
         raise ValidationError("init must be a continuous state of matching length")
-    out = [None] * len(drivers)
-    for i, driver in enumerate(drivers):
-        try:
-            _pin_arrays(driver, pinned, net.n)  # reject bad pins before the gain schedule
-        except ValidationError as exc:
-            out[i] = exc
+    D = np.array([driver.indices for driver in drivers])
+    out = _pin_errors(prep, D)
+    if isinstance(prep.linear, RiskNetError):
+        return [prep.linear if run is None else run for run in out]
     live = [i for i, run in enumerate(out) if run is None]
-    if not live:
-        return out
-    if x_s is None:
-        x_s = find_steady_state(net)
-    try:
-        if A is None:
-            A = jacobian(net, x_s)
-        _check_costs(costs, net.n)
-    except (SaturatedPoint, DimensionMismatch) as exc:
-        return [exc if run is None else run for run in out]
-    schedules = _riccati_block(A, np.array([drivers[i].indices for i in live]), costs, steps)
-    for i, schedule in zip(live, schedules):
+    for i, schedule in zip(live, _riccati_block(prep.linear.A, D[live], prep.costs, steps)):
         out[i] = schedule
     live = [i for i in live if isinstance(out[i], GainSchedule)]
     if live:
-        runs = _feedback_block(
-            net, np.array([drivers[i].indices for i in live]), costs, init.values,
-            [out[i].K for i in live], pinned,
-        )
+        runs = _feedback_block(prep, D[live], init.values, [out[i].K for i in live])
         for i, run in zip(live, runs):
             out[i] = run
     return out
@@ -493,10 +493,10 @@ def rollout_feedback(
     give equal bits.  The result is byte for byte the one of stepping every
     gain.
     """
-    _pin_arrays(driver, pinned, net.n)
-    return _one(_feedback_block(
-        net, np.array([driver.indices]), costs, init.values, [schedule.K], pinned
-    ))
+    prep = _prepare(net, costs, pinned, None)
+    D = np.array([driver.indices])
+    _one(_pin_errors(prep, D))  # raises for a pin on a driven node
+    return _one(_feedback_block(prep, D, init.values, [schedule.K]))
 
 
 def _gain_window(K: tuple) -> tuple[int, int]:
@@ -524,16 +524,17 @@ def run_proactive(
     does not depend on the step, so the rollout may fast-forward with
     period 1 over the whole horizon.
     """
-    return _one(_proactive_block(net, [driver], costs, steps))
+    return _one(_proactive_block(_prepare(net, costs, None, None), [driver], steps))
 
 
-def _proactive_block(net, drivers, costs, steps) -> list:
+def _proactive_block(prep: _Prepared, drivers: list, steps: int) -> list:
     """:func:`run_proactive` for a block of driver sets of one size, in
     lockstep; returns per set its :class:`ControlRun` or its error.  The
-    inflow ``E.T x`` of a step is computed once and shared by the signal
-    and the raw map."""
+    phase holds no pins.  The inflow ``E.T x`` of a step is computed once
+    and shared by the signal and the raw map."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
+    net = prep.net
     D = np.array([driver.indices for driver in drivers])
     p_int, p_ext = net.p_int[D], net.p_ext[D]
 
@@ -544,6 +545,6 @@ def _proactive_block(net, drivers, costs, steps) -> list:
         )
 
     return _rollout_block(
-        net, D, costs, np.zeros((len(drivers), net.n)), steps, cancel_inflow,
-        None, [(1, steps)] * len(drivers),
+        prep, D, np.zeros((len(drivers), net.n)), steps, cancel_inflow,
+        [(1, steps)] * len(drivers), pin_arrays(None, net.n),
     )

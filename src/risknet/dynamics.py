@@ -28,25 +28,10 @@ def _raw_map(net: RiskNetwork, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return net.p_int * off + net.p_con * x + net.p_ext * s * off
 
 
-def unclamped_step(
-    net: RiskNetwork,
-    x: np.ndarray,
-    u: np.ndarray | None = None,
-    driver: DriverSet | None = None,
-) -> np.ndarray:
-    """Raw update ``F + G + B u`` before projection onto [0, 1]."""
+def unclamped_step(net: RiskNetwork, x: np.ndarray) -> np.ndarray:
+    """Raw uncontrolled update ``F + G`` before projection onto [0, 1]."""
     x = np.asarray(x, dtype=float)
-    raw = _raw_map(net, x, net.inflow(x))
-    if u is not None:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (net.n,):
-            raise ValidationError(f"control vector has shape {u.shape}, expected ({net.n},)")
-        if driver is not None:
-            d = list(driver.indices)
-            raw[d] += u[d]
-        else:
-            raw = raw + u
-    return raw
+    return _raw_map(net, x, net.inflow(x))
 
 
 def step_continuous(
@@ -64,7 +49,16 @@ def step_continuous(
     """
     if x.mode != CONTINUOUS:
         raise ValidationError("step_continuous needs a continuous state")
-    raw = unclamped_step(net, x.values, u, driver)
+    raw = unclamped_step(net, x.values)
+    if u is not None:
+        u = np.asarray(u, dtype=float)
+        if u.shape != (net.n,):
+            raise ValidationError(f"control vector has shape {u.shape}, expected ({net.n},)")
+        if driver is not None:
+            d = list(driver.indices)
+            raw[d] += u[d]
+        else:
+            raw = raw + u
     saturated = (raw < 0.0) | (raw > 1.0)
     return continuous_state(raw.clip(0.0, 1.0)), saturated
 
@@ -133,40 +127,44 @@ def jacobian(net: RiskNetwork, x: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearizedSystem:
-    """Local linear model ``dx(k+1) ~ A dx(k) + B du(k)`` about ``x_lin``."""
+    """Local linear model ``dx(k+1) ~ A dx(k) + B du(k)`` about ``x_lin``;
+    the driver set that gives B is passed with it where B is needed."""
 
     A: np.ndarray
     x_lin: StateVector
-    driver: DriverSet
 
     def __post_init__(self):
         n = self.x_lin.n
         if self.A.shape != (n, n):
             raise ValidationError(f"A has shape {self.A.shape}, expected ({n}, {n})")
-        if self.driver.n != n:
-            raise ValidationError("driver set sized for a different network")
 
     @property
     def n(self) -> int:
         return self.x_lin.n
 
 
-def linearize(net: RiskNetwork, driver: DriverSet, x_lin: StateVector) -> LinearizedSystem:
-    """Package the Jacobian at ``x_lin`` (typically the natural steady
-    state) with the driver set's input matrix."""
-    return LinearizedSystem(A=jacobian(net, x_lin), x_lin=x_lin, driver=driver)
+def linearize(net: RiskNetwork, x_lin: StateVector) -> LinearizedSystem:
+    """The Jacobian at ``x_lin`` (typically the natural steady state), which
+    every driver set of the network shares."""
+    return LinearizedSystem(A=jacobian(net, x_lin), x_lin=x_lin)
 
 
-def controllability_rank(sys: LinearizedSystem) -> int:
-    """Rank of the reachability matrix ``[B, AB, ..., A^(n-1) B]``.
+def _check_driver(driver: DriverSet, n: int) -> None:
+    if driver.n != n:
+        raise ValidationError("driver set sized for a different network")
+
+
+def controllability_rank(sys: LinearizedSystem, driver: DriverSet) -> int:
+    """Rank of the reachability matrix ``[B, AB, ..., A^(n-1) B]`` of the
+    driver set.
 
     Computed by SVD with threshold ``n * max_singular_value * eps`` (eps =
     double-precision machine epsilon).
     """
+    _check_driver(driver, sys.n)
     n = sys.n
-    S = sys.driver.selection
     blocks = []
-    block = S
+    block = driver.selection
     for _ in range(n):
         blocks.append(block)
         block = sys.A @ block

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import _proactive_block, _reactive_block
-from .dynamics import find_steady_state, jacobian
-from .errors import RiskNetError, SaturatedPoint, StratumInfeasible, ValidationError
+from .control import _prepare, _Prepared, _proactive_block, _reactive_block
+from .dynamics import find_steady_state
+from .errors import RiskNetError, StratumInfeasible, ValidationError
 from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer, pin_arrays
 
 STRATIFY_NONE = "none"
@@ -277,23 +277,15 @@ def _blocks(drivers: list, steps: int, n: int):
 
 
 def _evaluate_block(
-    phase: str,
-    net: RiskNetwork,
-    drivers: list,
-    costs: CostMatrices,
-    init: StateVector,
-    x_s: StateVector,
-    A: np.ndarray | None,
-    plan: ExperimentPlan,
+    phase: str, prep: _Prepared, drivers: list, init: StateVector, plan: ExperimentPlan
 ) -> list:
-    """One phase's outcomes for a block of driver sets of one size."""
+    """One phase's outcomes for a block of driver sets of one size, on the
+    network as :func:`~risknet.control._prepare` prepared it."""
     try:
         if phase == PHASE_REACTIVE:
-            runs = _reactive_block(
-                net, drivers, costs, init, plan.steps_reactive, plan.pinned, x_s, A
-            )
+            runs = _reactive_block(prep, drivers, init, plan.steps_reactive)
         else:
-            runs = _proactive_block(net, drivers, costs, plan.steps_proactive)
+            runs = _proactive_block(prep, drivers, plan.steps_proactive)
     except RiskNetError as exc:
         runs = [exc] * len(drivers)
     return [_outcome(run) for run in runs]
@@ -343,8 +335,10 @@ def run_experiment(
     """Sample, evaluate, and rank driver sets per the plan.
 
     ``init`` defaults to the natural steady state (ongoing natural
-    operation).  The natural steady state, the Jacobian there and the
-    driver classes are computed once and shared by every evaluation.
+    operation).  The natural steady state, the driver classes and the
+    network's preparation for control (the pins and, for a reactive plan,
+    the Jacobian at the steady state) are computed once and shared by every
+    evaluation.
 
     Each phase evaluates the entries in lockstep blocks: runs of
     consecutive driver sets of one size, as many as a fixed budget of
@@ -388,10 +382,7 @@ def run_experiment(
             )
         counts.append((a, p))
 
-    try:
-        A = jacobian(net, x_s)
-    except SaturatedPoint:
-        A = None  # each reactive evaluation raises and records it
+    prep = _prepare(net, costs, plan.pinned, x_s if PHASE_REACTIVE in plan.phases else None)
     drivers = [driver for _, _, driver, _ in entries]
     outcomes = {}
     for phase in plan.phases:
@@ -399,7 +390,7 @@ def run_experiment(
         outcomes[phase] = [
             out
             for block in _blocks(drivers, steps, net.n)
-            for out in _evaluate_block(phase, net, block, costs, init, x_s, A, plan)
+            for out in _evaluate_block(phase, prep, block, init, plan)
         ]
     evaluations = [
         DriverEvaluation(

@@ -79,16 +79,16 @@ def random_linear_instance(rng, n, m=None, tau=None):
     return A, driver, costs, tau, x0
 
 
-def reference_schedule(sys, costs, horizon):
+def reference_schedule(sys, driver, costs, horizon):
     """The backward value recursion run over the whole horizon, one step at
     a time with no early stop; returns (gains K(0..tau-1), P(0))."""
     A = sys.A
-    d = list(sys.driver.indices)
+    d = list(driver.indices)
     Rd = costs.R[np.ix_(d, d)]
     K = [None] * horizon
     Pn = costs.Q_f
     for k in range(horizon - 1, -1, -1):
-        K[k] = _solve_gain(Rd + Pn[np.ix_(d, d)], Pn[d, :] @ A)
+        K[k] = _solve_gain(Rd + Pn[np.ix_(d, d)], Pn[d, :] @ A, k)
         Pk = costs.Q + A.T @ (Pn @ A) - (A.T @ Pn[:, d]) @ K[k]
         Pn = 0.5 * (Pk + Pk.T)
     return K, Pn

@@ -69,8 +69,8 @@ def test_criterion_2_riccati_matches_least_squares_and_beats_random():
         rng = np.random.default_rng(2000 + seed)
         n = int(rng.integers(1, 4))
         A, driver, costs, tau, x0 = random_linear_instance(rng, n)
-        sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(n), driver=driver)
-        schedule = riccati_schedule(sys_lin, costs, tau)
+        sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(n))
+        schedule = riccati_schedule(sys_lin, driver, costs, tau)
         fb = linear_feedback_cost(A, driver, costs, schedule, x0)
         opt, _ = brute_force_linear_optimum(A, driver, costs, tau, x0)
         worst_rel = max(worst_rel, abs(fb - opt) / max(abs(opt), 1e-12))
@@ -264,12 +264,10 @@ def test_criterion_9_driver_monotonicity_on_linear_cost():
     for seed in range(20):
         rng = np.random.default_rng(9000 + seed)
         A, _, costs, tau, x0 = random_linear_instance(rng, 4, m=1, tau=3)
+        sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(4))
 
         def optimal(indices):
-            sys_lin = LinearizedSystem(
-                A=A, x_lin=zeros_state(4), driver=DriverSet(indices, 4)
-            )
-            return float(x0 @ riccati_schedule(sys_lin, costs, tau).P0 @ x0)
+            return float(x0 @ riccati_schedule(sys_lin, DriverSet(indices, 4), costs, tau).P0 @ x0)
 
         # grow a random nested chain of driver sets
         order = [int(i) for i in rng.permutation(4)]

@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import risknet
 from risknet.cli import cli_main
-from risknet.netio import load_event_log, load_matrix_csv, load_network, save_network
+from risknet.netio import (
+    generate_synthetic,
+    load_event_log,
+    load_matrix_csv,
+    load_network,
+    save_network,
+)
 from risknet.model import build_network
 
 
@@ -252,3 +263,38 @@ def test_experiment_rows_and_byte_identical_reruns(chain_net, tmp_path, capsys):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     lines = (out1 / "results.csv").read_text().splitlines()
     assert len(lines) == 1 + (6 + 1) * 2  # header + (sets + baseline) x phases
+
+
+def test_experiment_identical_under_optimize(tmp_path):
+    # the invariants the sweep relies on (pins, strata, total = state +
+    # control) are checked by code, not by assert statements: a pinned,
+    # stratified two-phase plan writes the same bytes under python -O
+    net_path = tmp_path / "network.json"
+    save_network(net_path, generate_synthetic(12, 5.0, 1.0, seed=3))
+    names = load_network(net_path).names
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "schema_version": 1,
+        "driver_size": 3,
+        "seed": 4,
+        "pinned": {names[0]: 1},
+        "stratify_by": "steady_peak",
+        "groups": [[0, 2], [1, 3], [2, 2]],
+        "phase": "both",
+        "steps_reactive": 60,
+        "steps_proactive": 20,
+        "baseline_sets": {"pinned": [names[0], names[5]], "free": [names[1], names[2], names[7]]},
+    }))
+    env = dict(os.environ, PYTHONPATH=str(Path(risknet.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    results = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"out{len(flags)}"
+        subprocess.run(
+            [sys.executable, *flags, "-m", "risknet.cli", "experiment", str(net_path),
+             str(plan_path), "--output-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+    assert b"pinned nodes cannot be driven" in results[0]

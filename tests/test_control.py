@@ -6,7 +6,8 @@ from scipy.linalg import solve_discrete_are
 from risknet.control import (
     GainSchedule,
     _gain_window,
-    _rollout,
+    _prepare,
+    _rollout_block,
     _solve_gain,
     control_energy,
     evaluate_cost,
@@ -40,13 +41,14 @@ from helpers import (
 )
 
 
-def linear_system(A, driver_indices):
-    n = A.shape[0]
-    return LinearizedSystem(
-        A=np.asarray(A, dtype=float),
-        x_lin=zeros_state(n),
-        driver=DriverSet(driver_indices, n),
-    )
+def linear_system(A):
+    return LinearizedSystem(A=np.asarray(A, dtype=float), x_lin=zeros_state(A.shape[0]))
+
+
+def schedule_for(A, driver_indices, costs, horizon):
+    """``riccati_schedule`` of the linear system ``A`` and the driver set."""
+    driver = DriverSet(driver_indices, A.shape[0])
+    return riccati_schedule(linear_system(A), driver, costs, horizon)
 
 
 def scalar_net(p_int=0.1, p_con=0.7):
@@ -55,25 +57,19 @@ def scalar_net(p_int=0.1, p_con=0.7):
 
 class TestRiccatiSchedule:
     def test_scalar_one_step_gain(self):
-        sched = riccati_schedule(
-            linear_system(np.array([[0.5]]), (0,)), identity_costs(1), 1
-        )
+        sched = schedule_for(np.array([[0.5]]), (0,), identity_costs(1), 1)
         assert sched.K[0][0, 0] == pytest.approx(0.25)
         assert sched.P0[0, 0] == pytest.approx(1.125)
 
     def test_zero_dynamics_zero_gain(self):
-        sched = riccati_schedule(
-            linear_system(np.zeros((3, 3)), (0, 2)), identity_costs(3), 4
-        )
+        sched = schedule_for(np.zeros((3, 3)), (0, 2), identity_costs(3), 4)
         assert all(np.allclose(K, 0.0) for K in sched.K)
 
     def test_zero_state_costs_zero_gain(self):
         n = 3
         costs = CostMatrices(Q_f=np.zeros((n, n)), Q=np.zeros((n, n)), R=np.eye(n))
         rng = np.random.default_rng(0)
-        sched = riccati_schedule(
-            linear_system(rng.uniform(-1, 1, (n, n)), (1,)), costs, 3
-        )
+        sched = schedule_for(rng.uniform(-1, 1, (n, n)), (1,), costs, 3)
         assert all(np.allclose(K, 0.0) for K in sched.K)
         assert np.allclose(sched.P0, 0.0)
 
@@ -82,23 +78,41 @@ class TestRiccatiSchedule:
         rng = np.random.default_rng(seed)
         A, driver, costs, tau, _ = random_linear_instance(rng, 4, tau=3)
         for h in range(1, tau + 1):
-            sched = riccati_schedule(linear_system(A, driver.indices), costs, h)
+            sched = schedule_for(A, driver.indices, costs, h)
             assert len(sched.K) == h
             assert np.allclose(sched.P0, sched.P0.T)
             assert np.linalg.eigvalsh(sched.P0).min() >= -1e-8
 
     def test_horizon_and_cost_size_validated(self):
-        sys = linear_system(np.array([[0.5]]), (0,))
+        sys, driver = linear_system(np.array([[0.5]])), DriverSet((0,), 1)
         with pytest.raises(ValidationError, match="horizon"):
-            riccati_schedule(sys, identity_costs(1), 0)
+            riccati_schedule(sys, driver, identity_costs(1), 0)
         with pytest.raises(DimensionMismatch):
-            riccati_schedule(sys, identity_costs(2), 1)
+            riccati_schedule(sys, driver, identity_costs(2), 1)
+
+    def test_driver_size_validated(self):
+        with pytest.raises(ValidationError, match="driver set sized for a different network"):
+            riccati_schedule(
+                linear_system(np.eye(2)), DriverSet((0,), 3), identity_costs(2), 1
+            )
+
+    @pytest.mark.parametrize("A, step", [
+        (np.array([[0.5, np.nan], [0.0, 0.5]]), 2),  # NaN in the first right-hand side
+        (1e200 * np.eye(2), 1),  # P(2) overflows to inf
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gain_equation_rejected(self, A, step):
+        with pytest.raises(SingularInnerMatrix, match=f"not finite at step {step}$"):
+            schedule_for(A, (0,), identity_costs(2), 3)
 
     def test_singular_inner_matrix_guard(self):
         with pytest.raises(SingularInnerMatrix):
-            _solve_gain(np.zeros((2, 2)), np.ones((2, 2)))
+            _solve_gain(np.zeros((2, 2)), np.ones((2, 2)), 0)
         with pytest.raises(SingularInnerMatrix):
-            _solve_gain(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))  # indefinite
+            _solve_gain(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), 0)  # indefinite
+        with pytest.raises(SingularInnerMatrix, match="not finite at step 5"):
+            _solve_gain(np.array([[np.nan]]), np.ones((1, 1)), 5)
 
 
 class TestStationaryLimit:
@@ -112,10 +126,10 @@ class TestStationaryLimit:
     ])
     def test_long_horizon_matches_dare(self, net_seed, drivers):
         net = generate_synthetic(40, 18.27, 4.60, seed=net_seed)
-        sys = linearize(net, DriverSet(drivers, net.n), find_steady_state(net))
+        sys, driver = linearize(net, find_steady_state(net)), DriverSet(drivers, net.n)
         costs = identity_costs(net.n)
-        sched = riccati_schedule(sys, costs, 500)
-        A, B = sys.A, sys.driver.selection
+        sched = riccati_schedule(sys, driver, costs, 500)
+        A, B = sys.A, driver.selection
         Rd = B.T @ costs.R @ B
         P = solve_discrete_are(A, B, costs.Q, Rd)
         K = np.linalg.solve(Rd + B.T @ P @ B, B.T @ P @ A)
@@ -124,13 +138,14 @@ class TestStationaryLimit:
 
 
 def criterion_7_sets(net_seed):
-    """The linearized criterion-7 network of ``net_seed`` and its driver
-    sets: ``policy_mix``, ``(0,)`` and the first 5 sets the sweep samples."""
+    """The criterion-7 network of ``net_seed``, its steady state, its
+    linearization there and its driver sets: ``policy_mix``, ``(0,)`` and
+    the first 5 sets the sweep samples."""
     net = generate_synthetic(40, 18.27, 4.60, seed=net_seed)
     x_s = find_steady_state(net)
     plan = ExperimentPlan(driver_size=7, num_sets=5, seed=2017, pinned={0: 1})
     sets = [DriverSet((3, 8, 11, 17, 22, 29, 35), 40), DriverSet((0,), 40)]
-    return net, x_s, sets + sample_driver_sets(plan, net, x_s, x_s)
+    return net, x_s, linearize(net, x_s), sets + sample_driver_sets(plan, net, x_s, x_s)
 
 
 def assert_same_schedule(sched, reference):
@@ -148,23 +163,21 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("net_seed", [1, 2])
     def test_criterion_7_sets_match_full_recursion(self, net_seed):
-        net, x_s, sets = criterion_7_sets(net_seed)
+        net, x_s, sys, sets = criterion_7_sets(net_seed)
         costs = identity_costs(net.n)
         for driver in sets:
-            sys = linearize(net, driver, x_s)
-            sched = riccati_schedule(sys, costs, 500)
-            assert_same_schedule(sched, reference_schedule(sys, costs, 500))
+            sched = riccati_schedule(sys, driver, costs, 500)
+            assert_same_schedule(sched, reference_schedule(sys, driver, costs, 500))
             # the cycle was found: earlier gains repeat the cycle's arrays
             assert len({id(K) for K in sched.K}) < 500
 
     def test_every_horizon_up_to_90(self):
         # period 6, found 70 steps back: horizons 71..90 end at every residue
-        net, x_s, sets = criterion_7_sets(2)
-        sys = linearize(net, sets[0], x_s)
+        net, x_s, sys, sets = criterion_7_sets(2)
         costs = identity_costs(net.n)
         for h in range(1, 91):
-            sched = riccati_schedule(sys, costs, h)
-            assert_same_schedule(sched, reference_schedule(sys, costs, h))
+            sched = riccati_schedule(sys, sets[0], costs, h)
+            assert_same_schedule(sched, reference_schedule(sys, sets[0], costs, h))
         assert len({id(K) for K in sched.K}) < 90
 
     @settings(max_examples=60, deadline=None)
@@ -180,12 +193,12 @@ class TestEarlyStop:
         rho = np.max(np.abs(np.linalg.eigvals(A)))
         if rho > 0:
             A = A * (radius / rho)
-        sys = linear_system(A, driver.indices)
-        sched = riccati_schedule(sys, costs, horizon)
-        assert_same_schedule(sched, reference_schedule(sys, costs, horizon))
+        sys = linear_system(A)
+        sched = riccati_schedule(sys, driver, costs, horizon)
+        assert_same_schedule(sched, reference_schedule(sys, driver, costs, horizon))
 
     def test_gains_read_only(self):
-        sched = riccati_schedule(linear_system(np.array([[0.5]]), (0,)), identity_costs(1), 50)
+        sched = schedule_for(np.array([[0.5]]), (0,), identity_costs(1), 50)
         with pytest.raises(ValueError):
             sched.K[0][0, 0] = 1.0
 
@@ -196,7 +209,7 @@ class TestLinearOptimality:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         A, driver, costs, tau, x0 = random_linear_instance(rng, n)
-        sched = riccati_schedule(linear_system(A, driver.indices), costs, tau)
+        sched = schedule_for(A, driver.indices, costs, tau)
         fb = linear_feedback_cost(A, driver, costs, sched, x0)
         opt, _ = brute_force_linear_optimum(A, driver, costs, tau, x0)
         assert fb == pytest.approx(opt, rel=1e-8, abs=1e-12)
@@ -206,7 +219,7 @@ class TestLinearOptimality:
     def test_random_signals_never_beat_schedule(self):
         rng = np.random.default_rng(99)
         A, driver, costs, tau, x0 = random_linear_instance(rng, 3, tau=3)
-        sched = riccati_schedule(linear_system(A, driver.indices), costs, tau)
+        sched = schedule_for(A, driver.indices, costs, tau)
         fb = linear_feedback_cost(A, driver, costs, sched, x0)
         for _ in range(200):
             U = rng.normal(size=(tau, driver.size))
@@ -406,8 +419,7 @@ class TestRolloutMatchesStepLoop:
         costs = CostMatrices(Q_f=10 * np.eye(5), Q=10 * np.eye(5), R=np.eye(5))
         init = continuous_state(np.ones(5))
         run = run_reactive(net, driver, costs, init, 30, pinned={0: 1})
-        sys = linearize(net, driver, find_steady_state(net))
-        K = riccati_schedule(sys, costs, 30).K
+        K = riccati_schedule(linearize(net, find_steady_state(net)), driver, costs, 30).K
         self.assert_same(run, reference_rollout(
             net, driver, init.values, 30, lambda k, x: -K[k] @ x, pinned={0: 1}
         ))
@@ -457,6 +469,19 @@ def assert_same_run(run, reference, costs):
     )
 
 
+def rollout_one(net, driver, costs, x0, steps, signal, pinned=None, period=0, cycle_end=0):
+    """``control._rollout_block`` for one set with the window ``(period,
+    cycle_end)``, whose signal is a per-step map: ``signal(k, x)`` returns
+    the driven nodes' signals (in index order) for step k at state x."""
+    prep = _prepare(net, costs, pinned, None)
+    (run,) = _rollout_block(
+        prep, np.array([driver.indices]), np.asarray(x0, dtype=float)[None], steps,
+        lambda rows, ks, X, inflow: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],
+        [(period, cycle_end)], prep.pins,
+    )
+    return run
+
+
 def feedback_reference(net, driver, x0, K, pinned):
     return reference_rollout(net, driver, x0, len(K), lambda k, x: -K[k] @ x, pinned)
 
@@ -469,15 +494,14 @@ class TestFastForward:
 
     @pytest.mark.parametrize("net_seed", [1, 2])
     def test_criterion_7_sets_match_reference(self, net_seed):
-        net, x_s, sets = criterion_7_sets(net_seed)
+        net, x_s, sys, sets = criterion_7_sets(net_seed)
         costs = identity_costs(net.n)
         for driver in sets:
             pinned = None if 0 in driver.indices else {0: 1}
-            sys = linearize(net, driver, x_s)
-            full = riccati_schedule(sys, costs, 500)
+            full = riccati_schedule(sys, driver, costs, 500)
             _, end = _gain_window(full.K)
             signal = counted(lambda k, x: -full.K[k] @ x)
-            _rollout(net, driver, costs, x_s.values, 500, signal, pinned, *_gain_window(full.K))
+            rollout_one(net, driver, costs, x_s.values, 500, signal, pinned, *_gain_window(full.K))
             assert signal.calls < 300
             # the step where the state repeated: every later step up to the
             # gain window's end was copied
@@ -485,7 +509,7 @@ class TestFastForward:
             assert 0 < found < end
             # schedules of their own length, with and without a gain window
             for h in (40, 65, 150, 193, 194, 260):
-                sched = riccati_schedule(sys, costs, h)
+                sched = riccati_schedule(sys, driver, costs, h)
                 assert_same_run(
                     rollout_feedback(net, driver, costs, x_s, sched, pinned),
                     feedback_reference(net, driver, x_s.values, sched.K, pinned),
@@ -497,8 +521,8 @@ class TestFastForward:
                 sched = GainSchedule(K=full.K[:h], P0=full.P0)
                 reference = feedback_reference(net, driver, x_s.values, sched.K, pinned)
                 signal = counted(lambda k, x: -sched.K[k] @ x)
-                run = _rollout(net, driver, costs, x_s.values, h, signal, pinned,
-                               *_gain_window(sched.K))
+                run = rollout_one(net, driver, costs, x_s.values, h, signal, pinned,
+                                  *_gain_window(sched.K))
                 assert signal.calls == (found if found < h else h) + max(0, h - end)
                 assert_same_run(run, reference, costs)
                 assert_same_run(
@@ -510,17 +534,17 @@ class TestFastForward:
         net = saturating_net()
         driver = DriverSet((3, 4), 5)
         costs = CostMatrices(Q_f=10 * np.eye(5), Q=10 * np.eye(5), R=np.eye(5))
-        sched = riccati_schedule(linearize(net, driver, find_steady_state(net)), costs, 500)
+        sched = riccati_schedule(linearize(net, find_steady_state(net)), driver, costs, 500)
         signal = counted(lambda k, x: -sched.K[k] @ x)
-        run = _rollout(net, driver, costs, np.ones(5), 500, signal, {0: 1},
-                       *_gain_window(sched.K))
+        run = rollout_one(net, driver, costs, np.ones(5), 500, signal, {0: 1},
+                          *_gain_window(sched.K))
         assert signal.calls < 100
         reference = feedback_reference(net, driver, np.ones(5), sched.K, {0: 1})
         assert reference[2] == 500
         assert_same_run(run, reference, costs)
 
     def test_proactive_long_horizon(self):
-        net, _, sets = criterion_7_sets(1)
+        net, _, _, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
         driver = sets[0]
         reference = reference_rollout(
@@ -528,21 +552,21 @@ class TestFastForward:
         )
         assert_same_run(run_proactive(net, driver, costs, 300), reference, costs)
         signal = counted(cancel_inflow_signal(net, driver))
-        run = _rollout(net, driver, costs, np.zeros(net.n), 300, signal,
-                       period=1, cycle_end=300)
+        run = rollout_one(net, driver, costs, np.zeros(net.n), 300, signal,
+                          period=1, cycle_end=300)
         assert_same_run(run, reference, costs)
         assert signal.calls < 300
 
     def test_equal_but_distinct_gains_step_every_gain(self):
         # identity, not equality, marks a repeat: copied gains are all stepped
-        net, x_s, sets = criterion_7_sets(1)
+        net, x_s, sys, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
         driver = sets[0]
-        full = riccati_schedule(linearize(net, driver, x_s), costs, 500)
+        full = riccati_schedule(sys, driver, costs, 500)
         K = tuple(k.copy() for k in full.K)
         assert _gain_window(K) == (0, 0)
         signal = counted(lambda k, x: -K[k] @ x)
-        run = _rollout(net, driver, costs, x_s.values, 500, signal, {0: 1}, *_gain_window(K))
+        run = rollout_one(net, driver, costs, x_s.values, 500, signal, {0: 1}, *_gain_window(K))
         assert signal.calls == 500
         reference = feedback_reference(net, driver, x_s.values, full.K, {0: 1})
         assert_same_run(run, reference, costs)
@@ -566,7 +590,7 @@ class TestFastForward:
         free = sorted(set(range(n)) - set(driver.indices))
         pinned = {free[0]: int(rng.integers(0, 2))} if pin and free else None
         x_s = find_steady_state(net)
-        sched = riccati_schedule(linearize(net, driver, x_s), costs, horizon)
+        sched = riccati_schedule(linearize(net, x_s), driver, costs, horizon)
         x0 = interior_state(rng, n)
         assert_same_run(
             rollout_feedback(net, driver, costs, continuous_state(x0), sched, pinned),
@@ -583,11 +607,11 @@ class TestFastForward:
 
 class TestGainWindow:
     def test_riccati_cycle_is_a_window(self):
-        net, x_s, sets = criterion_7_sets(1)
-        sys = linearize(net, sets[0], x_s)
-        period, end = _gain_window(riccati_schedule(sys, identity_costs(net.n), 500).K)
+        net, _, sys, sets = criterion_7_sets(1)
+        costs = identity_costs(net.n)
+        period, end = _gain_window(riccati_schedule(sys, sets[0], costs, 500).K)
         assert 1 <= period <= end < 500
-        assert _gain_window(riccati_schedule(sys, identity_costs(net.n), 40).K) == (0, 0)
+        assert _gain_window(riccati_schedule(sys, sets[0], costs, 40).K) == (0, 0)
 
     def test_window_read_from_identity(self):
         a, b, c = np.zeros((1, 2)), np.ones((1, 2)), np.ones((1, 2))
@@ -603,7 +627,7 @@ class TestMonotonicity:
         A, _, costs, tau, x0 = random_linear_instance(rng, 4, m=1, tau=3)
 
         def optimal(indices):
-            sched = riccati_schedule(linear_system(A, indices), costs, tau)
+            sched = schedule_for(A, indices, costs, tau)
             return float(x0 @ sched.P0 @ x0)
 
         small = optimal((1,))

@@ -152,41 +152,36 @@ class TestJacobian:
 
 
 class TestLinearize:
-    def test_packages_jacobian_point_and_driver(self):
+    def test_packages_jacobian_and_point(self):
         net = hand_chain()
         x_s = find_steady_state(net)
-        driver = DriverSet((1,), 2)
-        sys_lin = linearize(net, driver, x_s)
+        sys_lin = linearize(net, x_s)
         assert np.array_equal(sys_lin.A, jacobian(net, x_s))
         assert np.array_equal(sys_lin.x_lin.values, x_s.values)
-        assert sys_lin.driver is driver
 
     def test_dimension_check(self):
         with pytest.raises(ValidationError):
-            LinearizedSystem(
-                A=np.zeros((2, 2)), x_lin=continuous_state([0.1]), driver=DriverSet((0,), 1)
-            )
+            LinearizedSystem(A=np.zeros((2, 2)), x_lin=continuous_state([0.1]))
 
 
 class TestControllabilityRank:
     def test_driven_scalar(self):
-        sys_lin = LinearizedSystem(
-            A=np.array([[0.6]]), x_lin=continuous_state([0.2]), driver=DriverSet((0,), 1)
-        )
-        assert controllability_rank(sys_lin) == 1
+        sys_lin = LinearizedSystem(A=np.array([[0.6]]), x_lin=continuous_state([0.2]))
+        assert controllability_rank(sys_lin, DriverSet((0,), 1)) == 1
 
     def test_chain_fully_controllable_from_source(self):
         A = np.array([[0.5, 0.0], [0.3, 0.5]])  # node 0 drives node 1
-        sys_lin = LinearizedSystem(
-            A=A, x_lin=zeros_state(2), driver=DriverSet((0,), 2)
-        )
-        assert controllability_rank(sys_lin) == 2
+        sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(2))
+        assert controllability_rank(sys_lin, DriverSet((0,), 2)) == 2
 
     def test_decoupled_second_node_unreachable(self):
-        sys_lin = LinearizedSystem(
-            A=np.diag([0.5, 0.4]), x_lin=zeros_state(2), driver=DriverSet((0,), 2)
-        )
-        assert controllability_rank(sys_lin) == 1
+        sys_lin = LinearizedSystem(A=np.diag([0.5, 0.4]), x_lin=zeros_state(2))
+        assert controllability_rank(sys_lin, DriverSet((0,), 2)) == 1
+
+    def test_driver_size_check(self):
+        sys_lin = LinearizedSystem(A=np.eye(2), x_lin=zeros_state(2))
+        with pytest.raises(ValidationError, match="driver set sized for a different network"):
+            controllability_rank(sys_lin, DriverSet((0,), 1))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_invariant_under_relabeling(self, seed):
@@ -195,7 +190,7 @@ class TestControllabilityRank:
         net = random_network(rng, n)
         x_s = continuous_state(interior_state(rng, n))
         driver = DriverSet(tuple(rng.choice(n, size=2, replace=False)), n)
-        rank = controllability_rank(linearize(net, driver, x_s))
+        rank = controllability_rank(linearize(net, x_s), driver)
 
         perm = rng.permutation(n)
         P = np.eye(n)[perm]  # maps old index i to new position perm^-1...
@@ -208,4 +203,4 @@ class TestControllabilityRank:
         inv = np.empty(n, dtype=int)
         inv[perm] = np.arange(n)
         driver2 = DriverSet(tuple(int(inv[i]) for i in driver.indices), n)
-        assert controllability_rank(linearize(net2, driver2, x2)) == rank
+        assert controllability_rank(linearize(net2, x2), driver2) == rank

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risknet import experiments
+from risknet import control, experiments
 from risknet.control import (
     _feedback_block,
     _gain_window,
+    _prepare,
     _proactive_block,
     _reactive_block,
     _riccati_block,
@@ -24,7 +25,7 @@ from risknet.control import (
     run_reactive,
 )
 from risknet.dynamics import LinearizedSystem, find_steady_state, jacobian, linearize
-from risknet.errors import RiskNetError, SaturatedPoint
+from risknet.errors import RiskNetError
 from risknet.experiments import ExperimentPlan, _blocks, run_experiment
 from risknet.model import (
     CostMatrices,
@@ -52,6 +53,8 @@ SINGULAR = (
 )
 SATURATED = "SaturatedPoint: update map saturates at node 4 (raw value 1.85)"
 NON_FINITE = "ValidationError: rollout produced a non-finite state; check the gains"
+COSTS_SIZE = "DimensionMismatch: cost matrices sized for a different network"
+COSTS_WIDTH = "DimensionMismatch: state/signal width does not match cost matrices"
 
 
 def criterion_7_net():
@@ -72,16 +75,11 @@ def assert_sweep_equals_per_set(plan, net, costs, init=None):
     result = run_experiment(plan, net, init, costs)
     x_s = experiments.find_steady_state(net)
     init = x_s if init is None else init
-    try:
-        A = jacobian(net, x_s)
-    except SaturatedPoint:
-        A = None
+    prep = _prepare(net, costs, plan.pinned, x_s)
     for ev in result.evaluations:
         driver = DriverSet(ev.indices, net.n)
         for phase in plan.phases:
-            (alone,) = experiments._evaluate_block(
-                phase, net, [driver], costs, init, x_s, A, plan
-            )
+            (alone,) = experiments._evaluate_block(phase, prep, [driver], init, plan)
             assert outcome_bytes(ev.outcomes[phase]) == outcome_bytes(alone), (ev.label, phase)
     return result
 
@@ -113,11 +111,10 @@ def assert_same_schedule(got, want):
     assert _gain_window(got.K) == _gain_window(want.K)
 
 
-def assert_matches_oracles(net, driver, costs, x0, steps, pinned, run, A):
-    """``run`` is the full recursion's gains stepped by
-    ``helpers.reference_rollout``, byte for byte."""
-    sys = LinearizedSystem(A=A, x_lin=zeros_state(net.n), driver=driver)
-    K, _ = reference_schedule(sys, costs, steps)
+def assert_matches_oracles(net, driver, costs, x0, steps, pinned, run, sys):
+    """``run`` is the full recursion's gains on the linear system ``sys``
+    stepped by ``helpers.reference_rollout``, byte for byte."""
+    K, _ = reference_schedule(sys, driver, costs, steps)
     states, signals, saturation = reference_rollout(
         net, driver, x0, steps, lambda k, x: -K[k] @ x, pinned
     )
@@ -142,13 +139,15 @@ class TestCriterion7:
     def test_first_block_matches_oracles(self):
         net = criterion_7_net()
         x_s = find_steady_state(net)
-        A = jacobian(net, x_s)
         costs = identity_costs(net.n)
+        prep = _prepare(net, costs, {0: 1}, x_s)
         plan = ExperimentPlan(driver_size=7, num_sets=8, seed=2017, pinned={0: 1})
         drivers = experiments.sample_driver_sets(plan, net, x_s, x_s)
-        runs = _reactive_block(net, drivers, costs, x_s, 500, {0: 1}, x_s, A)
+        runs = _reactive_block(prep, drivers, x_s, 500)
         for driver, run in zip(drivers, runs):
-            assert_matches_oracles(net, driver, costs, x_s.values, 500, {0: 1}, run, A)
+            assert_matches_oracles(
+                net, driver, costs, x_s.values, 500, {0: 1}, run, prep.linear
+            )
 
 
 class TestBlockBoundaries:
@@ -218,13 +217,15 @@ class TestFailuresStayPerSet:
         drivers = [DriverSet(d, 8) for d in
                    [(1, 3, 5), (0, 2, 4), (2, 6, 7), (3, 4, 5), (1, 6, 7), (2, 3, 6)]]
         x_s = find_steady_state(net)
-        A = jacobian(net, x_s)
-        runs = _reactive_block(net, drivers, costs, x_s, 300, {0: 1}, x_s, A)
+        prep = _prepare(net, costs, {0: 1}, x_s)
+        runs = _reactive_block(prep, drivers, x_s, 300)
         alone = [one_set(run_reactive, net, d, costs, x_s, 300, {0: 1}) for d in drivers]
         assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
         assert [run_bytes(runs[i]) for i in (1, 2, 4)] == [PINNED, SINGULAR, SINGULAR]
         for i in (0, 3, 5):
-            assert_matches_oracles(net, drivers[i], costs, x_s.values, 300, {0: 1}, runs[i], A)
+            assert_matches_oracles(
+                net, drivers[i], costs, x_s.values, 300, {0: 1}, runs[i], prep.linear
+            )
 
     def test_sweep_records_one_set_errors(self):
         net = special_net()
@@ -266,9 +267,9 @@ class TestFailuresStayPerSet:
         costs = CostMatrices(Q_f=np.eye(8), Q=bad.Q, R=bad.R)
         drivers = [DriverSet(d, 8) for d in [(1, 6), (6, 7), (2, 3), (5, 6)]]
         x_s = find_steady_state(net)
-        A = jacobian(net, x_s)
+        prep = _prepare(net, costs, None, x_s)
         for horizon, errors in ((1, ["", "", "", ""]), (40, ["", SINGULAR, "", ""])):
-            runs = _reactive_block(net, drivers, costs, x_s, horizon, None, x_s, A)
+            runs = _reactive_block(prep, drivers, x_s, horizon)
             alone = [one_set(run_reactive, net, d, costs, x_s, horizon) for d in drivers]
             assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
             assert [r if isinstance(r, str) else "" for r in map(run_bytes, runs)] == errors
@@ -277,15 +278,70 @@ class TestFailuresStayPerSet:
         net = special_net()
         costs = identity_costs(8)
         x_s = find_steady_state(net)
+        prep = _prepare(net, costs, {0: 1}, x_s)
         D = np.array([(1, 2), (3, 4), (2, 5)])
-        schedules = [riccati_schedule(linearize(net, DriverSet(d, 8), x_s), costs, 60) for d in D]
+        schedules = [riccati_schedule(prep.linear, DriverSet(d, 8), costs, 60) for d in D]
         gains = [s.K for s in schedules]
         gains[1] = (np.full((2, 8), np.nan),) + gains[1][1:]
-        runs = _feedback_block(net, D, costs, x_s.values, gains, {0: 1})
+        runs = _feedback_block(prep, D, x_s.values, gains)
         assert run_bytes(runs[1]) == NON_FINITE
         for i in (0, 2):
             alone = rollout_feedback(net, DriverSet(D[i], 8), costs, x_s, schedules[i], {0: 1})
             assert run_bytes(runs[i]) == run_bytes(alone)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("spoil, step", [("nan", 39), ("huge", 38)])
+    def test_non_finite_gain_equation(self, monkeypatch, spoil, step):
+        # numpy's Cholesky returns NaN for a non-finite matrix instead of
+        # raising; the gain equation is checked before it
+        net = special_net()
+        costs = identity_costs(8)
+        x_s = find_steady_state(net)
+
+        def spoiled(net, x):
+            A = jacobian(net, x)
+            if spoil == "nan":
+                A[3, 0] = np.nan
+            else:
+                A = 1e200 * np.eye(8)
+            return LinearizedSystem(A=A, x_lin=x)
+
+        monkeypatch.setattr(control, "linearize", spoiled)
+        drivers = [DriverSet(d, 8) for d in [(1, 3), (2, 5), (3, 4)]]
+        runs = _reactive_block(_prepare(net, costs, None, x_s), drivers, x_s, 40)
+        alone = [one_set(run_reactive, net, d, costs, x_s, 40) for d in drivers]
+        assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
+        want = f"SingularInnerMatrix: gain equation is not finite at step {step}"
+        assert [run_bytes(r) for r in runs] == [want] * 3
+
+
+class TestErrorPrecedence:
+    """A reactive set reports the first of its errors: a pin on a driven
+    node, then a saturated steady state, then costs of another size.  A
+    proactive set has no pins and no linearization and reports the width
+    of its costs."""
+
+    PLAN = ExperimentPlan(
+        driver_size=2, num_sets=5, seed=5, phase="both", pinned={0: 1},
+        steps_reactive=20, steps_proactive=5,
+        baseline_sets={"free": (1, 2), "pinned": (0, 1)},
+    )
+
+    def assert_errors(self, net, reactive):
+        result = assert_sweep_equals_per_set(self.PLAN, net, identity_costs(net.n + 1))
+        for ev in result.evaluations:
+            want = PINNED if ev.label == "pinned" else reactive
+            assert ev.outcomes["reactive"].error == want
+            assert ev.outcomes["proactive"].error == COSTS_WIDTH
+
+    def test_costs_of_another_size(self):
+        self.assert_errors(saturating_net(), COSTS_SIZE)
+
+    def test_saturated_point_before_costs(self, monkeypatch):
+        point = continuous_state(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+        monkeypatch.setattr(experiments, "find_steady_state", lambda net: point)
+        self.assert_errors(saturating_net(), SATURATED)
 
 
 class TestRiccatiBlock:
@@ -294,7 +350,7 @@ class TestRiccatiBlock:
         # as columns, not as the transpose of the rows
         net = criterion_7_net()
         x_s = find_steady_state(net)
-        A = jacobian(net, x_s)
+        sys = linearize(net, x_s)
         rng = np.random.default_rng(7)
         Q_f = np.eye(40) + 1e-12 * rng.uniform(-1.0, 1.0, size=(40, 40))
         costs = CostMatrices(Q_f=Q_f, Q=np.eye(40), R=np.eye(40))
@@ -303,11 +359,10 @@ class TestRiccatiBlock:
         drivers = experiments.sample_driver_sets(plan, net, x_s, x_s) + [DriverSet(POLICY_MIX, 40)]
         D = np.array([d.indices for d in drivers])
         for horizon in (1, 2, 90, 500):
-            block = _riccati_block(A, D, costs, horizon)
+            block = _riccati_block(sys.A, D, costs, horizon)
             for driver, sched in zip(drivers, block):
-                sys = LinearizedSystem(A=A, x_lin=x_s, driver=driver)
-                assert_same_schedule(sched, riccati_schedule(sys, costs, horizon))
-                K, P0 = reference_schedule(sys, costs, horizon)
+                assert_same_schedule(sched, riccati_schedule(sys, driver, costs, horizon))
+                K, P0 = reference_schedule(sys, driver, costs, horizon)
                 assert [k.tobytes() for k in sched.K] == [k.tobytes() for k in K]
                 assert sched.P0.tobytes() == P0.tobytes()
 
@@ -327,9 +382,9 @@ class TestRiccatiBlock:
             A = A * (radius / rho)
         m = driver.size
         D = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(sets)])
+        sys = LinearizedSystem(A=A, x_lin=zeros_state(n))
         for d, sched in zip(D, _riccati_block(A, D, costs, horizon)):
-            sys = LinearizedSystem(A=A, x_lin=zeros_state(n), driver=DriverSet(d, n))
-            assert_same_schedule(sched, riccati_schedule(sys, costs, horizon))
+            assert_same_schedule(sched, riccati_schedule(sys, DriverSet(d, n), costs, horizon))
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,9 +406,9 @@ def test_random_blocks_equal_per_set(seed, n, sets, horizon, pin):
     drivers = [DriverSet(tuple(rng.choice(n, size=m, replace=False)), n) for _ in range(sets)]
     x_s = find_steady_state(net)
     init = continuous_state(interior_state(rng, n))
-    block = _reactive_block(net, drivers, costs, init, horizon, pinned, x_s)
+    block = _reactive_block(_prepare(net, costs, pinned, x_s), drivers, init, horizon)
     alone = [one_set(run_reactive, net, d, costs, init, horizon, pinned) for d in drivers]
     assert [run_bytes(r) for r in block] == [run_bytes(r) for r in alone]
-    block = _proactive_block(net, drivers, costs, horizon)
+    block = _proactive_block(_prepare(net, costs, None, None), drivers, horizon)
     alone = [run_proactive(net, d, costs, horizon) for d in drivers]
     assert [run_bytes(r) for r in block] == [run_bytes(r) for r in alone]
