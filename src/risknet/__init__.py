@@ -42,7 +42,6 @@ from .cascade import (
     monte_carlo_mean,
     run_discrete,
     step_discrete,
-    trial_seed,
 )
 from .dynamics import (
     LinearizedSystem,

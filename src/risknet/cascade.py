@@ -202,25 +202,17 @@ def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> Even
     return EventLog(out)
 
 
-def trial_seed(seed: int, trial: int) -> int:
-    """Seed for Monte Carlo trial ``trial``: ``seed + trial``.
-
-    Trial 0 therefore replays the single run with the same config, and
-    distinct trials get independent generator streams.
-    """
-    return seed + trial
-
-
 def monte_carlo_mean(
     net: RiskNetwork, init: StateVector, config: SimConfig, trials: int
 ) -> np.ndarray:
     """Per-step empirical mean state over independent seeded trials.
 
     Returns a (steps+1, n) float array.  Trial t runs with its own
-    generator, seeded ``trial_seed(config.seed, t)``, and the trials' states
-    are summed in trial order.  The trials are not stacked into one
-    ``(trials, n)`` product: its rows can differ from ``x @ logs`` in the last
-    bits.
+    generator, seeded ``config.seed + t``, so trial 0 replays
+    :func:`run_discrete` with the same config and distinct trials get
+    independent generator streams.  The trials' states are summed in trial
+    order.  The trials are not stacked into one ``(trials, n)`` product: its
+    rows can differ from ``x @ logs`` in the last bits.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -230,6 +222,6 @@ def monte_carlo_mean(
     out[0] = init.values
     total = np.zeros_like(out)
     for t in range(trials):
-        run(init.values, np.random.default_rng(trial_seed(config.seed, t)), out[1:])
+        run(init.values, np.random.default_rng(config.seed + t), out[1:])
         total += out
     return total / trials

@@ -72,11 +72,15 @@ def find_steady_state(
 ) -> StateVector:
     """Natural steady state: fixed point of the uncontrolled map.
 
-    Plain fixed-point iteration from ``x0`` (all-zeros by default); the
-    returned point satisfies ``max |step(x) - x| <= tol``.  Set ``damping``
-    in (0, 1] (e.g. 0.5) to average each update with the current iterate,
-    which tames oscillatory dynamics.  No uniqueness is claimed: the result
-    is the fixed point reached from ``x0``.
+    Plain fixed-point iteration from ``x0`` (all-zeros by default).  It
+    stops at the first iterate ``x`` whose clamped update ``fx = step(x)``
+    satisfies ``max |fx - x| <= tol`` and returns ``fx``: a point of [0, 1]
+    that the clamped map reached from within ``tol`` of it, so its own
+    residual is at most ``tol`` times the map's Lipschitz constant in the
+    max norm.  Set ``damping`` in (0, 1] (e.g. 0.5) to average each update
+    with the current iterate, which tames oscillatory dynamics.  No
+    uniqueness is claimed: the result is the fixed point reached from
+    ``x0``.
 
     Raises
     ------
@@ -96,7 +100,7 @@ def find_steady_state(
         fx = unclamped_step(net, x).clip(0.0, 1.0)
         residual = float(np.max(np.abs(fx - x)))
         if residual <= tol:
-            return continuous_state(x)
+            return continuous_state(fx)
         x = fx if damping is None else (1.0 - damping) * x + damping * fx
     raise NoConvergence(max_iter, residual)
 

@@ -30,9 +30,6 @@ PHASE_BOTH = "both"
 
 #: Threshold above which a continuous initial entry counts as active.
 ACTIVE_THRESHOLD = 0.5
-#: Rejection-sampling attempt cap per stratum.
-STRATUM_ATTEMPT_CAP = 10**6
-_BATCH = 4096
 #: Bytes of states and signals a block of lockstep evaluations may hold.
 _BLOCK_BYTES = 5 << 19
 
@@ -151,10 +148,11 @@ def classify_drivers(
     return _class_counts(driver, _driver_classes(init, x_s, top_fraction))
 
 
-def _uniform_subsets(rng: np.random.Generator, m: int, size: int, rows: int) -> np.ndarray:
-    """rows x size matrix of uniform random size-subsets of range(m)."""
-    keys = rng.random((rows, m))
-    return np.argpartition(keys, size - 1, axis=1)[:, :size]
+def _uniform_subsets(rng: np.random.Generator, pool: np.ndarray, size: int, rows: int) -> np.ndarray:
+    """rows x size matrix of uniform random size-subsets of ``pool``, from
+    one ``rng.random((rows, pool.size))`` key matrix; ``size`` >= 1."""
+    keys = rng.random((rows, pool.size))
+    return pool[np.argpartition(keys, size - 1, axis=1)[:, :size]]
 
 
 def sample_driver_sets(
@@ -166,17 +164,23 @@ def sample_driver_sets(
     """Draw the plan's driver sets; deterministic given the plan seed.
 
     Unstratified plans draw ``num_sets`` uniform subsets of the non-pinned
-    nodes.  Stratified plans rejection-sample each group until its quota of
-    sets with exactly the required class count is met, which keeps the
-    within-stratum distribution uniform.
+    nodes, one ``rng.choice`` per set.  Stratified plans draw each group
+    directly: a uniform set with exactly ``value`` in-class drivers is a
+    uniform ``value``-subset of the in-class candidates joined with a
+    uniform ``(driver_size - value)``-subset of the out-of-class ones.
+    Groups are drawn in plan order from the one plan-seeded generator; each
+    consumes one ``(count, n_in)`` key matrix for its in-class side, then
+    one ``(count, n_out)`` key matrix for its out-of-class side, skipping a
+    side that needs no node.  No set is rejected, so there is no attempt
+    cap.
 
     Raises
     ------
     ValidationError
         A pin the network cannot hold; checked before any set is drawn.
     StratumInfeasible
-        A group's class count is impossible for this network/init, or its
-        quota was not met within the attempt cap.
+        A group's class count is impossible for this network/init; checked
+        for every group, in plan order, before any set is drawn.
     """
     pin_arrays(plan.pinned, net.n)
     candidates = np.array(sorted(set(range(net.n)) - set(plan.pinned)), dtype=int)
@@ -195,36 +199,24 @@ def sample_driver_sets(
         return sets
 
     members = _driver_classes(init, x_s, plan.top_fraction)[plan.stratify_by]
-    in_class = np.array([c in members for c in candidates])
-    n_in = int(in_class.sum())
-    n_out = candidates.size - n_in
-
-    sets = []
-    for value, count in plan.groups:
+    in_class = np.isin(candidates, list(members))
+    pools = (candidates[in_class], candidates[~in_class])
+    n_in, n_out = (pool.size for pool in pools)
+    for value, _ in plan.groups:
         if value > n_in or plan.driver_size - value > n_out:
             raise StratumInfeasible(
                 f"stratum {value}: needs {value} of {n_in} in-class and "
                 f"{plan.driver_size - value} of {n_out} out-of-class candidates"
             )
-        found = 0
-        attempts = 0
-        while found < count:
-            if attempts >= STRATUM_ATTEMPT_CAP:
-                raise StratumInfeasible(
-                    f"stratum {value}: quota {count} not met within "
-                    f"{STRATUM_ATTEMPT_CAP} attempts"
-                )
-            rows = min(_BATCH, STRATUM_ATTEMPT_CAP - attempts)
-            picks = _uniform_subsets(rng, candidates.size, plan.driver_size, rows)
-            attempts += rows
-            hits = in_class[picks].sum(axis=1)
-            for row in np.flatnonzero(hits == value):
-                sets.append(
-                    DriverSet(tuple(int(i) for i in candidates[picks[row]]), net.n)
-                )
-                found += 1
-                if found == count:
-                    break
+
+    sets = []
+    for value, count in plan.groups:
+        picks = np.hstack([
+            _uniform_subsets(rng, pool, size, count)
+            for pool, size in zip(pools, (value, plan.driver_size - value))
+            if size
+        ])
+        sets.extend(DriverSet(tuple(row), net.n) for row in picks.tolist())
     return sets
 
 
@@ -347,9 +339,11 @@ def run_experiment(
     (see :mod:`risknet.control`), and only its :class:`PhaseOutcome` is kept.
     Failures of individual control runs are recorded on the evaluation
     rather than aborting the sweep, with the same error text as a one-set
-    run, and leave the other sets of the block unchanged; sampling failures
-    (StratumInfeasible, also raised for a sampled set outside its stratum)
-    propagate before any set is evaluated.
+    run, and leave the other sets of the block unchanged.  Sampling fails
+    only on a plan the network cannot serve: StratumInfeasible for a group
+    count no set can meet (raised before any set is drawn) or for a sampled
+    set outside its stratum, and ValidationError for a bad pin or an
+    oversized driver set.  These propagate before any set is evaluated.
     """
     x_s = find_steady_state(net)
     if init is None:

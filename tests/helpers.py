@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 
-from risknet.cascade import EventLog, activation_probability, trial_seed
+from risknet.cascade import EventLog, activation_probability
 from risknet.control import _solve_gain, evaluate_cost
 from risknet.dynamics import step_continuous, unclamped_step
 from risknet.errors import ParseError
@@ -226,10 +226,10 @@ def reference_run_discrete(net, init, config):
 
 def reference_monte_carlo_mean(net, init, config, trials):
     """The per-trial loop: trial t runs ``reference_run_discrete`` with seed
-    ``trial_seed(config.seed, t)``; states are summed in trial order."""
+    ``config.seed + t``; states are summed in trial order."""
     total = np.zeros((config.steps + 1, net.n))
     for t in range(trials):
-        cfg = dataclasses.replace(config, seed=trial_seed(config.seed, t))
+        cfg = dataclasses.replace(config, seed=config.seed + t)
         total += reference_run_discrete(net, init, cfg)
     return total / trials
 
@@ -245,3 +245,39 @@ def reference_load_event_log(path):
     if not rows:
         raise ParseError(f"{path}: no state rows")
     return header, EventLog(np.array(rows))
+
+
+def chain_saturation_network():
+    """55 nodes whose steady-state iterate stops 3.2e-14 below 1 at the last
+    node, where the raw map exceeds 1; one more clamped update reaches a
+    fixed point where it does not.
+
+    Node 0 (p_int 1) starts a chain of 50 nodes (p_int 0, p_ext 1), each
+    feeding the next; the chain's end feeds three feeders (p_ext 1), which
+    feed the last node (p_int 0.45, p_ext 1).  p_con is 1 and every edge
+    weight 1.  The last node creeps toward 1 while the chain fills, so the
+    feeders switch on only once it is within the tolerance of 1.
+    """
+    n = 55
+    E = np.zeros((n, n))
+    for i in range(50):
+        E[i, i + 1] = 1.0
+    E[50, 51:54] = 1.0
+    E[51:54, 54] = 1.0
+    p_int = np.zeros(n)
+    p_int[0], p_int[54] = 1.0, 0.45
+    p_ext = np.ones(n)
+    p_ext[0] = 0.0
+    return build_network([f"v{i:02d}" for i in range(n)], p_int, p_ext, np.ones(n), E)
+
+
+def reference_steady_state(net, tol=1e-12, max_iter=10**6):
+    """The undamped fixed-point loop from zeros that returns the iterate
+    ``x`` whose clamped update met ``tol``, not the update itself."""
+    x = np.zeros(net.n)
+    for _ in range(max_iter):
+        fx = unclamped_step(net, x).clip(0.0, 1.0)
+        if np.max(np.abs(fx - x)) <= tol:
+            return continuous_state(x)
+        x = fx
+    raise AssertionError("no convergence")

@@ -15,7 +15,6 @@ from risknet.cascade import (
     monte_carlo_mean,
     run_discrete,
     step_discrete,
-    trial_seed,
 )
 from risknet.dynamics import step_continuous
 from risknet.errors import ValidationError
@@ -162,9 +161,15 @@ class TestMonteCarlo:
         single = run_discrete(net, init, cfg)
         assert np.array_equal(mean, single.states)
 
-    def test_trial_seed_mixing(self):
-        assert trial_seed(100, 0) == 100
-        assert trial_seed(100, 3) == 103
+    def test_trial_t_runs_with_seed_plus_t(self):
+        rng = np.random.default_rng(8)
+        net = random_network(rng, 5)
+        init = binary_state([0, 1, 0, 0, 1])
+        cfg = SimConfig(steps=30, seed=100)
+        mean = monte_carlo_mean(net, init, cfg, trials=3)
+        runs = [run_discrete(net, init, SimConfig(steps=30, seed=s)).states
+                for s in (100, 101, 102)]
+        assert np.array_equal(mean, (runs[0] + runs[1] + runs[2]) / 3)
 
     def test_deterministic_net_zero_variance(self):
         net = chain_forced()  # all probabilities are 0 or 1

@@ -12,7 +12,14 @@ from risknet.dynamics import (
 )
 from risknet.errors import NoConvergence, SaturatedPoint, ValidationError
 from risknet.model import DriverSet, build_network, continuous_state, zeros_state
-from helpers import contractive_network, fd_jacobian, interior_state, random_network
+from helpers import (
+    chain_saturation_network,
+    contractive_network,
+    fd_jacobian,
+    interior_state,
+    random_network,
+    reference_steady_state,
+)
 
 
 def scalar_net(p_int=0.1, p_con=0.7):
@@ -101,6 +108,23 @@ class TestSteadyState:
             x_s = find_steady_state(net, tol=1e-12)
             out, _ = step_continuous(net, x_s)
             assert np.max(np.abs(out.values - x_s.values)) <= 1e-12
+
+    def test_returns_the_clamped_update(self):
+        # The iterate that meets tol leaves the last node 3.2e-14 below 1,
+        # where the raw map exceeds 1; its clamped update is a fixed point
+        # where the map does not saturate.
+        net = chain_saturation_network()
+        x_s = find_steady_state(net)
+        assert x_s.values[54] == 1.0
+        out, saturated = step_continuous(net, x_s)
+        assert np.array_equal(out.values, x_s.values) and not saturated.any()
+        assert jacobian(net, x_s).shape == (55, 55)
+
+    def test_one_update_past_the_converged_iterate(self):
+        for seed in range(5):
+            net = contractive_network(np.random.default_rng(seed), 9)
+            out, _ = step_continuous(net, reference_steady_state(net))
+            assert np.array_equal(find_steady_state(net).values, out.values)
 
     def test_oscillator_fails_then_damping_rescues(self):
         # p_int=1, p_con=0 flips the state each step: period-2 orbit

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare
 
 from risknet import experiments
 from risknet.dynamics import find_steady_state
@@ -19,7 +23,7 @@ from risknet.model import (
     zeros_state,
 )
 from risknet.netio import experiment_rows, generate_synthetic
-from helpers import contractive_network, saturating_net
+from helpers import contractive_network, reference_steady_state, saturating_net
 
 
 def small_net(seed=3):
@@ -183,6 +187,103 @@ class TestSampling:
             sample_driver_sets(plan, net, zeros_state(net.n), x_s)
 
 
+def active_class_net(n, active, pinned=()):
+    """An n-node network, its natural steady state, and an init whose
+    active nodes are ``active``; the pinned nodes are returned as a plan
+    ``pinned`` mapping."""
+    net = build_network([f"v{i}" for i in range(n)], [0.1] * n, [0.0] * n,
+                        [0.5] * n, np.zeros((n, n)))
+    init = np.zeros(n)
+    init[list(active)] = 1.0
+    return net, continuous_state(init), find_steady_state(net), {i: 0 for i in pinned}
+
+
+class TestDirectStratifiedDraw:
+    def test_unstratified_draws_unchanged(self):
+        # The criterion-7 plan keeps its rng.choice draws set for set.
+        net = generate_synthetic(40, 18.27, 4.60, seed=1)
+        plan = ExperimentPlan(driver_size=7, num_sets=767, seed=2017, pinned={0: 1})
+        x = zeros_state(net.n)
+        sets = [d.indices for d in sample_driver_sets(plan, net, x, x)]
+        assert sets[:2] == [(3, 14, 15, 20, 31, 33, 39), (5, 9, 12, 16, 23, 27, 34)]
+        assert sets[-1] == (7, 10, 23, 24, 30, 34, 39)
+
+    def test_stratum_frequencies_match_uniform_enumeration(self):
+        # 9 nodes, node 4 pinned: 8 candidates, 3 of them initially active.
+        active = (1, 5, 8)
+        net, init, x_s, pinned = active_class_net(9, active, pinned=(4,))
+        count = 3000
+        plan = ExperimentPlan(
+            driver_size=3, num_sets=1, seed=11, pinned=pinned,
+            stratify_by="initially_active", groups=tuple((v, count) for v in range(4)),
+        )
+        sets = sample_driver_sets(plan, net, init, x_s)
+        candidates = [i for i in range(9) if i != 4]
+        for k, value in enumerate(range(4)):
+            valid = [c for c in itertools.combinations(candidates, 3)
+                     if len(set(c) & set(active)) == value]
+            drawn = [d.indices for d in sets[k * count:(k + 1) * count]]
+            assert set(drawn) <= set(valid)
+            freq = [drawn.count(c) for c in valid]
+            if len(valid) > 1:
+                assert chisquare(freq).pvalue > 1e-3, (value, freq)
+
+    def test_draw_order_as_documented(self):
+        # Group by group: one key matrix for the in-class side, then one for
+        # the out-of-class side, none for a side that needs no node.
+        active = (1, 5, 8)
+        net, init, x_s, pinned = active_class_net(9, active, pinned=(4,))
+        plan = ExperimentPlan(driver_size=3, num_sets=1, seed=7, pinned=pinned,
+                              stratify_by="initially_active",
+                              groups=((0, 4), (2, 3), (3, 2), (1, 2)))
+        rng = np.random.default_rng(7)
+        pools = (np.array(active), np.array([0, 2, 3, 6, 7]))
+        expected = []
+        for value, count in plan.groups:
+            sides = [pool[np.argsort(rng.random((count, pool.size)), axis=1)[:, :k]]
+                     for pool, k in zip(pools, (value, 3 - value)) if k]
+            expected += [tuple(sorted(np.concatenate(row).tolist())) for row in zip(*sides)]
+        assert [d.indices for d in sample_driver_sets(plan, net, init, x_s)] == expected
+
+    @pytest.mark.parametrize("active, value", [((), 0), (range(6), 4)])
+    def test_edge_stratum_with_an_empty_side(self, active, value):
+        # No in-class candidate (stratum 0) or no out-of-class one
+        # (stratum = driver_size): only one side is drawn.
+        net, init, x_s, _ = active_class_net(6, active)
+        plan = ExperimentPlan(driver_size=4, num_sets=1, seed=2,
+                              stratify_by="initially_active", groups=((value, 20),))
+        sets = sample_driver_sets(plan, net, init, x_s)
+        assert len(sets) == 20
+        assert all(d.size == 4 and len(set(d.indices) & set(active)) == value
+                   for d in sets)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_set_in_its_stratum(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        pinned = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1), label="pinned")
+        candidates = [i for i in range(n) if i not in pinned]
+        active = data.draw(st.sets(st.integers(0, n - 1)), label="active")
+        size = data.draw(st.integers(1, len(candidates)), label="driver_size")
+        n_in = len(set(candidates) & active)
+        values = range(max(0, size - (len(candidates) - n_in)), min(size, n_in) + 1)
+        groups = data.draw(st.lists(st.tuples(st.sampled_from(values), st.integers(1, 6)),
+                                    min_size=1, max_size=4), label="groups")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        net, init, x_s, pins = active_class_net(n, sorted(active), pinned=pinned)
+        plan = ExperimentPlan(driver_size=size, num_sets=1, seed=seed, pinned=pins,
+                              stratify_by="initially_active", groups=tuple(groups))
+        sets = sample_driver_sets(plan, net, init, x_s)
+        strata = [value for value, count in groups for _ in range(count)]
+        assert len(sets) == len(strata)
+        for d, value in zip(sets, strata):
+            assert d.size == size  # distinct indices: DriverSet drops repeats
+            assert not set(d.indices) & pinned
+            assert len(set(d.indices) & active) == value
+        again = sample_driver_sets(plan, net, init, x_s)
+        assert [d.indices for d in again] == [d.indices for d in sets]
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("index", [-1, 10])
     def test_pinned_index_outside_network_rejected(self, index):
@@ -297,3 +398,28 @@ class TestSaturatedSteadyState:
                 )
             assert np.isnan(reactive.total_cost) and reactive.rank == 0
             assert ev.outcomes["proactive"].error == ""
+
+
+class TestSteadyStateDrift:
+    def test_criterion_7_costs_within_bound_of_previous_iterate(self, monkeypatch):
+        # The reference stops at the iterate whose clamped update met tol,
+        # the solver at that update: every criterion-7 cost differs by at
+        # most 1e-11 relative (measured 1.1e-12) and no rank changes.
+        net = generate_synthetic(40, 18.27, 4.60, seed=1)
+        plan = ExperimentPlan(
+            driver_size=7, num_sets=767, seed=2017, pinned={0: 1},
+            phase="reactive", steps_reactive=500,
+            baseline_sets={"policy_mix": (3, 8, 11, 17, 22, 29, 35)},
+        )
+        costs = identity_costs(net.n)
+        new = run_experiment(plan, net, None, costs)
+        monkeypatch.setattr(experiments, "find_steady_state", reference_steady_state)
+        old = run_experiment(plan, net, None, costs)
+        assert 0 < np.max(np.abs(new.steady_state - old.steady_state)) <= 1e-12
+        for a, b in zip(new.evaluations, old.evaluations, strict=True):
+            assert a.indices == b.indices
+            x, y = a.outcomes["reactive"], b.outcomes["reactive"]
+            assert not x.error and not y.error
+            assert (x.rank, x.saturation_count) == (y.rank, y.saturation_count)
+            for field in ("state_cost", "control_cost", "total_cost"):
+                assert getattr(x, field) == pytest.approx(getattr(y, field), rel=1e-11)
