@@ -33,15 +33,12 @@ from .model import (
     continuous_state,
     degree_stats,
     identity_costs,
-    zeros_state,
 )
 from .cascade import (
     EventLog,
     SimConfig,
-    activation_probability,
     monte_carlo_mean,
     run_discrete,
-    step_discrete,
 )
 from .dynamics import (
     LinearizedSystem,
@@ -55,7 +52,6 @@ from .dynamics import (
 from .control import (
     ControlRun,
     GainSchedule,
-    control_energy,
     evaluate_cost,
     riccati_schedule,
     run_proactive,
@@ -72,14 +68,12 @@ from .experiments import (
     ExperimentPlan,
     ExperimentResult,
     PhaseOutcome,
-    classify_drivers,
     run_experiment,
     sample_driver_sets,
 )
 from .netio import (
     generate_synthetic,
     load_event_log,
-    load_matrix_csv,
     load_network,
     load_plan,
     save_network,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import BINARY, RiskNetwork, StateVector, binary_state, check_integer, pin_arrays
+from .model import BINARY, RiskNetwork, StateVector, check_integer, pin_arrays
 
 PRODUCT = "product"
 ADDITIVE = "additive"
@@ -117,16 +117,6 @@ def _activation(net: RiskNetwork, variant: str):
     return lambda x: np.minimum(1.0, net.p_int + net.p_ext * net.inflow(x))
 
 
-def activation_probability(
-    net: RiskNetwork, state: np.ndarray, variant: str = PRODUCT
-) -> np.ndarray:
-    """Per-node probability that an inactive node activates this step.
-
-    Only meaningful for entries where ``state`` is 0; returned for all nodes.
-    """
-    return _activation(net, variant)(np.asarray(state, dtype=float))
-
-
 #: Steps whose uniforms one ``rng.random`` call draws: a run of any length
 #: holds at most this many rows of draws at once.
 _BLOCK_STEPS = 1024
@@ -169,29 +159,12 @@ def _check_init(net: RiskNetwork, init: StateVector):
         )
 
 
-def step_discrete(
-    net: RiskNetwork,
-    state: StateVector,
-    rng: np.random.Generator,
-    config: SimConfig,
-) -> StateVector:
-    """Draw one synchronous transition of the cascade.
-
-    Consumes exactly n uniforms from ``rng`` (one per node).
-    """
-    if state.mode != BINARY:
-        raise ValidationError("step_discrete needs a binary state")
-    out = np.empty((1, net.n))
-    _runner(net, config)(state.values, rng, out)
-    return binary_state(out[0])
-
-
 def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> EventLog:
     """Simulate ``config.steps`` transitions from ``init``.
 
-    Deterministic given ``config.seed``: the run consumes ``steps × n``
-    uniforms from ``default_rng(seed)`` in the order of ``steps`` successive
-    :func:`step_discrete` calls on that generator, and its log equals theirs.
+    Deterministic given ``config.seed``: the run draws one ``rng.random(n)``
+    per step, in step order, from ``rng = default_rng(config.seed)``; entry
+    i of step k's draw decides node i's transition from row k to row k + 1.
     Row 0 of the log is ``init`` verbatim; pins apply from row 1 on.
     """
     _check_init(net, init)

@@ -236,11 +236,6 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     return out
 
 
-def control_energy(signals: np.ndarray) -> float:
-    """Sum of squared Euclidean norms of the per-step signals."""
-    return float(np.sum(np.asarray(signals, dtype=float) ** 2))
-
-
 def evaluate_cost(
     run_states: np.ndarray, run_signals: np.ndarray, costs: CostMatrices
 ) -> tuple[float, float, float]:

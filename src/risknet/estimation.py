@@ -24,7 +24,7 @@ import numpy as np
 
 from .cascade import EventLog
 from .errors import DimensionMismatch, ValidationError
-from .model import check_integer
+from .model import pin_arrays
 
 #: Golden-section bracket width at which the search stops.
 GOLDEN_TOL = 1e-9
@@ -94,20 +94,10 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
     int_hits = (inactive_quiet & activated).sum(axis=0).astype(float)
 
     exposed = ~active & (S > 0.0)
-    skip = set(pinned) if pinned is not None else set()
-    for i in skip:
-        check_integer("pinned index", i)
-    for i in sorted(skip):
-        if not 0 <= i < n:
-            raise ValidationError(f"pinned index {i} out of range for {n} nodes")
-    exposures = []
-    for i in range(n):
-        if i in skip:
-            con_trials[i] = con_hits[i] = int_trials[i] = int_hits[i] = 0.0
-            exposures.append((np.empty(0), np.empty(0)))
-            continue
-        rows = exposed[:, i]
-        exposures.append((S[rows, i].copy(), nxt[rows, i].copy()))
+    skip, _ = pin_arrays(dict.fromkeys(() if pinned is None else pinned, 0), n)
+    exposed[:, skip] = False
+    con_trials[skip] = con_hits[skip] = int_trials[skip] = int_hits[skip] = 0.0
+    exposures = [(S[exposed[:, i], i], nxt[exposed[:, i], i]) for i in range(n)]
     return TransitionCounts(
         int_trials=int_trials,
         int_hits=int_hits,

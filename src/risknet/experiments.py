@@ -132,22 +132,6 @@ def _driver_classes(init: StateVector, x_s: StateVector, top_fraction: float) ->
     }
 
 
-def _class_counts(driver: DriverSet, classes: dict) -> tuple[int, int]:
-    members = set(driver.indices)
-    return len(members & classes[STRATIFY_ACTIVE]), len(members & classes[STRATIFY_PEAK])
-
-
-def classify_drivers(
-    driver: DriverSet,
-    init: StateVector,
-    x_s: StateVector,
-    top_fraction: float = ExperimentPlan.top_fraction,
-) -> tuple[int, int]:
-    """Count the driven nodes that are initially active (entry >= 0.5) and
-    those among the most active nodes at the natural steady state."""
-    return _class_counts(driver, _driver_classes(init, x_s, top_fraction))
-
-
 def _uniform_subsets(rng: np.random.Generator, pool: np.ndarray, size: int, rows: int) -> np.ndarray:
     """rows x size matrix of uniform random size-subsets of ``pool``, from
     one ``rng.random((rows, pool.size))`` key matrix; ``size`` >= 1."""
@@ -367,7 +351,8 @@ def run_experiment(
     classes = _driver_classes(init, x_s, plan.top_fraction)
     counts = []
     for label, kind, driver, stratum in entries:
-        a, p = _class_counts(driver, classes)
+        members = set(driver.indices)
+        a, p = len(members & classes[STRATIFY_ACTIVE]), len(members & classes[STRATIFY_PEAK])
         got = a if plan.stratify_by == STRATIFY_ACTIVE else p
         if stratum is not None and got != stratum:
             raise StratumInfeasible(

@@ -2,7 +2,12 @@
 
 Edge direction convention: ``E[i, j]`` is the influence node ``i`` exerts on
 node ``j``.  The weighted activity arriving at each node is therefore
-``E.T @ x``; :func:`inflow` is the single place that owns this transpose.
+``E.T @ x``.  :meth:`RiskNetwork.inflow` computes it for one state vector
+(the additive cascade, the continuous map and the Jacobian).  The lockstep
+rollout in :mod:`risknet.control` computes ``E.T @ X[:, :, None]`` for a
+block of states instead: one product with an ``(n, 1)`` column per state
+has the bits of ``E.T @ x``, where the single product ``X @ E`` would not,
+and every set of a block must get the bits of its one-set run.
 
 All types are immutable after construction and safe to share across
 concurrent readers.
@@ -26,14 +31,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
-
-
-def inflow(E: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Weighted activity each node receives from its in-neighbors.
-
-    Returns the vector with entries ``sum_j E[j, i] * x[j]``.
-    """
-    return E.T @ x
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +64,9 @@ class RiskNetwork:
         return len(self.names)
 
     def inflow(self, x: np.ndarray) -> np.ndarray:
-        """Weighted in-neighbor activity at every node, ``(E.T @ x)``."""
-        return inflow(self.E, x)
+        """Weighted activity each node receives from its in-neighbors: the
+        vector with entries ``sum_j E[j, i] * x[j]``, that is ``E.T @ x``."""
+        return self.E.T @ x
 
     def index_of(self, name: str) -> int:
         try:
@@ -209,10 +207,6 @@ def binary_state(values) -> StateVector:
 
 def continuous_state(values) -> StateVector:
     return StateVector(np.asarray(values, dtype=float), CONTINUOUS)
-
-
-def zeros_state(n: int) -> StateVector:
-    return StateVector(np.zeros(n), CONTINUOUS)
 
 
 @dataclass(frozen=True, eq=False)

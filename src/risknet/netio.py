@@ -257,8 +257,8 @@ def write_event_log(path, log: EventLog, names):
         fh.write(_event_rows(log.states).tobytes().decode("ascii"))
 
 
-def _read_csv(path, convert) -> tuple[list, list]:
-    """Read a header row and data rows, each cell passed through ``convert``."""
+def _read_csv(path) -> tuple[list, list]:
+    """Read a header row and data rows, each cell passed through ``int``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -270,16 +270,10 @@ def _read_csv(path, convert) -> tuple[list, list]:
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {k + 1} has {len(row)} fields")
             try:
-                rows.append([convert(v) for v in row])
+                rows.append([int(v) for v in row])
             except ValueError as exc:
                 raise ParseError(f"{path}: row {k + 1}: {exc}") from None
     return header, rows
-
-
-def load_matrix_csv(path) -> tuple[list, np.ndarray]:
-    """Read any toolkit-emitted numeric CSV back as (header, float matrix)."""
-    header, rows = _read_csv(path, float)
-    return header, np.array(rows) if rows else np.empty((0, len(header)))
 
 
 def _canonical_states(body: str, n: int) -> np.ndarray | None:
@@ -311,7 +305,7 @@ def load_event_log(path) -> tuple[list, EventLog]:
     except (UnicodeDecodeError, csv.Error):
         pass  # _read_csv raises it again, as it always has
     if states is None:
-        header, rows = _read_csv(path, int)
+        header, rows = _read_csv(path)
         if not rows:
             raise ParseError(f"{path}: no state rows")
         states = np.array(rows)

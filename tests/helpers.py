@@ -1,14 +1,16 @@
 """Shared test utilities: random instance factories and independent oracles.
 
-The oracles here (finite differences, stacked least-squares) deliberately
-avoid the code paths they check.
+The oracles here (finite differences, stacked least-squares, the cascade's
+activation from the model formula) deliberately avoid the code paths they
+check.
 """
 
+import csv
 import dataclasses
 
 import numpy as np
 
-from risknet.cascade import EventLog, activation_probability
+from risknet.cascade import PRODUCT, EventLog
 from risknet.control import _solve_gain, evaluate_cost
 from risknet.dynamics import step_continuous, unclamped_step
 from risknet.errors import ParseError
@@ -207,6 +209,17 @@ def saturating_net():
     )
 
 
+def reference_activation(net, x, variant):
+    """Each node's activation probability at the 0/1 state ``x``, from the
+    model formula over the active nodes j: ``1 - (1 - p_int) * prod_j (1 -
+    E[j, i] * p_ext_i)`` (product) or ``min(1, p_int + p_ext * sum_j E[j, i])``
+    (additive)."""
+    E = net.E[x == 1.0]
+    if variant == PRODUCT:
+        return 1.0 - (1.0 - net.p_int) * np.prod(1.0 - E * net.p_ext, axis=0)
+    return np.minimum(1.0, net.p_int + net.p_ext * E.sum(axis=0))
+
+
 def reference_run_discrete(net, init, config):
     """The cascade one step at a time: one ``rng.random(n)`` call per step
     from ``default_rng(config.seed)``, the two-branch update, then the pins.
@@ -217,7 +230,7 @@ def reference_run_discrete(net, init, config):
     rows = [x]
     for _ in range(config.steps):
         u = rng.random(net.n)
-        act = activation_probability(net, x, config.variant)
+        act = reference_activation(net, x, config.variant)
         x = np.where(x == 1.0, (u < net.p_con).astype(float), (u < act).astype(float))
         x[pin_idx] = pin_val
         rows.append(x)
@@ -241,10 +254,18 @@ def reference_write_event_log(path, log, names):
 
 def reference_load_event_log(path):
     """An event log read one ``csv`` cell at a time, each cell through ``int``."""
-    header, rows = _read_csv(path, int)
+    header, rows = _read_csv(path)
     if not rows:
         raise ParseError(f"{path}: no state rows")
     return header, EventLog(np.array(rows))
+
+
+def load_matrix_csv(path):
+    """A numeric CSV the toolkit wrote, read back as (header, float matrix)."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    matrix = np.array([[float(v) for v in row] for row in rows])
+    return header, matrix.reshape(-1, len(header))
 
 
 def chain_saturation_network():

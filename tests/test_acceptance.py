@@ -26,7 +26,6 @@ from risknet.model import (
     continuous_state,
     degree_stats,
     identity_costs,
-    zeros_state,
 )
 from risknet.netio import generate_synthetic, write_experiment_csv
 from helpers import (
@@ -69,7 +68,7 @@ def test_criterion_2_riccati_matches_least_squares_and_beats_random():
         rng = np.random.default_rng(2000 + seed)
         n = int(rng.integers(1, 4))
         A, driver, costs, tau, x0 = random_linear_instance(rng, n)
-        sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(n))
+        sys_lin = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(n)))
         schedule = riccati_schedule(sys_lin, driver, costs, tau)
         fb = linear_feedback_cost(A, driver, costs, schedule, x0)
         opt, _ = brute_force_linear_optimum(A, driver, costs, tau, x0)
@@ -264,7 +263,7 @@ def test_criterion_9_driver_monotonicity_on_linear_cost():
     for seed in range(20):
         rng = np.random.default_rng(9000 + seed)
         A, _, costs, tau, x0 = random_linear_instance(rng, 4, m=1, tau=3)
-        sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(4))
+        sys_lin = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(4)))
 
         def optimal(indices):
             return float(x0 @ riccati_schedule(sys_lin, DriverSet(indices, 4), costs, tau).P0 @ x0)

@@ -1,0 +1,72 @@
+"""The public surface: every public top-level function in ``src/risknet`` is
+called by other package code, or is listed below with its reason.
+
+``__init__.py`` only re-exports, so its imports are not references.  A
+function's own body does not count as a reference to it.
+"""
+
+import ast
+from pathlib import Path
+
+import risknet
+
+SRC = Path(risknet.__file__).resolve().parent
+
+#: Public functions nothing else in the package calls, and why each stays.
+UNREFERENCED = {
+    "main": "console entry point (pyproject.toml)",
+    "cli_main": "entry point the console script and the benchmark call",
+    "step_continuous": "benchmark span dynamics.step_continuous",
+    "riccati_schedule": "benchmark span control.riccati_schedule",
+    "rollout_feedback": "benchmark span control.rollout_feedback",
+    "monte_carlo_mean": "acceptance criterion 4 (mean-field agreement)",
+}
+
+
+def modules():
+    return {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def public_functions(trees):
+    return {
+        (name, node.name): node
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def references(trees):
+    """Every (module, line) where a name or attribute is read."""
+    refs = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((name, node.lineno))
+    return refs
+
+
+def test_every_public_function_is_used_or_listed():
+    trees = modules()
+    refs = references(trees)
+    unused = sorted(
+        f"{module}:{fn}"
+        for (module, fn), node in public_functions(trees).items()
+        if fn not in UNREFERENCED
+        and not any(
+            not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, line in refs.get(fn, ())
+        )
+    )
+    assert not unused, f"public functions no package code calls: {unused}"
+
+
+def test_listed_functions_exist():
+    defined = {fn for _, fn in public_functions(modules())}
+    assert set(UNREFERENCED) <= defined

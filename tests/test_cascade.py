@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from risknet.cascade import (
     _BLOCK_STEPS,
+    _activation,
     ADDITIVE,
     PRODUCT,
     EventLog,
     SimConfig,
-    activation_probability,
     monte_carlo_mean,
     run_discrete,
-    step_discrete,
 )
 from risknet.dynamics import step_continuous
 from risknet.errors import ValidationError
@@ -57,9 +56,8 @@ def test_event_log_validation():
 
 def test_all_probabilities_zero_recover():
     net = build_network(["a", "b"], [0, 0], [0, 0], [0, 0], np.zeros((2, 2)))
-    rng = np.random.default_rng(0)
-    out = step_discrete(net, binary_state([1, 1]), rng, SimConfig(steps=1, seed=0))
-    assert np.array_equal(out.values, [0, 0])
+    log = run_discrete(net, binary_state([1, 1]), SimConfig(steps=1, seed=0))
+    assert np.array_equal(log.states[1], [0, 0])
 
 
 def test_absorbing_identity():
@@ -73,11 +71,8 @@ def test_absorbing_identity():
 
 
 def test_chain_forced_activation():
-    rng = np.random.default_rng(7)
-    out = step_discrete(
-        chain_forced(), binary_state([1, 0]), rng, SimConfig(steps=1, seed=0)
-    )
-    assert np.array_equal(out.values, [1, 1])
+    log = run_discrete(chain_forced(), binary_state([1, 0]), SimConfig(steps=1, seed=7))
+    assert np.array_equal(log.states[1], [1, 1])
 
 
 def test_run_shape_and_first_row():
@@ -126,8 +121,8 @@ def test_variants_coincide_with_single_in_neighbor():
     net = chain_forced()
     for state in ([0, 0], [1, 0], [0, 1], [1, 1]):
         x = np.array(state, dtype=float)
-        p = activation_probability(net, x, PRODUCT)
-        a = activation_probability(net, x, ADDITIVE)
+        p = _activation(net, PRODUCT)(x)
+        a = _activation(net, ADDITIVE)(x)
         assert p == pytest.approx(a)
 
 
@@ -136,8 +131,8 @@ def test_variants_differ_with_two_active_in_neighbors():
     E[0, 2] = E[1, 2] = 1.0
     net = build_network(["a", "b", "c"], [0] * 3, [0, 0, 0.4], [0] * 3, E)
     x = np.array([1.0, 1.0, 0.0])
-    p = activation_probability(net, x, PRODUCT)[2]
-    a = activation_probability(net, x, ADDITIVE)[2]
+    p = _activation(net, PRODUCT)(x)[2]
+    a = _activation(net, ADDITIVE)(x)[2]
     assert p == pytest.approx(1 - 0.6**2)
     assert a == pytest.approx(0.8)
     assert a > p
@@ -147,7 +142,7 @@ def test_additive_probability_clamped_at_one():
     E = np.zeros((3, 3))
     E[0, 2] = E[1, 2] = 1.0
     net = build_network(["a", "b", "c"], [0.5] * 3, [0.9] * 3, [0] * 3, E)
-    a = activation_probability(net, np.array([1.0, 1.0, 0.0]), ADDITIVE)
+    a = _activation(net, ADDITIVE)(np.array([1.0, 1.0, 0.0]))
     assert a[2] == 1.0
 
 
@@ -243,12 +238,9 @@ class TestAgainstReference:
     def test_run_equals_successive_steps(self, seed, n, steps, variant, pin):
         net, init, pinned = weighted_instance(seed, n, variant, pin)
         cfg = SimConfig(steps=steps, seed=seed, variant=variant, pinned=pinned)
-        rng = np.random.default_rng(seed)
-        state, rows = init, [init.values]
-        for _ in range(steps):
-            state = step_discrete(net, state, rng, cfg)
-            rows.append(state.values)
-        assert np.array_equal(run_discrete(net, init, cfg).states, rows)
+        assert np.array_equal(
+            run_discrete(net, init, cfg).states, reference_run_discrete(net, init, cfg)
+        )
 
     @given(
         seed=st.integers(0, 2**32 - 1),

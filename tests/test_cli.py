@@ -11,11 +11,11 @@ from risknet.cli import cli_main
 from risknet.netio import (
     generate_synthetic,
     load_event_log,
-    load_matrix_csv,
     load_network,
     save_network,
 )
 from risknet.model import build_network
+from helpers import load_matrix_csv
 
 
 @pytest.fixture

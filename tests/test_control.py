@@ -9,7 +9,6 @@ from risknet.control import (
     _prepare,
     _rollout_block,
     _solve_gain,
-    control_energy,
     evaluate_cost,
     riccati_schedule,
     rollout_feedback,
@@ -25,7 +24,6 @@ from risknet.model import (
     build_network,
     continuous_state,
     identity_costs,
-    zeros_state,
 )
 from risknet.netio import generate_synthetic
 from helpers import (
@@ -42,7 +40,8 @@ from helpers import (
 
 
 def linear_system(A):
-    return LinearizedSystem(A=np.asarray(A, dtype=float), x_lin=zeros_state(A.shape[0]))
+    A = np.asarray(A, dtype=float)
+    return LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(A.shape[0])))
 
 
 def schedule_for(A, driver_indices, costs, horizon):
@@ -227,16 +226,12 @@ class TestLinearOptimality:
 
 
 class TestCostAccounting:
-    def test_control_energy_values(self):
-        assert control_energy(np.zeros((5, 3))) == 0.0
-        assert control_energy(np.array([[3.0, 4.0]])) == pytest.approx(25.0)
-
     def test_control_energy_equals_identity_r_cost(self):
         net = scalar_net()
         run = run_reactive(
             net, DriverSet((0,), 1), identity_costs(1), find_steady_state(net), 50
         )
-        assert control_energy(run.signals) == pytest.approx(run.control_cost)
+        assert np.sum(run.signals ** 2) == pytest.approx(run.control_cost)
 
     def test_zero_trajectory_zero_cost(self):
         costs = identity_costs(2)
@@ -269,7 +264,9 @@ class TestReactive:
         net = build_network(
             ["a", "b"], [0, 0], [0.4, 0.4], [0.5, 0.5], [[0, 1], [1, 0]]
         )
-        run = run_reactive(net, DriverSet((0,), 2), identity_costs(2), zeros_state(2), 50)
+        run = run_reactive(
+            net, DriverSet((0,), 2), identity_costs(2), continuous_state(np.zeros(2)), 50
+        )
         assert run.total_cost == 0.0
         assert np.all(run.states == 0.0)
 
@@ -326,7 +323,7 @@ class TestReactive:
             [[0, 1, 1], [0, 0, 1], [0, 0, 0]],
         )
         run = run_reactive(
-            net, DriverSet((1,), 3), identity_costs(3), zeros_state(3), 25,
+            net, DriverSet((1,), 3), identity_costs(3), continuous_state(np.zeros(3)), 25,
             pinned={0: 1},
         )
         assert np.all(run.states[:, 0] == 1.0)
@@ -335,7 +332,7 @@ class TestReactive:
         net = scalar_net()
         with pytest.raises(ValidationError, match="pinned"):
             run_reactive(
-                net, DriverSet((0,), 1), identity_costs(1), zeros_state(1), 5,
+                net, DriverSet((0,), 1), identity_costs(1), continuous_state(np.zeros(1)), 5,
                 pinned={0: 1},
             )
 
@@ -347,14 +344,16 @@ class TestReactive:
         )
         with pytest.raises(ValidationError, match="out of range"):
             run_reactive(
-                net, DriverSet((1,), 3), identity_costs(3), zeros_state(3), 5,
+                net, DriverSet((1,), 3), identity_costs(3), continuous_state(np.zeros(3)), 5,
                 pinned={node: 1},
             )
 
     def test_steps_validated(self):
         net = scalar_net()
         with pytest.raises(ValidationError):
-            run_reactive(net, DriverSet((0,), 1), identity_costs(1), zeros_state(1), 0)
+            run_reactive(
+                net, DriverSet((0,), 1), identity_costs(1), continuous_state(np.zeros(1)), 0
+            )
 
     def test_non_finite_gain_rejected(self):
         net = scalar_net()

@@ -11,7 +11,7 @@ from risknet.dynamics import (
     unclamped_step,
 )
 from risknet.errors import NoConvergence, SaturatedPoint, ValidationError
-from risknet.model import DriverSet, build_network, continuous_state, zeros_state
+from risknet.model import DriverSet, build_network, continuous_state
 from helpers import (
     chain_saturation_network,
     contractive_network,
@@ -37,7 +37,7 @@ class TestStepContinuous:
         rng = np.random.default_rng(0)
         net = random_network(rng, 4)
         net = build_network(net.names, np.zeros(4), net.p_ext, net.p_con, net.E)
-        out, sat = step_continuous(net, zeros_state(4))
+        out, sat = step_continuous(net, continuous_state(np.zeros(4)))
         assert np.array_equal(out.values, np.zeros(4))
         assert not sat.any()
 
@@ -195,15 +195,15 @@ class TestControllabilityRank:
 
     def test_chain_fully_controllable_from_source(self):
         A = np.array([[0.5, 0.0], [0.3, 0.5]])  # node 0 drives node 1
-        sys_lin = LinearizedSystem(A=A, x_lin=zeros_state(2))
+        sys_lin = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(2)))
         assert controllability_rank(sys_lin, DriverSet((0,), 2)) == 2
 
     def test_decoupled_second_node_unreachable(self):
-        sys_lin = LinearizedSystem(A=np.diag([0.5, 0.4]), x_lin=zeros_state(2))
+        sys_lin = LinearizedSystem(A=np.diag([0.5, 0.4]), x_lin=continuous_state(np.zeros(2)))
         assert controllability_rank(sys_lin, DriverSet((0,), 2)) == 1
 
     def test_driver_size_check(self):
-        sys_lin = LinearizedSystem(A=np.eye(2), x_lin=zeros_state(2))
+        sys_lin = LinearizedSystem(A=np.eye(2), x_lin=continuous_state(np.zeros(2)))
         with pytest.raises(ValidationError, match="driver set sized for a different network"):
             controllability_rank(sys_lin, DriverSet((0,), 1))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,13 +59,16 @@ class TestCountTransitions:
     @pytest.mark.parametrize("pinned", [{-1}, {2}, {-1, 7}])
     def test_pinned_index_out_of_range_rejected(self, pinned):
         log = EventLog(np.zeros((3, 2)))
-        with pytest.raises(ValidationError, match="out of range"):
+        message = f"pinned index {min(pinned)} out of range for 2 nodes"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             count_transitions(np.zeros((2, 2)), log, pinned=pinned)
 
     def test_non_integer_pinned_index_rejected(self):
         log = EventLog(np.zeros((3, 2)))
-        with pytest.raises(ValidationError, match="integer"):
-            count_transitions(np.zeros((2, 2)), log, pinned={1.5})
+        for index in (1.5, True):
+            message = re.escape(f"pinned index must be an integer, got {index}")
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                count_transitions(np.zeros((2, 2)), log, pinned={index})
 
     def test_dimension_mismatch(self):
         log = EventLog(np.zeros((3, 2)))

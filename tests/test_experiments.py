@@ -10,7 +10,6 @@ from risknet.dynamics import find_steady_state
 from risknet.errors import StratumInfeasible, ValidationError
 from risknet.experiments import (
     ExperimentPlan,
-    classify_drivers,
     run_experiment,
     sample_driver_sets,
     top_steady_nodes,
@@ -20,7 +19,6 @@ from risknet.model import (
     build_network,
     continuous_state,
     identity_costs,
-    zeros_state,
 )
 from risknet.netio import experiment_rows, generate_synthetic
 from helpers import contractive_network, reference_steady_state, saturating_net
@@ -34,13 +32,24 @@ def small_net(seed=3):
     )
 
 
+def baseline_counts(net, driver, init):
+    """(initially_active, steady_peak) of ``driver`` evaluated as a baseline
+    set of a one-step proactive sweep."""
+    plan = ExperimentPlan(
+        driver_size=driver.size, num_sets=1, seed=0, phase="proactive",
+        steps_proactive=1, baseline_sets={"b": driver.indices},
+    )
+    res = run_experiment(plan, net, init, identity_costs(net.n))
+    (ev,) = [ev for ev in res.evaluations if ev.kind == "baseline"]
+    return ev.initially_active, ev.steady_peak
+
+
 class TestClassifyDrivers:
     def test_inactive_init_counts_zero(self):
         rng = np.random.default_rng(0)
         net = contractive_network(rng, 8)
-        x_s = find_steady_state(net)
         driver = DriverSet((0, 3, 5), 8)
-        active, _ = classify_drivers(driver, zeros_state(8), x_s)
+        active, _ = baseline_counts(net, driver, continuous_state(np.zeros(8)))
         assert active == 0
 
     def test_top_containment(self):
@@ -49,18 +58,16 @@ class TestClassifyDrivers:
         x_s = find_steady_state(net)
         top = sorted(top_steady_nodes(x_s, 0.25))  # ceil(2) = 2 nodes
         driver = DriverSet(tuple(top), 8)
-        _, peak = classify_drivers(driver, zeros_state(8), x_s)
+        _, peak = baseline_counts(net, driver, continuous_state(np.zeros(8)))
         assert peak == len(top)
 
     def test_hand_ranking_with_ties_by_index(self):
-        net = build_network(
-            ["a", "b", "c", "d"], [0.1] * 4, [0.1] * 4, [0.5] * 4, np.zeros((4, 4))
-        )
         x_s = continuous_state([0.9, 0.1, 0.2, 0.8])
-        driver = DriverSet((0, 1), 4)
-        active, peak = classify_drivers(driver, x_s, x_s, top_fraction=0.5)
-        assert peak == 1  # top-2 by value are nodes 0 and 3
-        assert active == 1  # only node 0 has init >= 0.5 among the drivers
+        classes = experiments._driver_classes(x_s, x_s, top_fraction=0.5)
+        assert classes["steady_peak"] == {0, 3}  # top-2 by value
+        assert classes["initially_active"] == {0, 3}  # init >= 0.5
+        tied = continuous_state([0.2, 0.7, 0.2, 0.2])
+        assert top_steady_nodes(tied, 0.5) == {1, 0}  # the tie goes to node 0
 
 
 class TestPlanValidation:
@@ -161,7 +168,7 @@ class TestSampling:
     def test_stratified_quota_exact(self):
         net = small_net()
         x_s = find_steady_state(net)
-        init = zeros_state(net.n)
+        init = continuous_state(np.zeros(net.n))
         plan = ExperimentPlan(
             driver_size=4, num_sets=1, seed=3,
             stratify_by="steady_peak", groups=((0, 10), (1, 10), (2, 10)),
@@ -184,7 +191,7 @@ class TestSampling:
             stratify_by="initially_active", groups=((1, 5),),
         )
         with pytest.raises(StratumInfeasible, match="stratum 1"):
-            sample_driver_sets(plan, net, zeros_state(net.n), x_s)
+            sample_driver_sets(plan, net, continuous_state(np.zeros(net.n)), x_s)
 
 
 def active_class_net(n, active, pinned=()):
@@ -203,7 +210,7 @@ class TestDirectStratifiedDraw:
         # The criterion-7 plan keeps its rng.choice draws set for set.
         net = generate_synthetic(40, 18.27, 4.60, seed=1)
         plan = ExperimentPlan(driver_size=7, num_sets=767, seed=2017, pinned={0: 1})
-        x = zeros_state(net.n)
+        x = continuous_state(np.zeros(net.n))
         sets = [d.indices for d in sample_driver_sets(plan, net, x, x)]
         assert sets[:2] == [(3, 14, 15, 20, 31, 33, 39), (5, 9, 12, 16, 23, 27, 34)]
         assert sets[-1] == (7, 10, 23, 24, 30, 34, 39)
@@ -318,7 +325,7 @@ class TestRunExperiment:
         )
         plan = ExperimentPlan(driver_size=n, num_sets=1, seed=0, phase="reactive",
                               steps_reactive=50)
-        res = run_experiment(plan, net, zeros_state(n), identity_costs(n))
+        res = run_experiment(plan, net, continuous_state(np.zeros(n)), identity_costs(n))
         (ev,) = res.evaluations
         out = ev.outcomes["reactive"]
         assert out.state_cost == 0.0 and out.control_cost == 0.0

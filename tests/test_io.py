@@ -21,7 +21,6 @@ from risknet.netio import (
     DEGREE_TOLERANCE,
     generate_synthetic,
     load_event_log,
-    load_matrix_csv,
     load_network,
     load_plan,
     plan_from_dict,
@@ -29,7 +28,12 @@ from risknet.netio import (
     write_control_run,
     write_event_log,
 )
-from helpers import random_network, reference_load_event_log, reference_write_event_log
+from helpers import (
+    load_matrix_csv,
+    random_network,
+    reference_load_event_log,
+    reference_write_event_log,
+)
 
 
 MINIMAL = {

@@ -33,7 +33,6 @@ from risknet.model import (
     build_network,
     continuous_state,
     identity_costs,
-    zeros_state,
 )
 from risknet.netio import generate_synthetic
 from helpers import (
@@ -382,7 +381,7 @@ class TestRiccatiBlock:
             A = A * (radius / rho)
         m = driver.size
         D = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(sets)])
-        sys = LinearizedSystem(A=A, x_lin=zeros_state(n))
+        sys = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(n)))
         for d, sched in zip(D, _riccati_block(A, D, costs, horizon)):
             assert_same_schedule(sched, riccati_schedule(sys, DriverSet(d, n), costs, horizon))
 

@@ -15,7 +15,6 @@ from risknet.model import (
     continuous_state,
     degree_stats,
     identity_costs,
-    inflow,
     pin_arrays,
 )
 from helpers import random_network
@@ -183,6 +182,6 @@ class TestCostMatrices:
 
 
 def test_inflow_owns_the_transpose():
-    E = np.array([[0.0, 0.8], [0.0, 0.0]])
+    net = build_network(["a", "b"], [0.1] * 2, [0.1] * 2, [0.5] * 2, [[0.0, 0.8], [0.0, 0.0]])
     # node 0 influences node 1, so activity at 0 arrives at 1
-    assert np.array_equal(inflow(E, np.array([1.0, 0.0])), [0.0, 0.8])
+    assert np.array_equal(net.inflow(np.array([1.0, 0.0])), [0.0, 0.8])
