@@ -45,10 +45,13 @@ kernels read a preparation of the network (``_prepare``: the pins and, for
 the reactive phase, the Jacobian at the natural steady state) and a matrix
 ``D`` of driver indices, one row per set.  A sweep prepares its network
 once; the public functions prepare once per call and run blocks of one set.
+A block stores each set's states and only its driven signal columns; a
+run's full-width ``signals`` are derived from them on access.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +81,43 @@ class GainSchedule:
 class ControlRun:
     """A completed rollout: trajectory, signals, and decomposed costs.
 
-    ``signals`` rows are full-length with zeros off the driven nodes;
+    ``driven`` holds the signals of the driven nodes ``drivers`` (one
+    column each, in index order); ``signals`` is derived from them on
+    access, full-length rows with zeros off the driven nodes.
     ``total_cost = state_cost + control_cost`` exactly by construction.
     ``saturation_count`` totals the node-steps where the raw update left
     [0, 1] and was clamped.
     """
 
     states: np.ndarray
-    signals: np.ndarray
+    driven: np.ndarray
+    drivers: tuple
     state_cost: float
     control_cost: float
     total_cost: float
     saturation_count: int
+
+    @property
+    def signals(self) -> np.ndarray:
+        """The ``(steps, n)`` signal matrix, built on each access."""
+        return _full_width(self.driven, self.drivers, self.states.shape[1])
+
+
+def _full_width(driven: np.ndarray, drivers, n: int) -> np.ndarray:
+    """The ``(steps, n)`` signal matrix: ``driven``'s columns at ``drivers``,
+    zeros elsewhere."""
+    full = np.zeros((driven.shape[0], n))
+    full[:, drivers] = driven
+    return full
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per leading index of two float64 stacks of one shape, each with a
+    contiguous last axis: whether ``a[i].tobytes() == b[i].tobytes()``.  The bits are compared
+    as ``uint64``, so -0.0 differs from 0.0 and a NaN equals only a NaN of
+    the same payload."""
+    same = a.view(np.uint64) == b.view(np.uint64)
+    return np.logical_and.reduce(same.reshape(len(a), math.prod(a.shape[1:])), axis=1)
 
 
 def _solve_gain(inner: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
@@ -170,11 +198,12 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     rows of ``D`` (all of one size), in lockstep.
 
     Every set starts at the horizon and the sets step together.  Each keeps
-    its own Brent check on ``P.tobytes()``, leaves the block at its own
-    ``k mod p == 0`` and fills its earlier gains from its cycle.  When a
-    gain equation of the stack is not finite, or the stacked Cholesky guard
-    or solve raises, the sets are solved one by one by :func:`_solve_gain`
-    and the failing ones leave the block.  Returns per set its
+    its own Brent check on the bits of P, leaves the block at its own
+    ``k mod p == 0`` and fills its earlier gains from its cycle; the checks
+    of a step are one :func:`_same_bits` call on the stack.  When a gain
+    equation of the stack is not finite, or the stacked Cholesky guard or
+    solve raises, the sets are solved one by one by :func:`_solve_gain` and
+    the failing ones leave the block.  Returns per set its
     :class:`GainSchedule` or the :class:`SingularInnerMatrix` that stopped
     it.
 
@@ -183,22 +212,34 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     its rows ``P[d, :]``: P is symmetric only to rounding.
     """
     S = D.shape[0]
-    Rd = costs.R[D[:, :, None], D[:, None, :]]
     Q, AT = costs.Q, A.T
     out = [None] * S
     K = [[None] * horizon for _ in range(S)]
-    # Brent's checkpoints: the bits of P(mark_k) per set; a set's period
-    # stays 0 until P(k) repeats them.
-    mark = [costs.Q_f.tobytes()] * S
-    mark_k, power, period = [horizon] * S, [1] * S, [0] * S
     live = np.arange(S)
     P = np.broadcast_to(costs.Q_f, (S,) + costs.Q_f.shape)
+    # Brent's checkpoints P(mark_k), one per live set: the sets step
+    # together, so they share the step mark_at at which the checkpoints
+    # move to P(k), twice as far away each time.  Per live set: its period,
+    # 0 until P(k) repeats its checkpoint, and the step at which it leaves
+    # the block; ``last`` is the first such step.
+    mark, mark_k, mark_at = P, horizon, horizon - 1
+    period, stop, last = np.zeros(S, dtype=np.int64), np.zeros(S, dtype=np.int64), 0
     k = horizon
+
+    def gathers(live):
+        """The live sets' driver blocks of R and index tuples of P, kept
+        until a set leaves."""
+        Dl, r = D[live], np.arange(live.size)[:, None]
+        return (
+            costs.R[Dl[:, :, None], Dl[:, None, :]],
+            (r[:, :, None], Dl[:, :, None], Dl[:, None, :]), (r, Dl), (r, slice(None), Dl),
+        )
+
+    Rd, block, rows, cols = gathers(live)
     while live.size:
         k -= 1
-        Dl, r = D[live], np.arange(live.size)[:, None]
-        inner = Rd[live] + P[r[:, :, None], Dl[:, :, None], Dl[:, None, :]]
-        rhs = P[r, Dl] @ A
+        inner = Rd + P[block]
+        rhs = P[rows] @ A
         try:
             if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
                 raise np.linalg.LinAlgError
@@ -206,33 +247,39 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
             G = np.linalg.solve(inner, rhs)
         except np.linalg.LinAlgError:
             G = np.empty_like(rhs)
-            ok = []
-            for i, s in enumerate(live):
+            ok = np.ones(live.size, dtype=bool)
+            for i, s in enumerate(live.tolist()):
                 try:
                     G[i] = _solve_gain(inner[i], rhs[i], k)
-                    ok.append(i)
                 except SingularInnerMatrix as exc:
-                    out[s] = exc
-            live, P, G, Dl, r = live[ok], P[ok], G[ok], Dl[ok], r[:len(ok)]
+                    out[s], ok[i] = exc, False
+            live, P, G, mark, period, stop = (x[ok] for x in (live, P, G, mark, period, stop))
+            Rd, block, rows, cols = gathers(live)
+            last = int(stop.max(initial=0))
         G.flags.writeable = False
-        Pk = Q + AT @ (P @ A) - (AT @ P[r, :, Dl].transpose(0, 2, 1)) @ G
+        Pk = Q + AT @ (P @ A) - (AT @ P[cols].transpose(0, 2, 1)) @ G
         P = 0.5 * (Pk + Pk.transpose(0, 2, 1))
-        done = []
-        for i, s in enumerate(live):
-            K[s][k] = G[i]
-            if not period[s]:
-                bits = P[i].tobytes()
-                if bits == mark[s]:
-                    period[s] = mark_k[s] - k
-                elif mark_k[s] - k == power[s]:
-                    mark[s], mark_k[s], power[s] = bits, k, 2 * power[s]
-            if k == 0 or (period[s] and k % period[s] == 0):
+        for s, g in zip(live.tolist(), G):
+            K[s][k] = g
+        same = _same_bits(P, mark).nonzero()[0]
+        if same.size:
+            same = same[period[same] == 0]  # a set with a period has stopped looking
+            period[same] = mark_k - k
+            stop[same] = k - k % period[same]
+            last = int(stop.max())
+        if k == mark_at:
+            mark, mark_k, mark_at = P, k, k - 2 * (mark_k - k)
+        if k == last:
+            done = (stop == k).nonzero()[0].tolist()
+            for i in done:
+                s, p = int(live[i]), int(period[i])
                 for j in range(k - 1, -1, -1):
-                    K[s][j] = K[s][j + period[s]]
+                    K[s][j] = K[s][j + p]
                 out[s] = GainSchedule(K=tuple(K[s]), P0=P[i])
-                done.append(i)
-        if done:
-            live, P = np.delete(live, done), np.delete(P, done, 0)
+            keep = stop != k
+            live, P, mark, period, stop = (x[keep] for x in (live, P, mark, period, stop))
+            Rd, block, rows, cols = gathers(live)
+            last = int(stop.max(initial=0))
     return out
 
 
@@ -313,7 +360,8 @@ def _rollout_block(
     (one row per set, in index order) for the sets ``rows`` at their steps
     ``ks``, states ``X`` and inflows ``inflow = E.T x``, which the raw map
     shares.  The nodes of ``pins = (indices, values)`` are forced to their
-    value at every step, including the initial state.
+    value at every step, including the initial state.  The block stores
+    per set its states and only the driven nodes' signal columns.
 
     Set s's ``windows[s] = (period, cycle_end)`` declares that its signal
     map of step k is the one of step ``k - period`` for every ``period <= k
@@ -321,7 +369,8 @@ def _rollout_block(
     the set's state is compared with one checkpoint, which moves to the
     current state at power-of-two distances (Brent's method).  Once x(k)
     equals the checkpoint x(k - q) bit for bit, everything up to
-    ``cycle_end`` is copied from q steps earlier.
+    ``cycle_end`` is copied from q steps earlier.  Between two such checks,
+    or a set's end, the block steps without bookkeeping.
 
     A set's costs are taken by :func:`evaluate_cost` on its own contiguous
     rows as soon as it is done.  Returns per set a :class:`ControlRun`, or
@@ -329,72 +378,91 @@ def _rollout_block(
     """
     net, costs = prep.net, prep.costs
     pin_idx, pin_val = pins
-    S = D.shape[0]
+    S, m = D.shape
     states = np.empty((S, steps + 1, net.n))
-    signals = np.zeros((S, steps, net.n))
+    signals = np.zeros((S, steps, m))
     saturation = np.zeros((S, steps), dtype=np.int64)
     X = np.array(X0, dtype=float, order="C")  # rows of unit stride, as one state
     X[:, pin_idx] = pin_val
     states[:, 0] = X
-    k = np.zeros(S, dtype=np.int64)
-    period = [p for p, _ in windows]
-    end = [min(w, steps) for _, w in windows]
-    # Brent's checkpoints: the bits of x(mark_k) per set
-    mark, mark_k, power = [x.tobytes() for x in X], [0] * S, list(period)
     runs = [None] * S
-    live, a, r, Da = list(range(S)), np.arange(S), np.arange(S)[:, None], D
+    # Per live set a: its step ka, its window, the next step ``due`` at which
+    # it checks its state (past its window: its last step), and Brent's
+    # checkpoint x(mark_k), which moves to the state checked at step
+    # mark_at, twice as far each time.  The block steps without bookkeeping
+    # up to the first due step; ``top`` is the furthest step of a live set.
+    a, ka, top = np.arange(S), np.zeros(S, dtype=np.int64), 0
+    period = np.array([p for p, _ in windows], dtype=np.int64)
+    end = np.minimum([w for _, w in windows], steps).astype(np.int64)
+    due = np.where((period > 0) & (period < end), period, steps)
+    mark, mark_k, mark_at = X.copy(), np.zeros(S, dtype=np.int64), period.copy()
+    at = a[:, None] * net.n + D  # the driven entries of the rows of X, flat
+    ET = net.E.T
     while True:
-        moved = False
-        stepping = []
-        for s in live:
-            ks, p = int(k[s]), period[s]
-            if p and ks % p == 0 and 0 < ks < end[s]:
-                bits = states[s, ks].tobytes()
-                if bits == mark[s]:
-                    # x(j) = x(j - q) for j <= end: copy by period q
-                    q, e = ks - mark_k[s], end[s]
-                    back = np.arange(e - ks) % q - q
-                    states[s, ks + 1:e + 1] = states[s, ks + 1 + back]
-                    signals[s, ks:e] = signals[s, ks + back]
-                    saturation[s, ks:e] = saturation[s, ks + back]
-                    k[s], ks, period[s], moved = e, e, 0, True
-                elif ks - mark_k[s] == power[s]:
-                    mark[s], mark_k[s], power[s] = bits, ks, 2 * power[s]
-            if ks < steps:
-                stepping.append(s)
-            else:
-                runs[s] = _finish(states[s], signals[s], saturation[s], costs)
-                moved = True
-        if not stepping:
-            return runs
-        if moved:  # gather the states of the sets still stepping
-            live = stepping
-            a, r, Da = np.array(live), np.arange(len(live))[:, None], D[live]
-            X = states[a, k[a]]
-        ka = k[a]
-        inflow = (net.E.T @ X[:, :, None])[:, :, 0]
-        U = signal(a, ka, X, inflow)
-        raw = _raw_map(net, X, inflow)
-        raw[r, Da] += U
-        saturation[a, ka] = ((raw < 0.0) | (raw > 1.0)).sum(axis=1)
-        X = raw.clip(0.0, 1.0)
-        X[:, pin_idx] = pin_val
-        states[a, ka + 1] = X
-        signals[a[:, None], ka[:, None], Da] = U
-        k[a] = ka + 1
+        run = min((due - ka).tolist())
+        for _ in range(run):
+            inflow = (ET @ X[:, :, None])[:, :, 0]
+            U = signal(a, ka, X, inflow)
+            raw = _raw_map(net, X, inflow)
+            raw.put(at, raw.take(at) + U)
+            signals[a, ka] = U
+            saturation[a, ka] = np.add.reduce((raw < 0.0) | (raw > 1.0), axis=1)
+            X = raw.clip(0.0, 1.0)
+            X[:, pin_idx] = pin_val
+            ka += 1
+            states[a, ka] = X
+        top += run
+        if top == steps:
+            done = ka == steps
+            for i in done.nonzero()[0].tolist():
+                s = int(a[i])
+                runs[s] = _finish(states[s], signals[s], saturation[s], D[s], costs)
+            if done.all():
+                return runs
+            keep = ~done
+            a, ka, X, period, end, due, mark, mark_k, mark_at = (
+                x[keep] for x in (a, ka, X, period, end, due, mark, mark_k, mark_at)
+            )
+            at = np.arange(a.size)[:, None] * net.n + D[a]
+            top = int(ka.max())
+        check = ka == due
+        same = check & _same_bits(X, mark)
+        due[check] += period[check]
+        due[due >= end] = steps
+        for i in same.nonzero()[0].tolist():
+            # x(j) = x(j - q) for j <= end: copy by period q
+            s, ks, e = int(a[i]), int(ka[i]), int(end[i])
+            q = ks - int(mark_k[i])
+            back = np.arange(e - ks) % q - q
+            states[s, ks + 1:e + 1] = states[s, ks + 1 + back]
+            signals[s, ks:e] = signals[s, ks + back]
+            saturation[s, ks:e] = saturation[s, ks + back]
+            ka[i], X[i], due[i], top = e, states[s, e], steps, max(top, e)
+        # a set reaches mark_at at a check, or where its checkpoint is no
+        # longer read: past its window or its copy
+        move = (ka == mark_at).nonzero()[0]
+        if move.size:
+            km = ka[move]
+            mark_at[move] = km + 2 * (km - mark_k[move])
+            mark[move], mark_k[move] = X[move], km
 
 
-def _finish(states, signals, saturation, costs) -> ControlRun | RiskNetError:
-    """One set's :class:`ControlRun` from its filled arrays."""
+def _finish(states, driven, saturation, drivers, costs) -> ControlRun | RiskNetError:
+    """One set's :class:`ControlRun` from its filled arrays; the costs are
+    taken on its full-width signals."""
     if not np.isfinite(states).all():
         return ValidationError("rollout produced a non-finite state; check the gains")
+    drivers = tuple(drivers.tolist())
     try:
-        state_cost, control_cost, total = evaluate_cost(states, signals, costs)
+        state_cost, control_cost, total = evaluate_cost(
+            states, _full_width(driven, drivers, states.shape[1]), costs
+        )
     except DimensionMismatch as exc:
         return exc
     return ControlRun(
         states=states,
-        signals=signals,
+        driven=driven,
+        drivers=drivers,
         state_cost=state_cost,
         control_cost=control_cost,
         total_cost=total,
@@ -534,10 +602,8 @@ def _proactive_block(prep: _Prepared, drivers: list, steps: int) -> list:
     p_int, p_ext = net.p_int[D], net.p_ext[D]
 
     def cancel_inflow(rows, ks, X, inflow):
-        d = D[rows]
-        return -(p_int[rows] + p_ext[rows] * np.take_along_axis(inflow, d, 1)) * (
-            1.0 - np.take_along_axis(X, d, 1)
-        )
+        at = np.arange(rows.size)[:, None], D[rows]
+        return -(p_int[rows] + p_ext[rows] * inflow[at]) * (1.0 - X[at])
 
     return _rollout_block(
         prep, D, np.zeros((len(drivers), net.n)), steps, cancel_inflow,

@@ -30,8 +30,10 @@ PHASE_BOTH = "both"
 
 #: Threshold above which a continuous initial entry counts as active.
 ACTIVE_THRESHOLD = 0.5
-#: Bytes of states and signals a block of lockstep evaluations may hold.
-_BLOCK_BYTES = 5 << 19
+#: Bytes of states and driven signals a block of lockstep evaluations may
+#: hold: the smallest power of two that holds 21 sets of 500 steps on 40
+#: nodes with 7 drivers (BENCH_block_bytes.json).
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -238,15 +240,17 @@ class ExperimentResult:
 
 
 def _blocks(drivers: list, steps: int, n: int):
-    """Runs of consecutive driver sets of one size, each at most as long as
-    ``_BLOCK_BYTES`` of ``steps``-step states and signals allow (at least
-    one set)."""
-    size = max(1, _BLOCK_BYTES // (2 * (steps + 1) * n * 8))
+    """Runs of consecutive driver sets of one size m, each at most as long
+    as ``_BLOCK_BYTES`` allow for what a block stores per set: its
+    ``steps + 1`` states of n nodes and its ``steps`` signals of m driven
+    nodes (at least one set)."""
     block: list = []
     for driver in drivers:
         if block and (len(block) == size or driver.size != block[0].size):
             yield block
             block = []
+        if not block:
+            size = max(1, _BLOCK_BYTES // (8 * ((steps + 1) * n + steps * driver.size)))
         block.append(driver)
     if block:
         yield block
@@ -318,8 +322,9 @@ def run_experiment(
 
     Each phase evaluates the entries in lockstep blocks: runs of
     consecutive driver sets of one size, as many as a fixed budget of
-    ``_BLOCK_BYTES`` (2.5 MiB) for their states and signals allows, at least
-    one.  Every set gets byte for byte the results of evaluating it alone
+    ``_BLOCK_BYTES`` (4 MiB) for their states and driven signals allows, at
+    least one (22 sets of 500 steps or 219 of 50 on 40 nodes with 7
+    drivers).  Every set gets byte for byte the results of evaluating it alone
     (see :mod:`risknet.control`), and only its :class:`PhaseOutcome` is kept.
     Failures of individual control runs are recorded on the evaluation
     rather than aborting the sweep, with the same error text as a one-set

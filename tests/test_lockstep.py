@@ -7,6 +7,9 @@ one-set functions do, and those of the step-by-step oracles in ``helpers``
 (``reference_schedule``, ``reference_rollout``).
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from risknet.control import (
     _proactive_block,
     _reactive_block,
     _riccati_block,
+    _same_bits,
     riccati_schedule,
     rollout_feedback,
     run_proactive,
@@ -125,7 +129,8 @@ def assert_matches_oracles(net, driver, costs, x0, steps, pinned, run, sys):
 class TestCriterion7:
     def test_every_set_both_phases_equals_per_set(self):
         # the 767 sampled sets and the baseline of acceptance criterion 7,
-        # reactive with the pin and proactive: 96 blocks of 8 and 10 of 80
+        # reactive with the pin and proactive: 34 blocks of 22 and one of 20,
+        # then 3 of 219 and one of 111
         net = criterion_7_net()
         plan = ExperimentPlan(
             driver_size=7, num_sets=767, seed=2017, pinned={0: 1}, phase="both",
@@ -150,13 +155,14 @@ class TestCriterion7:
 
 
 class TestBlockBoundaries:
-    """Block sizes come from one byte budget: 8 sets of 500 steps or 80 of
-    50 on 40 nodes.  Runs one short of, at and one past the budget, closed by
-    a baseline of another size, equal their per-set outcomes."""
+    """Block sizes come from one byte budget: 22 sets of 500 steps or 219 of
+    50 on 40 nodes with 7 drivers.  Runs one short of, at and one past the
+    budget, closed by a baseline of another size, equal their per-set
+    outcomes."""
 
     @pytest.mark.parametrize("phase, steps, budget", [
-        ("reactive", 500, 8),
-        ("proactive", 50, 80),
+        ("reactive", 500, 22),
+        ("proactive", 50, 219),
     ])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_budget_edges(self, phase, steps, budget, extra):
@@ -182,6 +188,44 @@ class TestBlockBoundaries:
         drivers = [DriverSet((0,), 40)] * 3
         assert [len(b) for b in _blocks(drivers, 10**6, 40)] == [1, 1, 1]
 
+
+class TestBlockMemory:
+    """A benchmark-sized criterion-7 child (20 sampled sets and the
+    baseline, 500 reactive steps) is one block, and the block stores only
+    the driven signal columns."""
+
+    #: tracemalloc peak of the sweep in bytes, as measured with numpy 2.4;
+    #: the bound adds a 10% margin.  The block's states take 3.4 MB, its
+    #: driven signals 0.6 MB and the gain stacks its schedules keep 3.7 MB;
+    #: full-width signals would add 2.8 MB (about 11.3 MB in all).
+    PEAK_MEASURED = 8_666_152
+    PEAK_BOUND = PEAK_MEASURED * 11 // 10
+
+    def test_one_block_of_driven_columns(self, monkeypatch):
+        net = criterion_7_net()
+        plan = ExperimentPlan(
+            driver_size=7, num_sets=20, seed=1, pinned={0: 1}, steps_reactive=500,
+            baseline_sets={"policy_mix": POLICY_MIX},
+        )
+        blocks, shapes = [], set()
+
+        def recorded(prep, drivers, init, steps):
+            runs = _reactive_block(prep, drivers, init, steps)
+            blocks.append(len(drivers))
+            shapes.update((run.states.shape, run.driven.shape) for run in runs)
+            return runs
+
+        monkeypatch.setattr(experiments, "_reactive_block", recorded)
+        tracemalloc.start()
+        try:
+            result = run_experiment(plan, net, None, identity_costs(net.n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks == [21]
+        assert shapes == {((501, 40), (500, 7))}
+        assert all(not ev.outcomes["reactive"].error for ev in result.evaluations)
+        assert peak < self.PEAK_BOUND, peak
 
 def special_net():
     """Six live nodes and two dead ones (6, 7): no probabilities and no
@@ -411,3 +455,53 @@ def test_random_blocks_equal_per_set(seed, n, sets, horizon, pin):
     block = _proactive_block(_prepare(net, costs, None, None), drivers, horizon)
     alone = [run_proactive(net, d, costs, horizon) for d in drivers]
     assert [run_bytes(r) for r in block] == [run_bytes(r) for r in alone]
+
+
+#: Bit patterns where bit equality and ``==`` disagree or that are easy to
+#: lose: +0.0 and -0.0, quiet and signalling NaNs with distinct payloads and
+#: signs, the extreme subnormals and the infinities.
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000,
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+    0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x8000000000000001,
+    0x7FF0000000000000, 0xFFF0000000000000,
+]
+bit_patterns = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+
+
+class TestSameBits:
+    """The lockstep kernels' repeat check is bit equality of each set's
+    matrix, as ``tobytes()`` compares it, never ``==``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(0, 6), st.integers(1, 4), st.integers(1, 4)),
+    )
+    def test_agrees_with_tobytes_row_for_row(self, data, shape):
+        size = math.prod(shape)
+        a = np.array(data.draw(st.lists(bit_patterns, min_size=size, max_size=size)),
+                     dtype=np.uint64)
+        b = a.copy()
+        # a few entries of b change: a sign flip (0.0 -> -0.0), a flip of the
+        # lowest bit (another NaN payload, a subnormal) or a new pattern
+        how = st.sampled_from(["sign", "low", "new"])
+        for i, change in data.draw(st.lists(st.tuples(st.integers(0, size - 1), how),
+                                            max_size=3)) if size else ():
+            if change == "sign":
+                b[i] ^= np.uint64(1 << 63)
+            elif change == "low":
+                b[i] ^= np.uint64(1)
+            else:
+                b[i] = data.draw(bit_patterns)
+        a, b = a.view(np.float64).reshape(shape), b.view(np.float64).reshape(shape)
+        want = [x.tobytes() == y.tobytes() for x, y in zip(a, b)]
+        assert _same_bits(a, b).tolist() == want
+        flat = (shape[0], shape[1] * shape[2])
+        assert _same_bits(a.reshape(flat), b.reshape(flat)).tolist() == want
+
+    def test_differs_from_value_equality(self):
+        # == calls 0.0 and -0.0 equal, and a NaN unequal to itself
+        assert not _same_bits(np.array([[0.0, 1.0]]), np.array([[-0.0, 1.0]]))[0]
+        nan = np.array([[np.nan, 1.0]])
+        assert _same_bits(nan, nan.copy())[0]
