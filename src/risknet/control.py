@@ -35,16 +35,18 @@ very steady state the controller is meant to avoid.
 The gain recursion and the rollout both run on a block of driver sets of
 one size in lockstep: every array carries a leading set axis, and each set
 keeps its own cycle checks, cut-offs and failures.  A stacked ``@``,
-``np.linalg.solve`` or ``np.linalg.cholesky`` makes the same BLAS/LAPACK
+``np.linalg.cholesky`` or ``np.linalg.inv`` makes the same BLAS/LAPACK
 call for each matrix as the call on that matrix alone, so every set gets the
 same bits in any block, provided each operand has the layout of the one-set
 call.  Matrix-vector products stay products with an ``(n, 1)`` column (never
-``X @ E``: one matrix product, whose bits differ from the rows' products),
-and the value matrix's driver columns keep the layout of ``P[:, d]``.  The
-kernels read a preparation of the network (``_prepare``: the pins and, for
-the reactive phase, the Jacobian at the natural steady state) and a matrix
-``D`` of driver indices, one row per set.  A sweep prepares its network
-once; the public functions prepare once per call and run blocks of one set.
+``X @ E``: one matrix product, whose bits differ from the rows' products).
+The gain equation is solved through its Cholesky factor, which also guards
+its definiteness; the value matrix is symmetric bit for bit, so its driver
+rows serve for its driver columns.  The kernels read a preparation of the
+network (``_prepare``: the pins and, for the reactive phase, the Jacobian
+at the natural steady state) and a matrix ``D`` of driver indices, one row
+per set.  A sweep prepares its network once; the public functions prepare
+once per call and run blocks of one set.
 A block stores each set's states and only its driven signal columns; a
 run's full-width ``signals`` are derived from them on access.
 """
@@ -120,15 +122,24 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(same.reshape(len(a), math.prod(a.shape[1:])), axis=1)
 
 
-def _solve_gain(inner: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
-    """Solve step k's ``inner @ K = rhs`` for K, with a finiteness and a
-    definiteness guard (numpy's Cholesky returns NaN for a non-finite
+def _factor_solve(inner: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, W)`` for ``inner @ K = rhs``, on one equation or a stack, through
+    the Cholesky factor ``inner = L L'``: with ``Li = inv(L)``,
+    ``W = Li @ rhs`` and ``K = Li' @ W``.  Raises LinAlgError where
+    ``inner`` is not positive definite."""
+    Li = np.linalg.inv(np.linalg.cholesky(inner))
+    W = Li @ rhs
+    return Li.swapaxes(-1, -2) @ W, W
+
+
+def _solve_gain(inner: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_factor_solve` on step k's gain equation, with a finiteness
+    and a definiteness guard (numpy's Cholesky returns NaN for a non-finite
     matrix instead of raising)."""
     if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
         raise SingularInnerMatrix(f"gain equation is not finite at step {k}")
     try:
-        np.linalg.cholesky(inner)
-        return np.linalg.solve(inner, rhs)
+        return _factor_solve(inner, rhs)
     except np.linalg.LinAlgError:
         raise SingularInnerMatrix(
             "signal-cost block plus value quadratic is numerically singular; "
@@ -155,14 +166,21 @@ def riccati_schedule(
     """Backward value recursion for the finite-horizon regulator toward the
     all-inactive state.
 
-    With S the driver column selection, Rd the driver block of R and
-    P(tau) = Q_f, for k = tau-1 .. 0:
+    With S the driver column selection, Rd the driver block of R,
+    sym(M) = (M + M')/2 and P(tau) = sym(Q_f), for k = tau-1 .. 0:
 
-        K(k) = (Rd + S'P(k+1)S)^-1 S'P(k+1)A
-        P(k) = Q + A'P(k+1)A - A'P(k+1)S K(k)
+        L L' = Rd + S'P(k+1)S            (Cholesky; Li = L^-1)
+        W = Li S'P(k+1)A
+        K(k) = Li'W = (Rd + S'P(k+1)S)^-1 S'P(k+1)A
+        P(k) = sym(Q + A'P(k+1)A - W'W)
 
-    Only the running value matrix is kept; the schedule holds every gain
-    and P(0).  The optimal driven signal is ``u(k) = -K(k) x(k)``.
+    which is the textbook update ``Q + A'PA - A'PS K(k)`` with one product
+    ``P(k+1)A`` and one factorization per step.  The terminal cost
+    ``x'Q_f x`` depends only on sym(Q_f), so the regulator is that of Q_f;
+    every P is symmetric bit for bit, and its driver rows are its driver
+    columns.  Only the running value matrix is kept; the schedule holds
+    every gain and P(0).  The optimal driven signal is
+    ``u(k) = -K(k) x(k)``.
 
     Over a long horizon, rounding settles P into a cycle of bitwise-equal
     matrices.  Both K(k) and P(k) are functions of P(k+1) alone, so once
@@ -200,23 +218,21 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     Every set starts at the horizon and the sets step together.  Each keeps
     its own Brent check on the bits of P, leaves the block at its own
     ``k mod p == 0`` and fills its earlier gains from its cycle; the checks
-    of a step are one :func:`_same_bits` call on the stack.  When a gain
-    equation of the stack is not finite, or the stacked Cholesky guard or
-    solve raises, the sets are solved one by one by :func:`_solve_gain` and
-    the failing ones leave the block.  Returns per set its
+    of a step are one :func:`_same_bits` call on the stack.  A step forms
+    ``PA = P @ A`` once; the gain equation's right side is its driver rows.
+    When a gain equation of the stack is not finite, or the stacked
+    Cholesky guard raises, the sets are solved one by one by
+    :func:`_solve_gain`, which runs the stacked step's
+    :func:`_factor_solve`, and the failing ones leave the block.  Returns per set its
     :class:`GainSchedule` or the :class:`SingularInnerMatrix` that stopped
     it.
-
-    Each set's ``P[:, d]`` is gathered as columns, in the layout of the
-    one-set ``P[:, d]`` (strides ``(8, 8n)``), and not as the transpose of
-    its rows ``P[d, :]``: P is symmetric only to rounding.
     """
     S = D.shape[0]
     Q, AT = costs.Q, A.T
     out = [None] * S
     K = [[None] * horizon for _ in range(S)]
     live = np.arange(S)
-    P = np.broadcast_to(costs.Q_f, (S,) + costs.Q_f.shape)
+    P = np.broadcast_to(0.5 * (costs.Q_f + costs.Q_f.T), (S,) + costs.Q_f.shape)
     # Brent's checkpoints P(mark_k), one per live set: the sets step
     # together, so they share the step mark_at at which the checkpoints
     # move to P(k), twice as far away each time.  Per live set: its period,
@@ -227,37 +243,39 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     k = horizon
 
     def gathers(live):
-        """The live sets' driver blocks of R and index tuples of P, kept
-        until a set leaves."""
+        """The live sets' driver blocks of R and index tuples of P and of
+        its driver rows, kept until a set leaves."""
         Dl, r = D[live], np.arange(live.size)[:, None]
         return (
             costs.R[Dl[:, :, None], Dl[:, None, :]],
-            (r[:, :, None], Dl[:, :, None], Dl[:, None, :]), (r, Dl), (r, slice(None), Dl),
+            (r[:, :, None], Dl[:, :, None], Dl[:, None, :]), (r, Dl),
         )
 
-    Rd, block, rows, cols = gathers(live)
+    Rd, block, rows = gathers(live)
     while live.size:
         k -= 1
+        PA = P @ A
         inner = Rd + P[block]
-        rhs = P[rows] @ A
+        rhs = PA[rows]
         try:
             if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
                 raise np.linalg.LinAlgError
-            np.linalg.cholesky(inner)
-            G = np.linalg.solve(inner, rhs)
+            G, W = _factor_solve(inner, rhs)
         except np.linalg.LinAlgError:
-            G = np.empty_like(rhs)
+            G, W = np.empty_like(rhs), np.empty_like(rhs)
             ok = np.ones(live.size, dtype=bool)
             for i, s in enumerate(live.tolist()):
                 try:
-                    G[i] = _solve_gain(inner[i], rhs[i], k)
+                    G[i], W[i] = _solve_gain(inner[i], rhs[i], k)
                 except SingularInnerMatrix as exc:
                     out[s], ok[i] = exc, False
-            live, P, G, mark, period, stop = (x[ok] for x in (live, P, G, mark, period, stop))
-            Rd, block, rows, cols = gathers(live)
+            live, PA, G, W, mark, period, stop = (
+                x[ok] for x in (live, PA, G, W, mark, period, stop)
+            )
+            Rd, block, rows = gathers(live)
             last = int(stop.max(initial=0))
         G.flags.writeable = False
-        Pk = Q + AT @ (P @ A) - (AT @ P[cols].transpose(0, 2, 1)) @ G
+        Pk = Q + AT @ PA - W.transpose(0, 2, 1) @ W
         P = 0.5 * (Pk + Pk.transpose(0, 2, 1))
         for s, g in zip(live.tolist(), G):
             K[s][k] = g
@@ -278,7 +296,7 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
                 out[s] = GainSchedule(K=tuple(K[s]), P0=P[i])
             keep = stop != k
             live, P, mark, period, stop = (x[keep] for x in (live, P, mark, period, stop))
-            Rd, block, rows, cols = gathers(live)
+            Rd, block, rows = gathers(live)
             last = int(stop.max(initial=0))
     return out
 

@@ -113,6 +113,8 @@ def jacobian(net: RiskNetwork, x: StateVector) -> np.ndarray:
     * diagonal: ``p_con_i - p_int_i - p_ext_i * s_i``
     * off-diagonal: ``p_ext_i * E[j, i] * (1 - x_i)``
 
+    A is C-contiguous, so products ``P @ A`` take BLAS's fast layout.
+
     Raises
     ------
     SaturatedPoint
@@ -124,7 +126,7 @@ def jacobian(net: RiskNetwork, x: StateVector) -> np.ndarray:
         i = int(np.argmax((raw < 0.0) | (raw > 1.0)))
         raise SaturatedPoint(f"update map saturates at node {i} (raw value {raw[i]:.6g})")
     s = net.inflow(x.values)
-    A = net.E.T * (net.p_ext * (1.0 - x.values))[:, None]
+    A = np.multiply(net.E.T, (net.p_ext * (1.0 - x.values))[:, None], order="C")
     np.fill_diagonal(A, net.p_con - net.p_int - net.p_ext * s)
     return A
 

@@ -83,14 +83,36 @@ def random_linear_instance(rng, n, m=None, tau=None):
 
 def reference_schedule(sys, driver, costs, horizon):
     """The backward value recursion run over the whole horizon, one step at
-    a time with no early stop; returns (gains K(0..tau-1), P(0))."""
+    a time with no early stop, from P = sym(Q_f); returns (gains
+    K(0..tau-1), P(0))."""
+    A = sys.A
+    d = list(driver.indices)
+    Rd = costs.R[np.ix_(d, d)]
+    K = [None] * horizon
+    Pn = 0.5 * (costs.Q_f + costs.Q_f.T)
+    for k in range(horizon - 1, -1, -1):
+        PA = Pn @ A
+        K[k], W = _solve_gain(Rd + Pn[np.ix_(d, d)], PA[d, :], k)
+        Pk = costs.Q + A.T @ PA - W.T @ W
+        Pn = 0.5 * (Pk + Pk.T)
+    return K, Pn
+
+
+def lu_schedule(sys, driver, costs, horizon):
+    """The recursion as it was before it reused its Cholesky factor: from
+    P = Q_f as given, each gain solved by LU behind a Cholesky guard,
+    ``K = solve(Rd + P[d, d], P[d, :] @ A)``, and
+    ``P = sym(Q + A'(P A) - (A' P[:, d]) K)``; returns (gains, P(0)).
+    The drift oracle for the factor-based recursion."""
     A = sys.A
     d = list(driver.indices)
     Rd = costs.R[np.ix_(d, d)]
     K = [None] * horizon
     Pn = costs.Q_f
     for k in range(horizon - 1, -1, -1):
-        K[k] = _solve_gain(Rd + Pn[np.ix_(d, d)], Pn[d, :] @ A, k)
+        inner = Rd + Pn[np.ix_(d, d)]
+        np.linalg.cholesky(inner)
+        K[k] = np.linalg.solve(inner, Pn[d, :] @ A)
         Pk = costs.Q + A.T @ (Pn @ A) - (A.T @ Pn[:, d]) @ K[k]
         Pn = 0.5 * (Pk + Pk.T)
     return K, Pn

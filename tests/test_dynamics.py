@@ -166,6 +166,19 @@ class TestJacobian:
         A = jacobian(net, continuous_state(x))
         assert np.max(np.abs(A - fd_jacobian(net, x))) < 1e-6
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_c_contiguous_with_the_bits_of_the_transposed_product(self, seed):
+        # the Riccati step's ``P @ A`` is fast only with A in C order; the
+        # values are the elementwise product over E.T, bit for bit
+        rng = np.random.default_rng(seed)
+        net = contractive_network(rng, int(rng.integers(1, 41)), weighted=True)
+        x = interior_state(rng, net.n)
+        A = jacobian(net, continuous_state(x))
+        want = net.E.T * (net.p_ext * (1.0 - x))[:, None]
+        np.fill_diagonal(want, net.p_con - net.p_int - net.p_ext * net.inflow(x))
+        assert A.flags.c_contiguous
+        assert A.shape == want.shape and A.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_saturated_point_rejected(self):
         E = np.array([[0.0, 1.0], [1.0, 0.0]])
         net = build_network(["a", "b"], [0.9, 0.9], [1.0, 1.0], [0.9, 0.9], E)

@@ -389,8 +389,9 @@ class TestErrorPrecedence:
 
 class TestRiccatiBlock:
     def test_asymmetric_terminal_cost(self):
-        # Q_f symmetric only to 1e-12: the driver columns must be gathered
-        # as columns, not as the transpose of the rows
+        # Q_f symmetric only to 1e-12: the recursion starts from its
+        # symmetric part, so every P is symmetric bit for bit and its driver
+        # rows serve as its driver columns, in a block and alone
         net = criterion_7_net()
         x_s = find_steady_state(net)
         sys = linearize(net, x_s)
@@ -428,6 +429,35 @@ class TestRiccatiBlock:
         sys = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(n)))
         for d, sched in zip(D, _riccati_block(A, D, costs, horizon)):
             assert_same_schedule(sched, riccati_schedule(sys, DriverSet(d, n), costs, horizon))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        sets=st.integers(1, 8),
+        radius=st.floats(0.05, 0.95),
+        horizon=st.integers(1, 120),
+    )
+    def test_symmetric_value_matrices(self, seed, n, sets, radius, horizon):
+        # every P0 is symmetric bit for bit, and a Q_f with an antisymmetric
+        # part gives the schedules of its symmetric part, bit for bit
+        rng = np.random.default_rng(seed)
+        A, driver, costs, _, _ = random_linear_instance(rng, n)
+        rho = np.max(np.abs(np.linalg.eigvals(A)))
+        if rho > 0:
+            A = A * (radius / rho)
+        D = np.array([np.sort(rng.choice(n, size=driver.size, replace=False)) for _ in range(sets)])
+        M = rng.uniform(-1.0, 1.0, size=(n, n))
+        Q_f = M @ M.T + 1e-12 * np.triu(np.ones((n, n)), 1)
+        half = 0.5 * (Q_f + Q_f.T)
+        assert np.array_equal(half, half.T) and (n == 1 or not np.array_equal(Q_f, Q_f.T))
+        asym, sym = (
+            _riccati_block(A, D, CostMatrices(Q_f=terminal, Q=costs.Q, R=costs.R), horizon)
+            for terminal in (Q_f, half)
+        )
+        for got, want in zip(asym, sym):
+            assert got.P0.tobytes() == got.P0.T.copy().tobytes()
+            assert_same_schedule(got, want)
 
 
 @settings(max_examples=40, deadline=None)
