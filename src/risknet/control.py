@@ -16,16 +16,15 @@ Two control phases are provided:
   freely.
 
 Both phases share one rollout: the nonlinear map is stepped forward while
-the driven nodes receive the phase's signal.  The rollout fast-forwards
-exactly.  x(k+1) depends only on x(k), the signal map of step k and the
-pins.  The rollout is given a period p and a window end W such that the
-signal map of step k is the one of step k - p for every p <= k < W: the
-feedback phase reads them from gains that repeat as the same arrays, the
-proactive signal does not depend on k.  If then x(a) equals x(a + q) bit
-for bit, with q a multiple of p and a + q <= W, every later state up to
-x(W), and every signal and saturation count before step W, repeats with
-period q; the rollout copies them instead of stepping, and steps on from
-x(W) as usual.
+the driven nodes receive the phase's signal.  It fast-forwards exactly:
+x(k+1) depends only on x(k), the signal map of step k and the pins, and
+the rollout is given a window (p, W) in which the signal map of step k is
+the one of step k - p.  The proactive signal does not depend on k; the
+feedback phase reads the window from its schedule's gain index (equal
+indices are the same gain).  If then x(a) equals x(a + q) bit for bit, with
+q a multiple of p and a + q <= W, every later state up to x(W), and every
+signal and saturation count before step W, repeats with period q; the
+rollout copies them instead of stepping, and steps on from x(W) as usual.
 
 Costs are always measured on the realized nonlinear trajectory, on absolute
 states (deviation from the all-inactive target), not on deviations from the
@@ -46,9 +45,9 @@ rows serve for its driver columns.  The kernels read a preparation of the
 network (``_prepare``: the pins and, for the reactive phase, the Jacobian
 at the natural steady state) and a matrix ``D`` of driver indices, one row
 per set.  A sweep prepares its network once; the public functions prepare
-once per call and run blocks of one set.
-A block stores each set's states and only its driven signal columns; a
-run's full-width ``signals`` are derived from them on access.
+once per call and run blocks of one set.  A block stores each computed
+gain once, indexed per set and step, and each set's states and driven
+signal columns; a run's full-width ``signals`` are derived on access.
 """
 
 from __future__ import annotations
@@ -73,10 +72,20 @@ from .dynamics import LinearizedSystem, _check_driver, _raw_map, find_steady_sta
 class GainSchedule:
     """Time-varying gains K(0..tau-1) (each m x n, rows = driven nodes in
     index order) and the value matrix P0 = P(0), so the optimal linear cost
-    from x0 is ``x0 @ P0 @ x0``."""
+    from x0 is ``x0 @ P0 @ x0``.  K(j) is ``gains[index[j]]``: ``gains``
+    holds the computed gains, which a block's schedules share, and equal
+    indices are the same gain.  Both arrays are read-only."""
 
-    K: tuple
+    gains: np.ndarray
+    index: np.ndarray
     P0: np.ndarray
+
+    @property
+    def K(self) -> np.ndarray:
+        """The read-only ``(tau, m, n)`` stack of the gains, built on access."""
+        K = self.gains[self.index]
+        K.flags.writeable = False
+        return K
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,18 +188,17 @@ def riccati_schedule(
     ``x'Q_f x`` depends only on sym(Q_f), so the regulator is that of Q_f;
     every P is symmetric bit for bit, and its driver rows are its driver
     columns.  Only the running value matrix is kept; the schedule holds
-    every gain and P(0).  The optimal driven signal is
+    each computed gain once and P(0).  The optimal driven signal is
     ``u(k) = -K(k) x(k)``.
 
     Over a long horizon, rounding settles P into a cycle of bitwise-equal
     matrices.  Both K(k) and P(k) are functions of P(k+1) alone, so once
     ``P(k) == P(k + p)`` bit for bit, every earlier step repeats with period
     p: the recursion stops there, runs ``k mod p`` more steps to reach P(0),
-    and fills the earlier gains by ``K(j) = K(j + p)``.  The result is
-    exactly the full recursion's, with no tolerance.  The cycle is found by
-    Brent's method: the running P is compared with one checkpoint, which
-    moves to the running P at power-of-two distances.  Earlier gains share
-    their arrays with the cycle's, so every gain is read-only.
+    and points the earlier steps at the cycle's gains by ``K(j) = K(j + p)``.
+    The result is exactly the full recursion's, with no tolerance.  The
+    cycle is found by Brent's method: the running P is compared with one
+    checkpoint, which moves to the running P at power-of-two distances.
 
     This is :func:`_riccati_block` with one set; a sweep runs the same
     recursion on blocks of sets, with the same bits for every set.
@@ -217,20 +225,23 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
 
     Every set starts at the horizon and the sets step together.  Each keeps
     its own Brent check on the bits of P, leaves the block at its own
-    ``k mod p == 0`` and fills its earlier gains from its cycle; the checks
+    ``k mod p == 0`` and points its earlier steps at its cycle; the checks
     of a step are one :func:`_same_bits` call on the stack.  A step forms
     ``PA = P @ A`` once; the gain equation's right side is its driver rows.
     When a gain equation of the stack is not finite, or the stacked
     Cholesky guard raises, the sets are solved one by one by
     :func:`_solve_gain`, which runs the stacked step's
-    :func:`_factor_solve`, and the failing ones leave the block.  Returns per set its
-    :class:`GainSchedule` or the :class:`SingularInnerMatrix` that stopped
-    it.
+    :func:`_factor_solve`, and the failing ones leave the block.  Returns
+    per set its :class:`GainSchedule` or the :class:`SingularInnerMatrix`
+    that stopped it.
     """
-    S = D.shape[0]
+    (S, m), n = D.shape, A.shape[0]
     Q, AT = costs.Q, A.T
     out = [None] * S
-    K = [[None] * horizon for _ in range(S)]
+    # each step's gain stack, once: set s's gain of step k is row index[s, k]
+    # of their concatenation, which has ``computed`` rows
+    stacks, computed = [np.empty((0, m, n))], 0
+    index, P0 = np.empty((S, horizon), dtype=np.intp), np.empty((S, n, n))
     live = np.arange(S)
     P = np.broadcast_to(0.5 * (costs.Q_f + costs.Q_f.T), (S,) + costs.Q_f.shape)
     # Brent's checkpoints P(mark_k), one per live set: the sets step
@@ -274,11 +285,11 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
             )
             Rd, block, rows = gathers(live)
             last = int(stop.max(initial=0))
-        G.flags.writeable = False
         Pk = Q + AT @ PA - W.transpose(0, 2, 1) @ W
         P = 0.5 * (Pk + Pk.transpose(0, 2, 1))
-        for s, g in zip(live.tolist(), G):
-            K[s][k] = g
+        stacks.append(G)
+        index[live, k] = computed + np.arange(live.size)
+        computed += live.size
         same = _same_bits(P, mark).nonzero()[0]
         if same.size:
             same = same[period[same] == 0]  # a set with a period has stopped looking
@@ -288,17 +299,18 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
         if k == mark_at:
             mark, mark_k, mark_at = P, k, k - 2 * (mark_k - k)
         if k == last:
-            done = (stop == k).nonzero()[0].tolist()
-            for i in done:
-                s, p = int(live[i]), int(period[i])
-                for j in range(k - 1, -1, -1):
-                    K[s][j] = K[s][j + p]
-                out[s] = GainSchedule(K=tuple(K[s]), P0=P[i])
-            keep = stop != k
+            # K(j) = K(j + p) and p divides k: step j < k takes step k + j mod p's gain
+            done = stop == k
+            s = live[done]
+            index[s, :k] = index[s[:, None], k + np.arange(k) % period[done][:, None]]
+            P0[s] = P[done]
+            keep = ~done
             live, P, mark, period, stop = (x[keep] for x in (live, P, mark, period, stop))
             Rd, block, rows = gathers(live)
             last = int(stop.max(initial=0))
-    return out
+    gains = np.concatenate(stacks)
+    gains.flags.writeable = index.flags.writeable = False
+    return [GainSchedule(gains, index[s], P0[s]) if r is None else r for s, r in enumerate(out)]
 
 
 def evaluate_cost(
@@ -362,13 +374,7 @@ def _pin_errors(prep: _Prepared, D: np.ndarray) -> list:
 
 
 def _rollout_block(
-    prep: _Prepared,
-    D: np.ndarray,
-    X0: np.ndarray,
-    steps: int,
-    signal,
-    windows: list,
-    pins: tuple,
+    prep: _Prepared, D: np.ndarray, X0: np.ndarray, steps: int, signal, windows: list, pins: tuple
 ) -> list:
     """Step the nonlinear map ``steps`` times from each row of ``X0``, for
     the driver sets in the rows of ``D`` (all of one size), in lockstep.
@@ -488,19 +494,15 @@ def _finish(states, driven, saturation, drivers, costs) -> ControlRun | RiskNetE
     )
 
 
-def _feedback_block(prep, D, x0, gains) -> list:
+def _feedback_block(prep, D, x0, gains, index) -> list:
     """Roll out ``u(k) = -K(k) x(k)`` under the pins for the sets in the rows
-    of ``D``, set s under the gains ``gains[s]`` from the state ``x0``, each
-    with the window :func:`_gain_window` reads from its gains.  A step
-    gathers each set's gain and applies them as one ``K @ X[:, :, None]``."""
-
-    def feedback(rows, ks, X, inflow):
-        Kg = np.array([gains[r][j] for r, j in zip(rows.tolist(), ks.tolist())])
-        return (-Kg @ X[:, :, None])[:, :, 0]
-
+    of ``D`` from the state ``x0``: set s's gain of step k is
+    ``gains[index[s, k]]``, gathered for all sets at once, and its window is
+    the one :func:`_gain_window` reads from ``index[s]``."""
     return _rollout_block(
-        prep, D, np.broadcast_to(x0, (len(gains), prep.net.n)), len(gains[0]), feedback,
-        [_gain_window(K) for K in gains], prep.pins,
+        prep, D, np.broadcast_to(x0, (len(index), prep.net.n)), index.shape[1],
+        lambda rows, ks, X, inflow: (-gains[index[rows, ks]] @ X[:, :, None])[:, :, 0],
+        [_gain_window(i) for i in index], prep.pins,
     )
 
 
@@ -548,7 +550,8 @@ def _reactive_block(prep: _Prepared, drivers: list, init: StateVector, steps: in
         out[i] = schedule
     live = [i for i in live if isinstance(out[i], GainSchedule)]
     if live:
-        runs = _feedback_block(prep, D[live], init.values, [out[i].K for i in live])
+        index = np.array([out[i].index for i in live])  # into the block's one gain array
+        runs = _feedback_block(prep, D[live], init.values, out[live[0]].gains, index)
         for i, run in zip(live, runs):
             out[i] = run
     return out
@@ -564,30 +567,27 @@ def rollout_feedback(
 ) -> ControlRun:
     """Roll the nonlinear map under a precomputed gain schedule.
 
-    Where the gains repeat by identity, ``K[j] is K[j - p]`` (the same
-    array, as in :func:`riccati_schedule`'s cycle) for every ``p <= j < W``,
-    the rollout stops stepping once the closed-loop state repeats bit for
-    bit at a multiple of p, and copies the states, signals and saturation
-    counts forward to step W; the gains after it are stepped as usual.
-    This is exact: the next state depends only on the current state, the
-    gain array of the step and the pins, so equal bits with equal gains
-    give equal bits.  The result is byte for byte the one of stepping every
-    gain.
+    Where the schedule's index repeats, ``index[j] == index[j - p]`` for
+    every ``p <= j < W`` (as in :func:`riccati_schedule`'s cycle), the
+    rollout copies the states, signals and saturation counts forward to
+    step W once the closed-loop state repeats bit for bit at a multiple of
+    p.  Equal indices are the same gain, so this is exact: byte for byte
+    the result of stepping every gain.
     """
     prep = _prepare(net, costs, pinned, None)
     D = np.array([driver.indices])
     _one(_pin_errors(prep, D))  # raises for a pin on a driven node
-    return _one(_feedback_block(prep, D, init.values, [schedule.K]))
+    return _one(_feedback_block(prep, D, init.values, schedule.gains, schedule.index[None]))
 
 
-def _gain_window(K: tuple) -> tuple[int, int]:
-    """``(p, W)``: the first p > 0 with ``K[p] is K[0]`` and the first
-    ``W >= p`` with ``K[W] is not K[W - p]`` (or ``len(K)``); ``(0, 0)``
-    when no gain is the array of gain 0."""
-    p = next((j for j in range(1, len(K)) if K[j] is K[0]), 0)
-    if not p:
+def _gain_window(index: np.ndarray) -> tuple[int, int]:
+    """``(p, W)``: the first p > 0 with ``index[p] == index[0]`` and the
+    first ``W >= p`` with ``index[W] != index[W - p]`` (or ``len(index)``);
+    ``(0, 0)`` when there is no such p.  An appended True ends each scan."""
+    p = 1 + int(np.flatnonzero(np.r_[index[1:] == index[0], True])[0])
+    if p == len(index):
         return 0, 0
-    return p, next((j for j in range(p, len(K)) if K[j] is not K[j - p]), len(K))
+    return p, p + int(np.flatnonzero(np.r_[index[p:] != index[:-p], True])[0])
 
 
 def run_proactive(

@@ -16,9 +16,9 @@ SRC = Path(risknet.__file__).resolve().parent
 UNREFERENCED = {
     "main": "console entry point (pyproject.toml)",
     "cli_main": "entry point the console script and the benchmark call",
-    "step_continuous": "benchmark span dynamics.step_continuous",
-    "riccati_schedule": "benchmark span control.riccati_schedule",
-    "rollout_feedback": "benchmark span control.rollout_feedback",
+    "step_continuous": "oracle of helpers.reference_rollout and acceptance criterion 3",
+    "riccati_schedule": "acceptance criterion 2; the one-set schedule the block tests compare with",
+    "rollout_feedback": "one-set rollout of a given schedule, used by the fast-forward tests",
     "monte_carlo_mean": "acceptance criterion 4 (mean-field agreement)",
 }
 

@@ -179,17 +179,23 @@ class TestEarlyStop:
         for driver in sets:
             sched = riccati_schedule(sys, driver, costs, 500)
             assert_same_schedule(sched, reference_schedule(sys, driver, costs, 500))
-            # the cycle was found: earlier gains repeat the cycle's arrays
-            assert len({id(K) for K in sched.K}) < 500
+            # the cycle was found: fewer gains were computed than steps, and
+            # earlier steps index the cycle's gains
+            assert len(sched.gains) < 500
+            assert np.unique(sched.index).size == len(sched.gains)
 
     def test_every_horizon_up_to_90(self):
-        # period 6, found 70 steps back: horizons 71..90 end at every residue
-        net, x_s, sys, sets = criterion_7_sets(2)
+        # net seed 1's policy_mix: period 6, found 69 steps back, so horizons
+        # 70..90 end at every residue
+        net, x_s, sys, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
         for h in range(1, 91):
             sched = riccati_schedule(sys, sets[0], costs, h)
             assert_same_schedule(sched, reference_schedule(sys, sets[0], costs, h))
-        assert len({id(K) for K in sched.K}) < 90
+        assert len(sched.gains) < 90
+        assert np.unique(sched.index).size == len(sched.gains)
+        assert _gain_window(sched.index) == (6, 24)
+        assert _gain_window(riccati_schedule(sys, sets[0], costs, 500).index) == (6, 432)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -236,7 +242,8 @@ class TestFactorDrift:
             for new, old in zip(sched.K, K):
                 assert np.linalg.norm(new - old) <= self.BOUND * np.linalg.norm(old)
             assert np.linalg.norm(sched.P0 - P0) <= self.BOUND * np.linalg.norm(P0)
-            old = rollout_feedback(net, driver, costs, x_s, GainSchedule(K=tuple(K), P0=P0), {0: 1})
+            schedule = GainSchedule(gains=np.array(K), index=np.arange(len(K)), P0=P0)
+            old = rollout_feedback(net, driver, costs, x_s, schedule, {0: 1})
             new = run_reactive(net, driver, costs, x_s, 500, {0: 1})
             for cost in ("state_cost", "control_cost", "total_cost"):
                 want = getattr(old, cost)
@@ -399,7 +406,9 @@ class TestReactive:
 
     def test_non_finite_gain_rejected(self):
         net = scalar_net()
-        schedule = GainSchedule(K=(np.full((1, 1), np.nan),), P0=np.zeros((1, 1)))
+        schedule = GainSchedule(
+            gains=np.full((1, 1, 1), np.nan), index=np.zeros(1, dtype=int), P0=np.zeros((1, 1))
+        )
         with pytest.raises(ValidationError):
             rollout_feedback(
                 net, DriverSet((0,), 1), identity_costs(1), continuous_state([0.5]),
@@ -528,8 +537,8 @@ def feedback_reference(net, driver, x0, K, pinned):
 
 
 class TestFastForward:
-    """Once the closed-loop state repeats bit for bit inside the gains'
-    window of identity repeats, the rollout copies states, signals and
+    """Once the closed-loop state repeats bit for bit inside the window of
+    repeating gain indices, the rollout copies states, signals and
     saturation counts instead of stepping; the run must still be
     ``helpers.reference_rollout`` byte for byte."""
 
@@ -540,9 +549,10 @@ class TestFastForward:
         for driver in sets:
             pinned = None if 0 in driver.indices else {0: 1}
             full = riccati_schedule(sys, driver, costs, 500)
-            _, end = _gain_window(full.K)
+            _, end = _gain_window(full.index)
             signal = counted(lambda k, x: -full.K[k] @ x)
-            rollout_one(net, driver, costs, x_s.values, 500, signal, pinned, *_gain_window(full.K))
+            rollout_one(net, driver, costs, x_s.values, 500, signal, pinned,
+                        *_gain_window(full.index))
             assert signal.calls < 300
             # the step where the state repeated: every later step up to the
             # gain window's end was copied
@@ -559,11 +569,11 @@ class TestFastForward:
             # the 500-step gains cut short: horizons ending before, at and
             # after the repeat and the window's end
             for h in (found - 1, found, found + 1, end - 1, end, end + 1, 500):
-                sched = GainSchedule(K=full.K[:h], P0=full.P0)
+                sched = GainSchedule(gains=full.gains, index=full.index[:h], P0=full.P0)
                 reference = feedback_reference(net, driver, x_s.values, sched.K, pinned)
                 signal = counted(lambda k, x: -sched.K[k] @ x)
                 run = rollout_one(net, driver, costs, x_s.values, h, signal, pinned,
-                                  *_gain_window(sched.K))
+                                  *_gain_window(sched.index))
                 assert signal.calls == (found if found < h else h) + max(0, h - end)
                 assert_same_run(run, reference, costs)
                 assert_same_run(
@@ -578,7 +588,7 @@ class TestFastForward:
         sched = riccati_schedule(linearize(net, find_steady_state(net)), driver, costs, 500)
         signal = counted(lambda k, x: -sched.K[k] @ x)
         run = rollout_one(net, driver, costs, np.ones(5), 500, signal, {0: 1},
-                          *_gain_window(sched.K))
+                          *_gain_window(sched.index))
         assert signal.calls < 100
         reference = feedback_reference(net, driver, np.ones(5), sched.K, {0: 1})
         assert reference[2] == 500
@@ -599,20 +609,23 @@ class TestFastForward:
         assert signal.calls < 300
 
     def test_equal_but_distinct_gains_step_every_gain(self):
-        # identity, not equality, marks a repeat: copied gains are all stepped
+        # equal indices, not equal gains, mark a repeat: copied gains, each
+        # at its own index, are all stepped
         net, x_s, sys, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
         driver = sets[0]
         full = riccati_schedule(sys, driver, costs, 500)
-        K = tuple(k.copy() for k in full.K)
-        assert _gain_window(K) == (0, 0)
+        K, index = full.K, np.arange(500)
+        assert _gain_window(index) == (0, 0)
         signal = counted(lambda k, x: -K[k] @ x)
-        run = rollout_one(net, driver, costs, x_s.values, 500, signal, {0: 1}, *_gain_window(K))
+        run = rollout_one(net, driver, costs, x_s.values, 500, signal, {0: 1},
+                          *_gain_window(index))
         assert signal.calls == 500
         reference = feedback_reference(net, driver, x_s.values, full.K, {0: 1})
         assert_same_run(run, reference, costs)
         assert_same_run(
-            rollout_feedback(net, driver, costs, x_s, GainSchedule(K=K, P0=full.P0), {0: 1}),
+            rollout_feedback(net, driver, costs, x_s,
+                             GainSchedule(gains=K, index=index, P0=full.P0), {0: 1}),
             reference,
             costs,
         )
@@ -650,16 +663,28 @@ class TestGainWindow:
     def test_riccati_cycle_is_a_window(self):
         net, _, sys, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
-        period, end = _gain_window(riccati_schedule(sys, sets[0], costs, 500).K)
+        period, end = _gain_window(riccati_schedule(sys, sets[0], costs, 500).index)
         assert 1 <= period <= end < 500
-        assert _gain_window(riccati_schedule(sys, sets[0], costs, 40).K) == (0, 0)
+        assert _gain_window(riccati_schedule(sys, sets[0], costs, 40).index) == (0, 0)
 
-    def test_window_read_from_identity(self):
-        a, b, c = np.zeros((1, 2)), np.ones((1, 2)), np.ones((1, 2))
-        assert _gain_window((a, b, a, b, c)) == (2, 4)
-        assert _gain_window((a, a, a, a)) == (1, 4)
-        assert _gain_window((a, b, c, b)) == (0, 0)  # a repeat must start at gain 0
-        assert _gain_window((a,)) == (0, 0)
+    def test_window_read_from_indices(self):
+        # b and c are equal gains at distinct indices
+        a, b, c = 0, 1, 2
+        assert _gain_window(np.array([a, b, a, b, c])) == (2, 4)
+        assert _gain_window(np.array([a, a, a, a])) == (1, 4)
+        assert _gain_window(np.array([a, b, c, b])) == (0, 0)  # a repeat must start at gain 0
+        assert _gain_window(np.array([a])) == (0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    def test_window_matches_its_definition(self, values):
+        index = np.array(values)
+        tau = len(values)
+        # the first p > 0 with an equal index, and the first W >= p where the
+        # indices stop repeating with period p
+        p = next((j for j in range(1, tau) if values[j] == values[0]), 0)
+        W = next((j for j in range(p, tau) if values[j] != values[j - p]), tau)
+        assert _gain_window(index) == ((p, W) if p else (0, 0))
 
 
 class TestMonotonicity:

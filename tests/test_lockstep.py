@@ -111,7 +111,7 @@ def assert_same_schedule(got, want):
     for a, b in zip(got.K, want.K):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got.P0.shape == want.P0.shape and got.P0.tobytes() == want.P0.tobytes()
-    assert _gain_window(got.K) == _gain_window(want.K)
+    assert _gain_window(got.index) == _gain_window(want.index)
 
 
 def assert_matches_oracles(net, driver, costs, x0, steps, pinned, run, sys):
@@ -192,13 +192,14 @@ class TestBlockBoundaries:
 class TestBlockMemory:
     """A benchmark-sized criterion-7 child (20 sampled sets and the
     baseline, 500 reactive steps) is one block, and the block stores only
-    the driven signal columns."""
+    the driven signal columns and each computed gain once."""
 
     #: tracemalloc peak of the sweep in bytes, as measured with numpy 2.4;
     #: the bound adds a 10% margin.  The block's states take 3.4 MB, its
-    #: driven signals 0.6 MB and the gain stacks its schedules keep 3.7 MB;
-    #: full-width signals would add 2.8 MB (about 11.3 MB in all).
-    PEAK_MEASURED = 8_666_152
+    #: driven signals 0.6 MB, and the one gain array its schedules share
+    #: 3.2 MB (1,424 computed gains, 66-74 per set) with a 0.1 MB index;
+    #: full-width signals would add 2.8 MB.
+    PEAK_MEASURED = 8_276_652
     PEAK_BOUND = PEAK_MEASURED * 11 // 10
 
     def test_one_block_of_driven_columns(self, monkeypatch):
@@ -324,9 +325,13 @@ class TestFailuresStayPerSet:
         prep = _prepare(net, costs, {0: 1}, x_s)
         D = np.array([(1, 2), (3, 4), (2, 5)])
         schedules = [riccati_schedule(prep.linear, DriverSet(d, 8), costs, 60) for d in D]
-        gains = [s.K for s in schedules]
-        gains[1] = (np.full((2, 8), np.nan),) + gains[1][1:]
-        runs = _feedback_block(prep, D, x_s.values, gains)
+        # the three schedules' gains in one array, and a NaN gain as set 1's
+        # gain of step 0
+        gains = np.concatenate([s.gains for s in schedules] + [np.full((1, 2, 8), np.nan)])
+        offsets = np.cumsum([0] + [len(s.gains) for s in schedules[:-1]])
+        index = np.array([s.index + o for s, o in zip(schedules, offsets)])
+        index[1, 0] = len(gains) - 1
+        runs = _feedback_block(prep, D, x_s.values, gains, index)
         assert run_bytes(runs[1]) == NON_FINITE
         for i in (0, 2):
             alone = rollout_feedback(net, DriverSet(D[i], 8), costs, x_s, schedules[i], {0: 1})
