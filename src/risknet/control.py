@@ -25,6 +25,8 @@ indices are the same gain).  If then x(a) equals x(a + q) bit for bit, with
 q a multiple of p and a + q <= W, every later state up to x(W), and every
 signal and saturation count before step W, repeats with period q; the
 rollout copies them instead of stepping, and steps on from x(W) as usual.
+It copies from the first state at a multiple of p that repeats an earlier
+one: a hash per checked state finds it, its stored bits confirm it.
 
 Costs are always measured on the realized nonlinear trajectory, on absolute
 states (deviation from the all-inactive target), not on deviations from the
@@ -228,6 +230,8 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     ``k mod p == 0`` and points its earlier steps at its cycle; the checks
     of a step are one :func:`_same_bits` call on the stack.  A step forms
     ``PA = P @ A`` once; the gain equation's right side is its driver rows.
+    Its ``(S, n, n)`` arrays go into buffers of the block, each made by the
+    operation and operands of a fresh array, so with the same bits.
     When a gain equation of the stack is not finite, or the stacked
     Cholesky guard raises, the sets are solved one by one by
     :func:`_solve_gain`, which runs the stacked step's
@@ -236,7 +240,7 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     that stopped it.
     """
     (S, m), n = D.shape, A.shape[0]
-    Q, AT = costs.Q, A.T
+    AT = A.T
     out = [None] * S
     # each step's gain stack, once: set s's gain of step k is row index[s, k]
     # of their concatenation, which has ``computed`` rows
@@ -254,19 +258,24 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     k = horizon
 
     def gathers(live):
-        """The live sets' driver blocks of R and index tuples of P and of
-        its driver rows, kept until a set leaves."""
+        """The live sets' driver blocks of R, the flat indices of P's driver
+        blocks and the index tuple of its driver rows, kept until a set
+        leaves."""
         Dl, r = D[live], np.arange(live.size)[:, None]
         return (
             costs.R[Dl[:, :, None], Dl[:, None, :]],
-            (r[:, :, None], Dl[:, :, None], Dl[:, None, :]), (r, Dl),
+            (r[:, :, None] * n + Dl[:, :, None]) * n + Dl[:, None, :], (r, Dl),
         )
 
     Rd, block, rows = gathers(live)
+    # the live sets use the leading rows; P(k) alternates between two, and
+    # Q is added as a stack, which is faster than broadcasting it
+    PAb, Tb, *Pb = np.empty((4, S, n, n))
+    Qb = np.tile(costs.Q, (S, 1, 1))
     while live.size:
         k -= 1
-        PA = P @ A
-        inner = Rd + P[block]
+        PA = np.matmul(P, A, out=PAb[:live.size])
+        inner = Rd + P.take(block)
         rhs = PA[rows]
         try:
             if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
@@ -285,8 +294,12 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
             )
             Rd, block, rows = gathers(live)
             last = int(stop.max(initial=0))
-        Pk = Q + AT @ PA - W.transpose(0, 2, 1) @ W
-        P = 0.5 * (Pk + Pk.transpose(0, 2, 1))
+        # P(k) = sym(Q + A'PA - W'W), each operation as on fresh arrays
+        T = np.matmul(AT, PA, out=Tb[:live.size])
+        T += Qb[:live.size]
+        T -= np.matmul(W.transpose(0, 2, 1), W, out=PAb[:live.size])  # PA is spent
+        P = np.add(T, T.transpose(0, 2, 1), out=Pb[k % 2][:live.size])
+        P *= 0.5
         stacks.append(G)
         index[live, k] = computed + np.arange(live.size)
         computed += live.size
@@ -297,7 +310,7 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
             stop[same] = k - k % period[same]
             last = int(stop.max())
         if k == mark_at:
-            mark, mark_k, mark_at = P, k, k - 2 * (mark_k - k)
+            mark, mark_k, mark_at = P.copy(), k, k - 2 * (mark_k - k)
         if k == last:
             # K(j) = K(j + p) and p divides k: step j < k takes step k + j mod p's gain
             done = stop == k
@@ -390,11 +403,11 @@ def _rollout_block(
     Set s's ``windows[s] = (period, cycle_end)`` declares that its signal
     map of step k is the one of step ``k - period`` for every ``period <= k
     < cycle_end`` (``period`` 0: no repeat).  At multiples of ``period``
-    the set's state is compared with one checkpoint, which moves to the
-    current state at power-of-two distances (Brent's method).  Once x(k)
-    equals the checkpoint x(k - q) bit for bit, everything up to
-    ``cycle_end`` is copied from q steps earlier.  Between two such checks,
-    or a set's end, the block steps without bookkeeping.
+    the set keeps a :func:`_bits_hash` of its state (``ceil(cycle_end /
+    period)`` words at most), and a hash seen before is confirmed against
+    the stored state.  At the first x(k) equal to an earlier checked x(k -
+    q) bit for bit, everything up to ``cycle_end`` is copied from q steps
+    earlier.  Between two checks, or a set's end, the block steps on.
 
     A set's costs are taken by :func:`evaluate_cost` on its own contiguous
     rows as soon as it is done.  Returns per set a :class:`ControlRun`, or
@@ -410,16 +423,16 @@ def _rollout_block(
     X[:, pin_idx] = pin_val
     states[:, 0] = X
     runs = [None] * S
-    # Per live set a: its step ka, its window, the next step ``due`` at which
-    # it checks its state (past its window: its last step), and Brent's
-    # checkpoint x(mark_k), which moves to the state checked at step
-    # mark_at, twice as far each time.  The block steps without bookkeeping
-    # up to the first due step; ``top`` is the furthest step of a live set.
+    # Per live set a: its step ka, its window, and the next step ``due`` at
+    # which it checks its state (past its window: its last step).  The
+    # block steps without bookkeeping up to the first due step; ``top`` is
+    # the furthest step of a live set.  hist[j, s] hashes set s's x(j p).
     a, ka, top = np.arange(S), np.zeros(S, dtype=np.int64), 0
     period = np.array([p for p, _ in windows], dtype=np.int64)
     end = np.minimum([w for _, w in windows], steps).astype(np.int64)
     due = np.where((period > 0) & (period < end), period, steps)
-    mark, mark_k, mark_at = X.copy(), np.zeros(S, dtype=np.int64), period.copy()
+    hist = np.zeros((int(((end - 1) // np.maximum(period, 1)).max(initial=0)) + 1, S), np.uint64)
+    hist[0] = _bits_hash(X)
     at = a[:, None] * net.n + D  # the driven entries of the rows of X, flat
     ET = net.E.T
     while True:
@@ -444,31 +457,37 @@ def _rollout_block(
             if done.all():
                 return runs
             keep = ~done
-            a, ka, X, period, end, due, mark, mark_k, mark_at = (
-                x[keep] for x in (a, ka, X, period, end, due, mark, mark_k, mark_at)
-            )
+            a, ka, X, period, end, due = (x[keep] for x in (a, ka, X, period, end, due))
             at = np.arange(a.size)[:, None] * net.n + D[a]
             top = int(ka.max())
-        check = ka == due
-        same = check & _same_bits(X, mark)
-        due[check] += period[check]
+        check = (ka == due).nonzero()[0]
+        every = check.size == S  # every set checks: slices, not gathers
+        sel = slice(None) if every else check
+        rows, j = a[check], ka[sel] // period[sel]
+        h = _bits_hash(X[sel])
+        past = hist[:j.max(initial=0), sel if every else rows]
+        seen = (past == h).any(axis=0).nonzero()[0]
+        hist[j, rows] = h
+        due[sel] += period[sel]
         due[due >= end] = steps
-        for i in same.nonzero()[0].tolist():
-            # x(j) = x(j - q) for j <= end: copy by period q
-            s, ks, e = int(a[i]), int(ka[i]), int(end[i])
-            q = ks - int(mark_k[i])
-            back = np.arange(e - ks) % q - q
-            states[s, ks + 1:e + 1] = states[s, ks + 1 + back]
-            signals[s, ks:e] = signals[s, ks + back]
-            saturation[s, ks:e] = saturation[s, ks + back]
-            ka[i], X[i], due[i], top = e, states[s, e], steps, max(top, e)
-        # a set reaches mark_at at a check, or where its checkpoint is no
-        # longer read: past its window or its copy
-        move = (ka == mark_at).nonzero()[0]
-        if move.size:
-            km = ka[move]
-            mark_at[move] = km + 2 * (km - mark_k[move])
-            mark[move], mark_k[move] = X[move], km
+        for i in seen.tolist():
+            # earlier checked states differ, so one at most has x's bits
+            c, s, ks, x = int(check[i]), int(rows[i]), int(ka[check[i]]), X[check[i]].tobytes()
+            past_k = (past[:j[i], i] == h[i]).nonzero()[0] * period[c]
+            q = next((ks - int(kj) for kj in past_k if states[s, kj].tobytes() == x), 0)
+            if q:
+                # x(k) = x(k - q) for k <= end: copy by period q
+                e = int(end[c])
+                back = np.arange(e - ks) % q - q
+                states[s, ks + 1:e + 1] = states[s, ks + 1 + back]
+                signals[s, ks:e] = signals[s, ks + back]
+                saturation[s, ks:e] = saturation[s, ks + back]
+                ka[c], X[c], due[c], top = e, states[s, e], steps, max(top, e)
+
+
+def _bits_hash(X: np.ndarray) -> np.ndarray:
+    """Per float64 row: the wrapping sum of its bits as ``uint64``."""
+    return np.einsum("ij->i", X.view(np.uint64))
 
 
 def _finish(states, driven, saturation, drivers, costs) -> ControlRun | RiskNetError:
@@ -620,8 +639,8 @@ def _proactive_block(prep: _Prepared, drivers: list, steps: int) -> list:
     p_int, p_ext = net.p_int[D], net.p_ext[D]
 
     def cancel_inflow(rows, ks, X, inflow):
-        at = np.arange(rows.size)[:, None], D[rows]
-        return -(p_int[rows] + p_ext[rows] * inflow[at]) * (1.0 - X[at])
+        at = np.arange(rows.size)[:, None] * net.n + D[rows]  # flat, as in the rollout
+        return -(p_int[rows] + p_ext[rows] * inflow.take(at)) * (1.0 - X.take(at))
 
     return _rollout_block(
         prep, D, np.zeros((len(drivers), net.n)), steps, cancel_inflow,

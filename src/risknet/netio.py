@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
+import operator
 
 import networkx as nx
 import numpy as np
@@ -121,7 +123,7 @@ def _load_json(path) -> dict:
 
 
 #: The JSON kinds the schemas use, as the Python types ``json.load`` yields.
-_KINDS = {"an object": dict, "a list": list, "a string": str, "a number": (int, float)}
+_KINDS = {"an object": (dict,), "a list": (list,), "a string": (str,), "a number": (int, float)}
 
 
 def _typed(value, kind: str, what: str):
@@ -153,11 +155,19 @@ def _require(doc: dict, key: str, where: str, kind: str | None = None):
     return _typed(doc[key], kind, f"{where}: {key}")
 
 
-def _record(value, kinds: dict, what: str) -> list:
-    """The fields of a JSON object that has exactly the keys of ``kinds``,
-    each of its kind, in ``kinds`` order."""
-    _object(value, kinds, what)
-    return [_require(value, key, what, kind) for key, kind in kinds.items()]
+def _records(values: list, kinds: dict, what: str) -> list:
+    """The fields, in ``kinds`` order, of each item of ``values``: a JSON
+    object with exactly the keys of ``kinds``, each of its kind.  Only an
+    item that fails one condition on its exact types is checked key by key,
+    which builds its label ``what[k]`` for the message."""
+    keys, fields = kinds.keys(), operator.itemgetter(*kinds)
+    valid = set(itertools.product(*(_KINDS[kind] for kind in kinds.values())))
+    for k, v in enumerate(values):
+        if not (type(v) is dict and v.keys() == keys and tuple(map(type, fields(v))) in valid):
+            _object(v, kinds, f"{what}[{k}]")
+            for key, kind in kinds.items():
+                _require(v, key, f"{what}[{k}]", kind)
+    return [fields(v) for v in values]
 
 
 def _numbers(value, ndim: int, what: str) -> np.ndarray:
@@ -198,10 +208,7 @@ _PLAN_KINDS = dict.fromkeys(_PLAN_FIELDS, "a number") | {
 
 def network_from_dict(doc: dict, where: str = "network") -> RiskNetwork:
     _check_document(doc, ("schema_version", "nodes", "edges"), where)
-    rows = [
-        _record(node, _NODE_KINDS, f"{where}: nodes[{k}]")
-        for k, node in enumerate(_require(doc, "nodes", where, "a list"))
-    ]
+    rows = _records(_require(doc, "nodes", where, "a list"), _NODE_KINDS, f"{where}: nodes")
     names = [row[0] for row in rows]
     probs = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 3)
     index = {name: i for i, name in enumerate(names)}
@@ -209,8 +216,7 @@ def network_from_dict(doc: dict, where: str = "network") -> RiskNetwork:
     E = np.zeros((n, n))
     seen = set()
     edges = _typed(doc.get("edges", []), "a list", f"{where}: edges")
-    for k, edge in enumerate(edges):
-        src, dst, weight = _record(edge, _EDGE_KINDS, f"{where}: edges[{k}]")
+    for src, dst, weight in _records(edges, _EDGE_KINDS, f"{where}: edges"):
         if src not in index or dst not in index:
             raise ValidationError(
                 f"{where}: edge {src!r} -> {dst!r} references an unknown node"

@@ -121,7 +121,8 @@ def lu_schedule(sys, driver, costs, horizon):
 def linear_feedback_cost(A, driver, costs, schedule, x0):
     """Roll the linear system under the gain schedule; return the total cost."""
     n = A.shape[0]
-    tau = len(schedule.K)
+    K = schedule.K  # built on each access: once
+    tau = len(K)
     S = driver.selection
     d = list(driver.indices)
     states = np.empty((tau + 1, n))
@@ -129,7 +130,7 @@ def linear_feedback_cost(A, driver, costs, schedule, x0):
     x = np.asarray(x0, dtype=float).copy()
     states[0] = x
     for k in range(tau):
-        reduced = -schedule.K[k] @ x
+        reduced = -K[k] @ x
         signals[k, d] = reduced
         x = A @ x + S @ reduced
         states[k + 1] = x

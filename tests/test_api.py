@@ -1,11 +1,15 @@
 """The public surface: every public top-level function in ``src/risknet`` is
-called by other package code, or is listed below with its reason.
+called by other package code, or is listed below with its reason, and every
+per-layer span of the benchmark names a public function.
 
 ``__init__.py`` only re-exports, so its imports are not references.  A
 function's own body does not count as a reference to it.
 """
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import risknet
@@ -70,3 +74,26 @@ def test_every_public_function_is_used_or_listed():
 def test_listed_functions_exist():
     defined = {fn for _, fn in public_functions(modules())}
     assert set(UNREFERENCED) <= defined
+
+
+#: Per-layer metric suffixes that time or count calls of one function.
+SPAN_SUFFIXES = (".calls", ".s", ".self_s", ".ms_p50", ".ms_p90")
+
+
+def test_benchmark_spans_name_public_functions():
+    # the benchmark's tracer wraps ``risknet.<module>.<function>`` by name
+    # and drops the metrics of a function that is gone; ``cli`` is the
+    # span of ``cli.cli_main``
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    missing = []
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        suffix = next((s for s in SPAN_SUFFIXES if name.endswith(s)), None)
+        if suffix is None:
+            continue
+        module, _, fn = name[: -len(suffix)].partition(".")
+        fn = fn or "cli_main"
+        found = getattr(importlib.import_module(f"risknet.{module}"), fn, None)
+        if fn.startswith("_") or not inspect.isfunction(found):
+            missing.append(name)
+    assert not missing, f"per-layer metrics of no public function: {missing}"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
+from risknet import control
 from risknet.control import (
     GainSchedule,
     _gain_window,
@@ -550,7 +551,8 @@ class TestFastForward:
             pinned = None if 0 in driver.indices else {0: 1}
             full = riccati_schedule(sys, driver, costs, 500)
             _, end = _gain_window(full.index)
-            signal = counted(lambda k, x: -full.K[k] @ x)
+            K = full.K  # built on each access: once per schedule
+            signal = counted(lambda k, x: -K[k] @ x)
             rollout_one(net, driver, costs, x_s.values, 500, signal, pinned,
                         *_gain_window(full.index))
             assert signal.calls < 300
@@ -570,8 +572,9 @@ class TestFastForward:
             # after the repeat and the window's end
             for h in (found - 1, found, found + 1, end - 1, end, end + 1, 500):
                 sched = GainSchedule(gains=full.gains, index=full.index[:h], P0=full.P0)
-                reference = feedback_reference(net, driver, x_s.values, sched.K, pinned)
-                signal = counted(lambda k, x: -sched.K[k] @ x)
+                K = sched.K
+                reference = feedback_reference(net, driver, x_s.values, K, pinned)
+                signal = counted(lambda k, x: -K[k] @ x)
                 run = rollout_one(net, driver, costs, x_s.values, h, signal, pinned,
                                   *_gain_window(sched.index))
                 assert signal.calls == (found if found < h else h) + max(0, h - end)
@@ -586,7 +589,8 @@ class TestFastForward:
         driver = DriverSet((3, 4), 5)
         costs = CostMatrices(Q_f=10 * np.eye(5), Q=10 * np.eye(5), R=np.eye(5))
         sched = riccati_schedule(linearize(net, find_steady_state(net)), driver, costs, 500)
-        signal = counted(lambda k, x: -sched.K[k] @ x)
+        K = sched.K
+        signal = counted(lambda k, x: -K[k] @ x)
         run = rollout_one(net, driver, costs, np.ones(5), 500, signal, {0: 1},
                           *_gain_window(sched.index))
         assert signal.calls < 100
@@ -657,6 +661,71 @@ class TestFastForward:
                               cancel_inflow_signal(net, driver)),
             costs,
         )
+
+
+def first_repeat(states, period, end):
+    """By a scan of every earlier check: the first check step k = j period
+    < end (j >= 1) whose state has the bits of an earlier check step's, or
+    None."""
+    seen = []
+    for k in range(0, end, period) if period else ():
+        bits = states[k].tobytes()
+        if bits in seen:
+            return k
+        seen.append(bits)
+    return None
+
+
+class TestFirstRepeat:
+    """The rollout stops stepping at the first check step whose state
+    repeats an earlier check step's bit for bit, and copies from there."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        steps=st.integers(1, 200),
+        period=st.integers(0, 4),
+        cycle_end=st.integers(0, 220),
+        pin=st.booleans(),
+    )
+    def test_copies_from_the_first_repeat(self, seed, n, steps, period, cycle_end, pin):
+        rng = np.random.default_rng(seed)
+        net = contractive_network(rng, n)
+        driver = DriverSet(tuple(rng.choice(n, int(rng.integers(1, n + 1)), replace=False)), n)
+        free = sorted(set(range(n)) - set(driver.indices))
+        pinned = {free[0]: int(rng.integers(0, 2))} if pin and free else None
+        # step k takes gain k mod period inside the window, its own after it
+        K = rng.uniform(-0.2, 0.2, size=(steps, driver.size, n))
+        gain = np.arange(steps)
+        if period:
+            gain[:cycle_end] %= period
+        x0 = interior_state(rng, n)
+        reference = reference_rollout(net, driver, x0, steps, lambda k, x: -K[gain[k]] @ x, pinned)
+        signal = counted(lambda k, x: -K[gain[k]] @ x)
+        run = rollout_one(net, driver, identity_costs(n), x0, steps, signal, pinned,
+                          period, cycle_end)
+        assert_same_run(run, reference, identity_costs(n))
+        end = min(cycle_end, steps)
+        first = first_repeat(reference[0], period, end)
+        assert signal.calls == (steps if first is None else first + steps - end)
+
+    def test_equal_hashes_of_unequal_states_do_not_copy(self, monkeypatch):
+        # every state hashes alike: only a bitwise repeat may copy
+        net, x_s, sys, sets = criterion_7_sets(1)
+        costs = identity_costs(net.n)
+        driver = sets[0]
+        sched = riccati_schedule(sys, driver, costs, 500)
+        window = _gain_window(sched.index)
+        K = sched.K
+        reference = feedback_reference(net, driver, x_s.values, K, {0: 1})
+        first = first_repeat(reference[0], *window)
+        assert first is not None
+        monkeypatch.setattr(control, "_bits_hash", lambda X: np.zeros(len(X), np.uint64))
+        signal = counted(lambda k, x: -K[k] @ x)
+        run = rollout_one(net, driver, costs, x_s.values, 500, signal, {0: 1}, *window)
+        assert signal.calls == first + 500 - window[1]
+        assert_same_run(run, reference, costs)
 
 
 class TestGainWindow:
