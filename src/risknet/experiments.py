@@ -12,7 +12,8 @@ Everything is deterministic given the plan seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -256,11 +257,15 @@ def _blocks(drivers: list, steps: int, n: int):
         yield block
 
 
+#: A :class:`PhaseOutcome` before its rank.
+_Measured = namedtuple("_Measured", "state_cost control_cost total_cost saturation_count error")
+
+
 def _evaluate_block(
     phase: str, prep: _Prepared, drivers: list, init: StateVector, plan: ExperimentPlan
 ) -> list:
-    """One phase's outcomes for a block of driver sets of one size, on the
-    network as :func:`~risknet.control._prepare` prepared it."""
+    """One phase's unranked outcomes for a block of driver sets of one size,
+    on the network as :func:`~risknet.control._prepare` prepared it."""
     try:
         if phase == PHASE_REACTIVE:
             runs = _reactive_block(prep, drivers, init, plan.steps_reactive)
@@ -268,37 +273,24 @@ def _evaluate_block(
             runs = _proactive_block(prep, drivers, plan.steps_proactive)
     except RiskNetError as exc:
         runs = [exc] * len(drivers)
-    return [_outcome(run) for run in runs]
+    return [
+        _Measured(math.nan, math.nan, math.nan, 0, f"{type(run).__name__}: {run}")
+        if isinstance(run, RiskNetError)
+        else _Measured(run.state_cost, run.control_cost, run.total_cost, run.saturation_count, "")
+        for run in runs
+    ]
 
 
-def _outcome(run) -> PhaseOutcome:
-    if isinstance(run, RiskNetError):
-        return PhaseOutcome(
-            state_cost=float("nan"),
-            control_cost=float("nan"),
-            total_cost=float("nan"),
-            saturation_count=0,
-            error=f"{type(run).__name__}: {run}",
-        )
-    return PhaseOutcome(
-        state_cost=run.state_cost,
-        control_cost=run.control_cost,
-        total_cost=run.total_cost,
-        saturation_count=run.saturation_count,
+def _ranked(measured: list) -> list:
+    """Each of one phase's outcomes as a :class:`PhaseOutcome`, ranked 1,
+    2, ... by ``(total_cost, position)`` among the ones without an error
+    (rank 0)."""
+    order = sorted(
+        (i for i, m in enumerate(measured) if not m.error),
+        key=lambda i: (measured[i].total_cost, i),
     )
-
-
-def _assign_ranks(evaluations: list, phases: tuple) -> tuple:
-    """Rank every non-failed outcome per phase by ascending total cost."""
-    ranked = [dict(ev.outcomes) for ev in evaluations]
-    for phase in phases:
-        order = sorted(
-            (i for i, out in enumerate(ranked) if phase in out and not out[phase].error),
-            key=lambda i: (ranked[i][phase].total_cost, i),
-        )
-        for rank, i in enumerate(order, start=1):
-            ranked[i][phase] = replace(ranked[i][phase], rank=rank)
-    return tuple(replace(ev, outcomes=out) for ev, out in zip(evaluations, ranked))
+    rank = dict(zip(order, range(1, len(order) + 1)))
+    return [PhaseOutcome(*m[:4], rank.get(i, 0), m.error) for i, m in enumerate(measured)]
 
 
 def _quartiles(values: list) -> dict:
@@ -325,7 +317,8 @@ def run_experiment(
     ``_BLOCK_BYTES`` (4 MiB) for their states and driven signals allows, at
     least one (22 sets of 500 steps or 219 of 50 on 40 nodes with 7
     drivers).  Every set gets byte for byte the results of evaluating it alone
-    (see :mod:`risknet.control`), and only its :class:`PhaseOutcome` is kept.
+    (see :mod:`risknet.control`); a block takes its sets' costs at once, and
+    only their outcomes are kept, ranked once per phase after its last block.
     Failures of individual control runs are recorded on the evaluation
     rather than aborting the sweep, with the same error text as a one-set
     run, and leave the other sets of the block unchanged.  Sampling fails
@@ -371,12 +364,12 @@ def run_experiment(
     outcomes = {}
     for phase in plan.phases:
         steps = plan.steps_reactive if phase == PHASE_REACTIVE else plan.steps_proactive
-        outcomes[phase] = [
+        outcomes[phase] = _ranked([
             out
             for block in _blocks(drivers, steps, net.n)
             for out in _evaluate_block(phase, prep, block, init, plan)
-        ]
-    evaluations = [
+        ])
+    evaluations = tuple(
         DriverEvaluation(
             label=label,
             kind=kind,
@@ -387,8 +380,7 @@ def run_experiment(
             outcomes={phase: outcomes[phase][j] for phase in plan.phases},
         )
         for j, ((label, kind, driver, stratum), (a, p)) in enumerate(zip(entries, counts))
-    ]
-    evaluations = _assign_ranks(evaluations, plan.phases)
+    )
 
     summary: dict = {}
     if plan.stratify_by != STRATIFY_NONE:

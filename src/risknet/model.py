@@ -145,7 +145,10 @@ def degree_stats(net: RiskNetwork) -> tuple:
 
 def check_integer(label: str, value):
     """Reject anything but an integer: floats, strings and booleans raise
-    ``ValidationError``; numpy integers pass."""
+    ``ValidationError``; numpy integers pass.  An exact ``int`` returns at
+    once, without the slower ``numbers.Integral`` check."""
+    if type(value) is int:
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{label} must be an integer, got {value!r}")
 

@@ -277,3 +277,41 @@ def test_criterion_9_driver_monotonicity_on_linear_cost():
     ok = worst_increase <= 1e-8
     report(9, ok, f"worst cost increase when enlarging a driver set "
                   f"{worst_increase:.2e} over 20 instances (limit 1e-08)")
+
+
+def test_criterion_10_cost_trends_at_paper_scale():
+    # criterion 6's trends on the criterion-7 network with 7-driver sets:
+    # strata 0..7 by steady_peak (top 10 of 40 nodes), 50 sets each, both
+    # phases, and the named baseline set ranked with the samples
+    t0 = time.perf_counter()
+    net = generate_synthetic(40, 18.27, 4.60, seed=1)
+    strata = list(range(8))
+    plan = ExperimentPlan(
+        driver_size=7, num_sets=1, seed=1,
+        stratify_by="steady_peak", groups=tuple((v, 50) for v in strata),
+        phase="both", steps_reactive=500, steps_proactive=50, top_fraction=0.25,
+        baseline_sets={"policy_mix": (3, 8, 11, 17, 22, 29, 35)},
+    )
+    result = run_experiment(plan, net, None, identity_costs(net.n))
+    rho, ranks = {}, {}
+    (baseline,) = [ev for ev in result.evaluations if ev.kind == "baseline"]
+    for phase in plan.phases:
+        for key in ("control_cost", "total_cost"):
+            medians = [result.stratum_summary[(phase, v)][key]["median"] for v in strata]
+            rho[phase, key] = float(spearmanr(strata, medians).statistic)
+        ranks[phase] = baseline.outcomes[phase].rank
+    elapsed = time.perf_counter() - t0
+    ok = (
+        all(rho[phase, "control_cost"] > 0.5 and rho[phase, "total_cost"] < -0.5
+            for phase in plan.phases)
+        and baseline.label == "policy_mix"
+        and all(1 <= rank <= len(result.evaluations) for rank in ranks.values())
+    )
+    report(10, ok, "Spearman(stratum, median cost) on 40 nodes, 7 drivers, strata "
+                   "0..7 x 50 sets: " + ", ".join(
+                       f"{phase} control {rho[phase, 'control_cost']:+.2f} (> 0.5), "
+                       f"total {rho[phase, 'total_cost']:+.2f} (< -0.5)"
+                       for phase in plan.phases)
+                   + "; policy_mix ranked " + ", ".join(
+                       f"{ranks[phase]} ({phase})" for phase in plan.phases)
+                   + f" of {len(result.evaluations)}; {elapsed:.1f}s")

@@ -24,6 +24,7 @@ UNREFERENCED = {
     "riccati_schedule": "acceptance criterion 2; the one-set schedule the block tests compare with",
     "rollout_feedback": "one-set rollout of a given schedule, used by the fast-forward tests",
     "monte_carlo_mean": "acceptance criterion 4 (mean-field agreement)",
+    "evaluate_cost": "cost of a given trajectory; a block takes its sets' costs in one stacked pass",
 }
 
 

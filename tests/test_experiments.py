@@ -430,3 +430,32 @@ class TestSteadyStateDrift:
             assert (x.rank, x.saturation_count) == (y.rank, y.saturation_count)
             for field in ("state_cost", "control_cost", "total_cost"):
                 assert getattr(x, field) == pytest.approx(getattr(y, field), rel=1e-11)
+
+
+class TestRanks:
+    def test_brute_force_with_ties_and_failures(self, monkeypatch):
+        # one-node sets on 9 candidates repeat, so totals tie; the pinned
+        # baseline fails the reactive phase, and the sets driving node 1 are
+        # made to fail the proactive phase
+        net = small_net()
+        plan = ExperimentPlan(
+            driver_size=1, num_sets=24, seed=4, phase="both", pinned={0: 1},
+            steps_reactive=30, steps_proactive=10,
+            baseline_sets={"pinned": (0,), "twin": (5,)},
+        )
+        block = experiments._proactive_block
+
+        def failing(prep, drivers, steps):
+            runs = block(prep, drivers, steps)
+            return [ValidationError("made to fail") if d.indices == (1,) else r
+                    for d, r in zip(drivers, runs)]
+
+        monkeypatch.setattr(experiments, "_proactive_block", failing)
+        result = run_experiment(plan, net, None, identity_costs(net.n))
+        for phase in plan.phases:
+            outs = [ev.outcomes[phase] for ev in result.evaluations]
+            ok = [i for i, out in enumerate(outs) if not out.error]
+            totals = [outs[i].total_cost for i in ok]
+            assert len(set(totals)) < len(totals) < len(outs)  # ties and failures
+            want = {i: r for r, i in enumerate(sorted(ok, key=lambda i: (outs[i].total_cost, i)), 1)}
+            assert [out.rank for out in outs] == [want.get(i, 0) for i in range(len(outs))]

@@ -540,3 +540,89 @@ class TestSameBits:
         assert not _same_bits(np.array([[0.0, 1.0]]), np.array([[-0.0, 1.0]]))[0]
         nan = np.array([[np.nan, 1.0]])
         assert _same_bits(nan, nan.copy())[0]
+
+
+def dense_costs(rng, n):
+    """Dense positive definite Q_f, Q and R, symmetric bit for bit."""
+    def spd():
+        M = rng.uniform(-1.0, 1.0, size=(n, n))
+        M = M @ M.T + np.eye(n) * rng.uniform(0.1, 1.0)
+        return 0.5 * (M + M.T)
+    return CostMatrices(Q_f=spd(), Q=spd(), R=spd())
+
+
+def random_block(rng, sets, steps, n, m):
+    """Random states, driven signals, saturation counts and driver rows of
+    a finished block."""
+    states = rng.uniform(-1.0, 1.0, size=(sets, steps + 1, n))
+    driven = rng.normal(size=(sets, steps, m))
+    saturation = rng.integers(0, 3, size=(sets, steps))
+    D = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(sets)])
+    return states, driven, saturation, D
+
+
+def plain_costs(states, signals, costs):
+    """``evaluate_cost``'s three costs as the 2-D products of one set."""
+    body = states[:-1]
+    state = float(states[-1] @ costs.Q_f @ states[-1] + np.sum((body @ costs.Q) * body))
+    control = float(np.sum((signals @ costs.R) * signals))
+    return state, control, state + control
+
+
+class TestBlockCosts:
+    """A finished block takes its sets' costs in one stacked pass per chunk,
+    with each set's bits of ``evaluate_cost`` on its own rows."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sets=st.integers(1, 9),
+        steps=st.integers(1, 60),
+        n=st.integers(2, 13),
+        chunk=st.sampled_from([1, 2, 10]),
+    )
+    def test_equals_evaluate_cost_per_set(self, seed, sets, steps, n, chunk):
+        rng = np.random.default_rng(seed)
+        costs = dense_costs(rng, n)
+        m = int(rng.integers(1, n + 1))
+        states, driven, saturation, D = random_block(rng, sets, steps, n, m)
+        with pytest.MonkeyPatch.context() as patch:
+            # chunks of ``chunk`` sets; 10 is more than any block here
+            patch.setattr(control, "_COST_CHUNK_BYTES", chunk * 8 * steps * n)
+            runs = control._block_runs(states, driven, saturation, D, costs)
+        for s, run in enumerate(runs):
+            signals = np.zeros((steps, n))
+            signals[:, D[s]] = driven[s]
+            want = control.evaluate_cost(states[s], signals, costs)
+            got = (run.state_cost, run.control_cost, run.total_cost)
+            assert [repr(x) for x in got] == [repr(x) for x in want]
+            assert [repr(x) for x in got] == [repr(x) for x in plain_costs(states[s], signals, costs)]
+            assert run.signals.tobytes() == signals.tobytes()
+            assert run.saturation_count == int(saturation[s].sum())
+            assert run.drivers == tuple(D[s].tolist())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_set_inside_a_chunk(self, bad):
+        rng = np.random.default_rng(8)
+        costs = dense_costs(rng, 6)
+        states, driven, saturation, D = random_block(rng, 5, 20, 6, 2)
+        states[2, 7, 3] = bad
+        runs = control._block_runs(states, driven, saturation, D, costs)
+        assert run_bytes(runs[2]) == NON_FINITE
+        for s in (0, 1, 3, 4):
+            alone = control._block_runs(states[s:s + 1], driven[s:s + 1], saturation[s:s + 1],
+                                        D[s:s + 1], costs)
+            assert run_bytes(runs[s]) == run_bytes(alone[0])
+
+    def test_costs_of_another_width(self):
+        # every proactive set reports the width of its costs, as a one-set
+        # run does; a non-finite state is reported before it
+        net = criterion_7_net()
+        drivers = [DriverSet(d, net.n) for d in [(1, 2), (3, 4), (5, 9), (2, 7)]]
+        runs = _proactive_block(_prepare(net, identity_costs(41), None, None), drivers, 30)
+        assert [run_bytes(r) for r in runs] == [COSTS_WIDTH] * 4
+        rng = np.random.default_rng(9)
+        states, driven, saturation, D = random_block(rng, 3, 10, 5, 2)
+        states[1, -1, 0] = np.nan
+        runs = control._block_runs(states, driven, saturation, D, identity_costs(4))
+        assert [run_bytes(r) for r in runs] == [COSTS_WIDTH, NON_FINITE, COSTS_WIDTH]

@@ -14,6 +14,7 @@ from risknet.model import (
     build_network,
     continuous_state,
     degree_stats,
+    check_integer,
     identity_costs,
     pin_arrays,
 )
@@ -153,6 +154,17 @@ def test_pin_arrays_rejects_non_integer_index():
         pin_arrays({1.5: 1}, 3)
     idx, val = pin_arrays({np.int64(1): 1}, 3)
     assert idx.tolist() == [1] and val.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_check_integer_rejects(value):
+    with pytest.raises(ValidationError, match="integer"):
+        check_integer("x", value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1)])
+def test_check_integer_accepts(value):
+    check_integer("x", value)
 
 
 class TestCostMatrices:
