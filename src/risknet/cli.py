@@ -125,10 +125,7 @@ def _cmd_linearize(args) -> int:
     sys_lin = linearize(net, x_s)
     rank = controllability_rank(sys_lin, driver)
     out = _out_dir(args)
-    netio.write_csv(
-        out / "jacobian.csv", list(net.names),
-        [[float(v) for v in row] for row in sys_lin.A],
-    )
+    netio.write_csv(out / "jacobian.csv", list(net.names), sys_lin.A.tolist())
     doc = {
         "rank": rank,
         "n": net.n,

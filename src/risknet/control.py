@@ -83,13 +83,6 @@ class GainSchedule:
     index: np.ndarray
     P0: np.ndarray
 
-    @property
-    def K(self) -> np.ndarray:
-        """The read-only ``(tau, m, n)`` stack of the gains, built on access."""
-        K = self.gains[self.index]
-        K.flags.writeable = False
-        return K
-
 
 @dataclass(frozen=True, eq=False)
 class ControlRun:
@@ -172,6 +165,17 @@ def _check_costs(costs: CostMatrices, n: int) -> None:
         raise DimensionMismatch("cost matrices sized for a different network")
 
 
+def _driver_row(driver: DriverSet, n: int) -> np.ndarray:
+    """The one-row index matrix of a driver set checked against n nodes."""
+    _check_driver(driver, n)
+    return np.array([driver.indices])
+
+
+def _check_init(init: StateVector, n: int) -> None:
+    if init.mode != CONTINUOUS or init.n != n:
+        raise ValidationError("init must be a continuous state of matching length")
+
+
 def riccati_schedule(
     sys: LinearizedSystem, driver: DriverSet, costs: CostMatrices, horizon: int
 ) -> GainSchedule:
@@ -215,11 +219,11 @@ def riccati_schedule(
     SingularInnerMatrix
         The gain equation of a step is singular or not finite.
     """
-    _check_driver(driver, sys.n)
+    D = _driver_row(driver, sys.n)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     _check_costs(costs, sys.n)
-    return _one(_riccati_block(sys.A, np.array([driver.indices]), costs, horizon))
+    return _one(_riccati_block(sys.A, D, costs, horizon))
 
 
 def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: int) -> list:
@@ -409,10 +413,11 @@ def _rollout_block(
     the driver sets in the rows of ``D`` (all of one size), in lockstep.
 
     Each set has its own step counter.  A step takes every set that is not
-    done: ``signal(rows, ks, X, inflow)`` returns the driven nodes' signals
-    (one row per set, in index order) for the sets ``rows`` at their steps
-    ``ks``, states ``X`` and inflows ``inflow = E.T x``, which the raw map
-    shares.  The nodes of ``pins = (indices, values)`` are forced to their
+    done: ``signal(rows, ks, X, inflow, at)`` returns the driven nodes'
+    signals (one row per set, in index order) for the sets ``rows`` at
+    their steps ``ks``, states ``X``, inflows ``inflow = E.T x``, which the
+    raw map shares, and ``at``, the flat indices of the driven entries of
+    ``X``.  The nodes of ``pins = (indices, values)`` are forced to their
     value at every step, including the initial state.  The block stores
     per set its states and only the driven nodes' signal columns.
 
@@ -453,7 +458,7 @@ def _rollout_block(
         run = min((due - ka).tolist())
         for _ in range(run):
             inflow = (ET @ X[:, :, None])[:, :, 0]
-            U = signal(a, ka, X, inflow)
+            U = signal(a, ka, X, inflow, at)
             raw = _raw_map(net, X, inflow)
             raw.put(at, raw.take(at) + U)
             signals[a, ka] = U
@@ -533,7 +538,7 @@ def _feedback_block(prep, D, x0, gains, index) -> list:
     the one :func:`_gain_window` reads from ``index[s]``."""
     return _rollout_block(
         prep, D, np.broadcast_to(x0, (len(index), prep.net.n)), index.shape[1],
-        lambda rows, ks, X, inflow: (-gains[index[rows, ks]] @ X[:, :, None])[:, :, 0],
+        lambda rows, ks, X, inflow, at: (-gains[index[rows, ks]] @ X[:, :, None])[:, :, 0],
         [_gain_window(i) for i in index], prep.pins,
     )
 
@@ -556,12 +561,12 @@ def run_reactive(
     appear in the driver set.
     """
     prep = _prepare(net, costs, pinned, find_steady_state(net))
-    return _one(_reactive_block(prep, [driver], init, steps))
+    return _one(_reactive_block(prep, _driver_row(driver, net.n), init, steps))
 
 
-def _reactive_block(prep: _Prepared, drivers: list, init: StateVector, steps: int) -> list:
-    """:func:`run_reactive` for a block of driver sets of one size, in
-    lockstep, on a network prepared for the reactive phase.
+def _reactive_block(prep: _Prepared, D: np.ndarray, init: StateVector, steps: int) -> list:
+    """:func:`run_reactive` for the driver sets in the rows of ``D`` (all of
+    one size), in lockstep, on a network prepared for the reactive phase.
 
     Returns per set its :class:`ControlRun` or the error that stopped it,
     checked in the order of a one-set run: a pin on a driven node, a
@@ -571,9 +576,7 @@ def _reactive_block(prep: _Prepared, drivers: list, init: StateVector, steps: in
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    if init.mode != CONTINUOUS or init.n != prep.net.n:
-        raise ValidationError("init must be a continuous state of matching length")
-    D = np.array([driver.indices for driver in drivers])
+    _check_init(init, prep.net.n)
     out = _pin_errors(prep, D)
     if isinstance(prep.linear, RiskNetError):
         return [prep.linear if run is None else run for run in out]
@@ -604,10 +607,14 @@ def rollout_feedback(
     rollout copies the states, signals and saturation counts forward to
     step W once the closed-loop state repeats bit for bit at a multiple of
     p.  Equal indices are the same gain, so this is exact: byte for byte
-    the result of stepping every gain.
+    the result of stepping every gain.  Raises ValidationError for a
+    driver set, init or gains' shape that does not fit the network.
     """
+    D = _driver_row(driver, net.n)
+    _check_init(init, net.n)
+    if schedule.gains.shape[1:] != D.shape[1:] + (net.n,):
+        raise ValidationError(f"gains of shape {schedule.gains.shape[1:]} for {D.size} drivers")
     prep = _prepare(net, costs, pinned, None)
-    D = np.array([driver.indices])
     _one(_pin_errors(prep, D))  # raises for a pin on a driven node
     return _one(_feedback_block(prep, D, init.values, schedule.gains, schedule.index[None]))
 
@@ -637,25 +644,24 @@ def run_proactive(
     does not depend on the step, so the rollout may fast-forward with
     period 1 over the whole horizon.
     """
-    return _one(_proactive_block(_prepare(net, costs, None, None), [driver], steps))
+    prep = _prepare(net, costs, None, None)
+    return _one(_proactive_block(prep, _driver_row(driver, net.n), steps))
 
 
-def _proactive_block(prep: _Prepared, drivers: list, steps: int) -> list:
-    """:func:`run_proactive` for a block of driver sets of one size, in
-    lockstep; returns per set its :class:`ControlRun` or its error.  The
-    phase holds no pins.  The inflow ``E.T x`` of a step is computed once
-    and shared by the signal and the raw map."""
+def _proactive_block(prep: _Prepared, D: np.ndarray, steps: int) -> list:
+    """:func:`run_proactive` for the driver sets in the rows of ``D`` (all
+    of one size), in lockstep; returns per set its :class:`ControlRun` or
+    its error.  The phase holds no pins.  The inflow ``E.T x`` of a step is
+    computed once and shared by the signal and the raw map."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     net = prep.net
-    D = np.array([driver.indices for driver in drivers])
     p_int, p_ext = net.p_int[D], net.p_ext[D]
 
-    def cancel_inflow(rows, ks, X, inflow):
-        at = np.arange(rows.size)[:, None] * net.n + D[rows]  # flat, as in the rollout
+    def cancel_inflow(rows, ks, X, inflow, at):
         return -(p_int[rows] + p_ext[rows] * inflow.take(at)) * (1.0 - X.take(at))
 
     return _rollout_block(
-        prep, D, np.zeros((len(drivers), net.n)), steps, cancel_inflow,
-        [(1, steps)] * len(drivers), pin_arrays(None, net.n),
+        prep, D, np.zeros((len(D), net.n)), steps, cancel_inflow,
+        [(1, steps)] * len(D), pin_arrays(None, net.n),
     )

@@ -126,13 +126,12 @@ def top_steady_nodes(x_s: StateVector, top_fraction: float) -> set:
 
 
 def _driver_classes(init: StateVector, x_s: StateVector, top_fraction: float) -> dict:
-    """The node sets that strata count, keyed by ``stratify_by``: the initially
-    active nodes (entry >= 0.5) and the most active nodes at the natural
-    steady state."""
-    return {
-        STRATIFY_ACTIVE: set(int(i) for i in np.flatnonzero(init.values >= ACTIVE_THRESHOLD)),
-        STRATIFY_PEAK: top_steady_nodes(x_s, top_fraction),
-    }
+    """The boolean node masks of the classes that strata count, keyed by
+    ``stratify_by``: the initially active nodes (entry >= 0.5) and the most
+    active nodes at the natural steady state."""
+    peak = np.zeros(x_s.n, dtype=bool)
+    peak[list(top_steady_nodes(x_s, top_fraction))] = True
+    return {STRATIFY_ACTIVE: init.values >= ACTIVE_THRESHOLD, STRATIFY_PEAK: peak}
 
 
 def _uniform_subsets(rng: np.random.Generator, pool: np.ndarray, size: int, rows: int) -> np.ndarray:
@@ -147,8 +146,9 @@ def sample_driver_sets(
     net: RiskNetwork,
     init: StateVector,
     x_s: StateVector,
-) -> list[DriverSet]:
-    """Draw the plan's driver sets; deterministic given the plan seed.
+) -> np.ndarray:
+    """The plan's driver sets as a ``(num_sets, driver_size)`` integer
+    matrix, one sorted index row per set; deterministic given the seed.
 
     Unstratified plans draw ``num_sets`` uniform subsets of the non-pinned
     nodes, one ``rng.choice`` per set.  Stratified plans draw each group
@@ -179,14 +179,12 @@ def sample_driver_sets(
     rng = np.random.default_rng(plan.seed)
 
     if plan.stratify_by == STRATIFY_NONE:
-        sets = []
-        for _ in range(plan.num_sets):
-            chosen = rng.choice(candidates, size=plan.driver_size, replace=False)
-            sets.append(DriverSet(tuple(int(i) for i in chosen), net.n))
-        return sets
+        return np.sort([
+            rng.choice(candidates, size=plan.driver_size, replace=False)
+            for _ in range(plan.num_sets)
+        ], axis=1)
 
-    members = _driver_classes(init, x_s, plan.top_fraction)[plan.stratify_by]
-    in_class = np.isin(candidates, list(members))
+    in_class = _driver_classes(init, x_s, plan.top_fraction)[plan.stratify_by][candidates]
     pools = (candidates[in_class], candidates[~in_class])
     n_in, n_out = (pool.size for pool in pools)
     for value, _ in plan.groups:
@@ -196,15 +194,14 @@ def sample_driver_sets(
                 f"{plan.driver_size - value} of {n_out} out-of-class candidates"
             )
 
-    sets = []
-    for value, count in plan.groups:
-        picks = np.hstack([
+    return np.sort(np.vstack([
+        np.hstack([
             _uniform_subsets(rng, pool, size, count)
             for pool, size in zip(pools, (value, plan.driver_size - value))
             if size
         ])
-        sets.extend(DriverSet(tuple(row), net.n) for row in picks.tolist())
-    return sets
+        for value, count in plan.groups
+    ]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -240,21 +237,21 @@ class ExperimentResult:
     stratum_summary: dict
 
 
-def _blocks(drivers: list, steps: int, n: int):
-    """Runs of consecutive driver sets of one size m, each at most as long
-    as ``_BLOCK_BYTES`` allow for what a block stores per set: its
-    ``steps + 1`` states of n nodes and its ``steps`` signals of m driven
-    nodes (at least one set)."""
+def _blocks(rows: list, steps: int, n: int):
+    """Index matrices of runs of consecutive driver index rows of one size
+    m, each at most as long as ``_BLOCK_BYTES`` allow for what a block
+    stores per set: its ``steps + 1`` states of n nodes and its ``steps``
+    signals of m driven nodes (at least one set)."""
     block: list = []
-    for driver in drivers:
-        if block and (len(block) == size or driver.size != block[0].size):
-            yield block
+    for row in rows:
+        if block and (len(block) == size or len(row) != len(block[0])):
+            yield np.array(block)
             block = []
         if not block:
-            size = max(1, _BLOCK_BYTES // (8 * ((steps + 1) * n + steps * driver.size)))
-        block.append(driver)
+            size = max(1, _BLOCK_BYTES // (8 * ((steps + 1) * n + steps * len(row))))
+        block.append(row)
     if block:
-        yield block
+        yield np.array(block)
 
 
 #: A :class:`PhaseOutcome` before its rank.
@@ -262,17 +259,17 @@ _Measured = namedtuple("_Measured", "state_cost control_cost total_cost saturati
 
 
 def _evaluate_block(
-    phase: str, prep: _Prepared, drivers: list, init: StateVector, plan: ExperimentPlan
+    phase: str, prep: _Prepared, D: np.ndarray, init: StateVector, plan: ExperimentPlan
 ) -> list:
-    """One phase's unranked outcomes for a block of driver sets of one size,
-    on the network as :func:`~risknet.control._prepare` prepared it."""
+    """One phase's unranked outcomes for the driver sets in the rows of
+    ``D``, on the network as :func:`~risknet.control._prepare` prepared it."""
     try:
         if phase == PHASE_REACTIVE:
-            runs = _reactive_block(prep, drivers, init, plan.steps_reactive)
+            runs = _reactive_block(prep, D, init, plan.steps_reactive)
         else:
-            runs = _proactive_block(prep, drivers, plan.steps_proactive)
+            runs = _proactive_block(prep, D, plan.steps_proactive)
     except RiskNetError as exc:
-        runs = [exc] * len(drivers)
+        runs = [exc] * len(D)
     return [
         _Measured(math.nan, math.nan, math.nan, 0, f"{type(run).__name__}: {run}")
         if isinstance(run, RiskNetError)
@@ -339,47 +336,47 @@ def run_experiment(
     else:
         strata = [value for value, count in plan.groups for _ in range(count)]
     entries = [
-        (f"sample_{k:04d}", "sample", driver, stratum)
-        for k, (driver, stratum) in enumerate(zip(sets, strata, strict=True))
+        (f"sample_{k:04d}", "sample", tuple(row), stratum)
+        for k, (row, stratum) in enumerate(zip(sets.tolist(), strata, strict=True))
     ] + [
-        (name, "baseline", DriverSet(indices, net.n), None)
+        (name, "baseline", DriverSet(indices, net.n).indices, None)
         for name, indices in sorted(plan.baseline_sets.items())
     ]
 
     classes = _driver_classes(init, x_s, plan.top_fraction)
+    active, peak = classes[STRATIFY_ACTIVE].tolist(), classes[STRATIFY_PEAK].tolist()
     counts = []
-    for label, kind, driver, stratum in entries:
-        members = set(driver.indices)
-        a, p = len(members & classes[STRATIFY_ACTIVE]), len(members & classes[STRATIFY_PEAK])
+    for label, kind, row, stratum in entries:
+        a, p = sum(active[i] for i in row), sum(peak[i] for i in row)
         got = a if plan.stratify_by == STRATIFY_ACTIVE else p
         if stratum is not None and got != stratum:
             raise StratumInfeasible(
-                f"{label} {driver.indices} has {plan.stratify_by} count {got}, "
+                f"{label} {row} has {plan.stratify_by} count {got}, "
                 f"outside its stratum {stratum}"
             )
         counts.append((a, p))
 
     prep = _prepare(net, costs, plan.pinned, x_s if PHASE_REACTIVE in plan.phases else None)
-    drivers = [driver for _, _, driver, _ in entries]
+    rows = [row for _, _, row, _ in entries]
     outcomes = {}
     for phase in plan.phases:
         steps = plan.steps_reactive if phase == PHASE_REACTIVE else plan.steps_proactive
         outcomes[phase] = _ranked([
             out
-            for block in _blocks(drivers, steps, net.n)
-            for out in _evaluate_block(phase, prep, block, init, plan)
+            for D in _blocks(rows, steps, net.n)
+            for out in _evaluate_block(phase, prep, D, init, plan)
         ])
     evaluations = tuple(
         DriverEvaluation(
             label=label,
             kind=kind,
-            indices=driver.indices,
+            indices=row,
             stratum=stratum,
             initially_active=a,
             steady_peak=p,
             outcomes={phase: outcomes[phase][j] for phase in plan.phases},
         )
-        for j, ((label, kind, driver, stratum), (a, p)) in enumerate(zip(entries, counts))
+        for j, ((label, kind, row, stratum), (a, p)) in enumerate(zip(entries, counts))
     )
 
     summary: dict = {}

@@ -76,20 +76,14 @@ def write_json(path, doc):
         fh.write(dump_json(doc))
 
 
-def _fmt(x) -> str:
-    """Shortest exact decimal repr for floats; plain str otherwise."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_csv(path, header, rows):
-    """Write a header row and canonically formatted data rows."""
+    """Write a header row and data rows of Python values (not numpy
+    scalars): ``csv`` writes a float by its shortest exact ``repr`` and
+    anything else by ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +330,8 @@ def write_control_run(out_dir, run: ControlRun, names):
 
     out = pathlib.Path(out_dir)
     write_json(out / "control.json", control_run_to_dict(run))
-    write_csv(out / "control_trajectory.csv", list(names),
-              [[float(v) for v in row] for row in run.states])
-    write_csv(out / "control_signals.csv", list(names),
-              [[float(v) for v in row] for row in run.signals])
+    write_csv(out / "control_trajectory.csv", list(names), run.states.tolist())
+    write_csv(out / "control_signals.csv", list(names), run.signals.tolist())
 
 
 # ---------------------------------------------------------------------------

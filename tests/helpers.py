@@ -118,10 +118,25 @@ def lu_schedule(sys, driver, costs, horizon):
     return K, Pn
 
 
+def gain_stack(schedule):
+    """A schedule's ``(tau, m, n)`` stack of gains: K(j) is ``gains[index[j]]``."""
+    return schedule.gains[schedule.index]
+
+
+def index_rows(drivers):
+    """The index matrix of driver sets of one size, one row per set."""
+    return np.array([driver.indices for driver in drivers])
+
+
+def driver_sets(rows, n):
+    """The driver sets on n nodes of the rows of an index matrix."""
+    return [DriverSet(tuple(row), n) for row in np.asarray(rows).tolist()]
+
+
 def linear_feedback_cost(A, driver, costs, schedule, x0):
     """Roll the linear system under the gain schedule; return the total cost."""
     n = A.shape[0]
-    K = schedule.K  # built on each access: once
+    K = gain_stack(schedule)
     tau = len(K)
     S = driver.selection
     d = list(driver.indices)

@@ -1,9 +1,10 @@
 """The public surface: every public top-level function in ``src/risknet`` is
-called by other package code, or is listed below with its reason, and every
-per-layer span of the benchmark names a public function.
+called by other package code, and every public property of a public class
+is read by it, or is listed below with its reason; and every per-layer span
+of the benchmark names a public function.
 
 ``__init__.py`` only re-exports, so its imports are not references.  A
-function's own body does not count as a reference to it.
+function's or property's own body does not count as a reference to it.
 """
 
 import ast
@@ -27,6 +28,9 @@ UNREFERENCED = {
     "evaluate_cost": "cost of a given trajectory; a block takes its sets' costs in one stacked pass",
 }
 
+#: Public properties (``Class.name``) no package code reads, and why each stays.
+UNREAD_PROPERTIES: dict = {}
+
 
 def modules():
     return {
@@ -45,6 +49,18 @@ def public_functions(trees):
     }
 
 
+def public_properties(trees):
+    return {
+        (name, f"{cls.name}.{node.name}"): node
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+    }
+
+
 def references(trees):
     """Every (module, line) where a name or attribute is read."""
     refs = {}
@@ -57,17 +73,21 @@ def references(trees):
     return refs
 
 
+def referenced_elsewhere(refs, module, node):
+    """Whether ``node``'s name is read outside its own body."""
+    return any(
+        not (where == module and node.lineno <= line <= node.end_lineno)
+        for where, line in refs.get(node.name, ())
+    )
+
+
 def test_every_public_function_is_used_or_listed():
     trees = modules()
     refs = references(trees)
     unused = sorted(
         f"{module}:{fn}"
         for (module, fn), node in public_functions(trees).items()
-        if fn not in UNREFERENCED
-        and not any(
-            not (where == module and node.lineno <= line <= node.end_lineno)
-            for where, line in refs.get(fn, ())
-        )
+        if fn not in UNREFERENCED and not referenced_elsewhere(refs, module, node)
     )
     assert not unused, f"public functions no package code calls: {unused}"
 
@@ -75,6 +95,22 @@ def test_every_public_function_is_used_or_listed():
 def test_listed_functions_exist():
     defined = {fn for _, fn in public_functions(modules())}
     assert set(UNREFERENCED) <= defined
+
+
+def test_every_public_property_is_read_or_listed():
+    trees = modules()
+    refs = references(trees)
+    unread = sorted(
+        f"{module}:{prop}"
+        for (module, prop), node in public_properties(trees).items()
+        if prop not in UNREAD_PROPERTIES and not referenced_elsewhere(refs, module, node)
+    )
+    assert not unread, f"public properties no package code reads: {unread}"
+
+
+def test_listed_properties_exist():
+    defined = {prop for _, prop in public_properties(modules())}
+    assert set(UNREAD_PROPERTIES) <= defined
 
 
 #: Per-layer metric suffixes that time or count calls of one function.

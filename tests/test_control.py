@@ -22,6 +22,7 @@ from risknet.experiments import ExperimentPlan, sample_driver_sets
 from risknet.model import (
     CostMatrices,
     DriverSet,
+    binary_state,
     build_network,
     continuous_state,
     identity_costs,
@@ -30,6 +31,8 @@ from risknet.netio import generate_synthetic
 from helpers import (
     brute_force_linear_optimum,
     contractive_network,
+    driver_sets,
+    gain_stack,
     interior_state,
     linear_feedback_cost,
     linear_open_loop_cost,
@@ -59,19 +62,19 @@ def scalar_net(p_int=0.1, p_con=0.7):
 class TestRiccatiSchedule:
     def test_scalar_one_step_gain(self):
         sched = schedule_for(np.array([[0.5]]), (0,), identity_costs(1), 1)
-        assert sched.K[0][0, 0] == pytest.approx(0.25)
+        assert gain_stack(sched)[0][0, 0] == pytest.approx(0.25)
         assert sched.P0[0, 0] == pytest.approx(1.125)
 
     def test_zero_dynamics_zero_gain(self):
         sched = schedule_for(np.zeros((3, 3)), (0, 2), identity_costs(3), 4)
-        assert all(np.allclose(K, 0.0) for K in sched.K)
+        assert all(np.allclose(K, 0.0) for K in gain_stack(sched))
 
     def test_zero_state_costs_zero_gain(self):
         n = 3
         costs = CostMatrices(Q_f=np.zeros((n, n)), Q=np.zeros((n, n)), R=np.eye(n))
         rng = np.random.default_rng(0)
         sched = schedule_for(rng.uniform(-1, 1, (n, n)), (1,), costs, 3)
-        assert all(np.allclose(K, 0.0) for K in sched.K)
+        assert all(np.allclose(K, 0.0) for K in gain_stack(sched))
         assert np.allclose(sched.P0, 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -80,7 +83,7 @@ class TestRiccatiSchedule:
         A, driver, costs, tau, _ = random_linear_instance(rng, 4, tau=3)
         for h in range(1, tau + 1):
             sched = schedule_for(A, driver.indices, costs, h)
-            assert len(sched.K) == h
+            assert len(gain_stack(sched)) == h
             assert np.allclose(sched.P0, sched.P0.T)
             assert np.linalg.eigvalsh(sched.P0).min() >= -1e-8
 
@@ -146,7 +149,7 @@ class TestStationaryLimit:
         P = solve_discrete_are(A, B, costs.Q, Rd)
         K = np.linalg.solve(Rd + B.T @ P @ B, B.T @ P @ A)
         assert np.linalg.norm(sched.P0 - P) <= 1e-12 * np.linalg.norm(P)
-        assert np.linalg.norm(sched.K[0] - K) <= 1e-12 * np.linalg.norm(K)
+        assert np.linalg.norm(gain_stack(sched)[0] - K) <= 1e-12 * np.linalg.norm(K)
 
 
 def criterion_7_sets(net_seed):
@@ -157,14 +160,16 @@ def criterion_7_sets(net_seed):
     x_s = find_steady_state(net)
     plan = ExperimentPlan(driver_size=7, num_sets=5, seed=2017, pinned={0: 1})
     sets = [DriverSet((3, 8, 11, 17, 22, 29, 35), 40), DriverSet((0,), 40)]
-    return net, x_s, linearize(net, x_s), sets + sample_driver_sets(plan, net, x_s, x_s)
+    return net, x_s, linearize(net, x_s), sets + driver_sets(
+        sample_driver_sets(plan, net, x_s, x_s), net.n
+    )
 
 
 def assert_same_schedule(sched, reference):
     """Every gain and P(0) equal the full recursion's bit for bit."""
     K, P0 = reference
-    assert len(sched.K) == len(K)
-    for got, want in zip(sched.K, K):
+    assert len(gain_stack(sched)) == len(K)
+    for got, want in zip(gain_stack(sched), K):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert sched.P0.shape == P0.shape and sched.P0.tobytes() == P0.tobytes()
 
@@ -218,7 +223,7 @@ class TestEarlyStop:
     def test_gains_read_only(self):
         sched = schedule_for(np.array([[0.5]]), (0,), identity_costs(1), 50)
         with pytest.raises(ValueError):
-            sched.K[0][0, 0] = 1.0
+            sched.gains[sched.index[0]][0, 0] = 1.0
 
 
 class TestFactorDrift:
@@ -236,11 +241,13 @@ class TestFactorDrift:
         x_s = find_steady_state(net)
         sys, costs = linearize(net, x_s), identity_costs(net.n)
         plan = ExperimentPlan(driver_size=7, num_sets=20, seed=2017, pinned={0: 1})
-        sets = [DriverSet((3, 8, 11, 17, 22, 29, 35), 40)] + sample_driver_sets(plan, net, x_s, x_s)
+        sets = [DriverSet((3, 8, 11, 17, 22, 29, 35), 40)] + driver_sets(
+            sample_driver_sets(plan, net, x_s, x_s), net.n
+        )
         for driver in sets:
             sched = riccati_schedule(sys, driver, costs, 500)
             K, P0 = lu_schedule(sys, driver, costs, 500)
-            for new, old in zip(sched.K, K):
+            for new, old in zip(gain_stack(sched), K):
                 assert np.linalg.norm(new - old) <= self.BOUND * np.linalg.norm(old)
             assert np.linalg.norm(sched.P0 - P0) <= self.BOUND * np.linalg.norm(P0)
             schedule = GainSchedule(gains=np.array(K), index=np.arange(len(K)), P0=P0)
@@ -453,6 +460,46 @@ class TestProactive:
         assert np.all(run.signals[:, 1] == 0.0)
 
 
+class TestOneSetChecks:
+    """The one-set runs check their driver set against the network, as
+    ``riccati_schedule`` does, and ``rollout_feedback`` its init and its
+    gains' shape, raising ValidationError, not a bare numpy error."""
+
+    @staticmethod
+    def ten_nodes():
+        net = contractive_network(np.random.default_rng(0), 10)
+        x_s = find_steady_state(net)
+        return net, x_s, linearize(net, x_s), identity_costs(10)
+
+    @pytest.mark.parametrize("indices", [(1, 2), (12,)])
+    @pytest.mark.parametrize("entry", ["run_reactive", "run_proactive", "rollout_feedback"])
+    def test_driver_set_of_another_network(self, entry, indices):
+        net, x_s, sys, costs = self.ten_nodes()
+        driver = DriverSet(indices, 50)
+        schedule = riccati_schedule(sys, DriverSet(tuple(range(len(indices))), 10), costs, 5)
+        call = {
+            "run_reactive": lambda: run_reactive(net, driver, costs, x_s, 5),
+            "run_proactive": lambda: run_proactive(net, driver, costs, 5),
+            "rollout_feedback": lambda: rollout_feedback(net, driver, costs, x_s, schedule),
+        }[entry]
+        with pytest.raises(ValidationError, match="driver set sized for a different network"):
+            call()
+
+    @pytest.mark.parametrize("init", [continuous_state(np.full(7, 0.5)), binary_state(np.ones(10))])
+    def test_rollout_init_checked(self, init):
+        net, _, sys, costs = self.ten_nodes()
+        driver = DriverSet((1, 2), 10)
+        schedule = riccati_schedule(sys, driver, costs, 5)
+        with pytest.raises(ValidationError, match="init must be a continuous state"):
+            rollout_feedback(net, driver, costs, init, schedule)
+
+    def test_rollout_gains_checked(self):
+        net, x_s, sys, costs = self.ten_nodes()
+        schedule = riccati_schedule(sys, DriverSet((1, 2), 10), costs, 5)
+        with pytest.raises(ValidationError, match=r"gains of shape \(2, 10\) for 3 drivers"):
+            rollout_feedback(net, DriverSet((1, 2, 3), 10), costs, x_s, schedule)
+
+
 class TestRolloutMatchesStepLoop:
     """The shared rollout reproduces a per-step ``step_continuous`` loop
     bit for bit, saturation included."""
@@ -470,7 +517,7 @@ class TestRolloutMatchesStepLoop:
         costs = CostMatrices(Q_f=10 * np.eye(5), Q=10 * np.eye(5), R=np.eye(5))
         init = continuous_state(np.ones(5))
         run = run_reactive(net, driver, costs, init, 30, pinned={0: 1})
-        K = riccati_schedule(linearize(net, find_steady_state(net)), driver, costs, 30).K
+        K = gain_stack(riccati_schedule(linearize(net, find_steady_state(net)), driver, costs, 30))
         self.assert_same(run, reference_rollout(
             net, driver, init.values, 30, lambda k, x: -K[k] @ x, pinned={0: 1}
         ))
@@ -527,7 +574,7 @@ def rollout_one(net, driver, costs, x0, steps, signal, pinned=None, period=0, cy
     prep = _prepare(net, costs, pinned, None)
     (run,) = _rollout_block(
         prep, np.array([driver.indices]), np.asarray(x0, dtype=float)[None], steps,
-        lambda rows, ks, X, inflow: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],
+        lambda rows, ks, X, inflow, at: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],
         [(period, cycle_end)], prep.pins,
     )
     return run
@@ -551,7 +598,7 @@ class TestFastForward:
             pinned = None if 0 in driver.indices else {0: 1}
             full = riccati_schedule(sys, driver, costs, 500)
             _, end = _gain_window(full.index)
-            K = full.K  # built on each access: once per schedule
+            K = gain_stack(full)
             signal = counted(lambda k, x: -K[k] @ x)
             rollout_one(net, driver, costs, x_s.values, 500, signal, pinned,
                         *_gain_window(full.index))
@@ -565,14 +612,14 @@ class TestFastForward:
                 sched = riccati_schedule(sys, driver, costs, h)
                 assert_same_run(
                     rollout_feedback(net, driver, costs, x_s, sched, pinned),
-                    feedback_reference(net, driver, x_s.values, sched.K, pinned),
+                    feedback_reference(net, driver, x_s.values, gain_stack(sched), pinned),
                     costs,
                 )
             # the 500-step gains cut short: horizons ending before, at and
             # after the repeat and the window's end
             for h in (found - 1, found, found + 1, end - 1, end, end + 1, 500):
                 sched = GainSchedule(gains=full.gains, index=full.index[:h], P0=full.P0)
-                K = sched.K
+                K = gain_stack(sched)
                 reference = feedback_reference(net, driver, x_s.values, K, pinned)
                 signal = counted(lambda k, x: -K[k] @ x)
                 run = rollout_one(net, driver, costs, x_s.values, h, signal, pinned,
@@ -589,12 +636,12 @@ class TestFastForward:
         driver = DriverSet((3, 4), 5)
         costs = CostMatrices(Q_f=10 * np.eye(5), Q=10 * np.eye(5), R=np.eye(5))
         sched = riccati_schedule(linearize(net, find_steady_state(net)), driver, costs, 500)
-        K = sched.K
+        K = gain_stack(sched)
         signal = counted(lambda k, x: -K[k] @ x)
         run = rollout_one(net, driver, costs, np.ones(5), 500, signal, {0: 1},
                           *_gain_window(sched.index))
         assert signal.calls < 100
-        reference = feedback_reference(net, driver, np.ones(5), sched.K, {0: 1})
+        reference = feedback_reference(net, driver, np.ones(5), gain_stack(sched), {0: 1})
         assert reference[2] == 500
         assert_same_run(run, reference, costs)
 
@@ -619,13 +666,13 @@ class TestFastForward:
         costs = identity_costs(net.n)
         driver = sets[0]
         full = riccati_schedule(sys, driver, costs, 500)
-        K, index = full.K, np.arange(500)
+        K, index = gain_stack(full), np.arange(500)
         assert _gain_window(index) == (0, 0)
         signal = counted(lambda k, x: -K[k] @ x)
         run = rollout_one(net, driver, costs, x_s.values, 500, signal, {0: 1},
                           *_gain_window(index))
         assert signal.calls == 500
-        reference = feedback_reference(net, driver, x_s.values, full.K, {0: 1})
+        reference = feedback_reference(net, driver, x_s.values, gain_stack(full), {0: 1})
         assert_same_run(run, reference, costs)
         assert_same_run(
             rollout_feedback(net, driver, costs, x_s,
@@ -652,7 +699,7 @@ class TestFastForward:
         x0 = interior_state(rng, n)
         assert_same_run(
             rollout_feedback(net, driver, costs, continuous_state(x0), sched, pinned),
-            feedback_reference(net, driver, x0, sched.K, pinned),
+            feedback_reference(net, driver, x0, gain_stack(sched), pinned),
             costs,
         )
         assert_same_run(
@@ -717,7 +764,7 @@ class TestFirstRepeat:
         driver = sets[0]
         sched = riccati_schedule(sys, driver, costs, 500)
         window = _gain_window(sched.index)
-        K = sched.K
+        K = gain_stack(sched)
         reference = feedback_reference(net, driver, x_s.values, K, {0: 1})
         first = first_repeat(reference[0], *window)
         assert first is not None

@@ -64,8 +64,8 @@ class TestClassifyDrivers:
     def test_hand_ranking_with_ties_by_index(self):
         x_s = continuous_state([0.9, 0.1, 0.2, 0.8])
         classes = experiments._driver_classes(x_s, x_s, top_fraction=0.5)
-        assert classes["steady_peak"] == {0, 3}  # top-2 by value
-        assert classes["initially_active"] == {0, 3}  # init >= 0.5
+        assert classes["steady_peak"].tolist() == [True, False, False, True]  # top-2 by value
+        assert classes["initially_active"].tolist() == [True, False, False, True]  # init >= 0.5
         tied = continuous_state([0.2, 0.7, 0.2, 0.2])
         assert top_steady_nodes(tied, 0.5) == {1, 0}  # the tie goes to node 0
 
@@ -138,10 +138,9 @@ class TestSampling:
             driver_size=4, num_sets=60, seed=5, pinned={2: 1, 7: 0}
         )
         sets = sample_driver_sets(plan, net, x_s, x_s)
-        assert len(sets) == 60
-        for d in sets:
-            assert d.size == 4
-            assert 2 not in d.indices and 7 not in d.indices
+        assert sets.shape == (60, 4)
+        for row in sets.tolist():
+            assert 2 not in row and 7 not in row
 
     def test_deterministic_given_seed(self):
         net = small_net()
@@ -149,14 +148,14 @@ class TestSampling:
         plan = ExperimentPlan(driver_size=3, num_sets=25, seed=9)
         a = sample_driver_sets(plan, net, x_s, x_s)
         b = sample_driver_sets(plan, net, x_s, x_s)
-        assert [d.indices for d in a] == [d.indices for d in b]
+        assert a.tolist() == b.tolist()
 
     def test_full_set_is_unique_choice(self):
         net = small_net()
         x_s = find_steady_state(net)
         plan = ExperimentPlan(driver_size=9, num_sets=1, seed=1, pinned={0: 1})
-        (only,) = sample_driver_sets(plan, net, x_s, x_s)
-        assert only.indices == tuple(range(1, 10))
+        (only,) = sample_driver_sets(plan, net, x_s, x_s).tolist()
+        assert only == list(range(1, 10))
 
     def test_driver_size_exceeding_candidates(self):
         net = small_net()
@@ -177,9 +176,9 @@ class TestSampling:
         sets = sample_driver_sets(plan, net, init, x_s)
         assert len(sets) == 30
         top = top_steady_nodes(x_s, 0.3)
-        for k, d in enumerate(sets):
+        for k, row in enumerate(sets.tolist()):
             expected = (0, 1, 2)[k // 10]
-            assert len(set(d.indices) & top) == expected
+            assert len(set(row) & top) == expected
 
     def test_stratum_infeasible_reported(self):
         net = small_net()
@@ -211,7 +210,7 @@ class TestDirectStratifiedDraw:
         net = generate_synthetic(40, 18.27, 4.60, seed=1)
         plan = ExperimentPlan(driver_size=7, num_sets=767, seed=2017, pinned={0: 1})
         x = continuous_state(np.zeros(net.n))
-        sets = [d.indices for d in sample_driver_sets(plan, net, x, x)]
+        sets = [tuple(row) for row in sample_driver_sets(plan, net, x, x).tolist()]
         assert sets[:2] == [(3, 14, 15, 20, 31, 33, 39), (5, 9, 12, 16, 23, 27, 34)]
         assert sets[-1] == (7, 10, 23, 24, 30, 34, 39)
 
@@ -229,7 +228,7 @@ class TestDirectStratifiedDraw:
         for k, value in enumerate(range(4)):
             valid = [c for c in itertools.combinations(candidates, 3)
                      if len(set(c) & set(active)) == value]
-            drawn = [d.indices for d in sets[k * count:(k + 1) * count]]
+            drawn = [tuple(row) for row in sets[k * count:(k + 1) * count].tolist()]
             assert set(drawn) <= set(valid)
             freq = [drawn.count(c) for c in valid]
             if len(valid) > 1:
@@ -250,7 +249,8 @@ class TestDirectStratifiedDraw:
             sides = [pool[np.argsort(rng.random((count, pool.size)), axis=1)[:, :k]]
                      for pool, k in zip(pools, (value, 3 - value)) if k]
             expected += [tuple(sorted(np.concatenate(row).tolist())) for row in zip(*sides)]
-        assert [d.indices for d in sample_driver_sets(plan, net, init, x_s)] == expected
+        drawn = sample_driver_sets(plan, net, init, x_s)
+        assert [tuple(row) for row in drawn.tolist()] == expected
 
     @pytest.mark.parametrize("active, value", [((), 0), (range(6), 4)])
     def test_edge_stratum_with_an_empty_side(self, active, value):
@@ -260,35 +260,51 @@ class TestDirectStratifiedDraw:
         plan = ExperimentPlan(driver_size=4, num_sets=1, seed=2,
                               stratify_by="initially_active", groups=((value, 20),))
         sets = sample_driver_sets(plan, net, init, x_s)
-        assert len(sets) == 20
-        assert all(d.size == 4 and len(set(d.indices) & set(active)) == value
-                   for d in sets)
+        assert sets.shape == (20, 4)
+        assert all(len(set(row)) == 4 and len(set(row) & set(active)) == value
+                   for row in sets.tolist())
 
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_every_set_in_its_stratum(self, data):
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), stratify_by=st.sampled_from(["none", "initially_active", "steady_peak"]))
+    def test_every_set_in_its_stratum(self, data, stratify_by):
+        # one sorted index row per set, from the non-pinned nodes, in its
+        # stratum; the same matrix for the same seed
         n = data.draw(st.integers(2, 12), label="n")
         pinned = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1), label="pinned")
         candidates = [i for i in range(n) if i not in pinned]
         active = data.draw(st.sets(st.integers(0, n - 1)), label="active")
         size = data.draw(st.integers(1, len(candidates)), label="driver_size")
-        n_in = len(set(candidates) & active)
-        values = range(max(0, size - (len(candidates) - n_in)), min(size, n_in) + 1)
-        groups = data.draw(st.lists(st.tuples(st.sampled_from(values), st.integers(1, 6)),
-                                    min_size=1, max_size=4), label="groups")
+        top_fraction = data.draw(st.floats(0.05, 1.0), label="top_fraction")
         seed = data.draw(st.integers(0, 2**32), label="seed")
         net, init, x_s, pins = active_class_net(n, sorted(active), pinned=pinned)
-        plan = ExperimentPlan(driver_size=size, num_sets=1, seed=seed, pinned=pins,
-                              stratify_by="initially_active", groups=tuple(groups))
+        members = {
+            "none": set(),
+            "initially_active": active,
+            "steady_peak": top_steady_nodes(x_s, top_fraction),
+        }[stratify_by]
+        if stratify_by == "none":
+            groups = [(None, data.draw(st.integers(1, 20), label="num_sets"))]
+            plan = ExperimentPlan(driver_size=size, num_sets=groups[0][1], seed=seed,
+                                  pinned=pins, top_fraction=top_fraction)
+        else:
+            n_in = len(set(candidates) & members)
+            values = range(max(0, size - (len(candidates) - n_in)), min(size, n_in) + 1)
+            groups = data.draw(st.lists(st.tuples(st.sampled_from(values), st.integers(1, 6)),
+                                        min_size=1, max_size=4), label="groups")
+            plan = ExperimentPlan(driver_size=size, num_sets=1, seed=seed, pinned=pins,
+                                  stratify_by=stratify_by, groups=tuple(groups),
+                                  top_fraction=top_fraction)
         sets = sample_driver_sets(plan, net, init, x_s)
         strata = [value for value, count in groups for _ in range(count)]
-        assert len(sets) == len(strata)
-        for d, value in zip(sets, strata):
-            assert d.size == size  # distinct indices: DriverSet drops repeats
-            assert not set(d.indices) & pinned
-            assert len(set(d.indices) & active) == value
+        assert sets.dtype.kind == "i" and sets.shape == (len(strata), size)
+        for row, value in zip(sets.tolist(), strata):
+            assert len(set(row)) == size  # distinct indices
+            assert row == sorted(row) and set(row) <= set(candidates)
+            assert not set(row) & pinned
+            if value is not None:
+                assert len(set(row) & members) == value
         again = sample_driver_sets(plan, net, init, x_s)
-        assert [d.indices for d in again] == [d.indices for d in sets]
+        assert again.tolist() == sets.tolist()
 
 
 class TestRunExperiment:
@@ -304,9 +320,9 @@ class TestRunExperiment:
         net = small_net()
         top = sorted(top_steady_nodes(find_steady_state(net), 0.3))
         rest = [i for i in range(net.n) if i not in top]
-        wrong = DriverSet((top[0], *rest[:3]), net.n)  # one top node, stratum 0
+        wrong = np.array([(top[0], *rest[:3])])  # one top node, stratum 0
         monkeypatch.setattr(
-            "risknet.experiments.sample_driver_sets", lambda *args: [wrong]
+            "risknet.experiments.sample_driver_sets", lambda *args: wrong
         )
         plan = ExperimentPlan(
             driver_size=4, num_sets=1, seed=3,
@@ -445,10 +461,10 @@ class TestRanks:
         )
         block = experiments._proactive_block
 
-        def failing(prep, drivers, steps):
-            runs = block(prep, drivers, steps)
-            return [ValidationError("made to fail") if d.indices == (1,) else r
-                    for d, r in zip(drivers, runs)]
+        def failing(prep, D, steps):
+            runs = block(prep, D, steps)
+            return [ValidationError("made to fail") if row == [1] else r
+                    for row, r in zip(D.tolist(), runs)]
 
         monkeypatch.setattr(experiments, "_proactive_block", failing)
         result = run_experiment(plan, net, None, identity_costs(net.n))

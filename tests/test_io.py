@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 import tempfile
@@ -26,6 +27,7 @@ from risknet.netio import (
     plan_from_dict,
     save_network,
     write_control_run,
+    write_csv,
     write_event_log,
 )
 from helpers import (
@@ -327,6 +329,46 @@ class TestEventLogBytes:
             path.write_bytes(bytes(data))
             assert load_outcome(load_event_log, path) == load_outcome(
                 reference_load_event_log, path)
+
+
+def old_rule_bytes(tmp_path, header, rows):
+    """The bytes of ``csv`` rows of pre-formatted cells: a float by ``repr``
+    and anything else by ``str``."""
+    path = tmp_path / "reference.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+    return path.read_bytes()
+
+
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e22, float("nan"), 0.1]),
+    st.integers(-10**20, 10**20),
+    st.text(alphabet="ab;, \"\n0.", max_size=6),
+)
+
+
+class TestWriteCsv:
+    """``write_csv`` passes plain rows to ``csv``, which writes a float by
+    its shortest ``repr`` and anything else by ``str``."""
+
+    def test_pinned_bytes(self, tmp_path):
+        row = [-0.0, 5e-324, 1e22, float("nan"), 0.1, 3, -7, "", "a;b", "x;y;z"]
+        write_csv(tmp_path / "rows.csv", ["h1", "h2"], [row])
+        data = (tmp_path / "rows.csv").read_bytes()
+        assert data == b"h1,h2\r\n-0.0,5e-324,1e+22,nan,0.1,3,-7,,a;b,x;y;z\r\n"
+        assert data == old_rule_bytes(tmp_path, ["h1", "h2"], [row])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(cells, min_size=1, max_size=5), max_size=4))
+    def test_random_rows_as_the_old_rule(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = pathlib.Path(tmp)
+            write_csv(tmp_path / "rows.csv", ["h"], rows)
+            assert (tmp_path / "rows.csv").read_bytes() == old_rule_bytes(tmp_path, ["h"], rows)
 
 
 class TestEmittedCsvsSelfRoundTrip:

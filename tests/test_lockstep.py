@@ -41,6 +41,9 @@ from risknet.model import (
 from risknet.netio import generate_synthetic
 from helpers import (
     contractive_network,
+    driver_sets,
+    gain_stack,
+    index_rows,
     interior_state,
     random_linear_instance,
     reference_rollout,
@@ -80,9 +83,8 @@ def assert_sweep_equals_per_set(plan, net, costs, init=None):
     init = x_s if init is None else init
     prep = _prepare(net, costs, plan.pinned, x_s)
     for ev in result.evaluations:
-        driver = DriverSet(ev.indices, net.n)
         for phase in plan.phases:
-            (alone,) = experiments._evaluate_block(phase, prep, [driver], init, plan)
+            (alone,) = experiments._evaluate_block(phase, prep, np.array([ev.indices]), init, plan)
             assert outcome_bytes(ev.outcomes[phase]) == outcome_bytes(alone), (ev.label, phase)
     return result
 
@@ -107,8 +109,8 @@ def one_set(fn, *args, **kwargs):
 
 def assert_same_schedule(got, want):
     """Equal gains and P(0) bit for bit, and the same gain window."""
-    assert len(got.K) == len(want.K)
-    for a, b in zip(got.K, want.K):
+    assert len(gain_stack(got)) == len(gain_stack(want))
+    for a, b in zip(gain_stack(got), gain_stack(want)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got.P0.shape == want.P0.shape and got.P0.tobytes() == want.P0.tobytes()
     assert _gain_window(got.index) == _gain_window(want.index)
@@ -146,8 +148,9 @@ class TestCriterion7:
         costs = identity_costs(net.n)
         prep = _prepare(net, costs, {0: 1}, x_s)
         plan = ExperimentPlan(driver_size=7, num_sets=8, seed=2017, pinned={0: 1})
-        drivers = experiments.sample_driver_sets(plan, net, x_s, x_s)
-        runs = _reactive_block(prep, drivers, x_s, 500)
+        D = experiments.sample_driver_sets(plan, net, x_s, x_s)
+        runs = _reactive_block(prep, D, x_s, 500)
+        drivers = driver_sets(D, net.n)
         for driver, run in zip(drivers, runs):
             assert_matches_oracles(
                 net, driver, costs, x_s.values, 500, {0: 1}, run, prep.linear
@@ -173,20 +176,19 @@ class TestBlockBoundaries:
             steps_reactive=steps, steps_proactive=steps,
             baseline_sets={"pair": (5, 9), "policy_mix": POLICY_MIX},
         )
-        drivers = [DriverSet(ev.indices, net.n) for ev in assert_sweep_equals_per_set(
+        rows = [ev.indices for ev in assert_sweep_equals_per_set(
             plan, net, identity_costs(net.n)
         ).evaluations]
         # samples, then the baselines by name: "pair" (2 nodes) ends the run
         # of 7-node sets and "policy_mix" starts a new one
-        sizes = [len(block) for block in _blocks(drivers, steps, net.n)]
+        sizes = [len(block) for block in _blocks(rows, steps, net.n)]
         if sets <= budget:
             assert sizes == [sets, 1, 1]
         else:
             assert sizes == [budget, sets - budget, 1, 1]
 
     def test_block_size_floor_is_one_set(self):
-        drivers = [DriverSet((0,), 40)] * 3
-        assert [len(b) for b in _blocks(drivers, 10**6, 40)] == [1, 1, 1]
+        assert [len(b) for b in _blocks([(0,)] * 3, 10**6, 40)] == [1, 1, 1]
 
 
 class TestBlockMemory:
@@ -210,9 +212,9 @@ class TestBlockMemory:
         )
         blocks, shapes = [], set()
 
-        def recorded(prep, drivers, init, steps):
-            runs = _reactive_block(prep, drivers, init, steps)
-            blocks.append(len(drivers))
+        def recorded(prep, D, init, steps):
+            runs = _reactive_block(prep, D, init, steps)
+            blocks.append(len(D))
             shapes.update((run.states.shape, run.driven.shape) for run in runs)
             return runs
 
@@ -262,7 +264,7 @@ class TestFailuresStayPerSet:
                    [(1, 3, 5), (0, 2, 4), (2, 6, 7), (3, 4, 5), (1, 6, 7), (2, 3, 6)]]
         x_s = find_steady_state(net)
         prep = _prepare(net, costs, {0: 1}, x_s)
-        runs = _reactive_block(prep, drivers, x_s, 300)
+        runs = _reactive_block(prep, index_rows(drivers), x_s, 300)
         alone = [one_set(run_reactive, net, d, costs, x_s, 300, {0: 1}) for d in drivers]
         assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
         assert [run_bytes(runs[i]) for i in (1, 2, 4)] == [PINNED, SINGULAR, SINGULAR]
@@ -295,8 +297,7 @@ class TestFailuresStayPerSet:
             baseline_sets={"free": (1, 2), "pinned": (0, 1)},
         )
         result = assert_sweep_equals_per_set(plan, net, identity_costs(net.n))
-        assert len(list(_blocks([DriverSet(ev.indices, 5) for ev in result.evaluations],
-                                20, 5))) == 1
+        assert len(list(_blocks([ev.indices for ev in result.evaluations], 20, 5))) == 1
         for ev in result.evaluations:
             want = PINNED if ev.label == "pinned" else SATURATED
             assert ev.outcomes["reactive"].error == want
@@ -313,7 +314,7 @@ class TestFailuresStayPerSet:
         x_s = find_steady_state(net)
         prep = _prepare(net, costs, None, x_s)
         for horizon, errors in ((1, ["", "", "", ""]), (40, ["", SINGULAR, "", ""])):
-            runs = _reactive_block(prep, drivers, x_s, horizon)
+            runs = _reactive_block(prep, index_rows(drivers), x_s, horizon)
             alone = [one_set(run_reactive, net, d, costs, x_s, horizon) for d in drivers]
             assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
             assert [r if isinstance(r, str) else "" for r in map(run_bytes, runs)] == errors
@@ -357,7 +358,7 @@ class TestFailuresStayPerSet:
 
         monkeypatch.setattr(control, "linearize", spoiled)
         drivers = [DriverSet(d, 8) for d in [(1, 3), (2, 5), (3, 4)]]
-        runs = _reactive_block(_prepare(net, costs, None, x_s), drivers, x_s, 40)
+        runs = _reactive_block(_prepare(net, costs, None, x_s), index_rows(drivers), x_s, 40)
         alone = [one_set(run_reactive, net, d, costs, x_s, 40) for d in drivers]
         assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
         want = f"SingularInnerMatrix: gain equation is not finite at step {step}"
@@ -405,14 +406,14 @@ class TestRiccatiBlock:
         costs = CostMatrices(Q_f=Q_f, Q=np.eye(40), R=np.eye(40))
         assert not np.array_equal(costs.Q_f, costs.Q_f.T)
         plan = ExperimentPlan(driver_size=7, num_sets=6, seed=2017, pinned={0: 1})
-        drivers = experiments.sample_driver_sets(plan, net, x_s, x_s) + [DriverSet(POLICY_MIX, 40)]
-        D = np.array([d.indices for d in drivers])
+        D = np.vstack([experiments.sample_driver_sets(plan, net, x_s, x_s), [POLICY_MIX]])
+        drivers = driver_sets(D, net.n)
         for horizon in (1, 2, 90, 500):
             block = _riccati_block(sys.A, D, costs, horizon)
             for driver, sched in zip(drivers, block):
                 assert_same_schedule(sched, riccati_schedule(sys, driver, costs, horizon))
                 K, P0 = reference_schedule(sys, driver, costs, horizon)
-                assert [k.tobytes() for k in sched.K] == [k.tobytes() for k in K]
+                assert [k.tobytes() for k in gain_stack(sched)] == [k.tobytes() for k in K]
                 assert sched.P0.tobytes() == P0.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -484,10 +485,11 @@ def test_random_blocks_equal_per_set(seed, n, sets, horizon, pin):
     drivers = [DriverSet(tuple(rng.choice(n, size=m, replace=False)), n) for _ in range(sets)]
     x_s = find_steady_state(net)
     init = continuous_state(interior_state(rng, n))
-    block = _reactive_block(_prepare(net, costs, pinned, x_s), drivers, init, horizon)
+    D = index_rows(drivers)
+    block = _reactive_block(_prepare(net, costs, pinned, x_s), D, init, horizon)
     alone = [one_set(run_reactive, net, d, costs, init, horizon, pinned) for d in drivers]
     assert [run_bytes(r) for r in block] == [run_bytes(r) for r in alone]
-    block = _proactive_block(_prepare(net, costs, None, None), drivers, horizon)
+    block = _proactive_block(_prepare(net, costs, None, None), D, horizon)
     alone = [run_proactive(net, d, costs, horizon) for d in drivers]
     assert [run_bytes(r) for r in block] == [run_bytes(r) for r in alone]
 
@@ -618,8 +620,8 @@ class TestBlockCosts:
         # every proactive set reports the width of its costs, as a one-set
         # run does; a non-finite state is reported before it
         net = criterion_7_net()
-        drivers = [DriverSet(d, net.n) for d in [(1, 2), (3, 4), (5, 9), (2, 7)]]
-        runs = _proactive_block(_prepare(net, identity_costs(41), None, None), drivers, 30)
+        D = np.array([(1, 2), (3, 4), (5, 9), (2, 7)])
+        runs = _proactive_block(_prepare(net, identity_costs(41), None, None), D, 30)
         assert [run_bytes(r) for r in runs] == [COSTS_WIDTH] * 4
         rng = np.random.default_rng(9)
         states, driven, saturation, D = random_block(rng, 3, 10, 5, 2)
