@@ -41,7 +41,6 @@ from .cascade import (
     run_discrete,
 )
 from .dynamics import (
-    LinearizedSystem,
     controllability_rank,
     find_steady_state,
     jacobian,

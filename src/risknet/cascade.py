@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import BINARY, RiskNetwork, StateVector, check_integer, pin_arrays
+from .model import BINARY, RiskNetwork, StateVector, check_integer, check_state, pin_arrays
 
 PRODUCT = "product"
 ADDITIVE = "additive"
@@ -149,16 +149,6 @@ def _runner(net: RiskNetwork, config: SimConfig):
     return run
 
 
-def _check_init(net: RiskNetwork, init: StateVector):
-    """A run starts from a binary state with one entry per node."""
-    if init.mode != BINARY:
-        raise ValidationError("run_discrete needs a binary initial state")
-    if init.n != net.n:
-        raise ValidationError(
-            f"initial state has {init.n} entries for a {net.n}-node network"
-        )
-
-
 def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> EventLog:
     """Simulate ``config.steps`` transitions from ``init``.
 
@@ -167,7 +157,7 @@ def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> Even
     i of step k's draw decides node i's transition from row k to row k + 1.
     Row 0 of the log is ``init`` verbatim; pins apply from row 1 on.
     """
-    _check_init(net, init)
+    check_state(init, net.n, BINARY, "init")
     run = _runner(net, config)
     out = np.empty((config.steps + 1, net.n), dtype=np.uint8)
     out[0] = init.values
@@ -189,7 +179,7 @@ def monte_carlo_mean(
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    _check_init(net, init)
+    check_state(init, net.n, BINARY, "init")
     run = _runner(net, config)
     out = np.empty((config.steps + 1, net.n))
     out[0] = init.values

@@ -121,11 +121,10 @@ def _cmd_steady_state(args) -> int:
 def _cmd_linearize(args) -> int:
     net = netio.load_network(args.network)
     driver = DriverSet(tuple(_parse_names(net, args.drivers)), net.n)
-    x_s = find_steady_state(net)
-    sys_lin = linearize(net, x_s)
-    rank = controllability_rank(sys_lin, driver)
+    A = linearize(net, find_steady_state(net))
+    rank = controllability_rank(A, driver)
     out = _out_dir(args)
-    netio.write_csv(out / "jacobian.csv", list(net.names), sys_lin.A.tolist())
+    netio.write_csv(out / "jacobian.csv", list(net.names), A.tolist())
     doc = {
         "rank": rank,
         "n": net.n,

@@ -67,8 +67,9 @@ from .errors import (
     SingularInnerMatrix,
     ValidationError,
 )
-from .model import CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, pin_arrays
-from .dynamics import LinearizedSystem, _check_driver, _raw_map, find_steady_state, linearize
+from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, check_state,
+                    pin_arrays)
+from .dynamics import _check_driver, _check_system, _raw_map, find_steady_state, linearize
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,13 +172,8 @@ def _driver_row(driver: DriverSet, n: int) -> np.ndarray:
     return np.array([driver.indices])
 
 
-def _check_init(init: StateVector, n: int) -> None:
-    if init.mode != CONTINUOUS or init.n != n:
-        raise ValidationError("init must be a continuous state of matching length")
-
-
 def riccati_schedule(
-    sys: LinearizedSystem, driver: DriverSet, costs: CostMatrices, horizon: int
+    A: np.ndarray, driver: DriverSet, costs: CostMatrices, horizon: int
 ) -> GainSchedule:
     """Backward value recursion for the finite-horizon regulator toward the
     all-inactive state.
@@ -213,17 +209,18 @@ def riccati_schedule(
     Raises
     ------
     ValidationError
-        The driver set is sized for a different network, or ``horizon < 1``.
+        ``A`` is not square, the driver set is sized for another network
+        than ``A``, or ``horizon < 1``.
     DimensionMismatch
         The costs are sized for a different network.
     SingularInnerMatrix
         The gain equation of a step is singular or not finite.
     """
-    D = _driver_row(driver, sys.n)
+    n = _check_system(A, driver)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    _check_costs(costs, sys.n)
-    return _one(_riccati_block(sys.A, D, costs, horizon))
+    _check_costs(costs, n)
+    return _one(_riccati_block(A, np.array([driver.indices]), costs, horizon))
 
 
 def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: int) -> list:
@@ -373,12 +370,13 @@ def _stacked_costs(X: np.ndarray, U: np.ndarray, costs: CostMatrices) -> tuple:
 class _Prepared:
     """What the driver sets of one network share: the network, the costs,
     the pin arrays ``(indices, values)`` and, for the reactive phase, the
-    linearization or the error that stops every reactive set."""
+    Jacobian ``A`` at the steady state or the error that stops every
+    reactive set."""
 
     net: RiskNetwork
     costs: CostMatrices
     pins: tuple
-    linear: LinearizedSystem | RiskNetError | None
+    A: np.ndarray | RiskNetError | None
 
 
 def _prepare(
@@ -387,14 +385,14 @@ def _prepare(
     """Check the pins (raising ValidationError) and, unless ``x_s`` is None,
     linearize at ``x_s``: a saturated ``x_s``, then costs of another size,
     is kept as the error of every reactive set."""
-    linear = None
+    A = None
     if x_s is not None:
         try:
-            linear = linearize(net, x_s)
+            A = linearize(net, x_s)
             _check_costs(costs, net.n)
         except (SaturatedPoint, DimensionMismatch) as exc:
-            linear = exc
-    return _Prepared(net, costs, pin_arrays(pinned, net.n), linear)
+            A = exc
+    return _Prepared(net, costs, pin_arrays(pinned, net.n), A)
 
 
 def _pin_errors(prep: _Prepared, D: np.ndarray) -> list:
@@ -561,7 +559,11 @@ def run_reactive(
     appear in the driver set.
     """
     prep = _prepare(net, costs, pinned, find_steady_state(net))
-    return _one(_reactive_block(prep, _driver_row(driver, net.n), init, steps))
+    D = _driver_row(driver, net.n)
+    if steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {steps}")
+    check_state(init, net.n, CONTINUOUS, "init")
+    return _one(_reactive_block(prep, D, init, steps))
 
 
 def _reactive_block(prep: _Prepared, D: np.ndarray, init: StateVector, steps: int) -> list:
@@ -571,17 +573,14 @@ def _reactive_block(prep: _Prepared, D: np.ndarray, init: StateVector, steps: in
     Returns per set its :class:`ControlRun` or the error that stopped it,
     checked in the order of a one-set run: a pin on a driven node, a
     saturated ``x_s``, costs of another size, a singular or non-finite gain
-    equation, a non-finite rollout.  Errors that hold for every set (bad
-    steps or init) are raised.
+    equation, a non-finite rollout.  ``steps`` and ``init`` are trusted:
+    the public entry points check them.
     """
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    _check_init(init, prep.net.n)
     out = _pin_errors(prep, D)
-    if isinstance(prep.linear, RiskNetError):
-        return [prep.linear if run is None else run for run in out]
+    if isinstance(prep.A, RiskNetError):
+        return [prep.A if run is None else run for run in out]
     live = [i for i, run in enumerate(out) if run is None]
-    for i, schedule in zip(live, _riccati_block(prep.linear.A, D[live], prep.costs, steps)):
+    for i, schedule in zip(live, _riccati_block(prep.A, D[live], prep.costs, steps)):
         out[i] = schedule
     live = [i for i in live if isinstance(out[i], GainSchedule)]
     if live:
@@ -608,15 +607,21 @@ def rollout_feedback(
     step W once the closed-loop state repeats bit for bit at a multiple of
     p.  Equal indices are the same gain, so this is exact: byte for byte
     the result of stepping every gain.  Raises ValidationError for a
-    driver set, init or gains' shape that does not fit the network.
+    driver set, init or gains' shape that does not fit the network, and
+    for an index that is not a nonempty 1-D integer array of rows of
+    ``gains``.
     """
     D = _driver_row(driver, net.n)
-    _check_init(init, net.n)
-    if schedule.gains.shape[1:] != D.shape[1:] + (net.n,):
-        raise ValidationError(f"gains of shape {schedule.gains.shape[1:]} for {D.size} drivers")
+    check_state(init, net.n, CONTINUOUS, "init")
+    gains, index = schedule.gains, np.asarray(schedule.index)
+    if gains.shape[1:] != D.shape[1:] + (net.n,):
+        raise ValidationError(f"gains of shape {gains.shape[1:]} for {D.size} drivers")
+    if not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
+            and 0 <= index.min() <= index.max() < len(gains)):
+        raise ValidationError(f"index must be a nonempty 1-D integer array in [0, {len(gains)})")
     prep = _prepare(net, costs, pinned, None)
     _one(_pin_errors(prep, D))  # raises for a pin on a driven node
-    return _one(_feedback_block(prep, D, init.values, schedule.gains, schedule.index[None]))
+    return _one(_feedback_block(prep, D, init.values, gains, index[None]))
 
 
 def _gain_window(index: np.ndarray) -> tuple[int, int]:
@@ -645,7 +650,10 @@ def run_proactive(
     period 1 over the whole horizon.
     """
     prep = _prepare(net, costs, None, None)
-    return _one(_proactive_block(prep, _driver_row(driver, net.n), steps))
+    D = _driver_row(driver, net.n)
+    if steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {steps}")
+    return _one(_proactive_block(prep, D, steps))
 
 
 def _proactive_block(prep: _Prepared, D: np.ndarray, steps: int) -> list:
@@ -653,8 +661,6 @@ def _proactive_block(prep: _Prepared, D: np.ndarray, steps: int) -> list:
     of one size), in lockstep; returns per set its :class:`ControlRun` or
     its error.  The phase holds no pins.  The inflow ``E.T x`` of a step is
     computed once and shared by the signal and the raw map."""
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
     net = prep.net
     p_int, p_ext = net.p_int[D], net.p_ext[D]
 

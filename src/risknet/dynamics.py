@@ -9,12 +9,10 @@ reported per node so callers can detect boundary operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergence, SaturatedPoint, ValidationError
-from .model import CONTINUOUS, DriverSet, RiskNetwork, StateVector, continuous_state
+from .model import CONTINUOUS, DriverSet, RiskNetwork, StateVector, check_state, continuous_state
 
 #: Default fixed-point settings for the steady-state solver.
 STEADY_STATE_TOL = 1e-12
@@ -45,10 +43,13 @@ def step_continuous(
     ``u`` may be any real vector (negative entries suppress activity); when
     ``driver`` is given only driven entries of ``u`` act.  Returns the
     clamped next state together with a boolean mask of nodes whose raw
-    update left [0, 1].
+    update left [0, 1].  Raises ValidationError for an ``x`` that is not a
+    continuous state of n entries, a driver set of another network size or
+    a ``u`` of another shape.
     """
-    if x.mode != CONTINUOUS:
-        raise ValidationError("step_continuous needs a continuous state")
+    check_state(x, net.n, CONTINUOUS, "x")
+    if driver is not None:
+        _check_driver(driver, net.n)
     raw = unclamped_step(net, x.values)
     if u is not None:
         u = np.asarray(u, dtype=float)
@@ -131,28 +132,10 @@ def jacobian(net: RiskNetwork, x: StateVector) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True, eq=False)
-class LinearizedSystem:
-    """Local linear model ``dx(k+1) ~ A dx(k) + B du(k)`` about ``x_lin``;
-    the driver set that gives B is passed with it where B is needed."""
-
-    A: np.ndarray
-    x_lin: StateVector
-
-    def __post_init__(self):
-        n = self.x_lin.n
-        if self.A.shape != (n, n):
-            raise ValidationError(f"A has shape {self.A.shape}, expected ({n}, {n})")
-
-    @property
-    def n(self) -> int:
-        return self.x_lin.n
-
-
-def linearize(net: RiskNetwork, x_lin: StateVector) -> LinearizedSystem:
-    """The Jacobian at ``x_lin`` (typically the natural steady state), which
-    every driver set of the network shares."""
-    return LinearizedSystem(A=jacobian(net, x_lin), x_lin=x_lin)
+def linearize(net: RiskNetwork, x_lin: StateVector) -> np.ndarray:
+    """The ``(n, n)`` Jacobian at ``x_lin`` (typically the natural steady
+    state), which every driver set of the network shares."""
+    return jacobian(net, x_lin)
 
 
 def _check_driver(driver: DriverSet, n: int) -> None:
@@ -160,20 +143,27 @@ def _check_driver(driver: DriverSet, n: int) -> None:
         raise ValidationError("driver set sized for a different network")
 
 
-def controllability_rank(sys: LinearizedSystem, driver: DriverSet) -> int:
+def _check_system(A: np.ndarray, driver: DriverSet) -> int:
+    """The size n of the square Jacobian ``A``, checked against the driver set."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValidationError(f"A must be a square matrix, got shape {A.shape}")
+    _check_driver(driver, len(A))
+    return len(A)
+
+
+def controllability_rank(A: np.ndarray, driver: DriverSet) -> int:
     """Rank of the reachability matrix ``[B, AB, ..., A^(n-1) B]`` of the
-    driver set.
+    driver set under the Jacobian ``A``.
 
     Computed by SVD with threshold ``n * max_singular_value * eps`` (eps =
     double-precision machine epsilon).
     """
-    _check_driver(driver, sys.n)
-    n = sys.n
+    n = _check_system(A, driver)
     blocks = []
     block = driver.selection
     for _ in range(n):
         blocks.append(block)
-        block = sys.A @ block
+        block = A @ block
     kalman = np.hstack(blocks)
     svals = np.linalg.svd(kalman, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:

@@ -20,7 +20,8 @@ import numpy as np
 from .control import _prepare, _Prepared, _proactive_block, _reactive_block
 from .dynamics import find_steady_state
 from .errors import RiskNetError, StratumInfeasible, ValidationError
-from .model import CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer, pin_arrays
+from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer,
+                    check_state, pin_arrays)
 
 STRATIFY_NONE = "none"
 STRATIFY_ACTIVE = "initially_active"
@@ -164,11 +165,14 @@ def sample_driver_sets(
     Raises
     ------
     ValidationError
-        A pin the network cannot hold; checked before any set is drawn.
+        An ``init`` or ``x_s`` that is not a continuous state of n entries,
+        or a pin the network cannot hold; checked before any set is drawn.
     StratumInfeasible
         A group's class count is impossible for this network/init; checked
         for every group, in plan order, before any set is drawn.
     """
+    check_state(init, net.n, CONTINUOUS, "init")
+    check_state(x_s, net.n, CONTINUOUS, "x_s")
     pin_arrays(plan.pinned, net.n)
     candidates = np.array(sorted(set(range(net.n)) - set(plan.pinned)), dtype=int)
     if plan.driver_size > candidates.size:
@@ -263,13 +267,10 @@ def _evaluate_block(
 ) -> list:
     """One phase's unranked outcomes for the driver sets in the rows of
     ``D``, on the network as :func:`~risknet.control._prepare` prepared it."""
-    try:
-        if phase == PHASE_REACTIVE:
-            runs = _reactive_block(prep, D, init, plan.steps_reactive)
-        else:
-            runs = _proactive_block(prep, D, plan.steps_proactive)
-    except RiskNetError as exc:
-        runs = [exc] * len(D)
+    if phase == PHASE_REACTIVE:
+        runs = _reactive_block(prep, D, init, plan.steps_reactive)
+    else:
+        runs = _proactive_block(prep, D, plan.steps_proactive)
     return [
         _Measured(math.nan, math.nan, math.nan, 0, f"{type(run).__name__}: {run}")
         if isinstance(run, RiskNetError)
@@ -319,16 +320,17 @@ def run_experiment(
     Failures of individual control runs are recorded on the evaluation
     rather than aborting the sweep, with the same error text as a one-set
     run, and leave the other sets of the block unchanged.  Sampling fails
-    only on a plan the network cannot serve: StratumInfeasible for a group
+    only on inputs the network cannot serve: StratumInfeasible for a group
     count no set can meet (raised before any set is drawn) or for a sampled
-    set outside its stratum, and ValidationError for a bad pin or an
-    oversized driver set.  These propagate before any set is evaluated.
+    set outside its stratum, and ValidationError for an ``init`` that is
+    not a continuous state of n entries (a binary one included), a bad pin
+    or an oversized driver set.  These propagate before any set is
+    evaluated; :func:`sample_driver_sets` checks ``init`` before its first
+    draw, so the sweep's blocks trust it.
     """
     x_s = find_steady_state(net)
     if init is None:
         init = x_s
-    if init.n != net.n:
-        raise ValidationError("init length does not match the network")
 
     sets = sample_driver_sets(plan, net, init, x_s)
     if plan.stratify_by == STRATIFY_NONE:

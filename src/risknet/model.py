@@ -153,6 +153,12 @@ def check_integer(label: str, value):
         raise ValidationError(f"{label} must be an integer, got {value!r}")
 
 
+def check_state(state: StateVector, n: int, mode: str, what: str) -> None:
+    """Reject a state that is not of ``mode`` with ``n`` entries."""
+    if state.mode != mode or state.n != n:
+        raise ValidationError(f"{what} must be a {mode} state of {n} entries")
+
+
 def pin_arrays(pinned: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted indices and float values of a ``{node index: 0 or 1}`` pin map.
 

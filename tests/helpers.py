@@ -81,11 +81,10 @@ def random_linear_instance(rng, n, m=None, tau=None):
     return A, driver, costs, tau, x0
 
 
-def reference_schedule(sys, driver, costs, horizon):
+def reference_schedule(A, driver, costs, horizon):
     """The backward value recursion run over the whole horizon, one step at
     a time with no early stop, from P = sym(Q_f); returns (gains
     K(0..tau-1), P(0))."""
-    A = sys.A
     d = list(driver.indices)
     Rd = costs.R[np.ix_(d, d)]
     K = [None] * horizon
@@ -98,13 +97,12 @@ def reference_schedule(sys, driver, costs, horizon):
     return K, Pn
 
 
-def lu_schedule(sys, driver, costs, horizon):
+def lu_schedule(A, driver, costs, horizon):
     """The recursion as it was before it reused its Cholesky factor: from
     P = Q_f as given, each gain solved by LU behind a Cholesky guard,
     ``K = solve(Rd + P[d, d], P[d, :] @ A)``, and
     ``P = sym(Q + A'(P A) - (A' P[:, d]) K)``; returns (gains, P(0)).
     The drift oracle for the factor-based recursion."""
-    A = sys.A
     d = list(driver.indices)
     Rd = costs.R[np.ix_(d, d)]
     K = [None] * horizon

@@ -11,12 +11,7 @@ from scipy.stats import spearmanr
 
 from risknet.cascade import SimConfig, monte_carlo_mean
 from risknet.control import riccati_schedule
-from risknet.dynamics import (
-    LinearizedSystem,
-    find_steady_state,
-    jacobian,
-    step_continuous,
-)
+from risknet.dynamics import find_steady_state, jacobian, step_continuous
 from risknet.errors import StratumInfeasible
 from risknet.experiments import ExperimentPlan, run_experiment, top_steady_nodes
 from risknet.model import (
@@ -68,8 +63,7 @@ def test_criterion_2_riccati_matches_least_squares_and_beats_random():
         rng = np.random.default_rng(2000 + seed)
         n = int(rng.integers(1, 4))
         A, driver, costs, tau, x0 = random_linear_instance(rng, n)
-        sys_lin = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(n)))
-        schedule = riccati_schedule(sys_lin, driver, costs, tau)
+        schedule = riccati_schedule(A, driver, costs, tau)
         fb = linear_feedback_cost(A, driver, costs, schedule, x0)
         opt, _ = brute_force_linear_optimum(A, driver, costs, tau, x0)
         worst_rel = max(worst_rel, abs(fb - opt) / max(abs(opt), 1e-12))
@@ -263,10 +257,9 @@ def test_criterion_9_driver_monotonicity_on_linear_cost():
     for seed in range(20):
         rng = np.random.default_rng(9000 + seed)
         A, _, costs, tau, x0 = random_linear_instance(rng, 4, m=1, tau=3)
-        sys_lin = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(4)))
 
         def optimal(indices):
-            return float(x0 @ riccati_schedule(sys_lin, DriverSet(indices, 4), costs, tau).P0 @ x0)
+            return float(x0 @ riccati_schedule(A, DriverSet(indices, 4), costs, tau).P0 @ x0)
 
         # grow a random nested chain of driver sets
         order = [int(i) for i in rng.permutation(4)]

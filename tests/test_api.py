@@ -1,7 +1,8 @@
 """The public surface: every public top-level function in ``src/risknet`` is
 called by other package code, and every public property of a public class
-is read by it, or is listed below with its reason; and every per-layer span
-of the benchmark names a public function.
+is read by it, or is listed below with its reason; every per-layer span
+of the benchmark names a public function; and the package holds no
+``assert`` statement.
 
 ``__init__.py`` only re-exports, so its imports are not references.  A
 function's or property's own body does not count as a reference to it.
@@ -134,3 +135,15 @@ def test_benchmark_spans_name_public_functions():
         if fn.startswith("_") or not inspect.isfunction(found):
             missing.append(name)
     assert not missing, f"per-layer metrics of no public function: {missing}"
+
+
+def test_no_assert_statement_in_the_package():
+    # ``python -O`` strips assert statements, so a check the package relies
+    # on must raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the package: {found}"

@@ -102,6 +102,18 @@ def test_pinned_nodes_hold_value():
     assert np.all(log.states[1:, 4] == 0)
 
 
+@pytest.mark.parametrize("init", [continuous_state([0.0, 0.0]), binary_state([0, 0, 1])])
+@pytest.mark.parametrize("entry", ["run_discrete", "monte_carlo_mean"])
+def test_init_must_be_a_binary_state_of_the_network(entry, init):
+    config = SimConfig(steps=1, seed=0)
+    call = {
+        "run_discrete": lambda: run_discrete(chain_forced(), init, config),
+        "monte_carlo_mean": lambda: monte_carlo_mean(chain_forced(), init, config, 2),
+    }[entry]
+    with pytest.raises(ValidationError, match="init must be a binary state of 2 entries"):
+        call()
+
+
 def test_pinned_index_out_of_range():
     net = chain_forced()
     with pytest.raises(ValidationError):

@@ -1,20 +1,29 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import risknet
 from risknet.cli import cli_main
+from risknet.control import run_reactive
+from risknet.dynamics import find_steady_state
+from risknet.experiments import run_experiment
 from risknet.netio import (
     generate_synthetic,
     load_event_log,
     load_network,
+    load_plan,
     save_network,
+    write_control_run,
+    write_experiment_csv,
+    write_experiment_summary,
 )
-from risknet.model import build_network
+from risknet.model import DriverSet, build_network, continuous_state, identity_costs
 from helpers import load_matrix_csv
 
 
@@ -63,6 +72,13 @@ def test_steady_state_json_format(one_node_net, capsys):
     assert cli_main(["steady-state", str(one_node_net), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["a"] == pytest.approx(0.25)
+
+
+def test_steady_state_json_file_equals_what_it_prints(one_node_net, tmp_path, capsys):
+    assert cli_main([
+        "steady-state", str(one_node_net), "--format", "json", "--output-dir", str(tmp_path),
+    ]) == 0
+    assert (tmp_path / "steady_state.json").read_text() == capsys.readouterr().out
 
 
 def test_steady_state_no_convergence_exit_two(tmp_path, capsys):
@@ -135,6 +151,45 @@ def test_control_reactive_outputs(chain_net, tmp_path, capsys):
     )
     assert (out / "control_trajectory.csv").exists()
     assert (out / "control_signals.csv").exists()
+
+
+@pytest.mark.parametrize("extra, pinned, active", [
+    (["--pin", "a=1"], {0: 1}, None),
+    (["--init-active", "a,c"], None, [1.0, 0.0, 1.0]),
+])
+def test_control_reactive_files_equal_the_library_run(
+    chain_net, tmp_path, capsys, extra, pinned, active
+):
+    assert cli_main([
+        "control", str(chain_net), "--drivers", "b", "--steps", "30",
+        "--output-dir", str(tmp_path / "cli"),
+    ] + extra) == 0
+    net = load_network(chain_net)
+    init = find_steady_state(net) if active is None else continuous_state(active)
+    run = run_reactive(net, DriverSet((1,), 3), identity_costs(3), init, 30, pinned)
+    (tmp_path / "lib").mkdir()
+    write_control_run(tmp_path / "lib", run, net.names)
+    for name in ("control.json", "control_trajectory.csv", "control_signals.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_experiment_init_active_files_equal_the_library_run(chain_net, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "schema_version": 1, "driver_size": 1, "num_sets": 3, "seed": 2,
+        "phase": "both", "steps_reactive": 20, "steps_proactive": 5,
+    }))
+    assert cli_main([
+        "experiment", str(chain_net), str(plan_path), "--init-active", "a",
+        "--output-dir", str(tmp_path / "cli"),
+    ]) == 0
+    net = load_network(chain_net)
+    plan, costs = load_plan(plan_path, net)
+    result = run_experiment(plan, net, continuous_state([1.0, 0.0, 0.0]), costs)
+    write_experiment_csv(tmp_path / "results.csv", result, net.names)
+    write_experiment_summary(tmp_path / "summary.json", result)
+    for name in ("results.csv", "summary.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_control_proactive_pin_free(chain_net, tmp_path):
@@ -263,6 +318,33 @@ def test_experiment_rows_and_byte_identical_reruns(chain_net, tmp_path, capsys):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     lines = (out1 / "results.csv").read_text().splitlines()
     assert len(lines) == 1 + (6 + 1) * 2  # header + (sets + baseline) x phases
+
+
+def test_summary_strata_are_quartiles_of_the_result_rows(tmp_path, capsys):
+    net_path = tmp_path / "network.json"
+    save_network(net_path, generate_synthetic(12, 5.0, 1.0, seed=3))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "schema_version": 1, "driver_size": 3, "seed": 4,
+        "stratify_by": "steady_peak", "groups": [[0, 3], [1, 4], [2, 5]],
+        "phase": "both", "steps_reactive": 40, "steps_proactive": 10,
+    }))
+    assert cli_main([
+        "experiment", str(net_path), str(plan_path), "--output-dir", str(tmp_path),
+    ]) == 0
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    strata = json.loads((tmp_path / "summary.json").read_text())["strata"]
+    assert sorted(strata) == ["proactive", "reactive"]
+    for phase, by_value in strata.items():
+        assert sorted(by_value) == ["0", "1", "2"]
+        for value, summary in by_value.items():
+            mine = [r for r in rows if r["kind"] == "sample" and r["phase"] == phase
+                    and r["stratum"] == value and not r["error"]]
+            assert mine
+            for cost in ("control_cost", "total_cost"):
+                q1, med, q3 = np.percentile([float(r[cost]) for r in mine], [25.0, 50.0, 75.0])
+                assert summary[cost] == {"q1": q1, "median": med, "q3": q3}
 
 
 def test_experiment_identical_under_optimize(tmp_path):

@@ -16,7 +16,7 @@ from risknet.control import (
     run_proactive,
     run_reactive,
 )
-from risknet.dynamics import LinearizedSystem, find_steady_state, linearize, step_continuous
+from risknet.dynamics import find_steady_state, linearize, step_continuous
 from risknet.errors import DimensionMismatch, SingularInnerMatrix, ValidationError
 from risknet.experiments import ExperimentPlan, sample_driver_sets
 from risknet.model import (
@@ -44,15 +44,10 @@ from helpers import (
 )
 
 
-def linear_system(A):
-    A = np.asarray(A, dtype=float)
-    return LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(A.shape[0])))
-
-
 def schedule_for(A, driver_indices, costs, horizon):
     """``riccati_schedule`` of the linear system ``A`` and the driver set."""
     driver = DriverSet(driver_indices, A.shape[0])
-    return riccati_schedule(linear_system(A), driver, costs, horizon)
+    return riccati_schedule(A, driver, costs, horizon)
 
 
 def scalar_net(p_int=0.1, p_con=0.7):
@@ -88,16 +83,16 @@ class TestRiccatiSchedule:
             assert np.linalg.eigvalsh(sched.P0).min() >= -1e-8
 
     def test_horizon_and_cost_size_validated(self):
-        sys, driver = linear_system(np.array([[0.5]])), DriverSet((0,), 1)
+        A, driver = np.array([[0.5]]), DriverSet((0,), 1)
         with pytest.raises(ValidationError, match="horizon"):
-            riccati_schedule(sys, driver, identity_costs(1), 0)
+            riccati_schedule(A, driver, identity_costs(1), 0)
         with pytest.raises(DimensionMismatch):
-            riccati_schedule(sys, driver, identity_costs(2), 1)
+            riccati_schedule(A, driver, identity_costs(2), 1)
 
     def test_driver_size_validated(self):
         with pytest.raises(ValidationError, match="driver set sized for a different network"):
             riccati_schedule(
-                linear_system(np.eye(2)), DriverSet((0,), 3), identity_costs(2), 1
+                np.eye(2), DriverSet((0,), 3), identity_costs(2), 1
             )
 
     @pytest.mark.parametrize("A, step", [
@@ -141,10 +136,10 @@ class TestStationaryLimit:
     ])
     def test_long_horizon_matches_dare(self, net_seed, drivers):
         net = generate_synthetic(40, 18.27, 4.60, seed=net_seed)
-        sys, driver = linearize(net, find_steady_state(net)), DriverSet(drivers, net.n)
+        A, driver = linearize(net, find_steady_state(net)), DriverSet(drivers, net.n)
         costs = identity_costs(net.n)
-        sched = riccati_schedule(sys, driver, costs, 500)
-        A, B = sys.A, driver.selection
+        sched = riccati_schedule(A, driver, costs, 500)
+        B = driver.selection
         Rd = B.T @ costs.R @ B
         P = solve_discrete_are(A, B, costs.Q, Rd)
         K = np.linalg.solve(Rd + B.T @ P @ B, B.T @ P @ A)
@@ -154,7 +149,7 @@ class TestStationaryLimit:
 
 def criterion_7_sets(net_seed):
     """The criterion-7 network of ``net_seed``, its steady state, its
-    linearization there and its driver sets: ``policy_mix``, ``(0,)`` and
+    Jacobian there and its driver sets: ``policy_mix``, ``(0,)`` and
     the first 5 sets the sweep samples."""
     net = generate_synthetic(40, 18.27, 4.60, seed=net_seed)
     x_s = find_steady_state(net)
@@ -180,11 +175,11 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("net_seed", [1, 2])
     def test_criterion_7_sets_match_full_recursion(self, net_seed):
-        net, x_s, sys, sets = criterion_7_sets(net_seed)
+        net, x_s, A, sets = criterion_7_sets(net_seed)
         costs = identity_costs(net.n)
         for driver in sets:
-            sched = riccati_schedule(sys, driver, costs, 500)
-            assert_same_schedule(sched, reference_schedule(sys, driver, costs, 500))
+            sched = riccati_schedule(A, driver, costs, 500)
+            assert_same_schedule(sched, reference_schedule(A, driver, costs, 500))
             # the cycle was found: fewer gains were computed than steps, and
             # earlier steps index the cycle's gains
             assert len(sched.gains) < 500
@@ -193,15 +188,15 @@ class TestEarlyStop:
     def test_every_horizon_up_to_90(self):
         # net seed 1's policy_mix: period 6, found 69 steps back, so horizons
         # 70..90 end at every residue
-        net, x_s, sys, sets = criterion_7_sets(1)
+        net, x_s, A, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
         for h in range(1, 91):
-            sched = riccati_schedule(sys, sets[0], costs, h)
-            assert_same_schedule(sched, reference_schedule(sys, sets[0], costs, h))
+            sched = riccati_schedule(A, sets[0], costs, h)
+            assert_same_schedule(sched, reference_schedule(A, sets[0], costs, h))
         assert len(sched.gains) < 90
         assert np.unique(sched.index).size == len(sched.gains)
         assert _gain_window(sched.index) == (6, 24)
-        assert _gain_window(riccati_schedule(sys, sets[0], costs, 500).index) == (6, 432)
+        assert _gain_window(riccati_schedule(A, sets[0], costs, 500).index) == (6, 432)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -216,9 +211,8 @@ class TestEarlyStop:
         rho = np.max(np.abs(np.linalg.eigvals(A)))
         if rho > 0:
             A = A * (radius / rho)
-        sys = linear_system(A)
-        sched = riccati_schedule(sys, driver, costs, horizon)
-        assert_same_schedule(sched, reference_schedule(sys, driver, costs, horizon))
+        sched = riccati_schedule(A, driver, costs, horizon)
+        assert_same_schedule(sched, reference_schedule(A, driver, costs, horizon))
 
     def test_gains_read_only(self):
         sched = schedule_for(np.array([[0.5]]), (0,), identity_costs(1), 50)
@@ -239,14 +233,14 @@ class TestFactorDrift:
     def test_criterion_7_sets_within_bound(self):
         net = generate_synthetic(40, 18.27, 4.60, seed=1)
         x_s = find_steady_state(net)
-        sys, costs = linearize(net, x_s), identity_costs(net.n)
+        A, costs = linearize(net, x_s), identity_costs(net.n)
         plan = ExperimentPlan(driver_size=7, num_sets=20, seed=2017, pinned={0: 1})
         sets = [DriverSet((3, 8, 11, 17, 22, 29, 35), 40)] + driver_sets(
             sample_driver_sets(plan, net, x_s, x_s), net.n
         )
         for driver in sets:
-            sched = riccati_schedule(sys, driver, costs, 500)
-            K, P0 = lu_schedule(sys, driver, costs, 500)
+            sched = riccati_schedule(A, driver, costs, 500)
+            K, P0 = lu_schedule(A, driver, costs, 500)
             for new, old in zip(gain_stack(sched), K):
                 assert np.linalg.norm(new - old) <= self.BOUND * np.linalg.norm(old)
             assert np.linalg.norm(sched.P0 - P0) <= self.BOUND * np.linalg.norm(P0)
@@ -462,8 +456,9 @@ class TestProactive:
 
 class TestOneSetChecks:
     """The one-set runs check their driver set against the network, as
-    ``riccati_schedule`` does, and ``rollout_feedback`` its init and its
-    gains' shape, raising ValidationError, not a bare numpy error."""
+    ``riccati_schedule`` does, and ``rollout_feedback`` its init, its
+    gains' shape and its index, raising ValidationError, not a bare numpy
+    error."""
 
     @staticmethod
     def ten_nodes():
@@ -474,9 +469,9 @@ class TestOneSetChecks:
     @pytest.mark.parametrize("indices", [(1, 2), (12,)])
     @pytest.mark.parametrize("entry", ["run_reactive", "run_proactive", "rollout_feedback"])
     def test_driver_set_of_another_network(self, entry, indices):
-        net, x_s, sys, costs = self.ten_nodes()
+        net, x_s, A, costs = self.ten_nodes()
         driver = DriverSet(indices, 50)
-        schedule = riccati_schedule(sys, DriverSet(tuple(range(len(indices))), 10), costs, 5)
+        schedule = riccati_schedule(A, DriverSet(tuple(range(len(indices))), 10), costs, 5)
         call = {
             "run_reactive": lambda: run_reactive(net, driver, costs, x_s, 5),
             "run_proactive": lambda: run_proactive(net, driver, costs, 5),
@@ -487,17 +482,33 @@ class TestOneSetChecks:
 
     @pytest.mark.parametrize("init", [continuous_state(np.full(7, 0.5)), binary_state(np.ones(10))])
     def test_rollout_init_checked(self, init):
-        net, _, sys, costs = self.ten_nodes()
+        net, _, A, costs = self.ten_nodes()
         driver = DriverSet((1, 2), 10)
-        schedule = riccati_schedule(sys, driver, costs, 5)
+        schedule = riccati_schedule(A, driver, costs, 5)
         with pytest.raises(ValidationError, match="init must be a continuous state"):
             rollout_feedback(net, driver, costs, init, schedule)
 
     def test_rollout_gains_checked(self):
-        net, x_s, sys, costs = self.ten_nodes()
-        schedule = riccati_schedule(sys, DriverSet((1, 2), 10), costs, 5)
+        net, x_s, A, costs = self.ten_nodes()
+        schedule = riccati_schedule(A, DriverSet((1, 2), 10), costs, 5)
         with pytest.raises(ValidationError, match=r"gains of shape \(2, 10\) for 3 drivers"):
             rollout_feedback(net, DriverSet((1, 2, 3), 10), costs, x_s, schedule)
+
+    @pytest.mark.parametrize("index", [
+        np.array([0, 1, 99]),  # past the gains
+        np.array([0, -1, 1]),  # before them
+        np.zeros((2, 3), dtype=int),
+        np.zeros(0, dtype=int),
+        np.array([0.0, 1.0]),
+    ])
+    def test_rollout_index_checked(self, index):
+        net, x_s, A, costs = self.ten_nodes()
+        driver = DriverSet((1, 2), 10)
+        schedule = riccati_schedule(A, driver, costs, 5)
+        bad = GainSchedule(gains=schedule.gains, index=index, P0=schedule.P0)
+        message = r"index must be a nonempty 1-D integer array in \[0, \d+\)"
+        with pytest.raises(ValidationError, match=message):
+            rollout_feedback(net, driver, costs, x_s, bad)
 
 
 class TestRolloutMatchesStepLoop:
@@ -592,11 +603,11 @@ class TestFastForward:
 
     @pytest.mark.parametrize("net_seed", [1, 2])
     def test_criterion_7_sets_match_reference(self, net_seed):
-        net, x_s, sys, sets = criterion_7_sets(net_seed)
+        net, x_s, A, sets = criterion_7_sets(net_seed)
         costs = identity_costs(net.n)
         for driver in sets:
             pinned = None if 0 in driver.indices else {0: 1}
-            full = riccati_schedule(sys, driver, costs, 500)
+            full = riccati_schedule(A, driver, costs, 500)
             _, end = _gain_window(full.index)
             K = gain_stack(full)
             signal = counted(lambda k, x: -K[k] @ x)
@@ -609,7 +620,7 @@ class TestFastForward:
             assert 0 < found < end
             # schedules of their own length, with and without a gain window
             for h in (40, 65, 150, 193, 194, 260):
-                sched = riccati_schedule(sys, driver, costs, h)
+                sched = riccati_schedule(A, driver, costs, h)
                 assert_same_run(
                     rollout_feedback(net, driver, costs, x_s, sched, pinned),
                     feedback_reference(net, driver, x_s.values, gain_stack(sched), pinned),
@@ -662,10 +673,10 @@ class TestFastForward:
     def test_equal_but_distinct_gains_step_every_gain(self):
         # equal indices, not equal gains, mark a repeat: copied gains, each
         # at its own index, are all stepped
-        net, x_s, sys, sets = criterion_7_sets(1)
+        net, x_s, A, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
         driver = sets[0]
-        full = riccati_schedule(sys, driver, costs, 500)
+        full = riccati_schedule(A, driver, costs, 500)
         K, index = gain_stack(full), np.arange(500)
         assert _gain_window(index) == (0, 0)
         signal = counted(lambda k, x: -K[k] @ x)
@@ -759,10 +770,10 @@ class TestFirstRepeat:
 
     def test_equal_hashes_of_unequal_states_do_not_copy(self, monkeypatch):
         # every state hashes alike: only a bitwise repeat may copy
-        net, x_s, sys, sets = criterion_7_sets(1)
+        net, x_s, A, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
         driver = sets[0]
-        sched = riccati_schedule(sys, driver, costs, 500)
+        sched = riccati_schedule(A, driver, costs, 500)
         window = _gain_window(sched.index)
         K = gain_stack(sched)
         reference = feedback_reference(net, driver, x_s.values, K, {0: 1})
@@ -777,11 +788,11 @@ class TestFirstRepeat:
 
 class TestGainWindow:
     def test_riccati_cycle_is_a_window(self):
-        net, _, sys, sets = criterion_7_sets(1)
+        net, _, A, sets = criterion_7_sets(1)
         costs = identity_costs(net.n)
-        period, end = _gain_window(riccati_schedule(sys, sets[0], costs, 500).index)
+        period, end = _gain_window(riccati_schedule(A, sets[0], costs, 500).index)
         assert 1 <= period <= end < 500
-        assert _gain_window(riccati_schedule(sys, sets[0], costs, 40).index) == (0, 0)
+        assert _gain_window(riccati_schedule(A, sets[0], costs, 40).index) == (0, 0)
 
     def test_window_read_from_indices(self):
         # b and c are equal gains at distinct indices

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from risknet.dynamics import (
-    LinearizedSystem,
     controllability_rank,
     find_steady_state,
     jacobian,
@@ -11,7 +10,7 @@ from risknet.dynamics import (
     unclamped_step,
 )
 from risknet.errors import NoConvergence, SaturatedPoint, ValidationError
-from risknet.model import DriverSet, build_network, continuous_state
+from risknet.model import DriverSet, binary_state, build_network, continuous_state
 from helpers import (
     chain_saturation_network,
     contractive_network,
@@ -83,6 +82,16 @@ class TestStepContinuous:
         driver = DriverSet(tuple(rng.choice(6, size=3, replace=False)), 6)
         out, _ = step_continuous(net, x, u, driver)
         assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
+
+    @pytest.mark.parametrize("x, driver, message", [
+        (binary_state([1, 0]), None, "x must be a continuous state of 2 entries"),
+        (continuous_state([0.1, 0.2, 0.3]), None, "x must be a continuous state of 2 entries"),
+        (continuous_state([0.1, 0.2]), DriverSet((1,), 50), "driver set sized for a different"),
+        (continuous_state([0.1, 0.2]), DriverSet((1, 12), 50), "driver set sized for a different"),
+    ])
+    def test_rejects_state_or_driver_set_of_another_network(self, x, driver, message):
+        with pytest.raises(ValidationError, match=message):
+            step_continuous(hand_chain(), x, np.zeros(2), driver)
 
 
 class TestSteadyState:
@@ -192,33 +201,27 @@ class TestLinearize:
     def test_packages_jacobian_and_point(self):
         net = hand_chain()
         x_s = find_steady_state(net)
-        sys_lin = linearize(net, x_s)
-        assert np.array_equal(sys_lin.A, jacobian(net, x_s))
-        assert np.array_equal(sys_lin.x_lin.values, x_s.values)
+        assert np.array_equal(linearize(net, x_s), jacobian(net, x_s))
 
     def test_dimension_check(self):
-        with pytest.raises(ValidationError):
-            LinearizedSystem(A=np.zeros((2, 2)), x_lin=continuous_state([0.1]))
+        with pytest.raises(ValidationError, match="A must be a square matrix"):
+            controllability_rank(np.zeros((2, 1)), DriverSet((0,), 2))
 
 
 class TestControllabilityRank:
     def test_driven_scalar(self):
-        sys_lin = LinearizedSystem(A=np.array([[0.6]]), x_lin=continuous_state([0.2]))
-        assert controllability_rank(sys_lin, DriverSet((0,), 1)) == 1
+        assert controllability_rank(np.array([[0.6]]), DriverSet((0,), 1)) == 1
 
     def test_chain_fully_controllable_from_source(self):
         A = np.array([[0.5, 0.0], [0.3, 0.5]])  # node 0 drives node 1
-        sys_lin = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(2)))
-        assert controllability_rank(sys_lin, DriverSet((0,), 2)) == 2
+        assert controllability_rank(A, DriverSet((0,), 2)) == 2
 
     def test_decoupled_second_node_unreachable(self):
-        sys_lin = LinearizedSystem(A=np.diag([0.5, 0.4]), x_lin=continuous_state(np.zeros(2)))
-        assert controllability_rank(sys_lin, DriverSet((0,), 2)) == 1
+        assert controllability_rank(np.diag([0.5, 0.4]), DriverSet((0,), 2)) == 1
 
     def test_driver_size_check(self):
-        sys_lin = LinearizedSystem(A=np.eye(2), x_lin=continuous_state(np.zeros(2)))
         with pytest.raises(ValidationError, match="driver set sized for a different network"):
-            controllability_rank(sys_lin, DriverSet((0,), 1))
+            controllability_rank(np.eye(2), DriverSet((0,), 1))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_invariant_under_relabeling(self, seed):

@@ -16,6 +16,7 @@ from risknet.experiments import (
 )
 from risknet.model import (
     DriverSet,
+    binary_state,
     build_network,
     continuous_state,
     identity_costs,
@@ -192,6 +193,22 @@ class TestSampling:
         with pytest.raises(StratumInfeasible, match="stratum 1"):
             sample_driver_sets(plan, net, continuous_state(np.zeros(net.n)), x_s)
 
+    @pytest.mark.parametrize("which, state", [
+        ("init", continuous_state(np.zeros(14))),
+        ("init", continuous_state(np.zeros(5))),
+        ("init", binary_state(np.zeros(12))),
+        ("x_s", continuous_state(np.zeros(30))),
+    ])
+    def test_state_of_another_network_rejected(self, which, state):
+        net, init, x_s, _ = active_class_net(12, (0, 1, 2))
+        states = {"init": init, "x_s": x_s, which: state}
+        plan = ExperimentPlan(
+            driver_size=3, num_sets=1, seed=0,
+            stratify_by="initially_active", groups=((1, 4),),
+        )
+        with pytest.raises(ValidationError, match=f"{which} must be a continuous state of 12 entries"):
+            sample_driver_sets(plan, net, states["init"], states["x_s"])
+
 
 def active_class_net(n, active, pinned=()):
     """An n-node network, its natural steady state, and an init whose
@@ -315,6 +332,15 @@ class TestRunExperiment:
                               steps_reactive=5)
         with pytest.raises(ValidationError, match="pinned index"):
             run_experiment(plan, net, None, identity_costs(net.n))
+
+    @pytest.mark.parametrize("phase", ["reactive", "proactive", "both"])
+    @pytest.mark.parametrize("init", [binary_state(np.ones(10)), continuous_state(np.ones(7))])
+    def test_init_of_another_kind_rejected_for_every_phase(self, init, phase):
+        net = small_net()  # 10 nodes
+        plan = ExperimentPlan(driver_size=3, num_sets=2, seed=1, phase=phase,
+                              steps_reactive=5, steps_proactive=5)
+        with pytest.raises(ValidationError, match="init must be a continuous state of 10 entries"):
+            run_experiment(plan, net, init, identity_costs(net.n))
 
     def test_set_outside_its_stratum_raises(self, monkeypatch):
         net = small_net()

@@ -28,7 +28,7 @@ from risknet.control import (
     run_proactive,
     run_reactive,
 )
-from risknet.dynamics import LinearizedSystem, find_steady_state, jacobian, linearize
+from risknet.dynamics import find_steady_state, jacobian, linearize
 from risknet.errors import RiskNetError
 from risknet.experiments import ExperimentPlan, _blocks, run_experiment
 from risknet.model import (
@@ -116,10 +116,10 @@ def assert_same_schedule(got, want):
     assert _gain_window(got.index) == _gain_window(want.index)
 
 
-def assert_matches_oracles(net, driver, costs, x0, steps, pinned, run, sys):
-    """``run`` is the full recursion's gains on the linear system ``sys``
+def assert_matches_oracles(net, driver, costs, x0, steps, pinned, run, A):
+    """``run`` is the full recursion's gains on the Jacobian ``A``
     stepped by ``helpers.reference_rollout``, byte for byte."""
-    K, _ = reference_schedule(sys, driver, costs, steps)
+    K, _ = reference_schedule(A, driver, costs, steps)
     states, signals, saturation = reference_rollout(
         net, driver, x0, steps, lambda k, x: -K[k] @ x, pinned
     )
@@ -153,7 +153,7 @@ class TestCriterion7:
         drivers = driver_sets(D, net.n)
         for driver, run in zip(drivers, runs):
             assert_matches_oracles(
-                net, driver, costs, x_s.values, 500, {0: 1}, run, prep.linear
+                net, driver, costs, x_s.values, 500, {0: 1}, run, prep.A
             )
 
 
@@ -270,7 +270,7 @@ class TestFailuresStayPerSet:
         assert [run_bytes(runs[i]) for i in (1, 2, 4)] == [PINNED, SINGULAR, SINGULAR]
         for i in (0, 3, 5):
             assert_matches_oracles(
-                net, drivers[i], costs, x_s.values, 300, {0: 1}, runs[i], prep.linear
+                net, drivers[i], costs, x_s.values, 300, {0: 1}, runs[i], prep.A
             )
 
     def test_sweep_records_one_set_errors(self):
@@ -325,7 +325,7 @@ class TestFailuresStayPerSet:
         x_s = find_steady_state(net)
         prep = _prepare(net, costs, {0: 1}, x_s)
         D = np.array([(1, 2), (3, 4), (2, 5)])
-        schedules = [riccati_schedule(prep.linear, DriverSet(d, 8), costs, 60) for d in D]
+        schedules = [riccati_schedule(prep.A, DriverSet(d, 8), costs, 60) for d in D]
         # the three schedules' gains in one array, and a NaN gain as set 1's
         # gain of step 0
         gains = np.concatenate([s.gains for s in schedules] + [np.full((1, 2, 8), np.nan)])
@@ -354,7 +354,7 @@ class TestFailuresStayPerSet:
                 A[3, 0] = np.nan
             else:
                 A = 1e200 * np.eye(8)
-            return LinearizedSystem(A=A, x_lin=x)
+            return A
 
         monkeypatch.setattr(control, "linearize", spoiled)
         drivers = [DriverSet(d, 8) for d in [(1, 3), (2, 5), (3, 4)]]
@@ -400,7 +400,7 @@ class TestRiccatiBlock:
         # rows serve as its driver columns, in a block and alone
         net = criterion_7_net()
         x_s = find_steady_state(net)
-        sys = linearize(net, x_s)
+        A = linearize(net, x_s)
         rng = np.random.default_rng(7)
         Q_f = np.eye(40) + 1e-12 * rng.uniform(-1.0, 1.0, size=(40, 40))
         costs = CostMatrices(Q_f=Q_f, Q=np.eye(40), R=np.eye(40))
@@ -409,10 +409,10 @@ class TestRiccatiBlock:
         D = np.vstack([experiments.sample_driver_sets(plan, net, x_s, x_s), [POLICY_MIX]])
         drivers = driver_sets(D, net.n)
         for horizon in (1, 2, 90, 500):
-            block = _riccati_block(sys.A, D, costs, horizon)
+            block = _riccati_block(A, D, costs, horizon)
             for driver, sched in zip(drivers, block):
-                assert_same_schedule(sched, riccati_schedule(sys, driver, costs, horizon))
-                K, P0 = reference_schedule(sys, driver, costs, horizon)
+                assert_same_schedule(sched, riccati_schedule(A, driver, costs, horizon))
+                K, P0 = reference_schedule(A, driver, costs, horizon)
                 assert [k.tobytes() for k in gain_stack(sched)] == [k.tobytes() for k in K]
                 assert sched.P0.tobytes() == P0.tobytes()
 
@@ -432,9 +432,8 @@ class TestRiccatiBlock:
             A = A * (radius / rho)
         m = driver.size
         D = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(sets)])
-        sys = LinearizedSystem(A=A, x_lin=continuous_state(np.zeros(n)))
         for d, sched in zip(D, _riccati_block(A, D, costs, horizon)):
-            assert_same_schedule(sched, riccati_schedule(sys, DriverSet(d, n), costs, horizon))
+            assert_same_schedule(sched, riccati_schedule(A, DriverSet(d, n), costs, horizon))
 
     @settings(max_examples=40, deadline=None)
     @given(
