@@ -15,6 +15,15 @@ recovers.  Two activation variants are supported:
 
 The default is ``product``.  With at most one active in-neighbor per node
 (and binary weights) the two variants coincide exactly.
+
+Every entry point takes its steps through one batch-invariant step
+(:func:`_thresholds`): a stack of states gives each row the bits that row
+gets on its own.  So :func:`monte_carlo_mean` steps all its trials as one
+stack, and :func:`run_discrete` steps a block of draws as lockstep segments
+that it splices where the chains driven by the same uniforms meet (coupled
+chains forget their start state within a few dozen steps on the networks of
+the benchmark).  Either way each row is the one the one-step-at-a-time
+chain gives.
 """
 
 from __future__ import annotations
@@ -107,11 +116,21 @@ def _binary_copy(s: np.ndarray) -> np.ndarray | None:
     return owned
 
 
+def _log_survival(net: RiskNetwork) -> np.ndarray:
+    """``logs[j, i] = log(1 - E[j, i] * p_ext[i])``, floored: the log of the
+    chance that active node j fails to activate node i."""
+    return np.log(np.maximum(1.0 - net.E * net.p_ext[None, :], _LOG_FLOOR))
+
+
 def _activation(net: RiskNetwork, variant: str):
-    """State array -> per-node activation probabilities, built once per run."""
+    """State array -> per-node activation probabilities by the model formula
+    over all nodes at once (one product with the ``(n, n)`` matrix).
+
+    No run steps with it: it is the dense form of the formula that the
+    step's table sums (:func:`_thresholds`) are held to within a fixed
+    bound."""
     if variant == PRODUCT:
-        # logs[j, i] = log(1 - E[j, i] * p_ext[i]), floored
-        logs = np.log(np.maximum(1.0 - net.E * net.p_ext[None, :], _LOG_FLOOR))
+        logs = _log_survival(net)
         quiet = 1.0 - net.p_int
         return lambda x: 1.0 - quiet * np.exp(x @ logs)
     return lambda x: np.minimum(1.0, net.p_int + net.p_ext * net.inflow(x))
@@ -121,30 +140,167 @@ def _activation(net: RiskNetwork, variant: str):
 #: holds at most this many rows of draws at once.
 _BLOCK_STEPS = 1024
 
+#: In-neighbours per lookup table: each node's in-neighbours are taken in
+#: chunks of this many, and a chunk's 0/1 states index its 2**_CHUNK partial
+#: sums.
+_CHUNK = 8
+
+#: Steps per speculative segment of a block (see :func:`_runner`).
+_SEGMENT_STEPS = 32
+
+
+def _thresholds(net: RiskNetwork, config: SimConfig):
+    """The per-node transition thresholds, built once per run.
+
+    ``thresholds(x)`` maps a ``(B, n)`` array of 0/1 states to the ``(B, n)``
+    thresholds below which each node's uniform makes it active next: p_con
+    for an active node, the activation probability for an inactive one, 1.0
+    and 0.0 for a node pinned to 1 and to 0.  Row r of the result depends
+    only on row r of ``x``, bit for bit, whatever B is:
+
+    * ``x @ codes`` packs each chunk of a node's in-neighbour states into an
+      integer below 256.  Every product is 0 or a power of two, so the sum
+      is exact in any BLAS order.
+    * The integer picks the chunk's partial sum of log-survival factors
+      (product) or of weights (additive) from a table built once, with the
+      terms added in in-neighbour order; a node's chunks are then added in
+      chunk order.
+    * ``1 - (1 - p_int) * exp(s)`` or ``min(1, p_int + p_ext * s)`` and the
+      choice of p_con for active nodes are elementwise.
+
+    When no node has more than one chunk, the table holds those elementwise
+    results instead of the sums, and the node's own state is one more bit
+    of its code, so a step is one lookup with the same bits.  A pinned node
+    gets no in-neighbours and parameters whose thresholds are its pinned
+    value, so pins cost nothing per step.
+    """
+    n = net.n
+    pin_idx, pin_val = pin_arrays(config.pinned, n)
+    product = config.variant == PRODUCT
+    if product:
+        terms, base = _log_survival(net), 1.0 - net.p_int
+    else:
+        terms, base = net.E.copy(), net.p_int.copy()
+    p_con, slope = net.p_con.copy(), net.p_ext.copy()
+    # a pinned node: product 1 - base * exp(0) is 1 - 0 or 1 - 1, additive
+    # base + 0 * 0 is the pin
+    terms[:, pin_idx] = 0.0
+    p_con[pin_idx] = pin_val
+    base[pin_idx] = 1.0 - pin_val if product else pin_val
+    slope[pin_idx] = 0.0
+
+    def activation(s, base, slope):
+        """The activation probabilities of summed terms ``s``, in place."""
+        if product:
+            np.exp(s, out=s)
+            s *= base
+            np.subtract(1.0, s, out=s)
+        else:
+            s *= slope
+            s += base
+            np.minimum(s, 1.0, out=s)
+        return s
+
+    # entry (j, i) of a nonzero term is in-neighbour number rank[j, i] of
+    # node i: bit rank % _CHUNK of code column (rank // _CHUNK) * n + i
+    live = terms != 0.0
+    rank = np.cumsum(live, axis=0) - 1
+    chunks = max(1, -(-int(live.sum(axis=0).max(initial=0)) // _CHUNK))
+    src, dst = np.nonzero(live)
+    col = rank[src, dst] // _CHUNK * n + dst
+    bit = rank[src, dst] % _CHUNK
+    codes = np.zeros((n, chunks * n))
+    codes[src, col] = 2.0 ** bit
+    parts = np.zeros((chunks * n, _CHUNK))
+    parts[col, bit] = terms[src, dst]
+    table = np.zeros((chunks * n, 2**_CHUNK))
+    for k in range(_CHUNK):
+        table[:, 2**k : 2 ** (k + 1)] = table[:, : 2**k] + parts[:, k : k + 1]
+    if chunks == 1:
+        codes[range(n), range(n)] = 2.0**_CHUNK
+        table = np.hstack([activation(table, base[:, None], slope[:, None]),
+                           np.repeat(p_con[:, None], 2**_CHUNK, axis=1)])
+    offset = np.arange(chunks * n) * table.shape[1]
+    table = table.ravel()
+
+    def thresholds(x: np.ndarray) -> np.ndarray:
+        idx = (x @ codes).astype(np.intp)
+        idx += offset
+        s = table.take(idx)
+        if chunks == 1:
+            return s
+        per_chunk = s.reshape(len(s), chunks, n)
+        s = per_chunk[:, 0] + per_chunk[:, 1]
+        for c in range(2, chunks):
+            s += per_chunk[:, c]
+        return np.where(x, p_con, activation(s, base, slope))
+
+    return thresholds
+
 
 def _runner(net: RiskNetwork, config: SimConfig):
-    """The transition kernel every entry point shares, built once per run.
+    """The chain :func:`run_discrete` steps, built once per run.
 
     ``run(x, rng, out)`` writes the state after transition k + 1 from the
-    0/1 float state ``x`` into ``out[k]`` for every row of ``out``.  It draws
-    n uniforms per step in step order, ``rng.random((rows, n))`` for a block
-    of rows, which gives the same bits as one ``rng.random(n)`` call per step.
+    0/1 state ``x`` into ``out[k]`` for every row of the ``uint8`` array
+    ``out``.  It draws n uniforms per step in step order,
+    ``rng.random((rows, n))`` for a block of rows, which gives the same bits
+    as one ``rng.random(n)`` call per step.
+
+    A block is stepped as segments of ``_SEGMENT_STEPS`` rows, all at once,
+    each from the block's start state: the true state for segment 0, a guess
+    for the others.  Two chains driven by the same uniforms stay equal once
+    they meet, so each later segment is then re-run, all at once again, from
+    its predecessor's last row until its first row that equals the stored
+    one bit for bit; the stored rows from there on are the true
+    continuation.  If a segment reaches its end without meeting, the first
+    such one is still true (it re-ran from a true row) and the rows after it
+    are stepped one at a time.  Every row comes from the batch-invariant
+    :func:`_thresholds`, so the log does not depend on which path made it.
     """
-    pin_idx, pin_val = pin_arrays(config.pinned, net.n)
-    activation = _activation(net, config.variant)
-    p_con = net.p_con
+    thresholds = _thresholds(net, config)
+    L = _SEGMENT_STEPS
+
+    def serial(x, u, out):
+        # each state's thresholds are kept for the call: a chain that does
+        # not meet its guess mostly keeps or revisits its states
+        known = {}
+        for k in range(len(out)):
+            key = x.tobytes()
+            th = known.get(key)
+            if th is None:
+                th = known[key] = thresholds(x)
+            x = out[k : k + 1]
+            np.less(u[k : k + 1], th, out=x)
+
+    def block(x, u, out):
+        segments = len(out) // L
+        done = segments * L
+        if segments:
+            rows = out[:done].reshape(segments, L, -1)
+            draws = u[:done].reshape(segments, L, -1)
+            y = np.repeat(x, segments, axis=0)
+            for j in range(L):
+                np.less(draws[:, j], thresholds(y), out=rows[:, j])
+                y = rows[:, j]
+            y = rows[:-1, -1].copy()
+            for j in range(L):
+                nxt = np.less(draws[1:, j], thresholds(y))
+                apart = (nxt != rows[1:, j]).any(axis=1)
+                if not apart.any():
+                    break
+                rows[1:, j] = y = nxt
+            else:
+                done = (int(np.argmax(apart)) + 2) * L
+        serial(out[done - 1 : done] if done else x, u[done:], out[done:])
 
     def run(x: np.ndarray, rng: np.random.Generator, out: np.ndarray):
-        steps = len(out)
-        for start in range(0, steps, _BLOCK_STEPS):
-            draws = rng.random((min(_BLOCK_STEPS, steps - start), net.n))
-            for k, u in enumerate(draws, start):
-                # an active node persists below p_con, an inactive one
-                # activates below its activation probability
-                x = (u < np.where(x == 1.0, p_con, activation(x))).astype(float)
-                if pin_idx.size:
-                    x[pin_idx] = pin_val
-                out[k] = x
+        out = out.view(np.bool_)
+        x = np.asarray(x, dtype=np.bool_)[None]
+        for start in range(0, len(out), _BLOCK_STEPS):
+            rows = out[start : start + _BLOCK_STEPS]
+            block(x, rng.random(rows.shape), rows)
+            x = rows[-1:]
 
     return run
 
@@ -155,7 +311,10 @@ def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> Even
     Deterministic given ``config.seed``: the run draws one ``rng.random(n)``
     per step, in step order, from ``rng = default_rng(config.seed)``; entry
     i of step k's draw decides node i's transition from row k to row k + 1.
-    Row 0 of the log is ``init`` verbatim; pins apply from row 1 on.
+    Row 0 of the log is ``init`` verbatim; pins apply from row 1 on.  The
+    steps of a block of draws are taken as lockstep segments spliced where
+    they meet the true chain (see :func:`_runner`); the log is the same as
+    one step at a time.
     """
     check_state(init, net.n, BINARY, "init")
     run = _runner(net, config)
@@ -173,18 +332,32 @@ def monte_carlo_mean(
     Returns a (steps+1, n) float array.  Trial t runs with its own
     generator, seeded ``config.seed + t``, so trial 0 replays
     :func:`run_discrete` with the same config and distinct trials get
-    independent generator streams.  The trials' states are summed in trial
-    order.  The trials are not stacked into one ``(trials, n)`` product: its
-    rows can differ from ``x @ logs`` in the last bits.
+    independent generator streams.  Up to ``_BLOCK_STEPS`` trials at a time
+    are stepped as one ``(trials, n)`` stack through the batch-invariant
+    step, so each trial's states are those of its own run bit for bit, and
+    the active counts per step are integers, exact in any order.  A stack's
+    trials draw ``_BLOCK_STEPS // trials`` rows at a time each, so their
+    draws together take at most one block's bytes, and at most one block of
+    trials holds a generator at once.
     """
+    check_integer("trials", trials)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     check_state(init, net.n, BINARY, "init")
-    run = _runner(net, config)
-    out = np.empty((config.steps + 1, net.n))
-    out[0] = init.values
-    total = np.zeros_like(out)
-    for t in range(trials):
-        run(init.values, np.random.default_rng(config.seed + t), out[1:])
-        total += out
-    return total / trials
+    thresholds = _thresholds(net, config)
+    counts = np.zeros((config.steps + 1, net.n))
+    counts[0] = trials * init.values
+    for first in range(0, trials, _BLOCK_STEPS):
+        rngs = [np.random.default_rng(config.seed + t)
+                for t in range(first, min(trials, first + _BLOCK_STEPS))]
+        per_block = _BLOCK_STEPS // len(rngs)
+        x = np.tile(init.values.astype(np.bool_), (len(rngs), 1))
+        for start in range(0, config.steps, per_block):
+            draws = np.empty((len(rngs), min(per_block, config.steps - start), net.n))
+            for rng, own in zip(rngs, draws):
+                rng.random(out=own)
+            for k in range(draws.shape[1]):
+                x = np.less(draws[:, k], thresholds(x))
+                counts[start + k + 1] += x.sum(axis=0)
+    counts /= trials
+    return counts

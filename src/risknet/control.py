@@ -67,8 +67,8 @@ from .errors import (
     SingularInnerMatrix,
     ValidationError,
 )
-from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, check_state,
-                    pin_arrays)
+from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer,
+                    check_state, pin_arrays)
 from .dynamics import _check_driver, _check_system, _raw_map, find_steady_state, linearize
 
 
@@ -217,6 +217,7 @@ def riccati_schedule(
         The gain equation of a step is singular or not finite.
     """
     n = _check_system(A, driver)
+    check_integer("horizon", horizon)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     _check_costs(costs, n)
@@ -560,6 +561,7 @@ def run_reactive(
     """
     prep = _prepare(net, costs, pinned, find_steady_state(net))
     D = _driver_row(driver, net.n)
+    check_integer("steps", steps)
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     check_state(init, net.n, CONTINUOUS, "init")
@@ -651,6 +653,7 @@ def run_proactive(
     """
     prep = _prepare(net, costs, None, None)
     D = _driver_row(driver, net.n)
+    check_integer("steps", steps)
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     return _one(_proactive_block(prep, D, steps))

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risknet import cascade
 from risknet.cascade import (
     _BLOCK_STEPS,
+    _SEGMENT_STEPS,
     _activation,
+    _thresholds,
     ADDITIVE,
     PRODUCT,
     EventLog,
@@ -18,6 +21,7 @@ from risknet.cascade import (
 from risknet.dynamics import step_continuous
 from risknet.errors import ValidationError
 from risknet.model import binary_state, build_network, continuous_state
+from risknet.netio import generate_synthetic
 from helpers import random_network, reference_monte_carlo_mean, reference_run_discrete
 
 
@@ -208,6 +212,12 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo_mean(net, binary_state([0, 0]), SimConfig(steps=1, seed=0), 0)
 
+    def test_trials_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="trials must be an integer, got 2.5"):
+            monte_carlo_mean(
+                chain_forced(), binary_state([0, 0]), SimConfig(steps=1, seed=0), 2.5
+            )
+
 
 def weighted_instance(seed, n, variant, pin):
     """A weighted random network, a random 0/1 start and a config that pins
@@ -230,7 +240,9 @@ class TestAgainstReference:
     @pytest.mark.parametrize("variant", [PRODUCT, ADDITIVE])
     @pytest.mark.parametrize("pin", [False, True])
     @pytest.mark.parametrize(
-        "steps", [1, 5, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 3]
+        "steps",
+        [1, 5, _SEGMENT_STEPS - 1, _SEGMENT_STEPS, _SEGMENT_STEPS + 1,
+         _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 3],
     )
     def test_run_matches_reference(self, variant, pin, steps):
         net, init, pinned = weighted_instance(steps, 7, variant, pin)
@@ -238,6 +250,34 @@ class TestAgainstReference:
         log = run_discrete(net, init, cfg)
         assert log.states.dtype == np.uint8
         assert np.array_equal(log.states, reference_run_discrete(net, init, cfg))
+
+    @pytest.mark.parametrize("variant", [PRODUCT, ADDITIVE])
+    @pytest.mark.parametrize("network", ["absorbing", "slow_mixing", "rotating"])
+    def test_chains_that_meet_late_or_never_match_reference(self, network, variant):
+        # absorbing: every state is kept, so chains from different starts
+        # never meet (the block's start is the right guess); slow mixing: an
+        # active node stays for about 1000 steps, and some blocks fall back
+        # to stepping one row at a time; rotating: a ring that passes one
+        # active node on, whose segment starts differ from the block's
+        # start, so every block falls back
+        n = 12
+        rng = np.random.default_rng(5)
+        E = (rng.random((n, n)) < 0.35) * rng.uniform(0.2, 1.0, (n, n))
+        np.fill_diagonal(E, 0.0)
+        init = binary_state((rng.random(n) < 0.5).astype(float))
+        if network == "absorbing":
+            net = build_network(list("abcdefghijkl"), [0] * n, [0] * n, [1] * n, E)
+        elif network == "slow_mixing":
+            net = build_network(list("abcdefghijkl"), rng.uniform(0, 0.01, n),
+                                rng.uniform(0, 0.05, n), [0.999] * n, E)
+        else:
+            net = build_network(["a", "b", "c"], [0] * 3, [1] * 3, [0] * 3,
+                                np.roll(np.eye(3), 1, axis=1))
+            init = binary_state([1, 0, 0])
+        cfg = SimConfig(steps=2 * _BLOCK_STEPS + 3, seed=9, variant=variant)
+        assert np.array_equal(
+            run_discrete(net, init, cfg).states, reference_run_discrete(net, init, cfg)
+        )
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -279,6 +319,90 @@ class TestAgainstReference:
         )
 
 
+class TestThresholds:
+    """The step's thresholds: batch-invariant, and within a fixed bound of
+    the model formula that :func:`_activation` evaluates densely."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        rows=st.integers(1, 40),
+        dense=st.booleans(),
+        variant=st.sampled_from([PRODUCT, ADDITIVE]),
+        pin=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_stacked_row_equals_the_one_row_step(self, seed, n, rows, dense, variant, pin):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n, edge_prob=1.0 if dense else 0.35, weighted=True,
+                             ext_scale=0.9)
+        pinned = {int(rng.integers(n)): int(rng.integers(2))} if pin else {}
+        thresholds = _thresholds(net, SimConfig(steps=1, seed=0, variant=variant, pinned=pinned))
+        # a strided view, as the lockstep segments pass
+        x = (rng.random((rows, 3, n)) < rng.random())[:, 1]
+        u = rng.random((rows, n))
+        stacked = thresholds(x)
+        for r in range(rows):
+            one = thresholds(x[r : r + 1].copy())
+            assert np.array_equal(stacked[r : r + 1], one)
+            assert np.array_equal(u[r : r + 1] < stacked[r : r + 1], u[r : r + 1] < one)
+
+    def test_pins_are_thresholds_of_one_and_zero(self):
+        net = random_network(np.random.default_rng(3), 6, edge_prob=1.0, weighted=True)
+        for variant in (PRODUCT, ADDITIVE):
+            config = SimConfig(steps=1, seed=0, variant=variant, pinned={1: 1, 4: 0})
+            th = _thresholds(net, config)(np.random.default_rng(4).random((50, 6)) < 0.5)
+            assert np.all(th[:, 1] == 1.0) and np.all(th[:, 4] == 0.0)
+
+    def test_drift_from_the_dense_formula_is_bounded(self):
+        # a draw can only come out differently when its uniform falls
+        # between the two thresholds
+        worst = 0.0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 41))
+            net = random_network(rng, n, edge_prob=float(rng.choice([0.3, 1.0])),
+                                 weighted=True, ext_scale=0.9)
+            x = rng.random((30, n)) < rng.random()
+            for variant in (PRODUCT, ADDITIVE):
+                th = _thresholds(net, SimConfig(steps=1, seed=0, variant=variant))(x)
+                activation = _activation(net, variant)
+                dense = [np.where(r, net.p_con, activation(r.astype(float))) for r in x]
+                worst = max(worst, float(np.max(np.abs(th - dense))))
+        assert worst <= 1e-14
+
+
+def sparse_weighted_network(seed):
+    """A sparse 40-node network with symmetric weights from {0.25, 0.5,
+    0.75, 1}, built as the weighted simulate-and-fit round trip builds it."""
+    sparse = generate_synthetic(40, 4.0, 1.5, prob_ranges={"p_ext": (0.1, 0.5)}, seed=seed)
+    rng = np.random.default_rng([seed, 2])
+    upper = np.triu(sparse.E, 1) * rng.choice((0.25, 0.5, 0.75, 1.0), size=sparse.E.shape)
+    return build_network(sparse.names, sparse.p_int, sparse.p_ext, sparse.p_con, upper + upper.T)
+
+
+def test_sparse_network_runs_in_lockstep_segments(monkeypatch):
+    # a silent slide to stepping one row at a time would take one step call
+    # per row; the segments take about one per 20 rows on this network
+    calls = []
+    build = cascade._thresholds
+
+    def counted(net, config):
+        thresholds = build(net, config)
+
+        def step(x):
+            calls.append(len(x))
+            return thresholds(x)
+
+        return step
+
+    monkeypatch.setattr(cascade, "_thresholds", counted)
+    steps = 4 * _BLOCK_STEPS
+    run_discrete(sparse_weighted_network(1), binary_state(np.zeros(40)),
+                 SimConfig(steps=steps, seed=1))
+    assert len(calls) <= steps // 8
+
+
 def test_long_run_draws_in_blocks():
     # the uniforms of a long run are drawn a block at a time: the run's peak
     # (the 1-byte log cells, their copy and check in EventLog, one block of
@@ -293,6 +417,29 @@ def test_long_run_draws_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * steps * n
+
+
+def test_monte_carlo_draws_at_most_one_block_at_once():
+    # 64 trials draw 1024 // 64 rows each at a time: the peak is the counts
+    # (divided in place), one block of draws and the generators, not every
+    # trial's uniforms at once
+    n, steps, trials = 8, 4000, 64
+    net = random_network(np.random.default_rng(12), n)
+    tracemalloc.start()
+    try:
+        monte_carlo_mean(net, binary_state(np.zeros(n)), SimConfig(steps=steps, seed=1), trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (steps + 1) * n + 4 * 8 * _BLOCK_STEPS * n
+
+
+def test_monte_carlo_beyond_one_block_of_trials_matches_serial_trials():
+    net, init, pinned = weighted_instance(4, 3, ADDITIVE, True)
+    cfg = SimConfig(steps=2, seed=5, variant=ADDITIVE, pinned=pinned)
+    trials = _BLOCK_STEPS + 3
+    mean = monte_carlo_mean(net, init, cfg, trials)
+    assert np.array_equal(mean, reference_monte_carlo_mean(net, init, cfg, trials))
 
 
 def test_event_log_check_makes_no_log_sized_temporaries():

@@ -480,6 +480,18 @@ class TestOneSetChecks:
         with pytest.raises(ValidationError, match="driver set sized for a different network"):
             call()
 
+    @pytest.mark.parametrize("entry", ["riccati_schedule", "run_reactive", "run_proactive"])
+    def test_step_count_must_be_an_integer(self, entry):
+        net, x_s, A, costs = self.ten_nodes()
+        driver = DriverSet((1, 2), 10)
+        call = {
+            "riccati_schedule": lambda: riccati_schedule(A, driver, costs, 2.5),
+            "run_reactive": lambda: run_reactive(net, driver, costs, x_s, 2.5),
+            "run_proactive": lambda: run_proactive(net, driver, costs, 2.5),
+        }[entry]
+        with pytest.raises(ValidationError, match="must be an integer, got 2.5"):
+            call()
+
     @pytest.mark.parametrize("init", [continuous_state(np.full(7, 0.5)), binary_state(np.ones(10))])
     def test_rollout_init_checked(self, init):
         net, _, A, costs = self.ten_nodes()
