@@ -22,8 +22,9 @@ gets on its own.  So :func:`monte_carlo_mean` steps all its trials as one
 stack, and :func:`run_discrete` steps a block of draws as lockstep segments
 that it splices where the chains driven by the same uniforms meet (coupled
 chains forget their start state within a few dozen steps on the networks of
-the benchmark).  Either way each row is the one the one-step-at-a-time
-chain gives.
+the benchmark; where they do not meet within a 32-step segment, the rest of
+the block is stepped one row at a time and gains nothing).  Either way each
+row is the one the one-step-at-a-time chain gives.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .model import BINARY, RiskNetwork, StateVector, check_integer, check_state,
 
 PRODUCT = "product"
 ADDITIVE = "additive"
-
-# Floor for per-neighbor survival factors so log(0) cannot poison the
-# product accumulation; exp(log(1e-300)) underflows cleanly to 0.
-_LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -116,34 +113,18 @@ def _binary_copy(s: np.ndarray) -> np.ndarray | None:
     return owned
 
 
-def _log_survival(net: RiskNetwork) -> np.ndarray:
-    """``logs[j, i] = log(1 - E[j, i] * p_ext[i])``, floored: the log of the
-    chance that active node j fails to activate node i."""
-    return np.log(np.maximum(1.0 - net.E * net.p_ext[None, :], _LOG_FLOOR))
-
-
-def _activation(net: RiskNetwork, variant: str):
-    """State array -> per-node activation probabilities by the model formula
-    over all nodes at once (one product with the ``(n, n)`` matrix).
-
-    No run steps with it: it is the dense form of the formula that the
-    step's table sums (:func:`_thresholds`) are held to within a fixed
-    bound."""
-    if variant == PRODUCT:
-        logs = _log_survival(net)
-        quiet = 1.0 - net.p_int
-        return lambda x: 1.0 - quiet * np.exp(x @ logs)
-    return lambda x: np.minimum(1.0, net.p_int + net.p_ext * net.inflow(x))
-
-
 #: Steps whose uniforms one ``rng.random`` call draws: a run of any length
 #: holds at most this many rows of draws at once.
 _BLOCK_STEPS = 1024
 
 #: In-neighbours per lookup table: each node's in-neighbours are taken in
-#: chunks of this many, and a chunk's 0/1 states index its 2**_CHUNK partial
-#: sums.
+#: chunks of this many, and a chunk's 0/1 states index its 2**_CHUNK
+#: factors.
 _CHUNK = 8
+
+#: Multiplier that packs 8 bytes of 0 or 1 (a ``uint64``, byte k at bit 8k)
+#: into bits 56 to 63: byte k lands at bit 56 + k.
+_PACK = np.uint64(0x0102040810204080)
 
 #: Steps per speculative segment of a block (see :func:`_runner`).
 _SEGMENT_STEPS = 32
@@ -152,88 +133,121 @@ _SEGMENT_STEPS = 32
 def _thresholds(net: RiskNetwork, config: SimConfig):
     """The per-node transition thresholds, built once per run.
 
-    ``thresholds(x)`` maps a ``(B, n)`` array of 0/1 states to the ``(B, n)``
+    ``thresholds(x)`` maps a ``(B, n)`` bool array of states to the ``(B, n)``
     thresholds below which each node's uniform makes it active next: p_con
     for an active node, the activation probability for an inactive one, 1.0
     and 0.0 for a node pinned to 1 and to 0.  Row r of the result depends
     only on row r of ``x``, bit for bit, whatever B is:
 
-    * ``x @ codes`` packs each chunk of a node's in-neighbour states into an
-      integer below 256.  Every product is 0 or a power of two, so the sum
-      is exact in any BLAS order.
-    * The integer picks the chunk's partial sum of log-survival factors
-      (product) or of weights (additive) from a table built once, with the
-      terms added in in-neighbour order; a node's chunks are then added in
-      chunk order.
-    * ``1 - (1 - p_int) * exp(s)`` or ``min(1, p_int + p_ext * s)`` and the
-      choice of p_con for active nodes are elementwise.
+    * Each node's in-neighbours are taken in chunks of ``_CHUNK``, in index
+      order; a node has as many chunks as its in-degree needs, and at least
+      one.  A chunk's states are gathered as 8 bytes of 0 or 1, and one
+      integer multiply packs them into its code, an integer below 256.
+    * The code picks the chunk's factor from a table built once: the
+      product of the survival factors ``1 - E[j, i] * p_ext_i`` (product)
+      or ``p_ext_i`` times the sum of the weights ``E[j, i]`` (additive)
+      over the chunk's active in-neighbours, taken in index order.  Chunk
+      0's factor is also multiplied by ``1 - p_int_i`` (product) or added
+      to ``p_int_i`` (additive), so with one chunk it is the model formula
+      with its terms taken in index order.
+    * A node's chunk factors are combined in chunk order, and ``1 - f`` or
+      ``min(1, f)`` and the choice of p_con for active nodes are
+      elementwise.
 
-    When no node has more than one chunk, the table holds those elementwise
-    results instead of the sums, and the node's own state is one more bit
-    of its code, so a step is one lookup with the same bits.  A pinned node
-    gets no in-neighbours and parameters whose thresholds are its pinned
-    value, so pins cost nothing per step.
+    When no node has more than ``_CHUNK - 1`` in-neighbours, the last byte
+    of each node's one chunk is its own state, and the table holds the
+    finished thresholds, so a step is one lookup with the same bits.  An
+    unused slot of a chunk reads node 0 and its bit multiplies by 1.0 or
+    adds 0.0, so it changes no entry.  A pinned node gets no
+    in-neighbours and parameters whose thresholds are its pinned value, so
+    pins cost nothing per step.  Memory and work per row are about 2 KB
+    and 8 gathered states per chunk: at most n + e / 8 chunks for e edges.
     """
     n = net.n
     pin_idx, pin_val = pin_arrays(config.pinned, n)
     product = config.variant == PRODUCT
     if product:
-        terms, base = _log_survival(net), 1.0 - net.p_int
+        terms, base = 1.0 - net.E * net.p_ext[None, :], 1.0 - net.p_int
     else:
         terms, base = net.E.copy(), net.p_int.copy()
     p_con, slope = net.p_con.copy(), net.p_ext.copy()
-    # a pinned node: product 1 - base * exp(0) is 1 - 0 or 1 - 1, additive
-    # base + 0 * 0 is the pin
-    terms[:, pin_idx] = 0.0
+    # a pinned node: product 1 - base * 1 is 1 - 0 or 1 - 1, additive
+    # min(1, base + 0 * 0) is the pin
+    unit = 1.0 if product else 0.0
+    terms[:, pin_idx] = unit
     p_con[pin_idx] = pin_val
     base[pin_idx] = 1.0 - pin_val if product else pin_val
     slope[pin_idx] = 0.0
 
-    def activation(s, base, slope):
-        """The activation probabilities of summed terms ``s``, in place."""
-        if product:
-            np.exp(s, out=s)
-            s *= base
-            np.subtract(1.0, s, out=s)
-        else:
-            s *= slope
-            s += base
-            np.minimum(s, 1.0, out=s)
-        return s
-
-    # entry (j, i) of a nonzero term is in-neighbour number rank[j, i] of
-    # node i: bit rank % _CHUNK of code column (rank // _CHUNK) * n + i
-    live = terms != 0.0
+    # entry (j, i) of a live term is in-neighbour number rank[j, i] of node
+    # i: byte rank % _CHUNK of the node's chunk rank // _CHUNK.  With the
+    # nodes taken in order of falling chunk count, chunk c of the first
+    # count[c] of them is numbered after every chunk c - 1, so each chunk
+    # c adds to a leading slice of the chunk-0 columns.
+    live = terms != unit
+    degree = live.sum(axis=0)
+    per_node = np.maximum(1, -(-degree // _CHUNK))
+    # with fewer than _CHUNK in-neighbours everywhere, a node's own state is
+    # the last byte of its one chunk, and the table holds its thresholds
+    # (and the order is node order)
+    single = degree.max() < _CHUNK
+    order = np.argsort(-per_node, kind="stable")
+    count = [int(np.count_nonzero(per_node > c)) for c in range(per_node.max())]
+    first = np.cumsum([0] + count)
+    number = np.zeros((len(count), n), dtype=np.intp)
+    for c, m in enumerate(count):
+        number[c, order[:m]] = np.arange(first[c], first[c + 1])
     rank = np.cumsum(live, axis=0) - 1
-    chunks = max(1, -(-int(live.sum(axis=0).max(initial=0)) // _CHUNK))
     src, dst = np.nonzero(live)
-    col = rank[src, dst] // _CHUNK * n + dst
-    bit = rank[src, dst] % _CHUNK
-    codes = np.zeros((n, chunks * n))
-    codes[src, col] = 2.0 ** bit
-    parts = np.zeros((chunks * n, _CHUNK))
-    parts[col, bit] = terms[src, dst]
-    table = np.zeros((chunks * n, 2**_CHUNK))
+    slot = number[rank[src, dst] // _CHUNK, dst] * _CHUNK + rank[src, dst] % _CHUNK
+    nbr = np.zeros(first[-1] * _CHUNK, dtype=np.intp)
+    nbr[slot] = src
+    if single:
+        nbr[_CHUNK - 1 :: _CHUNK] = order
+    factors = np.full(first[-1] * _CHUNK, unit)
+    factors[slot] = terms[src, dst]
+    factors = factors.reshape(first[-1], _CHUNK)
+    combine = np.multiply if product else np.add
+
+    def finish(f):
+        """``1 - f`` (product) or ``min(1, f)`` (additive), in place."""
+        if product:
+            return np.subtract(1.0, f, out=f)
+        return np.minimum(f, 1.0, out=f)
+
+    table = np.full((first[-1], 2**_CHUNK), unit)
     for k in range(_CHUNK):
-        table[:, 2**k : 2 ** (k + 1)] = table[:, : 2**k] + parts[:, k : k + 1]
-    if chunks == 1:
-        codes[range(n), range(n)] = 2.0**_CHUNK
-        table = np.hstack([activation(table, base[:, None], slope[:, None]),
-                           np.repeat(p_con[:, None], 2**_CHUNK, axis=1)])
-    offset = np.arange(chunks * n) * table.shape[1]
+        combine(table[:, : 2**k], factors[:, k : k + 1], out=table[:, 2**k : 2 ** (k + 1)])
+    if product:
+        table[:n] *= base[order, None]
+    else:
+        table *= slope[np.concatenate([order[:m] for m in count]), None]
+        table[:n] += base[order, None]
+    if single:
+        half = 2 ** (_CHUNK - 1)
+        finish(table[:, :half])
+        table[:, half:] = p_con[order, None]
+    offset = np.arange(first[-1]) * 2**_CHUNK
     table = table.ravel()
+    later = [(m, slice(first[c], first[c + 1])) for c, m in enumerate(count) if c]
+    column = np.argsort(order)  # node i's chunk-0 column
 
     def thresholds(x: np.ndarray) -> np.ndarray:
-        idx = (x @ codes).astype(np.intp)
+        # byte k of a chunk's gathered word (bit 8k, little-endian) is bit k
+        # of its code: the multiply moves its 0 or 1 to bit 56 + k, with no
+        # carries
+        code = x.take(nbr, axis=1).view(np.uint64)
+        code *= _PACK
+        code >>= np.uint64(56)
+        idx = code.view(np.int64)
         idx += offset
-        s = table.take(idx)
-        if chunks == 1:
-            return s
-        per_chunk = s.reshape(len(s), chunks, n)
-        s = per_chunk[:, 0] + per_chunk[:, 1]
-        for c in range(2, chunks):
-            s += per_chunk[:, c]
-        return np.where(x, p_con, activation(s, base, slope))
+        f = table.take(idx)
+        if single:
+            return f
+        acc = f[:, :n]
+        for m, chunk in later:
+            combine(acc[:, :m], f[:, chunk], out=acc[:, :m])
+        return np.where(x, p_con, finish(acc).take(column, axis=1))
 
     return thresholds
 

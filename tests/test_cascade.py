@@ -9,7 +9,6 @@ from risknet import cascade
 from risknet.cascade import (
     _BLOCK_STEPS,
     _SEGMENT_STEPS,
-    _activation,
     _thresholds,
     ADDITIVE,
     PRODUCT,
@@ -22,7 +21,12 @@ from risknet.dynamics import step_continuous
 from risknet.errors import ValidationError
 from risknet.model import binary_state, build_network, continuous_state
 from risknet.netio import generate_synthetic
-from helpers import random_network, reference_monte_carlo_mean, reference_run_discrete
+from helpers import (
+    random_network,
+    reference_activation,
+    reference_monte_carlo_mean,
+    reference_run_discrete,
+)
 
 
 def chain_forced():
@@ -133,12 +137,18 @@ def test_single_node_stationary_frequency():
     assert log.states.mean() == pytest.approx(0.25, abs=0.01)
 
 
+def step_thresholds(net, variant, state):
+    """The step's thresholds at one 0/1 state: p_con for an active node, the
+    activation probability for an inactive one."""
+    x = np.array([state], dtype=np.bool_)
+    return _thresholds(net, SimConfig(steps=1, seed=0, variant=variant))(x)[0]
+
+
 def test_variants_coincide_with_single_in_neighbor():
     net = chain_forced()
     for state in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        x = np.array(state, dtype=float)
-        p = _activation(net, PRODUCT)(x)
-        a = _activation(net, ADDITIVE)(x)
+        p = step_thresholds(net, PRODUCT, state)
+        a = step_thresholds(net, ADDITIVE, state)
         assert p == pytest.approx(a)
 
 
@@ -146,9 +156,8 @@ def test_variants_differ_with_two_active_in_neighbors():
     E = np.zeros((3, 3))
     E[0, 2] = E[1, 2] = 1.0
     net = build_network(["a", "b", "c"], [0] * 3, [0, 0, 0.4], [0] * 3, E)
-    x = np.array([1.0, 1.0, 0.0])
-    p = _activation(net, PRODUCT)(x)[2]
-    a = _activation(net, ADDITIVE)(x)[2]
+    p = step_thresholds(net, PRODUCT, [1, 1, 0])[2]
+    a = step_thresholds(net, ADDITIVE, [1, 1, 0])[2]
     assert p == pytest.approx(1 - 0.6**2)
     assert a == pytest.approx(0.8)
     assert a > p
@@ -158,7 +167,7 @@ def test_additive_probability_clamped_at_one():
     E = np.zeros((3, 3))
     E[0, 2] = E[1, 2] = 1.0
     net = build_network(["a", "b", "c"], [0.5] * 3, [0.9] * 3, [0] * 3, E)
-    a = _activation(net, ADDITIVE)(np.array([1.0, 1.0, 0.0]))
+    a = step_thresholds(net, ADDITIVE, [1, 1, 0])
     assert a[2] == 1.0
 
 
@@ -321,21 +330,23 @@ class TestAgainstReference:
 
 class TestThresholds:
     """The step's thresholds: batch-invariant, and within a fixed bound of
-    the model formula that :func:`_activation` evaluates densely."""
+    the model formula over the active in-neighbours
+    (:func:`helpers.reference_activation`)."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 12),
         rows=st.integers(1, 40),
-        dense=st.booleans(),
+        # sparse; dense with one or two chunks per node; complete
+        edge_prob=st.sampled_from([0.35, 0.8, 1.0]),
         variant=st.sampled_from([PRODUCT, ADDITIVE]),
         pin=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_each_stacked_row_equals_the_one_row_step(self, seed, n, rows, dense, variant, pin):
+    def test_each_stacked_row_equals_the_one_row_step(self, seed, n, rows, edge_prob, variant,
+                                                      pin):
         rng = np.random.default_rng(seed)
-        net = random_network(rng, n, edge_prob=1.0 if dense else 0.35, weighted=True,
-                             ext_scale=0.9)
+        net = random_network(rng, n, edge_prob=edge_prob, weighted=True, ext_scale=0.9)
         pinned = {int(rng.integers(n)): int(rng.integers(2))} if pin else {}
         thresholds = _thresholds(net, SimConfig(steps=1, seed=0, variant=variant, pinned=pinned))
         # a strided view, as the lockstep segments pass
@@ -366,10 +377,29 @@ class TestThresholds:
             x = rng.random((30, n)) < rng.random()
             for variant in (PRODUCT, ADDITIVE):
                 th = _thresholds(net, SimConfig(steps=1, seed=0, variant=variant))(x)
-                activation = _activation(net, variant)
-                dense = [np.where(r, net.p_con, activation(r.astype(float))) for r in x]
+                dense = [np.where(r, net.p_con, reference_activation(net, r, variant))
+                         for r in x.astype(float)]
                 worst = max(worst, float(np.max(np.abs(th - dense))))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("variant", [PRODUCT, ADDITIVE])
+    def test_memory_grows_with_the_edges_not_the_largest_in_degree(self, variant):
+        # a hub with n - 1 in-neighbours needs 50 chunks of 8, the other
+        # nodes one each: the step's tables and indices stay within a few
+        # (n, n) arrays, the size of the network's own weights
+        n = 400
+        E = np.zeros((n, n))
+        E[1:, 0] = 1.0
+        E[0, 1:] = 0.5
+        net = build_network([f"n{i}" for i in range(n)], [0.1] * n, [0.3] * n, [0.5] * n, E)
+        tracemalloc.start()
+        try:
+            thresholds = _thresholds(net, SimConfig(steps=1, seed=0, variant=variant))
+            thresholds(np.zeros((4, n), dtype=np.bool_))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * n * n
 
 
 def sparse_weighted_network(seed):
