@@ -13,6 +13,12 @@ Internal and continuation probabilities have the closed form
 probability maximizes the per-neighbor-independence likelihood over the
 node's exposure records, with the internal probability held at its
 closed-form estimate; the search is golden-section on [0, 1].
+
+Both stages run node-major.  Counting classifies the transposed log row by
+row and gathers all exposure records at once, in time order per node.  The
+fit runs every node's search in lockstep, with one elementwise pass for the
+log terms of all levels; but each node keeps its own bracket updates and its
+own 1-D dot products, so its estimate is bit for bit a lone search's.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ class TransitionCounts:
     """Sufficient statistics per node.
 
     Counts are floats so analytically expected counts (an infinite-data
-    surrogate) can be fitted too.  ``exposures[i]`` is a pair of arrays
-    (weighted in-neighbor activity, binary outcome), both possibly empty.
+    surrogate) can be fitted too.  ``exposures[i]`` is a pair of 1-D arrays
+    of equal length (weighted in-neighbor activity, binary outcome), both
+    possibly empty.
     """
 
     int_trials: np.ndarray
@@ -55,13 +62,19 @@ class TransitionCounts:
                 raise DimensionMismatch(f"{label} length does not match")
         if len(self.exposures) != n:
             raise DimensionMismatch("exposures length does not match")
-        if np.any(self.int_hits > self.int_trials) or np.any(
-            self.con_hits > self.con_trials
-        ):
+        tallies = np.stack([self.int_trials, self.int_hits, self.con_trials, self.con_hits])
+        if not np.all(tallies >= 0):
+            raise ValidationError("trials and hits must be non-negative")
+        if np.any(tallies[1::2] > tallies[::2]):
             raise ValidationError("hits cannot exceed trials")
-        for s, _ in self.exposures:
-            if np.any(np.asarray(s) <= 0):
-                raise ValidationError("exposure records need positive in-neighbor activity")
+        for s, o in self.exposures:
+            s, o = np.asarray(s, dtype=float), np.asarray(o, dtype=float)
+            if s.ndim != 1 or s.shape != o.shape:
+                raise DimensionMismatch("each exposure record needs one activity and one outcome")
+            if not np.all((s > 0.0) & (s < np.inf)):
+                raise ValidationError("exposure records need positive, finite in-neighbor activity")
+            if not np.all((o == 0.0) | (o == 1.0)):
+                raise ValidationError("exposure outcomes must be 0 or 1")
 
     @property
     def n(self) -> int:
@@ -76,35 +89,25 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
     trials and no exposures for those nodes.  A non-integer index or one
     outside ``range(n)`` raises ValidationError.
     """
-    E = np.asarray(E, dtype=float)
-    X = log.states.astype(float)
-    n = X.shape[1]
+    E, X, n = np.asarray(E, dtype=float), log.states, log.n
     if E.shape != (n, n):
         raise DimensionMismatch(f"E has shape {E.shape}, expected ({n}, {n})")
-
-    prev, nxt = X[:-1], X[1:]
-    S = prev @ E  # S[k, i] = weighted active in-neighbor mass at node i, step k
-    active = prev == 1.0
-    activated = nxt == 1.0
-
-    inactive_quiet = ~active & (S <= 0.0)
-    con_trials = active.sum(axis=0).astype(float)
-    con_hits = (active & activated).sum(axis=0).astype(float)
-    int_trials = inactive_quiet.sum(axis=0).astype(float)
-    int_hits = (inactive_quiet & activated).sum(axis=0).astype(float)
-
-    exposed = ~active & (S > 0.0)
     skip, _ = pin_arrays(dict.fromkeys(() if pinned is None else pinned, 0), n)
-    exposed[:, skip] = False
-    con_trials[skip] = con_hits[skip] = int_trials[skip] = int_hits[skip] = 0.0
-    exposures = [(S[exposed[:, i], i], nxt[exposed[:, i], i]) for i in range(n)]
-    return TransitionCounts(
-        int_trials=int_trials,
-        int_hits=int_hits,
-        con_trials=con_trials,
-        con_hits=con_hits,
-        exposures=tuple(exposures),
-    )
+
+    # node-major: S[i, k] = weighted active in-neighbor mass at node i, step k
+    S = np.ascontiguousarray((X[:-1].astype(float) @ E).T)
+    active, activated = (np.ascontiguousarray(x.T).view(bool) for x in (X[:-1], X[1:]))
+    idle = ~active
+    quiet, exposed = idle & (S <= 0.0), idle & (S > 0.0)
+    exposed[skip] = False
+    tallies = np.array([[np.count_nonzero(row) for row in m] for m in (
+        quiet, quiet & activated, active, active & activated)], dtype=float)
+    tallies[:, skip] = 0.0
+
+    records = np.flatnonzero(exposed)
+    ends = np.cumsum(np.count_nonzero(exposed, axis=1))
+    columns = (np.split(x, ends)[:-1] for x in (S.take(records), activated.take(records).astype(float)))
+    return TransitionCounts(*tallies, exposures=tuple(zip(*columns)))
 
 
 class FitResult(NamedTuple):
@@ -121,33 +124,56 @@ def _smoothed_ratio(hits, trials, a):
     return out
 
 
-def _exposure_loglik(p: float, s: np.ndarray, hits: np.ndarray, misses: np.ndarray, c: float) -> float:
-    """Log-likelihood of aggregated exposures at external probability p.
+def _levels(exposures):
+    """Each node's distinct activity levels, ascending, with their hit and
+    miss counts.  A key is the activity's bits (positive floats sort as their
+    bits) with the outcome as a new low bit: one sort per node groups them."""
+    sizes = [len(s) for s, _ in exposures]
+    keys = np.concatenate([np.asarray(s, dtype=float) for s, _ in exposures]).view(np.uint64) << 1
+    keys |= np.concatenate([np.asarray(o) == 1.0 for _, o in exposures])
+    starts = np.cumsum(sizes) - sizes
+    for lo, size in zip(starts, sizes):
+        keys[lo:lo + size].sort()
+    bits = keys >> 1
+    first = np.r_[True, bits[1:] != bits[:-1]]
+    first[starts] = True
+    first = np.flatnonzero(first)
+    hits = np.add.reduceat(keys & 1, first).astype(float)
+    misses = np.diff(first, append=len(keys)) - hits
+    per_node = np.diff(np.searchsorted(first, starts), append=len(first))
+    return bits[first].view(float), hits, misses, per_node
 
-    ``c`` is the survival of the internal channel, ``1 - p_int``.  For each
-    distinct activity level s the activation probability is
-    ``1 - c * (1 - p)**s``.
-    """
-    miss_prob = np.maximum(c * (1.0 - p) ** s, _TINY)
-    act_prob = np.maximum(1.0 - miss_prob, _TINY)
-    return float(hits @ np.log(act_prob) + misses @ np.log(miss_prob))
 
+def _golden_max_lockstep(levels, hits, misses, per_node, surv):
+    """Golden-section maximizer of each node's exposure log-likelihood on
+    [0, 1]; ``surv`` is each node's internal survival ``1 - p_int``."""
+    bounds = np.cumsum(per_node) - per_node
+    parts = [(hits[lo:lo + k], misses[lo:lo + k], lo, lo + k) for lo, k in zip(bounds, per_node)]
+    surv = np.repeat(surv, per_node)
 
-def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
-    """Golden-section maximizer of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    def loglik(p, live):
+        miss = np.maximum(surv * np.repeat(1.0 - p, per_node) ** levels, _TINY)
+        log_act, log_miss = np.log(np.maximum(1.0 - miss, _TINY)), np.log(miss)
+        out = np.full(len(p), np.nan)
+        for i in np.flatnonzero(live):
+            h, m, lo, hi = parts[i]
+            out[i] = h @ log_act[lo:hi] + m @ log_miss[lo:hi]
+        return out
+
+    a, b = np.zeros(len(per_node)), np.ones(len(per_node))
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    live = b - a > GOLDEN_TOL
+    fc, fd = loglik(c, live), loglik(d, live)
+    while live.any():
+        left = live & (fc > fd)
+        right = live & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - _INVPHI * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + _INVPHI * (b[right] - a[right])
+        f = loglik(np.where(left, c, d), live)
+        fc[left], fd[right] = f[left], f[right]
+        live = b - a > GOLDEN_TOL
     return 0.5 * (a + b)
 
 
@@ -160,26 +186,15 @@ def fit_probabilities(counts: TransitionCounts, smoothing: float = 0.0) -> FitRe
     unidentifiable external probability: returned as NaN when smoothing is
     zero rather than guessed.
     """
-    if smoothing < 0:
-        raise ValidationError("smoothing must be >= 0")
+    if not 0.0 <= smoothing < np.inf:
+        raise ValidationError("smoothing must be finite and >= 0")
     p_int = _smoothed_ratio(counts.int_hits, counts.int_trials, smoothing)
     p_con = _smoothed_ratio(counts.con_hits, counts.con_trials, smoothing)
 
-    p_ext = np.full(counts.n, np.nan)
-    for i in range(counts.n):
-        s, outcome = counts.exposures[i]
-        if len(s) == 0:
-            if smoothing > 0.0:
-                p_ext[i] = 0.5
-            continue
-        # Aggregate by distinct activity level: the likelihood only sees
-        # (level, hit count, miss count) triples.
-        levels, inverse = np.unique(np.asarray(s, dtype=float), return_inverse=True)
-        hits = np.bincount(inverse, weights=np.asarray(outcome, dtype=float), minlength=len(levels))
-        misses = np.bincount(inverse, minlength=len(levels)) - hits
-        pin = p_int[i] if np.isfinite(p_int[i]) else 0.0
-        c = max(1.0 - pin, _TINY)
-        p_ext[i] = _golden_max(
-            lambda p: _exposure_loglik(p, levels, hits, misses, c), 0.0, 1.0
-        )
+    fitted = np.flatnonzero([len(s) > 0 for s, _ in counts.exposures])
+    p_ext = np.full(counts.n, 0.5 if smoothing > 0.0 else np.nan)
+    if fitted.size:
+        levels = _levels([counts.exposures[i] for i in fitted])
+        pin = np.where(np.isfinite(p_int[fitted]), p_int[fitted], 0.0)
+        p_ext[fitted] = _golden_max_lockstep(*levels, np.maximum(1.0 - pin, _TINY))
     return FitResult(p_int=p_int, p_ext=p_ext, p_con=p_con)

@@ -1,7 +1,8 @@
 """Shared test utilities: random instance factories and independent oracles.
 
 The oracles here (finite differences, stacked least-squares, the cascade's
-activation from the model formula) deliberately avoid the code paths they
+activation from the model formula, the estimator's per-node column masks and
+scalar golden-section search) deliberately avoid the code paths they
 check.
 """
 
@@ -14,6 +15,7 @@ from risknet.cascade import PRODUCT, EventLog
 from risknet.control import _solve_gain, evaluate_cost
 from risknet.dynamics import step_continuous, unclamped_step
 from risknet.errors import ParseError
+from risknet.estimation import _INVPHI, _TINY, GOLDEN_TOL, TransitionCounts
 from risknet.model import (
     CostMatrices,
     DriverSet,
@@ -338,3 +340,81 @@ def reference_steady_state(net, tol=1e-12, max_iter=10**6):
             return continuous_state(x)
         x = fx
     raise AssertionError("no convergence")
+
+
+def reference_count_transitions(E, log, pinned=None):
+    """Transition counts built one node column at a time with boolean masks
+    over the time-major log: the estimator's earlier, column-mask form."""
+    E = np.asarray(E, dtype=float)
+    X = log.states.astype(float)
+    n = X.shape[1]
+    prev, nxt = X[:-1], X[1:]
+    S = prev @ E
+    active = prev == 1.0
+    activated = nxt == 1.0
+    inactive_quiet = ~active & (S <= 0.0)
+    con_trials = active.sum(axis=0).astype(float)
+    con_hits = (active & activated).sum(axis=0).astype(float)
+    int_trials = inactive_quiet.sum(axis=0).astype(float)
+    int_hits = (inactive_quiet & activated).sum(axis=0).astype(float)
+    exposed = ~active & (S > 0.0)
+    skip, _ = pin_arrays(dict.fromkeys(() if pinned is None else pinned, 0), n)
+    exposed[:, skip] = False
+    con_trials[skip] = con_hits[skip] = int_trials[skip] = int_hits[skip] = 0.0
+    exposures = [(S[exposed[:, i], i], nxt[exposed[:, i], i]) for i in range(n)]
+    return TransitionCounts(int_trials, int_hits, con_trials, con_hits, tuple(exposures))
+
+
+def exposure_loglik(p, s, hits, misses, c):
+    """Log-likelihood of aggregated exposures at external probability p.
+
+    ``c`` is the survival of the internal channel, ``1 - p_int``.  For each
+    distinct activity level s the activation probability is
+    ``1 - c * (1 - p)**s``.
+    """
+    miss_prob = np.maximum(c * (1.0 - p) ** s, _TINY)
+    act_prob = np.maximum(1.0 - miss_prob, _TINY)
+    return float(hits @ np.log(act_prob) + misses @ np.log(miss_prob))
+
+
+def golden_max(f, lo, hi, tol=GOLDEN_TOL):
+    """Golden-section maximizer of a unimodal f on [lo, hi], one scalar
+    search."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def exposure_levels(s, outcome):
+    """Distinct activity levels of one node's records with their hit and
+    miss counts, by ``np.unique``."""
+    levels, inverse = np.unique(np.asarray(s, dtype=float), return_inverse=True)
+    hits = np.bincount(inverse, weights=np.asarray(outcome, dtype=float), minlength=len(levels))
+    return levels, hits, np.bincount(inverse, minlength=len(levels)) - hits
+
+
+def reference_p_ext(counts, p_int, smoothing=0.0):
+    """External probabilities by one scalar golden-section search per node,
+    on levels aggregated by ``np.unique``."""
+    p_ext = np.full(counts.n, np.nan)
+    for i, (s, outcome) in enumerate(counts.exposures):
+        if len(s) == 0:
+            if smoothing > 0.0:
+                p_ext[i] = 0.5
+            continue
+        levels, hits, misses = exposure_levels(s, outcome)
+        pin = p_int[i] if np.isfinite(p_int[i]) else 0.0
+        c = max(1.0 - pin, _TINY)
+        p_ext[i] = golden_max(lambda p: exposure_loglik(p, levels, hits, misses, c), 0.0, 1.0)
+    return p_ext

@@ -1,12 +1,25 @@
+import importlib.util
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    exposure_levels,
+    exposure_loglik,
+    reference_count_transitions,
+    reference_p_ext,
+)
 from risknet.cascade import EventLog, SimConfig, run_discrete
+from risknet.cli import cli_main
 from risknet.errors import DimensionMismatch, ValidationError
-from risknet.estimation import TransitionCounts, count_transitions, fit_probabilities
+from risknet.estimation import _TINY, TransitionCounts, count_transitions, fit_probabilities
 from risknet.model import binary_state, build_network
+from risknet.netio import save_network, write_event_log
 
 
 def ring_network(n, p_int, p_ext, p_con):
@@ -21,6 +34,54 @@ def ring_network(n, p_int, p_ext, p_con):
 
 def empty_counts_node():
     return (np.empty(0), np.empty(0))
+
+
+def one_node_counts(s, outcome, int_trials=0.0):
+    return TransitionCounts(
+        int_trials=np.array([int_trials]), int_hits=np.zeros(1),
+        con_trials=np.zeros(1), con_hits=np.zeros(1),
+        exposures=((np.asarray(s, dtype=float), np.asarray(outcome, dtype=float)),),
+    )
+
+
+def assert_same_counts(got, want):
+    """Equal bit for bit: tallies, every node's records in order, dtypes."""
+    for label in ("int_trials", "int_hits", "con_trials", "con_hits"):
+        a, b = getattr(got, label), getattr(want, label)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), label
+    assert len(got.exposures) == len(want.exposures)
+    for (s, o), (ref_s, ref_o) in zip(got.exposures, want.exposures):
+        assert (s.dtype, o.dtype) == (ref_s.dtype, ref_o.dtype)
+        assert s.tobytes() == ref_s.tobytes() and o.tobytes() == ref_o.tobytes()
+
+
+def random_log(rng, n, steps):
+    """A random 0/1 log and a weighted network with non-dyadic weights."""
+    E = (rng.random((n, n)) < rng.uniform(0.2, 0.9)) * rng.uniform(0.1, 1.0, size=(n, n))
+    np.fill_diagonal(E, 0.0)
+    states = rng.random((steps + 1, n)) < rng.uniform(0.1, 0.9, size=n)
+    return E, EventLog(states.astype(np.uint8))
+
+
+def random_exposures(rng, kind):
+    """One node's records: none, a single level, a few levels, or more than
+    32 distinct levels."""
+    if kind == "empty":
+        return empty_counts_node()
+    distinct = {"single": 1, "few": int(rng.integers(2, 6)), "many": int(rng.integers(33, 90))}[kind]
+    pool = rng.uniform(0.05, 3.0, size=distinct)
+    s = np.concatenate([pool, rng.choice(pool, size=int(rng.integers(0, 300)))])
+    rng.shuffle(s)
+    return s, (rng.random(s.size) < rng.uniform(0.05, 0.95)).astype(float)
+
+
+def load_tracer():
+    """The benchmark's span recorder, loaded by path as the benchmark does."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestCountTransitions:
@@ -75,6 +136,43 @@ class TestCountTransitions:
         with pytest.raises(DimensionMismatch):
             count_transitions(np.zeros((3, 3)), log)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 12),
+        steps=st.integers(0, 60),
+        pin=st.booleans(),
+    )
+    @example(seed=5, n=4, steps=1, pin=False)
+    @example(seed=0, n=0, steps=3, pin=True)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_column_mask_oracle(self, seed, n, steps, pin):
+        rng = np.random.default_rng(seed)
+        E, log = random_log(rng, n, steps)
+        pinned = None
+        if pin:
+            pinned = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        assert_same_counts(
+            count_transitions(E, log, pinned), reference_count_transitions(E, log, pinned)
+        )
+
+    def test_tracer_probe_counts_records_and_levels(self):
+        # the benchmark's exposure probe reads exposures as per-node
+        # (s, outcome) pairs and reports its counters absent otherwise
+        tracer_mod = load_tracer()
+        tracer = tracer_mod.Tracer()
+        probe = tracer_mod._record_exposures(tracer)
+        net = ring_network(6, p_int=0.05, p_ext=0.3, p_con=0.6)
+        E = net.E * np.array([0.25, 0.5, 0.75, 1.0, 0.5, 0.25])
+        log = run_discrete(net, binary_state(np.zeros(6)), SimConfig(steps=3000, seed=4))
+        probe(count_transitions(E, log))
+        want = reference_count_transitions(E, log).exposures
+        records = tracer.counts["estimation.exposure_records"]
+        levels = tracer.counts["estimation.exposure_levels"]
+        assert type(records) is int and type(levels) is int
+        assert records == sum(len(s) for s, _ in want) > 0
+        assert levels == sum(len(set(s.tolist())) for s, _ in want) > 6
+        json.dumps(tracer.counts, allow_nan=False)
+
     def test_counts_validation(self):
         with pytest.raises(ValidationError):
             TransitionCounts(
@@ -86,7 +184,101 @@ class TestCountTransitions:
             )
 
 
+class TestCountsInputChecks:
+    def test_exposure_pair_lengths_must_match(self):
+        with pytest.raises(DimensionMismatch):
+            one_node_counts([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_activity_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            one_node_counts([1.0, bad], [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+    def test_non_binary_outcome_rejected(self, bad):
+        with pytest.raises(ValidationError, match="0 or 1"):
+            one_node_counts([1.0, 2.0], [1.0, bad])
+
+    @pytest.mark.parametrize("label", ["int_trials", "int_hits", "con_trials", "con_hits"])
+    def test_negative_counts_rejected(self, label):
+        fields = {k: np.zeros(1) for k in ("int_trials", "int_hits", "con_trials", "con_hits")}
+        fields[label] = np.array([-1.0])
+        with pytest.raises(ValidationError, match="non-negative"):
+            TransitionCounts(**fields, exposures=(empty_counts_node(),))
+
+    @pytest.mark.parametrize("smoothing", [np.nan, np.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValidationError, match="smoothing"):
+            fit_probabilities(one_node_counts([1.0], [1.0], int_trials=3.0), smoothing=smoothing)
+
+    def test_cli_fit_rejects_nan_smoothing(self, tmp_path, capsys):
+        net = ring_network(3, p_int=0.1, p_ext=0.3, p_con=0.5)
+        save_network(tmp_path / "net.json", net)
+        log = run_discrete(net, binary_state(np.zeros(3)), SimConfig(steps=200, seed=1))
+        write_event_log(tmp_path / "events.csv", log, net.names)
+        code = cli_main([
+            "fit", str(tmp_path / "events.csv"), str(tmp_path / "net.json"),
+            "--smoothing", "nan", "--output-dir", str(tmp_path),
+        ])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert not (tmp_path / "fitted_params.json").exists()
+
+
 class TestFitProbabilities:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["empty", "single", "few", "many"]), min_size=1, max_size=8),
+        smoothing=st.sampled_from([0.0, 0.5]),
+    )
+    @example(seed=1, kinds=["many", "many", "single", "empty", "few"], smoothing=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_node_search(self, seed, kinds, smoothing):
+        # internal tallies give p_int NaN (no trials), exactly 1.0 (so the
+        # survival is the floor _TINY) or an interior value
+        rng = np.random.default_rng(seed)
+        n = len(kinds)
+        int_trials = rng.choice([0.0, 5.0, 40.0], size=n)
+        int_hits = np.where(rng.random(n) < 0.4, int_trials, np.floor(int_trials * rng.random(n)))
+        counts = TransitionCounts(
+            int_trials=int_trials, int_hits=int_hits,
+            con_trials=np.zeros(n), con_hits=np.zeros(n),
+            exposures=tuple(random_exposures(rng, kind) for kind in kinds),
+        )
+        fit = fit_probabilities(counts, smoothing=smoothing)
+        assert fit.p_ext.tobytes() == reference_p_ext(counts, fit.p_int, smoothing).tobytes()
+
+    def test_agrees_with_scipy_bounded_minimizer(self):
+        # an independent maximizer of the same likelihood
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for _ in range(25):
+            n = int(rng.integers(1, 6))
+            p_int, p_ext = rng.uniform(0.0, 0.4, size=n), rng.uniform(0.05, 0.9, size=n)
+            exposures = []
+            for i in range(n):
+                s = rng.choice(rng.uniform(0.1, 3.0, size=int(rng.integers(1, 40))), size=400)
+                act = 1.0 - (1.0 - p_int[i]) * (1.0 - p_ext[i]) ** s
+                exposures.append((s, (rng.random(s.size) < act).astype(float)))
+            trials = np.full(n, 200.0)
+            counts = TransitionCounts(
+                int_trials=trials, int_hits=np.round(trials * p_int),
+                con_trials=np.zeros(n), con_hits=np.zeros(n), exposures=tuple(exposures),
+            )
+            fit = fit_probabilities(counts)
+            for i, (s, outcome) in enumerate(exposures):
+                levels, hits, misses = exposure_levels(s, outcome)
+                c = max(1.0 - fit.p_int[i], _TINY)
+                best = minimize_scalar(
+                    lambda p: -exposure_loglik(p, levels, hits, misses, c),
+                    bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10},
+                )
+                worst = max(worst, abs(fit.p_ext[i] - best.x))
+        assert worst < 1e-6
+
+
     def test_closed_form_ratio(self):
         c = TransitionCounts(
             int_trials=np.array([10.0]),
@@ -180,6 +372,16 @@ class TestFitProbabilities:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("pinned", [None, {3}])
+    def test_long_simulated_log_equals_the_per_node_oracles(self, pinned):
+        net = ring_network(8, p_int=0.05, p_ext=0.3, p_con=0.6)
+        E = net.E * np.linspace(0.3, 0.9, 8)
+        log = run_discrete(net, binary_state(np.zeros(8)), SimConfig(steps=5000, seed=2))
+        counts = count_transitions(E, log, pinned)
+        assert_same_counts(counts, reference_count_transitions(E, log, pinned))
+        fit = fit_probabilities(counts)
+        assert fit.p_ext.tobytes() == reference_p_ext(counts, fit.p_int).tobytes()
+
     def test_simulate_then_fit_recovers_parameters(self):
         net = ring_network(6, p_int=0.08, p_ext=0.25, p_con=0.75)
         cfg = SimConfig(steps=3 * 10**4, seed=5, variant="product")
