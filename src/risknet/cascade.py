@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import BINARY, RiskNetwork, StateVector, check_integer, check_state, pin_arrays
+from .model import BINARY, RiskNetwork, StateVector, check_integer, check_pins, check_state, pin_arrays
 
 PRODUCT = "product"
 ADDITIVE = "additive"
@@ -54,17 +54,11 @@ class SimConfig:
     pinned: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_integer("steps", self.steps)
-        check_integer("seed", self.seed)
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+        check_integer("steps", self.steps, 1)
+        check_integer("seed", self.seed, 0)
         if self.variant not in (PRODUCT, ADDITIVE):
             raise ValidationError(f"unknown variant {self.variant!r}")
-        for i, v in self.pinned.items():
-            if v not in (0, 1):
-                raise ValidationError(f"pinned value for node {i} must be 0 or 1")
+        check_pins(self.pinned)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,9 +348,7 @@ def monte_carlo_mean(
     draws together take at most one block's bytes, and at most one block of
     trials holds a generator at once.
     """
-    check_integer("trials", trials)
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_integer("trials", trials, 1)
     check_state(init, net.n, BINARY, "init")
     thresholds = _thresholds(net, config)
     counts = np.zeros((config.steps + 1, net.n))

@@ -217,9 +217,7 @@ def riccati_schedule(
         The gain equation of a step is singular or not finite.
     """
     n = _check_system(A, driver)
-    check_integer("horizon", horizon)
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    check_integer("horizon", horizon, 1)
     _check_costs(costs, n)
     return _one(_riccati_block(A, np.array([driver.indices]), costs, horizon))
 
@@ -561,9 +559,7 @@ def run_reactive(
     """
     prep = _prepare(net, costs, pinned, find_steady_state(net))
     D = _driver_row(driver, net.n)
-    check_integer("steps", steps)
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
+    check_integer("steps", steps, 1)
     check_state(init, net.n, CONTINUOUS, "init")
     return _one(_reactive_block(prep, D, init, steps))
 
@@ -653,9 +649,7 @@ def run_proactive(
     """
     prep = _prepare(net, costs, None, None)
     D = _driver_row(driver, net.n)
-    check_integer("steps", steps)
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
+    check_integer("steps", steps, 1)
     return _one(_proactive_block(prep, D, steps))
 
 

@@ -66,36 +66,34 @@ def step_continuous(
 
 def find_steady_state(
     net: RiskNetwork,
-    x0: StateVector | None = None,
     tol: float = STEADY_STATE_TOL,
     max_iter: int = STEADY_STATE_MAX_ITER,
     damping: float | None = None,
 ) -> StateVector:
     """Natural steady state: fixed point of the uncontrolled map.
 
-    Plain fixed-point iteration from ``x0`` (all-zeros by default).  It
-    stops at the first iterate ``x`` whose clamped update ``fx = step(x)``
-    satisfies ``max |fx - x| <= tol`` and returns ``fx``: a point of [0, 1]
-    that the clamped map reached from within ``tol`` of it, so its own
-    residual is at most ``tol`` times the map's Lipschitz constant in the
-    max norm.  Set ``damping`` in (0, 1] (e.g. 0.5) to average each update
-    with the current iterate, which tames oscillatory dynamics.  No
-    uniqueness is claimed: the result is the fixed point reached from
-    ``x0``.
+    Plain fixed-point iteration from the all-inactive state.  It stops at
+    the first iterate ``x`` whose clamped update ``fx = step(x)`` satisfies
+    ``max |fx - x| <= tol`` and returns ``fx``: a point of [0, 1] that the
+    clamped map reached from within ``tol`` of it, so its own residual is
+    at most ``tol`` times the map's Lipschitz constant in the max norm.
+    Set ``damping`` in (0, 1] (e.g. 0.5) to average each update with the
+    current iterate, which tames oscillatory dynamics.  No uniqueness is
+    claimed.
 
     Raises
     ------
     ValidationError
-        ``tol`` <= 0, or ``damping`` outside (0, 1] (0 never moves).
+        ``tol`` not in (0, inf), or ``damping`` outside (0, 1] (0 never moves).
     NoConvergence
         If ``max_iter`` iterations pass without meeting ``tol``; carries the
         last residual.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if damping is not None and not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping}")
-    x = np.zeros(net.n) if x0 is None else np.asarray(x0.values, dtype=float)
+    x = np.zeros(net.n)
     residual = np.inf
     for _ in range(max_iter):
         fx = unclamped_step(net, x).clip(0.0, 1.0)

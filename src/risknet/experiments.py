@@ -12,6 +12,7 @@ Everything is deterministic given the plan seed.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .control import _prepare, _Prepared, _proactive_block, _reactive_block
 from .dynamics import find_steady_state
 from .errors import RiskNetError, StratumInfeasible, ValidationError
 from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer,
-                    check_state, pin_arrays)
+                    check_pins, check_state, pin_arrays)
 
 STRATIFY_NONE = "none"
 STRATIFY_ACTIVE = "initially_active"
@@ -46,8 +47,8 @@ class ExperimentPlan:
     required when ``stratify_by`` is not "none"; ``num_sets`` then equals
     the group total.  ``pinned`` nodes are excluded from candidacy and held
     at their value during reactive runs.  ``baseline_sets`` maps a label to
-    an explicit index tuple.  Counts, sizes, steps and the seed must be
-    integers.
+    an explicit index tuple.  Counts, sizes, steps, the seed and pinned
+    indices must be integers, and pinned values the integers 0 or 1.
     """
 
     driver_size: int
@@ -63,46 +64,36 @@ class ExperimentPlan:
     top_fraction: float = 0.25
 
     def __post_init__(self):
-        for label in ("driver_size", "num_sets", "seed", "steps_reactive", "steps_proactive"):
+        for label in ("num_sets", "steps_reactive", "steps_proactive"):
             check_integer(label, getattr(self, label))
-        if self.driver_size < 1:
-            raise ValidationError("driver_size must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+        check_integer("driver_size", self.driver_size, 1)
+        check_integer("seed", self.seed, 0)
         if self.stratify_by not in (STRATIFY_NONE, STRATIFY_ACTIVE, STRATIFY_PEAK):
             raise ValidationError(f"unknown stratify_by {self.stratify_by!r}")
         if self.phase not in (PHASE_REACTIVE, PHASE_PROACTIVE, PHASE_BOTH):
             raise ValidationError(f"unknown phase {self.phase!r}")
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise ValidationError("top_fraction must be in (0, 1]")
+        top = self.top_fraction
+        if isinstance(top, bool) or not isinstance(top, numbers.Real) or not 0.0 < top <= 1.0:
+            raise ValidationError(f"top_fraction must be a number in (0, 1], got {top!r}")
         for pair in self.groups:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ValidationError(f"group {pair!r} must be a (stratum value, count) pair")
-            check_integer("stratum value", pair[0])
-            check_integer("stratum count", pair[1])
+            value, count = pair
+            check_integer("stratum value", value, 0)
+            if value > self.driver_size:
+                raise ValidationError(f"stratum value {value} exceeds driver_size {self.driver_size}")
+            check_integer("stratum count", count, 1)
         groups = tuple(tuple(pair) for pair in self.groups)
         object.__setattr__(self, "groups", groups)
         if self.stratify_by == STRATIFY_NONE:
-            if self.num_sets < 1:
-                raise ValidationError("num_sets must be >= 1")
+            check_integer("num_sets", self.num_sets, 1)
+        elif not groups:
+            raise ValidationError("stratified plans need groups")
         else:
-            if not groups:
-                raise ValidationError("stratified plans need groups")
-            for value, count in groups:
-                if not 0 <= value <= self.driver_size:
-                    raise ValidationError(
-                        f"stratum value {value} exceeds driver_size {self.driver_size}"
-                    )
-                if count < 1:
-                    raise ValidationError("each stratum needs at least one set")
             object.__setattr__(self, "num_sets", sum(c for _, c in groups))
-        if PHASE_REACTIVE in self.phases and self.steps_reactive < 1:
-            raise ValidationError("steps_reactive must be >= 1")
-        if PHASE_PROACTIVE in self.phases and self.steps_proactive < 1:
-            raise ValidationError("steps_proactive must be >= 1")
-        for i, v in self.pinned.items():
-            if v not in (0, 1):
-                raise ValidationError(f"pinned value for node {i} must be 0 or 1")
+        for phase in self.phases:
+            check_integer(f"steps_{phase}", getattr(self, f"steps_{phase}"), 1)
+        check_pins(self.pinned)
         baselines = {}
         for name, idx in self.baseline_sets.items():
             for i in idx:
@@ -173,8 +164,7 @@ def sample_driver_sets(
     """
     check_state(init, net.n, CONTINUOUS, "init")
     check_state(x_s, net.n, CONTINUOUS, "x_s")
-    pin_arrays(plan.pinned, net.n)
-    candidates = np.array(sorted(set(range(net.n)) - set(plan.pinned)), dtype=int)
+    candidates = np.delete(np.arange(net.n), pin_arrays(plan.pinned, net.n)[0])
     if plan.driver_size > candidates.size:
         raise ValidationError(
             f"driver_size {plan.driver_size} exceeds the {candidates.size} "

@@ -143,14 +143,19 @@ def degree_stats(net: RiskNetwork) -> tuple:
     return float(degrees.mean()), float(degrees.std())
 
 
-def check_integer(label: str, value):
-    """Reject anything but an integer: floats, strings and booleans raise
-    ``ValidationError``; numpy integers pass.  An exact ``int`` returns at
-    once, without the slower ``numbers.Integral`` check."""
-    if type(value) is int:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def _is_integer(value) -> bool:
+    """Ints and numpy integers pass, booleans do not.  An exact ``int``
+    skips the slower ``numbers.Integral`` check."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def check_integer(label: str, value, minimum: int | None = None) -> None:
+    """Reject anything but an integer (see :func:`_is_integer`) of at least
+    ``minimum`` with ``ValidationError``."""
+    if not _is_integer(value):
         raise ValidationError(f"{label} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{label} must be >= {minimum}, got {value}")
 
 
 def check_state(state: StateVector, n: int, mode: str, what: str) -> None:
@@ -159,23 +164,25 @@ def check_state(state: StateVector, n: int, mode: str, what: str) -> None:
         raise ValidationError(f"{what} must be a {mode} state of {n} entries")
 
 
+def check_pins(pinned: dict) -> None:
+    """Reject a pin map whose keys are not integers or whose values are not
+    the integers 0 and 1 (``True`` and ``1.0`` are refused)."""
+    for i, v in pinned.items():
+        check_integer("pinned index", i)
+        if not (_is_integer(v) and v in (0, 1)):
+            raise ValidationError(f"pinned value for node {i} must be 0 or 1")
+
+
 def pin_arrays(pinned: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted indices and float values of a ``{node index: 0 or 1}`` pin map.
-
-    Raises
-    ------
-    ValidationError
-        A non-integer index, an index outside ``range(n)`` or a value other
-        than 0 or 1.
-    """
-    for i in pinned or ():
-        check_integer("pinned index", i)
-    idx = np.array(sorted(pinned or ()), dtype=int)
-    for i in idx:
-        if not 0 <= i < n:
-            raise ValidationError(f"pinned index {i} out of range for {n} nodes")
-        if pinned[i] not in (0, 1):
-            raise ValidationError(f"pinned value for node {i} must be 0 or 1")
+    Raises ValidationError for a map that :func:`check_pins` rejects and
+    for an index outside ``range(n)``."""
+    pinned = pinned or {}
+    check_pins(pinned)
+    idx = np.array(sorted(pinned), dtype=int)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise ValidationError(f"pinned index {bad[0]} out of range for {n} nodes")
     return idx, np.array([float(pinned[i]) for i in idx])
 
 

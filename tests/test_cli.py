@@ -288,6 +288,12 @@ def test_malformed_document_exits_one_with_a_json_line(
     assert len(err) == 1 and json.loads(err[0])["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_steady_state_rejects_non_finite_tol(one_node_net, capsys, tol):
+    assert cli_main(["steady-state", str(one_node_net), "--tol", tol]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
 def test_steady_state_rejects_damping_outside_unit_interval(one_node_net, capsys):
     code = cli_main(["steady-state", str(one_node_net), "--damping", "0",
                      "--max-iter", "100"])

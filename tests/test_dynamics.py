@@ -105,11 +105,6 @@ class TestSteadyState:
         )
         assert np.array_equal(find_steady_state(net).values, np.zeros(2))
 
-    def test_identity_dynamics_keeps_initial_point(self):
-        net = build_network(["a", "b"], [0, 0], [0, 0], [1, 1], np.zeros((2, 2)))
-        v = continuous_state([0.3, 0.8])
-        assert np.array_equal(find_steady_state(net, x0=v).values, v.values)
-
     def test_residual_below_tol_on_random_networks(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -147,6 +142,13 @@ class TestSteadyState:
     def test_tol_validated(self):
         with pytest.raises(ValidationError):
             find_steady_state(scalar_net(), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected_before_iterating(self, tol):
+        # NaN passes a `tol <= 0` test but no residual ever meets it; inf
+        # accepts the first iterate
+        with pytest.raises(ValidationError, match=f"^tol must be positive and finite, got {tol}$"):
+            find_steady_state(scalar_net(), tol=tol, max_iter=1000)
 
     @pytest.mark.parametrize("damping", [0.0, -0.5, 1.5])
     def test_damping_outside_unit_interval_rejected(self, damping):

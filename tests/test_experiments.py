@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,13 @@ class TestPlanValidation:
         settings = dict(driver_size=2, num_sets=1, seed=0) | fields
         with pytest.raises(ValidationError, match="integer|pair"):
             ExperimentPlan(**settings)
+
+    @pytest.mark.parametrize("top_fraction", ["0.5", True])
+    def test_non_numeric_top_fraction_rejected(self, top_fraction):
+        # a string does not compare with 0.0, and True is not a fraction
+        message = re.escape(f"top_fraction must be a number in (0, 1], got {top_fraction!r}")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ExperimentPlan(driver_size=2, num_sets=1, seed=0, top_fraction=top_fraction)
 
     def test_numpy_integers_accepted(self):
         plan = ExperimentPlan(
