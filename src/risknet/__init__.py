@@ -43,7 +43,6 @@ from .cascade import (
 from .dynamics import (
     controllability_rank,
     find_steady_state,
-    jacobian,
     linearize,
     step_continuous,
     unclamped_step,

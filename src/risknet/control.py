@@ -44,13 +44,15 @@ call.  Matrix-vector products stay products with an ``(n, 1)`` column (never
 The gain equation is solved through its Cholesky factor, which also guards
 its definiteness; the value matrix is symmetric bit for bit, so its driver
 rows serve for its driver columns.  The kernels read a preparation of the
-network (``_prepare``: the pins and, for the reactive phase, the Jacobian
-at the natural steady state) and a matrix ``D`` of driver indices, one row
-per set.  A sweep prepares its network once; the public functions prepare
-once per call and run blocks of one set.  A block stores each computed
-gain once, indexed per set and step, and each set's states and driven
-signal columns; a run's full-width ``signals`` are derived on access.  A
-finished block takes its sets' costs at once: one stacked pass per chunk.
+network (``_prepare``: the checked costs and pins and, for the reactive
+phase, the Jacobian at the natural steady state) and a matrix ``D`` of
+driver indices, one row per set.  What the whole call shares is checked
+before its steady-state solve, so a kernel's failures are those of one set.
+A sweep prepares its network once; the public functions prepare once per
+call and run blocks of one set.  A block stores each computed gain once,
+indexed per set and step, and each set's states and driven signal columns;
+a run's full-width ``signals`` are derived on access.  A finished block
+takes its sets' costs at once: one stacked pass per chunk.
 """
 
 from __future__ import annotations
@@ -60,13 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    RiskNetError,
-    SaturatedPoint,
-    SingularInnerMatrix,
-    ValidationError,
-)
+from .errors import DimensionMismatch, RiskNetError, SingularInnerMatrix, ValidationError
 from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer,
                     check_state, pin_arrays)
 from .dynamics import _check_driver, _check_system, _raw_map, find_steady_state, linearize
@@ -327,7 +323,6 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     return [GainSchedule(gains, index[s], P0[s]) if r is None else r for s, r in enumerate(out)]
 
 
-_WIDTH_MISMATCH = "state/signal width does not match cost matrices"
 #: Bytes of a chunk of the stacked cost pass's ``(k, steps, n)`` operands:
 #: 16 sets of 50 steps on 40 nodes, one set of 500 (at least one set).
 _COST_CHUNK_BYTES = 1 << 18
@@ -349,7 +344,7 @@ def evaluate_cost(
             f"states {X.shape} must have one more row than signals {U.shape}"
         )
     if X.shape[1] != costs.n or U.shape[1] != costs.n:
-        raise DimensionMismatch(_WIDTH_MISMATCH)
+        raise DimensionMismatch("state/signal width does not match cost matrices")
     state, control = (float(cost[0]) for cost in _stacked_costs(X[None], U[None], costs))
     return state, control, state + control
 
@@ -367,31 +362,24 @@ def _stacked_costs(X: np.ndarray, U: np.ndarray, costs: CostMatrices) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """What the driver sets of one network share: the network, the costs,
-    the pin arrays ``(indices, values)`` and, for the reactive phase, the
-    Jacobian ``A`` at the steady state or the error that stops every
-    reactive set."""
+    """What the driver sets of one call share: the network, the costs, the
+    pin arrays ``(indices, values)`` and the reactive phase's Jacobian ``A``."""
 
     net: RiskNetwork
     costs: CostMatrices
     pins: tuple
-    A: np.ndarray | RiskNetError | None
+    A: np.ndarray | None = None
+
+    def linearized(self, x_s: StateVector) -> _Prepared:
+        """This preparation with the Jacobian at ``x_s``, or SaturatedPoint."""
+        return _Prepared(self.net, self.costs, self.pins, linearize(self.net, x_s))
 
 
-def _prepare(
-    net: RiskNetwork, costs: CostMatrices, pinned: dict | None, x_s: StateVector | None
-) -> _Prepared:
-    """Check the pins (raising ValidationError) and, unless ``x_s`` is None,
-    linearize at ``x_s``: a saturated ``x_s``, then costs of another size,
-    is kept as the error of every reactive set."""
-    A = None
-    if x_s is not None:
-        try:
-            A = linearize(net, x_s)
-            _check_costs(costs, net.n)
-        except (SaturatedPoint, DimensionMismatch) as exc:
-            A = exc
-    return _Prepared(net, costs, pin_arrays(pinned, net.n), A)
+def _prepare(net: RiskNetwork, costs: CostMatrices, pinned: dict | None) -> _Prepared:
+    """The preparation without a Jacobian, checked before any solve: costs
+    of another size raise DimensionMismatch, a bad pin map ValidationError."""
+    _check_costs(costs, net.n)
+    return _Prepared(net, costs, pin_arrays(pinned, net.n))
 
 
 def _pin_errors(prep: _Prepared, D: np.ndarray) -> list:
@@ -428,7 +416,7 @@ def _rollout_block(
     earlier.  Between two checks, or a set's end, the block steps on.
 
     Returns per set, by :func:`_block_runs`, a :class:`ControlRun` or the
-    error that stopped it: a non-finite state or costs of another size.
+    error of a non-finite state.
     """
     net, costs = prep.net, prep.costs
     pin_idx, pin_val = pins
@@ -505,9 +493,9 @@ def _bits_hash(X: np.ndarray) -> np.ndarray:
 
 def _block_runs(states, driven, saturation, D, costs) -> list:
     """Per set of a finished block: its :class:`ControlRun`, or the error
-    of a non-finite state or of costs of another size.  The costs are one
-    :func:`_stacked_costs` pass per chunk of ``_COST_CHUNK_BYTES``, over the
-    chunk's finite sets and their full-width signals."""
+    of a non-finite state.  The costs are one :func:`_stacked_costs` pass
+    per chunk of ``_COST_CHUNK_BYTES``, over the chunk's finite sets and
+    their full-width signals."""
     S, steps, n = len(states), driven.shape[1], states.shape[2]
     size = max(1, _COST_CHUNK_BYTES // (8 * steps * n))
     finite, cost = np.empty(S, dtype=bool), np.zeros((S, 3))
@@ -515,14 +503,13 @@ def _block_runs(states, driven, saturation, D, costs) -> list:
         chunk = slice(c, c + size)
         ok = finite[chunk] = np.isfinite(states[chunk]).all(axis=(1, 2))
         sel = chunk if ok.all() else np.arange(c, c + ok.size)[ok]
-        if costs.n == n and ok.any():
+        if ok.any():
             U = _full_width(driven[sel], D[sel], n)
             cost[sel, 0], cost[sel, 1] = _stacked_costs(states[sel], U, costs)
     cost[:, 2] = cost[:, 0] + cost[:, 1]
     cost, drivers, saturated = cost.tolist(), D.tolist(), saturation.sum(axis=1).tolist()
     return [
         ValidationError("rollout produced a non-finite state; check the gains") if not ok
-        else DimensionMismatch(_WIDTH_MISMATCH) if costs.n != n
         else ControlRun(states[s], driven[s], tuple(drivers[s]), *cost[s], saturated[s])
         for s, ok in enumerate(finite.tolist())
     ]
@@ -555,13 +542,15 @@ def run_reactive(
     ``u(k) = -K(k) x(k)`` on the driven nodes, which steers toward the
     all-inactive state.  Pinned nodes (``{index: 0 or 1}``) are forced to
     their value at every step (including the initial state) and must not
-    appear in the driver set.
+    appear in the driver set.  Every argument is checked before the steady
+    state is solved.
     """
-    prep = _prepare(net, costs, pinned, find_steady_state(net))
     D = _driver_row(driver, net.n)
     check_integer("steps", steps, 1)
     check_state(init, net.n, CONTINUOUS, "init")
-    return _one(_reactive_block(prep, D, init, steps))
+    prep = _prepare(net, costs, pinned)
+    _one(_pin_errors(prep, D))  # raises for a pin on a driven node
+    return _one(_reactive_block(prep.linearized(find_steady_state(net)), D, init, steps))
 
 
 def _reactive_block(prep: _Prepared, D: np.ndarray, init: StateVector, steps: int) -> list:
@@ -570,13 +559,11 @@ def _reactive_block(prep: _Prepared, D: np.ndarray, init: StateVector, steps: in
 
     Returns per set its :class:`ControlRun` or the error that stopped it,
     checked in the order of a one-set run: a pin on a driven node, a
-    saturated ``x_s``, costs of another size, a singular or non-finite gain
-    equation, a non-finite rollout.  ``steps`` and ``init`` are trusted:
-    the public entry points check them.
+    singular or non-finite gain equation, a non-finite rollout.  Everything
+    the call shares (``steps``, ``init``, the costs, the pins and the
+    Jacobian) is trusted: the public entry points check it first.
     """
     out = _pin_errors(prep, D)
-    if isinstance(prep.A, RiskNetError):
-        return [prep.A if run is None else run for run in out]
     live = [i for i, run in enumerate(out) if run is None]
     for i, schedule in zip(live, _riccati_block(prep.A, D[live], prep.costs, steps)):
         out[i] = schedule
@@ -604,10 +591,10 @@ def rollout_feedback(
     rollout copies the states, signals and saturation counts forward to
     step W once the closed-loop state repeats bit for bit at a multiple of
     p.  Equal indices are the same gain, so this is exact: byte for byte
-    the result of stepping every gain.  Raises ValidationError for a
-    driver set, init or gains' shape that does not fit the network, and
-    for an index that is not a nonempty 1-D integer array of rows of
-    ``gains``.
+    the result of stepping every gain.  Before the first step it raises
+    ValidationError for a driver set, init, gains' shape or pin that does
+    not fit the network or an index that is not a nonempty 1-D integer
+    array of rows of ``gains``, and DimensionMismatch for wrong-size costs.
     """
     D = _driver_row(driver, net.n)
     check_state(init, net.n, CONTINUOUS, "init")
@@ -617,7 +604,7 @@ def rollout_feedback(
     if not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
             and 0 <= index.min() <= index.max() < len(gains)):
         raise ValidationError(f"index must be a nonempty 1-D integer array in [0, {len(gains)})")
-    prep = _prepare(net, costs, pinned, None)
+    prep = _prepare(net, costs, pinned)
     _one(_pin_errors(prep, D))  # raises for a pin on a driven node
     return _one(_feedback_block(prep, D, init.values, gains, index[None]))
 
@@ -645,11 +632,12 @@ def run_proactive(
     ``u_i = -(p_int_i + p_ext_i * s_i) * (1 - x_i)``, exactly cancelling its
     expected activation inflow; undriven nodes evolve freely.  The signal
     does not depend on the step, so the rollout may fast-forward with
-    period 1 over the whole horizon.
+    period 1 over the whole horizon.  Every argument is checked before the
+    first step.
     """
-    prep = _prepare(net, costs, None, None)
     D = _driver_row(driver, net.n)
     check_integer("steps", steps, 1)
+    prep = _prepare(net, costs, None)
     return _one(_proactive_block(prep, D, steps))
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergence, SaturatedPoint, ValidationError
-from .model import CONTINUOUS, DriverSet, RiskNetwork, StateVector, check_state, continuous_state
+from .model import (CONTINUOUS, DriverSet, RiskNetwork, StateVector, check_integer, check_state,
+                    continuous_state)
 
 #: Default fixed-point settings for the steady-state solver.
 STEADY_STATE_TOL = 1e-12
@@ -84,13 +85,14 @@ def find_steady_state(
     Raises
     ------
     ValidationError
-        ``tol`` not in (0, inf), or ``damping`` outside (0, 1] (0 never moves).
+        ``tol`` not in (0, inf), ``max_iter`` < 1, or ``damping`` outside (0, 1].
     NoConvergence
         If ``max_iter`` iterations pass without meeting ``tol``; carries the
         last residual.
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
+    check_integer("max_iter", max_iter, 1)
     if damping is not None and not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping}")
     x = np.zeros(net.n)
@@ -104,8 +106,9 @@ def find_steady_state(
     raise NoConvergence(max_iter, residual)
 
 
-def jacobian(net: RiskNetwork, x: StateVector) -> np.ndarray:
-    """Analytic Jacobian of the unclamped map at ``x``.
+def linearize(net: RiskNetwork, x_lin: StateVector) -> np.ndarray:
+    """Analytic Jacobian of the unclamped map at ``x_lin`` (typically the
+    natural steady state), which every driver set of the network shares.
 
     ``A[i, j] = d(next x_i)/d(x_j)``:
 
@@ -116,24 +119,20 @@ def jacobian(net: RiskNetwork, x: StateVector) -> np.ndarray:
 
     Raises
     ------
+    ValidationError
+        ``x_lin`` is not a continuous state of n entries.
     SaturatedPoint
-        The raw map leaves [0, 1] at ``x``, where the clamped dynamics are
-        not differentiable by this formula.
+        The raw map leaves [0, 1] at ``x_lin``, where the clamped dynamics
+        are not differentiable by this formula.
     """
-    raw = unclamped_step(net, x.values)
+    check_state(x_lin, net.n, CONTINUOUS, "x_lin")
+    raw = unclamped_step(net, x_lin.values)
     if np.any((raw < 0.0) | (raw > 1.0)):
         i = int(np.argmax((raw < 0.0) | (raw > 1.0)))
         raise SaturatedPoint(f"update map saturates at node {i} (raw value {raw[i]:.6g})")
-    s = net.inflow(x.values)
-    A = np.multiply(net.E.T, (net.p_ext * (1.0 - x.values))[:, None], order="C")
-    np.fill_diagonal(A, net.p_con - net.p_int - net.p_ext * s)
+    A = np.multiply(net.E.T, (net.p_ext * (1.0 - x_lin.values))[:, None], order="C")
+    np.fill_diagonal(A, net.p_con - net.p_int - net.p_ext * net.inflow(x_lin.values))
     return A
-
-
-def linearize(net: RiskNetwork, x_lin: StateVector) -> np.ndarray:
-    """The ``(n, n)`` Jacobian at ``x_lin`` (typically the natural steady
-    state), which every driver set of the network shares."""
-    return jacobian(net, x_lin)
 
 
 def _check_driver(driver: DriverSet, n: int) -> None:

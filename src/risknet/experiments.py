@@ -133,6 +133,16 @@ def _uniform_subsets(rng: np.random.Generator, pool: np.ndarray, size: int, rows
     return pool[np.argpartition(keys, size - 1, axis=1)[:, :size]]
 
 
+def _candidates(plan: ExperimentPlan, n: int) -> np.ndarray:
+    """The plan's non-pinned nodes of n; ValidationError for a pin the
+    network cannot hold or a ``driver_size`` beyond them."""
+    candidates = np.delete(np.arange(n), pin_arrays(plan.pinned, n)[0])
+    if plan.driver_size > candidates.size:
+        raise ValidationError(f"driver_size {plan.driver_size} exceeds the "
+                              f"{candidates.size} non-pinned nodes")
+    return candidates
+
+
 def sample_driver_sets(
     plan: ExperimentPlan,
     net: RiskNetwork,
@@ -164,12 +174,7 @@ def sample_driver_sets(
     """
     check_state(init, net.n, CONTINUOUS, "init")
     check_state(x_s, net.n, CONTINUOUS, "x_s")
-    candidates = np.delete(np.arange(net.n), pin_arrays(plan.pinned, net.n)[0])
-    if plan.driver_size > candidates.size:
-        raise ValidationError(
-            f"driver_size {plan.driver_size} exceeds the {candidates.size} "
-            "non-pinned nodes"
-        )
+    candidates = _candidates(plan, net.n)
     rng = np.random.default_rng(plan.seed)
 
     if plan.stratify_by == STRATIFY_NONE:
@@ -226,7 +231,6 @@ class DriverEvaluation:
 class ExperimentResult:
     plan: ExperimentPlan
     steady_state: np.ndarray
-    init: np.ndarray
     evaluations: tuple
     stratum_summary: dict
 
@@ -296,9 +300,9 @@ def run_experiment(
 
     ``init`` defaults to the natural steady state (ongoing natural
     operation).  The natural steady state, the driver classes and the
-    network's preparation for control (the pins and, for a reactive plan,
-    the Jacobian at the steady state) are computed once and shared by every
-    evaluation.
+    network's preparation for control (the costs, the pins and, for a
+    plan with a reactive phase, the Jacobian at the steady state) are
+    computed once and shared by every evaluation.
 
     Each phase evaluates the entries in lockstep blocks: runs of
     consecutive driver sets of one size, as many as a fixed budget of
@@ -307,17 +311,23 @@ def run_experiment(
     drivers).  Every set gets byte for byte the results of evaluating it alone
     (see :mod:`risknet.control`); a block takes its sets' costs at once, and
     only their outcomes are kept, ranked once per phase after its last block.
-    Failures of individual control runs are recorded on the evaluation
-    rather than aborting the sweep, with the same error text as a one-set
-    run, and leave the other sets of the block unchanged.  Sampling fails
-    only on inputs the network cannot serve: StratumInfeasible for a group
-    count no set can meet (raised before any set is drawn) or for a sampled
-    set outside its stratum, and ValidationError for an ``init`` that is
-    not a continuous state of n entries (a binary one included), a bad pin
-    or an oversized driver set.  These propagate before any set is
-    evaluated; :func:`sample_driver_sets` checks ``init`` before its first
-    draw, so the sweep's blocks trust it.
+
+    A call either raises before its first evaluation or records failures
+    per set.  Before the steady state is solved it checks ``init`` (a
+    continuous state of n entries), the pins, the baseline sets, the
+    ``driver_size`` against the non-pinned nodes and the size of the costs.
+    The solve may raise NoConvergence, sampling StratumInfeasible, and a
+    plan with a reactive phase SaturatedPoint.  A pin on a driven node, a
+    singular gain equation or a non-finite rollout is recorded on its
+    evaluation, with the error text of a one-set run, and leaves the other
+    sets of the block unchanged.
     """
+    if init is not None:
+        check_state(init, net.n, CONTINUOUS, "init")
+    prep = _prepare(net, costs, plan.pinned)
+    _candidates(plan, net.n)
+    baselines = [(name, "baseline", DriverSet(indices, net.n).indices, None)
+                 for name, indices in sorted(plan.baseline_sets.items())]
     x_s = find_steady_state(net)
     if init is None:
         init = x_s
@@ -330,10 +340,7 @@ def run_experiment(
     entries = [
         (f"sample_{k:04d}", "sample", tuple(row), stratum)
         for k, (row, stratum) in enumerate(zip(sets.tolist(), strata, strict=True))
-    ] + [
-        (name, "baseline", DriverSet(indices, net.n).indices, None)
-        for name, indices in sorted(plan.baseline_sets.items())
-    ]
+    ] + baselines
 
     classes = _driver_classes(init, x_s, plan.top_fraction)
     active, peak = classes[STRATIFY_ACTIVE].tolist(), classes[STRATIFY_PEAK].tolist()
@@ -348,7 +355,8 @@ def run_experiment(
             )
         counts.append((a, p))
 
-    prep = _prepare(net, costs, plan.pinned, x_s if PHASE_REACTIVE in plan.phases else None)
+    if PHASE_REACTIVE in plan.phases:
+        prep = prep.linearized(x_s)
     rows = [row for _, _, row, _ in entries]
     outcomes = {}
     for phase in plan.phases:
@@ -390,7 +398,6 @@ def run_experiment(
     return ExperimentResult(
         plan=plan,
         steady_state=x_s.values,
-        init=init.values,
         evaluations=evaluations,
         stratum_summary=summary,
     )

@@ -34,7 +34,6 @@ import itertools
 import json
 import operator
 
-import networkx as nx
 import numpy as np
 
 from .cascade import EventLog
@@ -47,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .experiments import ExperimentPlan, ExperimentResult
-from .model import CostMatrices, RiskNetwork, build_network, identity_costs
+from .model import CostMatrices, RiskNetwork, build_network, check_integer, identity_costs
 
 SCHEMA_VERSION = 1
 
@@ -501,6 +500,9 @@ def generate_synthetic(
     TargetsUnreachable
         No attempt met both degree targets.
     """
+    import networkx as nx  # slow to import, and only the generator uses it
+    check_integer("n", n, 2)
+    check_integer("seed", seed, 0)
     if not 0 < target_mean_degree < n:
         raise ValidationError("target_mean_degree must be in (0, n)")
     if target_degree_std < 0:

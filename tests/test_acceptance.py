@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 
 from risknet.cascade import SimConfig, monte_carlo_mean
 from risknet.control import riccati_schedule
-from risknet.dynamics import find_steady_state, jacobian, step_continuous
+from risknet.dynamics import find_steady_state, linearize, step_continuous
 from risknet.errors import StratumInfeasible
 from risknet.experiments import ExperimentPlan, run_experiment, top_steady_nodes
 from risknet.model import (
@@ -47,7 +47,7 @@ def test_criterion_1_jacobian_matches_finite_differences():
         n = int(rng.integers(2, 16))
         net = contractive_network(rng, n, weighted=bool(seed % 2))
         x = interior_state(rng, n)
-        A = jacobian(net, continuous_state(x))
+        A = linearize(net, continuous_state(x))
         worst = max(worst, float(np.max(np.abs(A - fd_jacobian(net, x)))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 10.0

@@ -90,6 +90,20 @@ def test_steady_state_no_convergence_exit_two(tmp_path, capsys):
     assert err["error"] == "NoConvergence"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["steady-state", "{net}", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
+    (["generate", "--n", "12", "--mean-degree", "5", "--degree-std", "1", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+])
+def test_count_below_minimum_exit_one(argv, message, one_node_net, tmp_path, capsys):
+    argv = [a.replace("{net}", str(one_node_net)) for a in argv]
+    assert cli_main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ValidationError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exit_one(capsys):
     assert cli_main(["steady-state", "nowhere.json"]) == 1
 

@@ -594,7 +594,7 @@ def rollout_one(net, driver, costs, x0, steps, signal, pinned=None, period=0, cy
     """``control._rollout_block`` for one set with the window ``(period,
     cycle_end)``, whose signal is a per-step map: ``signal(k, x)`` returns
     the driven nodes' signals (in index order) for step k at state x."""
-    prep = _prepare(net, costs, pinned, None)
+    prep = _prepare(net, costs, pinned)
     (run,) = _rollout_block(
         prep, np.array([driver.indices]), np.asarray(x0, dtype=float)[None], steps,
         lambda rows, ks, X, inflow, at: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],

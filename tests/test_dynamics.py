@@ -4,7 +4,6 @@ import pytest
 from risknet.dynamics import (
     controllability_rank,
     find_steady_state,
-    jacobian,
     linearize,
     step_continuous,
     unclamped_step,
@@ -122,7 +121,7 @@ class TestSteadyState:
         assert x_s.values[54] == 1.0
         out, saturated = step_continuous(net, x_s)
         assert np.array_equal(out.values, x_s.values) and not saturated.any()
-        assert jacobian(net, x_s).shape == (55, 55)
+        assert linearize(net, x_s).shape == (55, 55)
 
     def test_one_update_past_the_converged_iterate(self):
         for seed in range(5):
@@ -159,14 +158,14 @@ class TestSteadyState:
 
 class TestJacobian:
     def test_scalar_value(self):
-        A = jacobian(scalar_net(), continuous_state([0.4]))
+        A = linearize(scalar_net(), continuous_state([0.4]))
         assert A[0, 0] == pytest.approx(0.6)
 
     def test_decoupled_nodes_diagonal(self):
         net = build_network(
             ["a", "b"], [0.2, 0.1], [0.7, 0.9], [0.5, 0.8], np.zeros((2, 2))
         )
-        A = jacobian(net, continuous_state([0.3, 0.6]))
+        A = linearize(net, continuous_state([0.3, 0.6]))
         assert A == pytest.approx(np.diag([0.3, 0.7]))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -174,7 +173,7 @@ class TestJacobian:
         rng = np.random.default_rng(seed)
         net = random_network(rng, int(rng.integers(2, 12)), weighted=True)
         x = interior_state(rng, net.n)
-        A = jacobian(net, continuous_state(x))
+        A = linearize(net, continuous_state(x))
         assert np.max(np.abs(A - fd_jacobian(net, x))) < 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
@@ -184,7 +183,7 @@ class TestJacobian:
         rng = np.random.default_rng(seed)
         net = contractive_network(rng, int(rng.integers(1, 41)), weighted=True)
         x = interior_state(rng, net.n)
-        A = jacobian(net, continuous_state(x))
+        A = linearize(net, continuous_state(x))
         want = net.E.T * (net.p_ext * (1.0 - x))[:, None]
         np.fill_diagonal(want, net.p_con - net.p_int - net.p_ext * net.inflow(x))
         assert A.flags.c_contiguous
@@ -196,14 +195,14 @@ class TestJacobian:
         x = continuous_state([0.5, 1.0])
         assert np.any(unclamped_step(net, x.values) > 1.0)
         with pytest.raises(SaturatedPoint):
-            jacobian(net, x)
+            linearize(net, x)
 
 
 class TestLinearize:
-    def test_packages_jacobian_and_point(self):
-        net = hand_chain()
-        x_s = find_steady_state(net)
-        assert np.array_equal(linearize(net, x_s), jacobian(net, x_s))
+    @pytest.mark.parametrize("x", [continuous_state([0.5]), binary_state([1, 0])])
+    def test_point_checked(self, x):
+        with pytest.raises(ValidationError, match="^x_lin must be a continuous state of 2 entries$"):
+            linearize(hand_chain(), x)
 
     def test_dimension_check(self):
         with pytest.raises(ValidationError, match="A must be a square matrix"):

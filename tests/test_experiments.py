@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import chisquare
 
 from risknet import experiments
 from risknet.dynamics import find_steady_state
-from risknet.errors import StratumInfeasible, ValidationError
+from risknet.errors import SaturatedPoint, StratumInfeasible, ValidationError
 from risknet.experiments import (
     ExperimentPlan,
     run_experiment,
@@ -432,29 +433,31 @@ class TestRunExperiment:
 
 
 class TestSaturatedSteadyState:
-    def test_every_reactive_evaluation_records_the_same_error(self, monkeypatch):
+    def test_sweep_raises_before_evaluating_a_set(self, monkeypatch):
         # A true fixed point never saturates, so the sweep is handed a point
-        # where node c's raw update is 1.85: the Jacobian there is undefined.
+        # where node c's raw update is 1.85: the Jacobian there is undefined,
+        # for every set alike.  A proactive plan needs no Jacobian.
         net = saturating_net()
         point = continuous_state(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
         monkeypatch.setattr(experiments, "find_steady_state", lambda net: point)
+        evaluated = []
+        block = experiments._evaluate_block
+        monkeypatch.setattr(experiments, "_evaluate_block",
+                            lambda phase, *args: evaluated.append(phase) or block(phase, *args))
         plan = ExperimentPlan(
             driver_size=2, num_sets=4, seed=5, phase="both", pinned={0: 1},
             steps_reactive=20, steps_proactive=5,
             baseline_sets={"free": (1, 2), "pinned": (0, 1)},
         )
-        res = run_experiment(plan, net, None, identity_costs(net.n))
+        want = "^update map saturates at node 4 \\(raw value 1.85\\)$"
+        for phase in ("both", "reactive"):
+            with pytest.raises(SaturatedPoint, match=want):
+                run_experiment(replace(plan, phase=phase), net, None, identity_costs(net.n))
+        assert evaluated == []
+        res = run_experiment(replace(plan, phase="proactive"), net, None, identity_costs(net.n))
         assert np.array_equal(res.steady_state, point.values)
-        for ev in res.evaluations:
-            reactive = ev.outcomes["reactive"]
-            if ev.label == "pinned":  # the pin rule is checked first
-                assert reactive.error == "ValidationError: pinned nodes cannot be driven: [0]"
-            else:
-                assert reactive.error == (
-                    "SaturatedPoint: update map saturates at node 4 (raw value 1.85)"
-                )
-            assert np.isnan(reactive.total_cost) and reactive.rank == 0
-            assert ev.outcomes["proactive"].error == ""
+        assert evaluated == ["proactive"]
+        assert all(ev.outcomes["proactive"].error == "" for ev in res.evaluations)
 
 
 class TestSteadyStateDrift:

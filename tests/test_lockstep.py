@@ -28,8 +28,8 @@ from risknet.control import (
     run_proactive,
     run_reactive,
 )
-from risknet.dynamics import find_steady_state, jacobian, linearize
-from risknet.errors import RiskNetError
+from risknet.dynamics import find_steady_state, linearize
+from risknet.errors import DimensionMismatch, RiskNetError, SaturatedPoint
 from risknet.experiments import ExperimentPlan, _blocks, run_experiment
 from risknet.model import (
     CostMatrices,
@@ -59,8 +59,7 @@ SINGULAR = (
 )
 SATURATED = "SaturatedPoint: update map saturates at node 4 (raw value 1.85)"
 NON_FINITE = "ValidationError: rollout produced a non-finite state; check the gains"
-COSTS_SIZE = "DimensionMismatch: cost matrices sized for a different network"
-COSTS_WIDTH = "DimensionMismatch: state/signal width does not match cost matrices"
+COSTS_SIZE = "cost matrices sized for a different network"
 
 
 def criterion_7_net():
@@ -81,12 +80,21 @@ def assert_sweep_equals_per_set(plan, net, costs, init=None):
     result = run_experiment(plan, net, init, costs)
     x_s = experiments.find_steady_state(net)
     init = x_s if init is None else init
-    prep = _prepare(net, costs, plan.pinned, x_s)
+    prep = _prepare(net, costs, plan.pinned).linearized(x_s)
     for ev in result.evaluations:
         for phase in plan.phases:
             (alone,) = experiments._evaluate_block(phase, prep, np.array([ev.indices]), init, plan)
             assert outcome_bytes(ev.outcomes[phase]) == outcome_bytes(alone), (ev.label, phase)
     return result
+
+
+def forbid_kernels(monkeypatch):
+    """Fail the test if any block reaches the gain recursion or the rollout."""
+    def kernel(*args):
+        raise AssertionError("a driver set was evaluated")
+
+    monkeypatch.setattr(control, "_riccati_block", kernel)
+    monkeypatch.setattr(control, "_rollout_block", kernel)
 
 
 def run_bytes(run):
@@ -146,7 +154,7 @@ class TestCriterion7:
         net = criterion_7_net()
         x_s = find_steady_state(net)
         costs = identity_costs(net.n)
-        prep = _prepare(net, costs, {0: 1}, x_s)
+        prep = _prepare(net, costs, {0: 1}).linearized(x_s)
         plan = ExperimentPlan(driver_size=7, num_sets=8, seed=2017, pinned={0: 1})
         D = experiments.sample_driver_sets(plan, net, x_s, x_s)
         runs = _reactive_block(prep, D, x_s, 500)
@@ -263,7 +271,7 @@ class TestFailuresStayPerSet:
         drivers = [DriverSet(d, 8) for d in
                    [(1, 3, 5), (0, 2, 4), (2, 6, 7), (3, 4, 5), (1, 6, 7), (2, 3, 6)]]
         x_s = find_steady_state(net)
-        prep = _prepare(net, costs, {0: 1}, x_s)
+        prep = _prepare(net, costs, {0: 1}).linearized(x_s)
         runs = _reactive_block(prep, index_rows(drivers), x_s, 300)
         alone = [one_set(run_reactive, net, d, costs, x_s, 300, {0: 1}) for d in drivers]
         assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
@@ -287,21 +295,25 @@ class TestFailuresStayPerSet:
 
     def test_saturated_point_in_one_block(self, monkeypatch):
         # as in TestSaturatedSteadyState: the sweep is handed a point where
-        # node c's raw update is 1.85, so no reactive set has gains
+        # node c's raw update is 1.85, so no reactive set has gains.  That
+        # is no result about one set: the sweep raises what a one-set run on
+        # the same point raises, and neither reaches a kernel.
         net = saturating_net()
         point = continuous_state(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
-        monkeypatch.setattr(experiments, "find_steady_state", lambda net: point)
+        for module in (experiments, control):
+            monkeypatch.setattr(module, "find_steady_state", lambda net: point)
+        forbid_kernels(monkeypatch)
         plan = ExperimentPlan(
             driver_size=2, num_sets=5, seed=5, phase="both", pinned={0: 1},
             steps_reactive=20, steps_proactive=5,
             baseline_sets={"free": (1, 2), "pinned": (0, 1)},
         )
-        result = assert_sweep_equals_per_set(plan, net, identity_costs(net.n))
-        assert len(list(_blocks([ev.indices for ev in result.evaluations], 20, 5))) == 1
-        for ev in result.evaluations:
-            want = PINNED if ev.label == "pinned" else SATURATED
-            assert ev.outcomes["reactive"].error == want
-            assert ev.outcomes["proactive"].error == ""
+        costs = identity_costs(net.n)
+        with pytest.raises(SaturatedPoint) as sweep:
+            run_experiment(plan, net, None, costs)
+        with pytest.raises(SaturatedPoint) as alone:
+            run_reactive(net, DriverSet((1, 2), 5), costs, point, 20, {0: 1})
+        assert f"SaturatedPoint: {sweep.value}" == f"SaturatedPoint: {alone.value}" == SATURATED
 
     def test_singular_at_a_later_step(self):
         # Q_f charges the dead nodes and Q does not: P(k) is 0 on them from
@@ -312,7 +324,7 @@ class TestFailuresStayPerSet:
         costs = CostMatrices(Q_f=np.eye(8), Q=bad.Q, R=bad.R)
         drivers = [DriverSet(d, 8) for d in [(1, 6), (6, 7), (2, 3), (5, 6)]]
         x_s = find_steady_state(net)
-        prep = _prepare(net, costs, None, x_s)
+        prep = _prepare(net, costs, None).linearized(x_s)
         for horizon, errors in ((1, ["", "", "", ""]), (40, ["", SINGULAR, "", ""])):
             runs = _reactive_block(prep, index_rows(drivers), x_s, horizon)
             alone = [one_set(run_reactive, net, d, costs, x_s, horizon) for d in drivers]
@@ -323,7 +335,7 @@ class TestFailuresStayPerSet:
         net = special_net()
         costs = identity_costs(8)
         x_s = find_steady_state(net)
-        prep = _prepare(net, costs, {0: 1}, x_s)
+        prep = _prepare(net, costs, {0: 1}).linearized(x_s)
         D = np.array([(1, 2), (3, 4), (2, 5)])
         schedules = [riccati_schedule(prep.A, DriverSet(d, 8), costs, 60) for d in D]
         # the three schedules' gains in one array, and a NaN gain as set 1's
@@ -349,7 +361,7 @@ class TestFailuresStayPerSet:
         x_s = find_steady_state(net)
 
         def spoiled(net, x):
-            A = jacobian(net, x)
+            A = linearize(net, x)
             if spoil == "nan":
                 A[3, 0] = np.nan
             else:
@@ -358,7 +370,8 @@ class TestFailuresStayPerSet:
 
         monkeypatch.setattr(control, "linearize", spoiled)
         drivers = [DriverSet(d, 8) for d in [(1, 3), (2, 5), (3, 4)]]
-        runs = _reactive_block(_prepare(net, costs, None, x_s), index_rows(drivers), x_s, 40)
+        prep = _prepare(net, costs, None).linearized(x_s)
+        runs = _reactive_block(prep, index_rows(drivers), x_s, 40)
         alone = [one_set(run_reactive, net, d, costs, x_s, 40) for d in drivers]
         assert [run_bytes(r) for r in runs] == [run_bytes(r) for r in alone]
         want = f"SingularInnerMatrix: gain equation is not finite at step {step}"
@@ -366,10 +379,10 @@ class TestFailuresStayPerSet:
 
 
 class TestErrorPrecedence:
-    """A reactive set reports the first of its errors: a pin on a driven
-    node, then a saturated steady state, then costs of another size.  A
-    proactive set has no pins and no linearization and reports the width
-    of its costs."""
+    """Costs of another size are an error of the whole call, in every
+    phase: the sweep and each one-set function raise it before the steady
+    state is solved, so before a saturated steady state, and no set is
+    evaluated.  A pin on a driven node stays an error of its set."""
 
     PLAN = ExperimentPlan(
         driver_size=2, num_sets=5, seed=5, phase="both", pinned={0: 1},
@@ -377,20 +390,30 @@ class TestErrorPrecedence:
         baseline_sets={"free": (1, 2), "pinned": (0, 1)},
     )
 
-    def assert_errors(self, net, reactive):
-        result = assert_sweep_equals_per_set(self.PLAN, net, identity_costs(net.n + 1))
-        for ev in result.evaluations:
-            want = PINNED if ev.label == "pinned" else reactive
-            assert ev.outcomes["reactive"].error == want
-            assert ev.outcomes["proactive"].error == COSTS_WIDTH
+    def assert_raises_before_solving(self, monkeypatch, point):
+        solves = []
+        for module in (experiments, control):
+            monkeypatch.setattr(module, "find_steady_state", lambda net: solves.append(net) or point)
+        forbid_kernels(monkeypatch)
+        net = saturating_net()
+        costs, driver, init = identity_costs(net.n + 1), DriverSet((1, 2), 5), point
+        schedule = control.GainSchedule(np.zeros((1, 2, 5)), np.zeros(20, dtype=int), np.eye(5))
+        for call in (
+            lambda: run_experiment(self.PLAN, net, None, costs),
+            lambda: run_reactive(net, driver, costs, init, 20, {0: 1}),
+            lambda: run_proactive(net, driver, costs, 5),
+            lambda: rollout_feedback(net, driver, costs, init, schedule, {0: 1}),
+        ):
+            with pytest.raises(DimensionMismatch, match=f"^{COSTS_SIZE}$"):
+                call()
+        assert solves == []
 
-    def test_costs_of_another_size(self):
-        self.assert_errors(saturating_net(), COSTS_SIZE)
+    def test_costs_of_another_size(self, monkeypatch):
+        self.assert_raises_before_solving(monkeypatch, continuous_state(np.full(5, 0.1)))
 
-    def test_saturated_point_before_costs(self, monkeypatch):
+    def test_costs_before_saturated_point(self, monkeypatch):
         point = continuous_state(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
-        monkeypatch.setattr(experiments, "find_steady_state", lambda net: point)
-        self.assert_errors(saturating_net(), SATURATED)
+        self.assert_raises_before_solving(monkeypatch, point)
 
 
 class TestRiccatiBlock:
@@ -485,10 +508,10 @@ def test_random_blocks_equal_per_set(seed, n, sets, horizon, pin):
     x_s = find_steady_state(net)
     init = continuous_state(interior_state(rng, n))
     D = index_rows(drivers)
-    block = _reactive_block(_prepare(net, costs, pinned, x_s), D, init, horizon)
+    block = _reactive_block(_prepare(net, costs, pinned).linearized(x_s), D, init, horizon)
     alone = [one_set(run_reactive, net, d, costs, init, horizon, pinned) for d in drivers]
     assert [run_bytes(r) for r in block] == [run_bytes(r) for r in alone]
-    block = _proactive_block(_prepare(net, costs, None, None), D, horizon)
+    block = _proactive_block(_prepare(net, costs, None), D, horizon)
     alone = [run_proactive(net, d, costs, horizon) for d in drivers]
     assert [run_bytes(r) for r in block] == [run_bytes(r) for r in alone]
 
@@ -615,15 +638,16 @@ class TestBlockCosts:
                                         D[s:s + 1], costs)
             assert run_bytes(runs[s]) == run_bytes(alone[0])
 
-    def test_costs_of_another_width(self):
-        # every proactive set reports the width of its costs, as a one-set
-        # run does; a non-finite state is reported before it
+    def test_costs_of_another_width(self, monkeypatch):
+        # costs of another width never reach a block: preparing the
+        # network raises, so a proactive sweep or run steps no set
         net = criterion_7_net()
-        D = np.array([(1, 2), (3, 4), (5, 9), (2, 7)])
-        runs = _proactive_block(_prepare(net, identity_costs(41), None, None), D, 30)
-        assert [run_bytes(r) for r in runs] == [COSTS_WIDTH] * 4
-        rng = np.random.default_rng(9)
-        states, driven, saturation, D = random_block(rng, 3, 10, 5, 2)
-        states[1, -1, 0] = np.nan
-        runs = control._block_runs(states, driven, saturation, D, identity_costs(4))
-        assert [run_bytes(r) for r in runs] == [COSTS_WIDTH, NON_FINITE, COSTS_WIDTH]
+        forbid_kernels(monkeypatch)
+        with pytest.raises(DimensionMismatch, match=f"^{COSTS_SIZE}$"):
+            _prepare(net, identity_costs(41), None)
+        with pytest.raises(DimensionMismatch, match=f"^{COSTS_SIZE}$"):
+            run_proactive(net, DriverSet((1, 2), 40), identity_costs(41), 30)
+        plan = ExperimentPlan(driver_size=2, num_sets=4, seed=3, phase="proactive",
+                              steps_proactive=30)
+        with pytest.raises(DimensionMismatch, match=f"^{COSTS_SIZE}$"):
+            run_experiment(plan, net, None, identity_costs(41))
