@@ -13,8 +13,9 @@ recovers.  Two activation variants are supported:
   one-step mean of the continuous expected-value map, so it is the variant
   to use when cross-validating against :mod:`risknet.dynamics`.
 
-The default is ``product``.  With at most one active in-neighbor per node
-(and binary weights) the two variants coincide exactly.
+The default is ``product``.  With one active in-neighbor of weight 1,
+product gives ``p_int_i + p_ext_i - p_int_i * p_ext_i``: below additive's
+cap the two differ by ``p_int_i * p_ext_i``, and coincide only where it is 0.
 
 Every entry point takes its steps through one batch-invariant step
 (:func:`_thresholds`): a stack of states gives each row the bits that row

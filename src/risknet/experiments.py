@@ -143,6 +143,17 @@ def _candidates(plan: ExperimentPlan, n: int) -> np.ndarray:
     return candidates
 
 
+def _check_strata(plan: ExperimentPlan, n_in: int, n_out: int) -> None:
+    """StratumInfeasible for the first group, in plan order, whose count
+    the n_in in-class and n_out out-of-class candidates cannot meet."""
+    for value, _ in plan.groups:
+        if value > n_in or plan.driver_size - value > n_out:
+            raise StratumInfeasible(
+                f"stratum {value}: needs {value} of {n_in} in-class and "
+                f"{plan.driver_size - value} of {n_out} out-of-class candidates"
+            )
+
+
 def sample_driver_sets(
     plan: ExperimentPlan,
     net: RiskNetwork,
@@ -185,13 +196,7 @@ def sample_driver_sets(
 
     in_class = _driver_classes(init, x_s, plan.top_fraction)[plan.stratify_by][candidates]
     pools = (candidates[in_class], candidates[~in_class])
-    n_in, n_out = (pool.size for pool in pools)
-    for value, _ in plan.groups:
-        if value > n_in or plan.driver_size - value > n_out:
-            raise StratumInfeasible(
-                f"stratum {value}: needs {value} of {n_in} in-class and "
-                f"{plan.driver_size - value} of {n_out} out-of-class candidates"
-            )
+    _check_strata(plan, *(pool.size for pool in pools))
 
     return np.sort(np.vstack([
         np.hstack([
@@ -286,8 +291,14 @@ def _ranked(measured: list) -> list:
 
 
 def _quartiles(values: list) -> dict:
-    q1, med, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 50.0, 75.0])
-    return {"q1": float(q1), "median": float(med), "q3": float(q3)}
+    """``np.percentile``'s linear quartiles bit for bit (index (n - 1) q,
+    numpy's ``_lerp``), by sorting: its first call imports ``numpy.ma``."""
+    v, out = sorted(map(float, values)), {}
+    for key, q in (("q1", 0.25), ("median", 0.5), ("q3", 0.75)):
+        i, t = divmod((len(v) - 1) * q, 1)
+        a, b = v[int(i)], v[min(int(i) + 1, len(v) - 1)]
+        out[key] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return out
 
 
 def run_experiment(
@@ -315,9 +326,10 @@ def run_experiment(
     A call either raises before its first evaluation or records failures
     per set.  Before the steady state is solved it checks ``init`` (a
     continuous state of n entries), the pins, the baseline sets, the
-    ``driver_size`` against the non-pinned nodes and the size of the costs.
-    The solve may raise NoConvergence, sampling StratumInfeasible, and a
-    plan with a reactive phase SaturatedPoint.  A pin on a driven node, a
+    ``driver_size`` against the non-pinned nodes, the size of the costs
+    and the ``initially_active`` strata of a given ``init``.  The solve may
+    raise NoConvergence, sampling StratumInfeasible, and a plan with a
+    reactive phase SaturatedPoint.  A pin on a driven node, a
     singular gain equation or a non-finite rollout is recorded on its
     evaluation, with the error text of a one-set run, and leaves the other
     sets of the block unchanged.
@@ -325,9 +337,12 @@ def run_experiment(
     if init is not None:
         check_state(init, net.n, CONTINUOUS, "init")
     prep = _prepare(net, costs, plan.pinned)
-    _candidates(plan, net.n)
+    candidates = _candidates(plan, net.n)
     baselines = [(name, "baseline", DriverSet(indices, net.n).indices, None)
                  for name, indices in sorted(plan.baseline_sets.items())]
+    if init is not None and plan.stratify_by == STRATIFY_ACTIVE:
+        n_in = int(np.count_nonzero(init.values[candidates] >= ACTIVE_THRESHOLD))
+        _check_strata(plan, n_in, candidates.size - n_in)
     x_s = find_steady_state(net)
     if init is None:
         init = x_s

@@ -28,11 +28,13 @@ and cost entries are numbers, not strings or booleans.  Each rejection is a
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import itertools
 import json
 import operator
+import random
 
 import numpy as np
 
@@ -479,6 +481,59 @@ def _draw_degree_sequence(rng, n, mean, std) -> list:
     return [int(v) for v in d]
 
 
+def _havel_hakimi(degrees: list) -> list | None:
+    """networkx 3.x's ``havel_hakimi_graph`` for entries in [0, n): one
+    insertion-ordered neighbour dict per node, node k being the k-th nonzero
+    entry.  None for a non-graphical sequence, exactly where it fails."""
+    adj, num_degs = [{} for _ in degrees], [[] for _ in degrees]
+    nonzero = [d for d in degrees if d > 0]
+    for label, d in enumerate(nonzero):
+        num_degs[d].append(label)
+    n, dmax = len(nonzero), max(nonzero, default=0)
+    while n > 0:
+        while not num_degs[dmax]:
+            dmax -= 1
+        if dmax > n - 1:
+            return None
+        source, stubs, k = num_degs[dmax].pop(), [], dmax
+        for _ in range(dmax):
+            while not num_degs[k]:
+                k -= 1
+            target = num_degs[k].pop()
+            adj[source][target] = adj[target][source] = None
+            if k > 1:
+                stubs.append((k - 1, target))
+        for k, target in stubs:
+            num_degs[k].append(target)
+        n -= 1 + dmax - len(stubs)
+    return adj
+
+
+def _double_edge_swap(adj: list, nswap: int, max_tries: int, seed: int) -> bool:
+    """networkx 3.x's ``double_edge_swap`` with the same draws, in place, on
+    4 or more nodes and 2 or more edges.  Where it raises on reaching
+    ``max_tries``, this stops partly swapped and returns False."""
+    rng = random.Random(seed)
+    cdf = [0.0, *itertools.accumulate((float(len(nbrs)) for nbrs in adj))]
+    cdf = [c / cdf[-1] for c in cdf]
+    tries = swaps = 0
+    while swaps < nswap:
+        u, x = (bisect.bisect_left(cdf, r) - 1 for r in (rng.random(), rng.random()))
+        if u == x:
+            continue
+        v, y = rng.choice(list(adj[u])), rng.choice(list(adj[x]))
+        if v == y:
+            continue
+        if x not in adj[u] and y not in adj[v]:
+            adj[u][x] = adj[x][u] = adj[v][y] = adj[y][v] = None
+            del adj[u][v], adj[v][u], adj[x][y], adj[y][x]
+            swaps += 1
+        if tries >= max_tries:
+            return False
+        tries += 1
+    return True
+
+
 def generate_synthetic(
     n: int,
     target_mean_degree: float,
@@ -491,16 +546,17 @@ def generate_synthetic(
     Draws a degree sequence from N(mean, std), realizes it exactly with a
     Havel-Hakimi construction randomized by seeded edge swaps, and accepts
     when the realized mean/std fall within 10% of the targets (up to
-    ``GENERATOR_MAX_ATTEMPTS`` redraws).  Every undirected edge becomes a
-    symmetric pair of weight-1 directed links; node probabilities are drawn
-    uniformly from ``prob_ranges`` (keys p_int, p_ext, p_con).
+    ``GENERATOR_MAX_ATTEMPTS`` redraws).  Graphicality, node labels (node k
+    is the k-th nonzero degree) and every swap draw are networkx 3.x's,
+    without networkx.  Every undirected edge becomes a symmetric pair of
+    weight-1 directed links; node probabilities are drawn uniformly from
+    ``prob_ranges`` (keys p_int, p_ext, p_con).
 
     Raises
     ------
     TargetsUnreachable
         No attempt met both degree targets.
     """
-    import networkx as nx  # slow to import, and only the generator uses it
     check_integer("n", n, 2)
     check_integer("seed", seed, 0)
     if not 0 < target_mean_degree < n:
@@ -521,19 +577,17 @@ def generate_synthetic(
     for _ in range(GENERATOR_MAX_ATTEMPTS):
         d = _draw_degree_sequence(rng, n, target_mean_degree, target_degree_std)
         swap_seed = int(rng.integers(2**32))
-        if not nx.is_graphical(d):
+        adj = _havel_hakimi(d)
+        if adj is None:
             continue
-        G = nx.havel_hakimi_graph(d)
-        m = G.number_of_edges()
-        if m >= 2:
-            try:
-                nx.double_edge_swap(G, nswap=4 * m, max_tries=40 * m + 100, seed=swap_seed)
-            except nx.NetworkXException:
-                pass  # saturated graphs (e.g. complete) admit no swaps
-        degrees = np.array([deg for _, deg in G.degree()], dtype=float)
+        m = sum(map(len, adj)) // 2
+        if m >= 2 and n >= 4:
+            # a saturated graph (e.g. complete) runs out of tries, partly swapped
+            _double_edge_swap(adj, 4 * m, 40 * m + 100, swap_seed)
+        degrees = np.array([len(nbrs) for nbrs in adj], dtype=float)
         last = (float(degrees.mean()), float(degrees.std()))
         if abs(last[0] - target_mean_degree) <= mean_tol and abs(last[1] - target_degree_std) <= std_tol:
-            graph = G
+            graph = adj
             break
     if graph is None:
         raise TargetsUnreachable(
@@ -542,9 +596,8 @@ def generate_synthetic(
         )
 
     E = np.zeros((n, n))
-    for i, j in graph.edges():
-        E[i, j] = 1.0
-        E[j, i] = 1.0
+    for i, nbrs in enumerate(graph):
+        E[i, list(nbrs)] = 1.0
     width = len(str(n - 1))
     names = [f"risk_{i:0{width}d}" for i in range(n)]
     p_int = rng.uniform(*ranges["p_int"], size=n)

@@ -15,7 +15,7 @@ from risknet.cascade import SimConfig, monte_carlo_mean
 from risknet.control import (GainSchedule, riccati_schedule, rollout_feedback, run_proactive,
                              run_reactive)
 from risknet.dynamics import find_steady_state
-from risknet.errors import DimensionMismatch, NoConvergence, ValidationError
+from risknet.errors import DimensionMismatch, NoConvergence, StratumInfeasible, ValidationError
 from risknet.experiments import ExperimentPlan, run_experiment
 from risknet.model import (DriverSet, binary_state, build_network, continuous_state, identity_costs,
                            pin_arrays)
@@ -190,6 +190,12 @@ WHOLE_CALL = {
     ("run_experiment", "driver_size"): (
         lambda: sweep(driver_size=3), ValidationError,
         "driver_size 3 exceeds the 2 non-pinned nodes",
+    ),
+    # a count that the given init cannot meet depends on no steady state
+    ("run_experiment", "stratum"): (
+        lambda: sweep(init=continuous_state([0.0, 0.0]), stratify_by="initially_active",
+                      groups=((1, 2),)),
+        StratumInfeasible, "stratum 1: needs 1 of 0 in-class and 0 of 2 out-of-class candidates",
     ),
 }
 

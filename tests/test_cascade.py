@@ -152,6 +152,17 @@ def test_variants_coincide_with_single_in_neighbor():
         assert p == pytest.approx(a)
 
 
+def test_variants_differ_by_p_int_p_ext_with_one_active_in_neighbor():
+    E = np.zeros((2, 2))
+    E[0, 1] = 1.0
+    net = build_network(["a", "b"], [0.2, 0.2], [0.5, 0.5], [0, 0], E)
+    p = step_thresholds(net, PRODUCT, [1, 0])[1]
+    a = step_thresholds(net, ADDITIVE, [1, 0])[1]
+    assert p == pytest.approx(0.6)
+    assert a == pytest.approx(0.7)
+    assert a - p == pytest.approx(0.2 * 0.5)
+
+
 def test_variants_differ_with_two_active_in_neighbors():
     E = np.zeros((3, 3))
     E[0, 2] = E[1, 2] = 1.0

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,33 @@ def test_summary_strata_are_quartiles_of_the_result_rows(tmp_path, capsys):
             for cost in ("control_cost", "total_cost"):
                 q1, med, q3 = np.percentile([float(r[cost]) for r in mine], [25.0, 50.0, 75.0])
                 assert summary[cost] == {"q1": q1, "median": med, "q3": q3}
+
+
+def test_generate_and_stratified_experiment_load_neither_networkx_nor_numpy_ma(tmp_path):
+    # a fresh process: the generator needs no networkx, the strata
+    # quartiles no numpy.ma (which np.percentile imports on first call)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "schema_version": 1, "driver_size": 3, "seed": 4,
+        "stratify_by": "steady_peak", "groups": [[0, 3], [1, 4], [2, 5]],
+        "phase": "proactive", "steps_proactive": 10,
+    }))
+    script = textwrap.dedent("""
+        import sys
+        from risknet.cli import cli_main
+        out, plan = sys.argv[1:]
+        generate = ["generate", "--n", "12", "--mean-degree", "5", "--degree-std", "1",
+                    "--seed", "3", "--output-dir", out]
+        if cli_main(generate) or cli_main(["experiment", out + "/network.json", plan,
+                                           "--output-dir", out]):
+            sys.exit(1)
+        print(sorted(m for m in ("networkx", "numpy.ma") if m in sys.modules))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(risknet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(plan_path)],
+                          env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "summary.json").read_text())["strata"]
 
 
 def test_experiment_identical_under_optimize(tmp_path):

@@ -432,6 +432,17 @@ class TestRunExperiment:
             assert summary["control_cost"]["median"] <= summary["control_cost"]["q3"]
 
 
+def test_quartiles_equal_numpy_percentile_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for k in range(3000):
+        n = int(rng.integers(1, 30))
+        values = rng.normal(size=n) * 10.0 ** int(rng.integers(-6, 7))
+        if k % 3 == 0:
+            values = np.round(values, 1)  # ties
+        q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+        assert experiments._quartiles(list(values)) == {"q1": q1, "median": med, "q3": q3}
+
+
 class TestSaturatedSteadyState:
     def test_sweep_raises_before_evaluating_a_set(self, monkeypatch):
         # A true fixed point never saturates, so the sweep is handed a point

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import pathlib
@@ -18,12 +19,16 @@ from risknet.errors import (
 )
 from risknet.experiments import ExperimentPlan
 from risknet.model import build_network, degree_stats
+from risknet import netio
 from risknet.netio import (
     DEGREE_TOLERANCE,
+    _double_edge_swap,
+    _havel_hakimi,
     generate_synthetic,
     load_event_log,
     load_network,
     load_plan,
+    network_to_dict,
     plan_from_dict,
     save_network,
     write_control_run,
@@ -563,3 +568,100 @@ class TestGenerateSynthetic:
     def test_target_validation(self):
         with pytest.raises(ValidationError):
             generate_synthetic(5, 6.0, 1.0, seed=0)
+
+
+def degree_sequences(count, seed=0):
+    """Seeded degree sequences of n = 1..12 entries in [0, n), in turn the
+    degrees of a random graph of density 0.05..0.95 (graphical, with zero
+    degrees when sparse), uniform draws (an odd sum in one of two) and
+    near-complete ones."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 13))
+        if k % 3 == 0:
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.95), 1)
+            d = (upper | upper.T).sum(axis=0)
+        elif k % 3 == 1:
+            d = rng.integers(0, n, size=n)
+            if k % 2 and d.sum() % 2:
+                d[int(np.argmax(d))] -= 1
+        else:
+            d = np.maximum(0, n - 1 - rng.integers(0, 2, size=n))
+        yield [int(v) for v in d]
+
+
+def neighbours(G):
+    return [list(G[u]) for u in G]
+
+
+class TestGeneratorMatchesNetworkx:
+    """netio's Havel-Hakimi construction and double-edge swaps against
+    networkx 3.x, the oracle they reproduce."""
+
+    def test_graphicality_neighbour_order_and_exhaustion(self):
+        nx = pytest.importorskip("networkx")
+        seen = collections.Counter()
+        for k, d in enumerate(degree_sequences(2400)):
+            seen["zero degree"] += 0 in d
+            adj = _havel_hakimi(d)
+            assert (adj is not None) == nx.is_graphical(d)
+            if adj is None:
+                seen["not graphical"] += 1
+                continue
+            G = nx.havel_hakimi_graph(d)
+            assert neighbours(G) == [list(nbrs) for nbrs in adj]
+            m = G.number_of_edges()
+            if len(d) < 4 and m >= 2:
+                # the generator skips the swaps networkx refuses
+                with pytest.raises(nx.NetworkXError, match="fewer than four"):
+                    nx.double_edge_swap(G, 4 * m, 40 * m + 100, seed=k)
+                seen["n < 4"] += 1
+            if len(d) < 4 or m < 2:
+                continue
+            # the generator's caps, or m tries for m swaps (which exhaust sooner)
+            nswap, tries = (4 * m, 40 * m + 100) if k % 2 else (m, m)
+            try:
+                nx.double_edge_swap(G, nswap, tries, seed=k)
+                exhausted = False
+            except nx.NetworkXAlgorithmError:
+                exhausted = True
+            assert _double_edge_swap(adj, nswap, tries, k) is not exhausted
+            assert neighbours(G) == [list(nbrs) for nbrs in adj]
+            seen["exhausted" if exhausted else "swapped"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_generator_equals_its_networkx_construction(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        cases = [(40, 18.27, 4.60, s) for s in range(3)] + [
+            (40, 4.0, 1.5, 0), (40, 2.0, 2.0, 1), (3, 2.0, 0.0, 0), (4, 2.0, 1.0, 3),
+            (5, 4, 0, 2), (5, 4, 3.0, 5), (12, 5.0, 1.0, 3), (30, 28.0, 1.0, 4),
+        ]
+
+        def outcome(case):
+            n, mean, std, seed = case
+            try:
+                return network_to_dict(generate_synthetic(n, mean, std, seed=seed))
+            except TargetsUnreachable as err:
+                return str(err)
+
+        ours = [outcome(case) for case in cases]
+        graphs = {}
+
+        def havel_hakimi(d):
+            if not nx.is_graphical(d):
+                return None
+            G = nx.havel_hakimi_graph(d)
+            adj = [G[u] for u in G]  # live views: the swaps below show through
+            graphs[id(adj)] = G
+            return adj
+
+        def double_edge_swap(adj, nswap, max_tries, seed):
+            try:
+                nx.double_edge_swap(graphs[id(adj)], nswap, max_tries, seed=seed)
+            except nx.NetworkXAlgorithmError:
+                return False
+            return True
+
+        monkeypatch.setattr(netio, "_havel_hakimi", havel_hakimi)
+        monkeypatch.setattr(netio, "_double_edge_swap", double_edge_swap)
+        assert [outcome(case) for case in cases] == ours
