@@ -21,11 +21,8 @@ Every entry point takes its steps through one batch-invariant step
 (:func:`_thresholds`): a stack of states gives each row the bits that row
 gets on its own.  So :func:`monte_carlo_mean` steps all its trials as one
 stack, and :func:`run_discrete` steps a block of draws as lockstep segments
-that it splices where the chains driven by the same uniforms meet (coupled
-chains forget their start state within a few dozen steps on the networks of
-the benchmark; where they do not meet within a 32-step segment, the rest of
-the block is stepped one row at a time and gains nothing).  Either way each
-row is the one the one-step-at-a-time chain gives.
+that it splices where they meet the true chain (its docstring states the
+rule).  Either way each row is the one the one-step-at-a-time chain gives.
 """
 
 from __future__ import annotations
@@ -121,7 +118,7 @@ _CHUNK = 8
 #: into bits 56 to 63: byte k lands at bit 56 + k.
 _PACK = np.uint64(0x0102040810204080)
 
-#: Steps per speculative segment of a block (see :func:`_runner`).
+#: Steps per speculative segment of a block (see :func:`run_discrete`).
 _SEGMENT_STEPS = 32
 
 
@@ -247,48 +244,46 @@ def _thresholds(net: RiskNetwork, config: SimConfig):
     return thresholds
 
 
-def _runner(net: RiskNetwork, config: SimConfig):
-    """The chain :func:`run_discrete` steps, built once per run.
+def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> EventLog:
+    """Simulate ``config.steps`` transitions from ``init``.
 
-    ``run(x, rng, out)`` writes the state after transition k + 1 from the
-    0/1 state ``x`` into ``out[k]`` for every row of the ``uint8`` array
-    ``out``.  It draws n uniforms per step in step order,
-    ``rng.random((rows, n))`` for a block of rows, which gives the same bits
-    as one ``rng.random(n)`` call per step.
+    Deterministic given ``config.seed``: the run draws one ``rng.random(n)``
+    per step, in step order, from ``rng = default_rng(config.seed)``; entry
+    i of step k's draw decides node i's transition from row k to row k + 1.
+    Row 0 of the log is ``init`` verbatim; pins apply from row 1 on.
 
-    A block is stepped as segments of ``_SEGMENT_STEPS`` rows, all at once,
-    each from the block's start state: the true state for segment 0, a guess
-    for the others.  Two chains driven by the same uniforms stay equal once
-    they meet, so each later segment is then re-run, all at once again, from
-    its predecessor's last row until its first row that equals the stored
-    one bit for bit; the stored rows from there on are the true
-    continuation.  If a segment reaches its end without meeting, the first
-    such one is still true (it re-ran from a true row) and the rows after it
-    are stepped one at a time.  Every row comes from the batch-invariant
-    :func:`_thresholds`, so the log does not depend on which path made it.
+    The draws are taken ``_BLOCK_STEPS`` steps at a time, as one
+    ``rng.random((rows, n))`` call, which gives the same bits as one call
+    per step.  A block is stepped as segments of ``_SEGMENT_STEPS`` rows,
+    all at once, each from the block's start state: the true state for
+    segment 0, a guess for the others.  Two chains driven by the same
+    uniforms stay equal once they meet (coupled chains forget their start
+    state within a few dozen steps on the networks of the benchmark), so
+    each later segment is then re-run, all at once again, from its
+    predecessor's last row until its first row that equals the stored one
+    bit for bit; the stored rows from there on are the true continuation.
+    If a segment reaches its end without meeting, the first such one is
+    still true (it re-ran from a true row) and the rows after it are
+    stepped one at a time, which gains nothing.  Every row comes from the
+    batch-invariant :func:`_thresholds`, so the log is the one the
+    one-step-at-a-time chain gives.
     """
+    check_state(init, net.n, BINARY, "init")
     thresholds = _thresholds(net, config)
     L = _SEGMENT_STEPS
-
-    def serial(x, u, out):
-        # each state's thresholds are kept for the call: a chain that does
-        # not meet its guess mostly keeps or revisits its states
-        known = {}
-        for k in range(len(out)):
-            key = x.tobytes()
-            th = known.get(key)
-            if th is None:
-                th = known[key] = thresholds(x)
-            x = out[k : k + 1]
-            np.less(u[k : k + 1], th, out=x)
-
-    def block(x, u, out):
+    log = np.empty((config.steps + 1, net.n), dtype=np.uint8)
+    log[0] = init.values
+    states = log.view(np.bool_)
+    rng = np.random.default_rng(config.seed)
+    for start in range(1, len(states), _BLOCK_STEPS):
+        out = states[start : start + _BLOCK_STEPS]
+        u = rng.random(out.shape)
         segments = len(out) // L
         done = segments * L
         if segments:
             rows = out[:done].reshape(segments, L, -1)
             draws = u[:done].reshape(segments, L, -1)
-            y = np.repeat(x, segments, axis=0)
+            y = np.repeat(states[start - 1 : start], segments, axis=0)
             for j in range(L):
                 np.less(draws[:, j], thresholds(y), out=rows[:, j])
                 y = rows[:, j]
@@ -301,36 +296,19 @@ def _runner(net: RiskNetwork, config: SimConfig):
                 rows[1:, j] = y = nxt
             else:
                 done = (int(np.argmax(apart)) + 2) * L
-        serial(out[done - 1 : done] if done else x, u[done:], out[done:])
-
-    def run(x: np.ndarray, rng: np.random.Generator, out: np.ndarray):
-        out = out.view(np.bool_)
-        x = np.asarray(x, dtype=np.bool_)[None]
-        for start in range(0, len(out), _BLOCK_STEPS):
-            rows = out[start : start + _BLOCK_STEPS]
-            block(x, rng.random(rows.shape), rows)
-            x = rows[-1:]
-
-    return run
-
-
-def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> EventLog:
-    """Simulate ``config.steps`` transitions from ``init``.
-
-    Deterministic given ``config.seed``: the run draws one ``rng.random(n)``
-    per step, in step order, from ``rng = default_rng(config.seed)``; entry
-    i of step k's draw decides node i's transition from row k to row k + 1.
-    Row 0 of the log is ``init`` verbatim; pins apply from row 1 on.  The
-    steps of a block of draws are taken as lockstep segments spliced where
-    they meet the true chain (see :func:`_runner`); the log is the same as
-    one step at a time.
-    """
-    check_state(init, net.n, BINARY, "init")
-    run = _runner(net, config)
-    out = np.empty((config.steps + 1, net.n), dtype=np.uint8)
-    out[0] = init.values
-    run(init.values, np.random.default_rng(config.seed), out[1:])
-    return EventLog(out)
+        # the rest one step at a time, each state's thresholds kept for the
+        # block: a chain that does not meet its guess mostly keeps or
+        # revisits its states
+        known = {}
+        x = states[start + done - 1 : start + done]
+        for k in range(done, len(out)):
+            key = x.tobytes()
+            th = known.get(key)
+            if th is None:
+                th = known[key] = thresholds(x)
+            x = out[k : k + 1]
+            np.less(u[k : k + 1], th, out=x)
+    return EventLog(log)
 
 
 def monte_carlo_mean(

@@ -51,7 +51,10 @@ def _parse_pins(net: RiskNetwork, pins: list) -> dict:
         name, _, value = item.partition("=")
         if value not in ("0", "1"):
             raise ValidationError(f"pin {item!r} must be name=0 or name=1")
-        out[net.index_of(name)] = int(value)
+        i = net.index_of(name)
+        if i in out:
+            raise ValidationError(f"node {name!r} is pinned twice")
+        out[i] = int(value)
     return out
 
 
@@ -304,7 +307,7 @@ def cli_main(argv=None) -> int:
     except NumericalError as exc:
         _emit_error(exc)
         return 2
-    except (RiskNetError, OSError) as exc:
+    except (RiskNetError, OSError, UnicodeDecodeError) as exc:
         _emit_error(exc)
         return 1
 

@@ -229,10 +229,9 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
     ``PA = P @ A`` once; the gain equation's right side is its driver rows.
     Its ``(S, n, n)`` arrays go into buffers of the block, each made by the
     operation and operands of a fresh array, so with the same bits.
-    When a gain equation of the stack is not finite, or the stacked
-    Cholesky guard raises, the sets are solved one by one by
-    :func:`_solve_gain`, which runs the stacked step's
-    :func:`_factor_solve`, and the failing ones leave the block.  Returns
+    The stack's gain equations are solved by one :func:`_solve_gain`
+    call; when its guard raises, the sets are solved one by one by the same
+    function, and the failing ones leave the block.  Returns
     per set its :class:`GainSchedule` or the :class:`SingularInnerMatrix`
     that stopped it.
     """
@@ -275,10 +274,8 @@ def _riccati_block(A: np.ndarray, D: np.ndarray, costs: CostMatrices, horizon: i
         inner = Rd + P.take(block)
         rhs = PA[rows]
         try:
-            if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
-                raise np.linalg.LinAlgError
-            G, W = _factor_solve(inner, rhs)
-        except np.linalg.LinAlgError:
+            G, W = _solve_gain(inner, rhs, k)
+        except SingularInnerMatrix:
             G, W = np.empty_like(rhs), np.empty_like(rhs)
             ok = np.ones(live.size, dtype=bool)
             for i, s in enumerate(live.tolist()):

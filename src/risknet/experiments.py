@@ -21,8 +21,8 @@ import numpy as np
 from .control import _prepare, _Prepared, _proactive_block, _reactive_block
 from .dynamics import find_steady_state
 from .errors import RiskNetError, StratumInfeasible, ValidationError
-from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector, check_integer,
-                    check_pins, check_state, pin_arrays)
+from .model import (CONTINUOUS, CostMatrices, DriverSet, RiskNetwork, StateVector,
+                    _distinct_indices, check_integer, check_pins, check_state, pin_arrays)
 
 STRATIFY_NONE = "none"
 STRATIFY_ACTIVE = "initially_active"
@@ -43,10 +43,11 @@ _BLOCK_BYTES = 1 << 22
 class ExperimentPlan:
     """Sampling protocol for driver sets.
 
-    ``groups`` lists (stratum value, sets in that stratum) pairs and is
-    required when ``stratify_by`` is not "none"; ``num_sets`` then equals
-    the group total.  ``pinned`` nodes are excluded from candidacy and held
-    at their value during reactive runs.  ``baseline_sets`` maps a label to
+    ``groups`` lists (stratum value, sets in that stratum) pairs.  It is
+    required when ``stratify_by`` is not "none", and ``num_sets`` then
+    equals the group total; a plan with "none" takes no groups.  ``pinned``
+    nodes are excluded from candidacy and held at their value during
+    reactive runs.  ``baseline_sets`` maps a label to
     an explicit index tuple.  Counts, sizes, steps, the seed and pinned
     indices must be integers, and pinned values the integers 0 or 1.
     """
@@ -87,6 +88,8 @@ class ExperimentPlan:
         object.__setattr__(self, "groups", groups)
         if self.stratify_by == STRATIFY_NONE:
             check_integer("num_sets", self.num_sets, 1)
+            if groups:
+                raise ValidationError("groups apply only to a stratified plan; stratify_by is 'none'")
         elif not groups:
             raise ValidationError("stratified plans need groups")
         else:
@@ -94,11 +97,8 @@ class ExperimentPlan:
         for phase in self.phases:
             check_integer(f"steps_{phase}", getattr(self, f"steps_{phase}"), 1)
         check_pins(self.pinned)
-        baselines = {}
-        for name, idx in self.baseline_sets.items():
-            for i in idx:
-                check_integer(f"baseline set {name!r} index", i)
-            baselines[str(name)] = tuple(sorted(int(i) for i in idx))
+        baselines = {str(name): _distinct_indices(f"baseline set {name!r} index", idx)
+                     for name, idx in self.baseline_sets.items()}
         object.__setattr__(self, "baseline_sets", baselines)
 
     @property

@@ -158,6 +158,18 @@ def check_integer(label: str, value, minimum: int | None = None) -> None:
         raise ValidationError(f"{label} must be >= {minimum}, got {value}")
 
 
+def _distinct_indices(label: str, indices) -> tuple:
+    """``indices`` as a sorted tuple of ints; ValidationError for an entry
+    that is not an integer (see :func:`check_integer`) or that repeats."""
+    seen = set()
+    for i in indices:
+        check_integer(label, i)
+        if i in seen:
+            raise ValidationError(f"{label} {i} is repeated")
+        seen.add(i)
+    return tuple(sorted(int(i) for i in seen))
+
+
 def check_state(state: StateVector, n: int, mode: str, what: str) -> None:
     """Reject a state that is not of ``mode`` with ``n`` entries."""
     if state.mode != mode or state.n != n:
@@ -237,9 +249,7 @@ class DriverSet:
     n: int
 
     def __post_init__(self):
-        for i in self.indices:
-            check_integer("driver index", i)
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
+        idx = _distinct_indices("driver index", self.indices)
         if not idx:
             raise ValidationError("driver set must be nonempty")
         if idx[0] < 0 or idx[-1] >= self.n:

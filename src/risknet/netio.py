@@ -102,9 +102,7 @@ def network_to_dict(net: RiskNetwork) -> dict:
     ]
     edges = [
         {"from": net.names[i], "to": net.names[j], "weight": float(net.E[i, j])}
-        for i in range(net.n)
-        for j in range(net.n)
-        if net.E[i, j] != 0.0
+        for i, j in zip(*np.nonzero(net.E))
     ]
     return {"schema_version": SCHEMA_VERSION, "nodes": nodes, "edges": edges}
 
@@ -554,6 +552,10 @@ def generate_synthetic(
 
     Raises
     ------
+    ValidationError
+        A count or target out of range, or a ``prob_ranges`` entry with
+        another key or not a ``(lo, hi)`` pair with ``0 <= lo <= hi <= 1``;
+        checked before any draw.
     TargetsUnreachable
         No attempt met both degree targets.
     """
@@ -564,8 +566,13 @@ def generate_synthetic(
     if target_degree_std < 0:
         raise ValidationError("target_degree_std must be >= 0")
     ranges = dict(DEFAULT_PROB_RANGES)
-    if prob_ranges:
-        ranges.update(prob_ranges)
+    for key, pair in (prob_ranges or {}).items():
+        if key not in ranges:
+            raise ValidationError(f"unknown prob_ranges key {key!r}; expected p_int, p_ext or p_con")
+        if not (len(pair) == 2 and 0 <= pair[0] <= pair[1] <= 1):
+            raise ValidationError(f"{key} range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, "
+                                  f"got {pair!r}")
+        ranges[key] = pair
 
     rng = np.random.default_rng(seed)
     mean_tol = DEGREE_TOLERANCE * target_mean_degree

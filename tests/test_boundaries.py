@@ -187,6 +187,10 @@ WHOLE_CALL = {
         lambda: sweep(baseline_sets={"far": (4,)}), ValidationError,
         "driver indices (4,) out of range for 2 nodes",
     ),
+    ("run_experiment", "repeated_baseline"): (
+        lambda: sweep(driver_size=2, baseline_sets={"twice": (1, 1)}), ValidationError,
+        "baseline set 'twice' index 1 is repeated",
+    ),
     ("run_experiment", "driver_size"): (
         lambda: sweep(driver_size=3), ValidationError,
         "driver_size 3 exceeds the 2 non-pinned nodes",

@@ -303,6 +303,38 @@ def test_malformed_document_exits_one_with_a_json_line(
     assert len(err) == 1 and json.loads(err[0])["error"] == "ParseError"
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["generate", "--n", "10", "--mean-degree", "3", "--degree-std", "1",
+      "--p-int-range", "0.5", "0.2"], "ValidationError",
+     "p_int range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got (0.5, 0.2)"),
+    # seed 2 draws every p_con below 1, so the range would pass by luck
+    (["generate", "--n", "10", "--mean-degree", "3", "--degree-std", "1",
+      "--p-con-range", "0.5", "1.0001", "--seed", "2"], "ValidationError",
+     "p_con range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got (0.5, 1.0001)"),
+    (["fit", "{bad}", "{net}"], "UnicodeDecodeError", NOT_UTF8.format(7)),
+    (["steady-state", "{bad}"], "UnicodeDecodeError", NOT_UTF8.format(7)),
+    (["experiment", "{net}", "{bad}"], "UnicodeDecodeError", NOT_UTF8.format(7)),
+    (["simulate", "{net}", "--pin", "a=1", "--pin", "a=0"], "ValidationError",
+     "node 'a' is pinned twice"),
+    (["control", "{net}", "--drivers", "a,a,b"], "ValidationError",
+     "driver index 0 is repeated"),
+], ids=["inverted_range", "range_past_1", "not_utf8_log", "not_utf8_network", "not_utf8_plan",
+        "repeated_pin", "repeated_driver"])
+def test_input_failure_exits_one_with_a_json_line(chain_net, tmp_path, capsys, argv, error,
+                                                  message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"a,b,c\r\n\xff,0,0\r\n")
+    argv = [a.format(net=chain_net, bad=bad) for a in argv]
+    assert cli_main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_steady_state_rejects_non_finite_tol(one_node_net, capsys, tol):
     assert cli_main(["steady-state", str(one_node_net), "--tol", tol]) == 1

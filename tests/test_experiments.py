@@ -127,6 +127,12 @@ class TestPlanValidation:
         )
         assert plan.baseline_sets == {"b": (0, 2)}
 
+    def test_groups_without_strata_rejected(self):
+        # the groups of an unstratified plan would never be drawn
+        message = "groups apply only to a stratified plan; stratify_by is 'none'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ExperimentPlan(driver_size=2, num_sets=1, seed=0, groups=((1, 5),))
+
     def test_stratified_num_sets_derived_from_groups(self):
         plan = ExperimentPlan(
             driver_size=3, num_sets=999, seed=0,

@@ -2,6 +2,7 @@ import collections
 import csv
 import json
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -559,6 +560,17 @@ class TestGenerateSynthetic:
             15, 6, 1.0, prob_ranges={"p_int": (0.4, 0.41)}, seed=4
         )
         assert np.all(net.p_int >= 0.4) and np.all(net.p_int <= 0.41)
+
+    @pytest.mark.parametrize("ranges, message", [
+        ({"p_cont": (0.1, 0.2)}, "unknown prob_ranges key 'p_cont'; expected p_int, p_ext or p_con"),
+        ({"p_int": (-0.1, 0.1)},
+         "p_int range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got (-0.1, 0.1)"),
+    ], ids=["unknown_key", "below_0"])
+    def test_probability_ranges_checked_before_drawing(self, ranges, message):
+        # an unknown key was ignored, and a range outside [0, 1] failed or
+        # passed by seed
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(12, 5, 1.0, prob_ranges=ranges, seed=0)
 
     def test_unreachable_targets(self):
         # mean 4 on 5 nodes forces regularity; std 3 is impossible

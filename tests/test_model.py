@@ -148,6 +148,12 @@ class TestDriverSet:
             DriverSet((1.5, 2.9), 4)
         assert DriverSet((np.int64(2), 1), 4).indices == (1, 2)
 
+    @pytest.mark.parametrize("indices", [(1, 1, 2), (2, 1, np.int64(1))])
+    def test_repeated_index_rejected(self, indices):
+        # a set of 3 is not quietly evaluated as a set of 2
+        with pytest.raises(ValidationError, match="^driver index 1 is repeated$"):
+            DriverSet(indices, 5)
+
 
 def test_pin_arrays_rejects_non_integer_index():
     with pytest.raises(ValidationError, match="integer"):
