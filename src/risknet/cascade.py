@@ -308,6 +308,9 @@ def run_discrete(net: RiskNetwork, init: StateVector, config: SimConfig) -> Even
                 th = known[key] = thresholds(x)
             x = out[k : k + 1]
             np.less(u[k : k + 1], th, out=x)
+        # free the block's draws and memo before the next block's draws (and
+        # before EventLog copies the log)
+        u = draws = known = None
     return EventLog(log)
 
 

@@ -14,11 +14,17 @@ probability maximizes the per-neighbor-independence likelihood over the
 node's exposure records, with the internal probability held at its
 closed-form estimate; the search is golden-section on [0, 1].
 
-Both stages run node-major.  Counting classifies the transposed log row by
-row and gathers all exposure records at once, in time order per node.  The
-fit runs every node's search in lockstep, with one elementwise pass for the
-log terms of all levels; but each node keeps its own bracket updates and its
-own 1-D dot products, so its estimate is bit for bit a lone search's.
+Both stages run node by node.  Counting makes one pass per node over a
+node-major 0/1 copy of the log, one byte per entry.  Node i's weighted
+in-neighbor activity at step k is ``E[j, i]`` times the 0/1 state of j,
+added to 0.0 one at a time in ascending j (one multiply-add per edge into a
+reused length-T vector), so its bits do not depend on the BLAS.  Beside the
+exposure records it returns, counting holds only that byte copy and a few
+length-T vectors.  The fit groups each node's records by one sort, one node
+at a time, then runs every node's search in lockstep, with one elementwise
+pass for the log terms of all levels; but each node keeps its own bracket
+updates and its own 1-D dot products, so its estimate is bit for bit a lone
+search's.
 """
 
 from __future__ import annotations
@@ -89,25 +95,32 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
     trials and no exposures for those nodes.  A non-integer index or one
     outside ``range(n)`` raises ValidationError.
     """
-    E, X, n = np.asarray(E, dtype=float), log.states, log.n
+    E, n = np.asarray(E, dtype=float), log.n
     if E.shape != (n, n):
         raise DimensionMismatch(f"E has shape {E.shape}, expected ({n}, {n})")
     skip, _ = pin_arrays(dict.fromkeys(() if pinned is None else pinned, 0), n)
+    counted = np.ones(n, dtype=bool)
+    counted[skip] = False
 
-    # node-major: S[i, k] = weighted active in-neighbor mass at node i, step k
-    S = np.ascontiguousarray((X[:-1].astype(float) @ E).T)
-    active, activated = (np.ascontiguousarray(x.T).view(bool) for x in (X[:-1], X[1:]))
-    idle = ~active
-    quiet, exposed = idle & (S <= 0.0), idle & (S > 0.0)
-    exposed[skip] = False
-    tallies = np.array([[np.count_nonzero(row) for row in m] for m in (
-        quiet, quiet & activated, active, active & activated)], dtype=float)
-    tallies[:, skip] = 0.0
-
-    records = np.flatnonzero(exposed)
-    ends = np.cumsum(np.count_nonzero(exposed, axis=1))
-    columns = (np.split(x, ends)[:-1] for x in (S.take(records), activated.take(records).astype(float)))
-    return TransitionCounts(*tallies, exposures=tuple(zip(*columns)))
+    X = np.ascontiguousarray(log.states.T).view(bool)  # node-major, 1 byte per entry
+    prev = X[:, :-1]
+    s, term = np.empty(log.steps), np.empty(log.steps)
+    tallies = np.zeros((4, n))
+    exposures = [(np.empty(0), np.empty(0))] * n
+    for i in np.flatnonzero(counted):
+        # s[k]: node i's in-neighbor weights summed over the active ones at
+        # step k, in ascending index order
+        s.fill(0.0)
+        for j in np.flatnonzero(E[:, i]):
+            s += np.multiply(prev[j], E[j, i], out=term)
+        active, activated = prev[i], X[i, 1:]
+        idle = ~active
+        quiet, exposed = idle & (s <= 0.0), idle & (s > 0.0)
+        tallies[:, i] = [np.count_nonzero(m) for m in (
+            quiet, quiet & activated, active, active & activated)]
+        records = np.flatnonzero(exposed)
+        exposures[i] = (s.take(records), activated.take(records).astype(float))
+    return TransitionCounts(*tallies, exposures=tuple(exposures))
 
 
 class FitResult(NamedTuple):
@@ -126,22 +139,20 @@ def _smoothed_ratio(hits, trials, a):
 
 def _levels(exposures):
     """Each node's distinct activity levels, ascending, with their hit and
-    miss counts.  A key is the activity's bits (positive floats sort as their
-    bits) with the outcome as a new low bit: one sort per node groups them."""
-    sizes = [len(s) for s, _ in exposures]
-    keys = np.concatenate([np.asarray(s, dtype=float) for s, _ in exposures]).view(np.uint64) << 1
-    keys |= np.concatenate([np.asarray(o) == 1.0 for _, o in exposures])
-    starts = np.cumsum(sizes) - sizes
-    for lo, size in zip(starts, sizes):
-        keys[lo:lo + size].sort()
-    bits = keys >> 1
-    first = np.r_[True, bits[1:] != bits[:-1]]
-    first[starts] = True
-    first = np.flatnonzero(first)
-    hits = np.add.reduceat(keys & 1, first).astype(float)
-    misses = np.diff(first, append=len(keys)) - hits
-    per_node = np.diff(np.searchsorted(first, starts), append=len(first))
-    return bits[first].view(float), hits, misses, per_node
+    miss counts, grouped one node at a time.  A key is the activity's bits
+    (positive floats sort as their bits) with the outcome as a new low bit:
+    one sort groups a node's records."""
+    parts = []
+    for s, o in exposures:
+        keys = np.asarray(s, dtype=float).view(np.uint64) << 1
+        keys |= np.asarray(o) == 1.0
+        keys.sort()
+        bits = keys >> 1
+        first = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+        hits = np.add.reduceat(keys & 1, first).astype(float)
+        parts.append((bits[first].view(float), hits, np.diff(first, append=len(keys)) - hits))
+    levels, hits, misses = (np.concatenate(column) for column in zip(*parts))
+    return levels, hits, misses, np.array([len(part[0]) for part in parts])
 
 
 def _golden_max_lockstep(levels, hits, misses, per_node, surv):

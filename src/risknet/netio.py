@@ -275,16 +275,24 @@ def _read_csv(path) -> tuple[list, list]:
     return header, rows
 
 
+#: Rows of an event-log body checked at once, so the check's temporaries
+#: stay small whatever the log's length.
+_CHECK_ROWS = 1024
+
+
 def _canonical_states(body: str, n: int) -> np.ndarray | None:
     """The 0/1 matrix of an event-log body in the canonical form of
-    :func:`_event_rows`, or None if ``body`` is empty or not in that form."""
+    :func:`_event_rows`, or None if ``body`` is empty or not in that form.
+    The body is checked ``_CHECK_ROWS`` rows at a time."""
     width = max(2 * n + 1, 2)
     if not body or len(body) % width or not body.isascii():
         return None
     rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, width)
     states = rows[:, 0:2 * n:2] - ord("0")
-    if np.any(states > 1) or not np.array_equal(_event_rows(states), rows):
-        return None
+    for lo in range(0, len(rows), _CHECK_ROWS):
+        block = states[lo:lo + _CHECK_ROWS]
+        if np.any(block > 1) or not np.array_equal(_event_rows(block), rows[lo:lo + _CHECK_ROWS]):
+            return None
     return states
 
 

@@ -342,14 +342,28 @@ def reference_steady_state(net, tol=1e-12, max_iter=10**6):
     raise AssertionError("no convergence")
 
 
-def reference_count_transitions(E, log, pinned=None):
+def in_order_inflow(E, prev):
+    """``S[k, i]``: the weights ``E[j, i]`` times the 0/1 states ``prev[k, j]``,
+    added to 0.0 one at a time in ascending j, by an explicit double loop
+    over (i, j) in which each add is one elementwise add over the steps."""
+    steps, n = prev.shape
+    S = np.zeros((steps, n))
+    for i in range(n):
+        for j in range(n):
+            S[:, i] += E[j, i] * prev[:, j]
+    return S
+
+
+def reference_count_transitions(E, log, pinned=None, inflow=in_order_inflow):
     """Transition counts built one node column at a time with boolean masks
-    over the time-major log: the estimator's earlier, column-mask form."""
+    over the time-major log: the estimator's earlier, column-mask form.
+    ``inflow(E, prev)`` gives the weighted active in-neighbour mass of every
+    step and node; ``lambda E, prev: prev @ E`` is the earlier estimator's."""
     E = np.asarray(E, dtype=float)
     X = log.states.astype(float)
     n = X.shape[1]
     prev, nxt = X[:-1], X[1:]
-    S = prev @ E
+    S = inflow(E, prev)
     active = prev == 1.0
     activated = nxt == 1.0
     inactive_quiet = ~active & (S <= 0.0)

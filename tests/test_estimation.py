@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from risknet.cli import cli_main
 from risknet.errors import DimensionMismatch, ValidationError
 from risknet.estimation import _TINY, TransitionCounts, count_transitions, fit_probabilities
 from risknet.model import binary_state, build_network
-from risknet.netio import save_network, write_event_log
+from risknet.netio import generate_synthetic, save_network, write_event_log
 
 
 def ring_network(n, p_int, p_ext, p_con):
@@ -154,6 +155,55 @@ class TestCountTransitions:
         assert_same_counts(
             count_transitions(E, log, pinned), reference_count_transitions(E, log, pinned)
         )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 12),
+        long=st.booleans(),
+        dyadic=st.booleans(),
+    )
+    @example(seed=339, n=12, long=False, dyadic=False)  # differs from ``prev @ E`` by 1 ulp
+    @settings(max_examples=40, deadline=None)
+    def test_inflow_matches_matmul(self, seed, n, long, dyadic):
+        # the in-order sum against the earlier estimator's ``prev @ E``, on
+        # logs of at most 60 and of at least 5,000 steps: bit for bit when
+        # every partial sum is exact (weights in quarters), else within
+        # 1e-15 relative
+        rng = np.random.default_rng(seed)
+        E, log = random_log(rng, n, int(rng.integers(5000, 6001) if long else rng.integers(0, 61)))
+        if dyadic:
+            E = np.ceil(E * 4.0) / 4.0
+        got = count_transitions(E, log)
+        want = reference_count_transitions(E, log, inflow=lambda E, prev: prev @ E)
+        if dyadic:
+            assert_same_counts(got, want)
+            return
+        for label in ("int_trials", "int_hits", "con_trials", "con_hits"):
+            assert getattr(got, label).tobytes() == getattr(want, label).tobytes(), label
+        for (s, o), (ref_s, ref_o) in zip(got.exposures, want.exposures, strict=True):
+            assert o.tobytes() == ref_o.tobytes()
+            np.testing.assert_allclose(s, ref_s, rtol=1e-15, atol=0.0)
+
+    def test_peak_memory_stays_near_the_records(self):
+        # a 40-node, 25,000-step log of the benchmark's weighted round trip:
+        # counting holds one node-major byte copy of the log and per-node
+        # vectors beside the exposure records it returns, not (T, n) floats
+        sparse = generate_synthetic(40, 4.0, 1.5, prob_ranges={"p_ext": (0.1, 0.5)}, seed=1)
+        rng = np.random.default_rng([1, 2])
+        upper = np.triu(sparse.E, 1) * rng.choice([0.25, 0.5, 0.75, 1.0], size=sparse.E.shape)
+        E = upper + upper.T
+        net = build_network(sparse.names, sparse.p_int, sparse.p_ext, sparse.p_con, E)
+        log = run_discrete(net, binary_state(np.zeros(40)), SimConfig(steps=25_000, seed=1))
+        count_transitions(E, log)  # the first call's imports are not its working memory
+        tracemalloc.start()
+        try:
+            counts = count_transitions(E, log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        records = sum(s.nbytes + o.nbytes for s, o in counts.exposures)
+        assert records > 4 * log.states.nbytes
+        assert peak < 1.5 * records
 
     def test_tracer_probe_counts_records_and_levels(self):
         # the benchmark's exposure probe reads exposures as per-node
