@@ -274,6 +274,8 @@ def _check_symmetric_matrix(label: str, M, n: int) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != (n, n):
         raise DimensionMismatch(f"{label} has shape {M.shape}, expected ({n}, {n})")
+    if not np.all(np.isfinite(M)):
+        raise ValidationError(f"{label} has a non-finite entry")
     if np.max(np.abs(M - M.T)) > SYMMETRY_TOL:
         raise ValidationError(f"{label} is not symmetric within {SYMMETRY_TOL}")
     return M
@@ -284,7 +286,8 @@ class CostMatrices:
     """Quadratic cost weights: ``Q_f`` on the final state, ``Q`` on
     intermediate states, ``R`` on the control signal.
 
-    ``Q_f`` and ``Q`` must be positive semidefinite, ``R`` positive definite.
+    Every entry must be finite; ``Q_f`` and ``Q`` must be positive
+    semidefinite, ``R`` positive definite.
     """
 
     Q_f: np.ndarray

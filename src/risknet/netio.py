@@ -571,8 +571,8 @@ def generate_synthetic(
     check_integer("seed", seed, 0)
     if not 0 < target_mean_degree < n:
         raise ValidationError("target_mean_degree must be in (0, n)")
-    if target_degree_std < 0:
-        raise ValidationError("target_degree_std must be >= 0")
+    if not 0 <= target_degree_std < np.inf:
+        raise ValidationError("target_degree_std must be finite and >= 0")
     ranges = dict(DEFAULT_PROB_RANGES)
     for key, pair in (prob_ranges or {}).items():
         if key not in ranges:

@@ -321,8 +321,12 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start b
      "node 'a' is pinned twice"),
     (["control", "{net}", "--drivers", "a,a,b"], "ValidationError",
      "driver index 0 is repeated"),
+    (["generate", "--n", "40", "--mean-degree", "4", "--degree-std", "nan"], "ValidationError",
+     "target_degree_std must be finite and >= 0"),
+    (["generate", "--n", "40", "--mean-degree", "4", "--degree-std", "inf"], "ValidationError",
+     "target_degree_std must be finite and >= 0"),
 ], ids=["inverted_range", "range_past_1", "not_utf8_log", "not_utf8_network", "not_utf8_plan",
-        "repeated_pin", "repeated_driver"])
+        "repeated_pin", "repeated_driver", "nan_degree_std", "inf_degree_std"])
 def test_input_failure_exits_one_with_a_json_line(chain_net, tmp_path, capsys, argv, error,
                                                   message):
     bad = tmp_path / "bad"
@@ -332,6 +336,24 @@ def test_input_failure_exits_one_with_a_json_line(chain_net, tmp_path, capsys, a
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": error, "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("costs", [
+    {"kind": "dense", "q_f": np.eye(3).tolist(), "q": np.diag([1.0, np.inf, 1.0]).tolist(),
+     "r": np.eye(3).tolist()},
+    {"kind": "diagonal", "q_f": [1.0] * 3, "q": [1.0, np.nan, 1.0], "r": [1.0] * 3},
+], ids=["dense_infinity", "diagonal_nan"])
+def test_non_finite_cost_exits_one_before_any_solve(chain_net, tmp_path, capsys, costs):
+    # Python's json reads NaN and Infinity; the plan fails as one JSON line
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0,
+                                "steps_reactive": 5, "costs": costs}))
+    code = cli_main(["experiment", str(chain_net), str(plan), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ValidationError", "message": "Q has a non-finite entry"}
     assert not (tmp_path / "out").exists()
 
 

@@ -185,6 +185,14 @@ class TestCostMatrices:
         with pytest.raises(ValidationError, match="symmetric"):
             CostMatrices(Q_f=bad, Q=M, R=M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("label", ["Q_f", "Q", "R"])
+    def test_non_finite_entry_rejected(self, label, bad):
+        matrices = {key: np.eye(2) for key in ("Q_f", "Q", "R")}
+        matrices[label][1, 1] = bad
+        with pytest.raises(ValidationError, match=f"^{label} has a non-finite entry$"):
+            CostMatrices(**matrices)
+
     def test_indefinite_state_cost_rejected(self):
         M = np.eye(2)
         with pytest.raises(ValidationError, match="semidefinite"):
