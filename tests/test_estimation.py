@@ -274,6 +274,14 @@ class TestCountsInputChecks:
         with pytest.raises(ValidationError, match="finite"):
             one_node_counts([1.0, bad], [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_non_binary_outcome_rejected(self, bad):
+        # a negative or NaN outcome in an (s, outcome) record becomes a hit
+        # count that TransitionCounts rejects; fractional outcomes are valid
+        # expected counts
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            one_node_counts([1.0, 2.0], [1.0, bad])
+
     @pytest.mark.parametrize("levels", [[0.0], [-1.0], [-np.inf, 1.0], [2.0, 1.0], [1.0, 1.0],
                                         [1.0, np.nan, 2.0]],
                              ids=["zero", "negative", "minus_inf", "descending", "repeated", "nan"])
