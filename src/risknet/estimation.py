@@ -5,28 +5,26 @@ Transitions at each node are classified by the step-k state:
 
 * active -> continuation trial (hit if still active at k+1),
 * inactive with no active in-neighbors -> internal trial (hit if activated),
-* inactive with active in-neighbors -> exposure at the weighted in-neighbor
-  activity (hit if activated).
+* inactive with active in-neighbors -> exposure record carrying the weighted
+  in-neighbor activity and the activation outcome.
 
 Internal and continuation probabilities have the closed form
 ``(hits + a) / (trials + 2a)`` with additive smoothing ``a``.  The external
 probability maximizes the per-neighbor-independence likelihood over the
-node's exposures, with the internal probability held at its closed-form
-estimate; the search is golden-section on [0, 1].  That likelihood reads
-the exposures only through the hit and miss counts at each distinct
-activity level, so those counts are what counting returns.
+node's exposure records, with the internal probability held at its
+closed-form estimate; the search is golden-section on [0, 1].
 
 Both stages run node by node.  Counting makes one pass per node over a
 node-major 0/1 copy of the log, one byte per entry.  Node i's weighted
 in-neighbor activity at step k is ``E[j, i]`` times the 0/1 state of j,
 added to 0.0 one at a time in ascending j (one multiply-add per edge into a
-reused length-T vector), so its bits do not depend on the BLAS.  One sort
-of that node's exposures groups them into levels before the next node, so
-counting holds only the byte copy, a few length-T vectors and the levels.
-The fit runs every node's search in lockstep over the concatenated levels,
-with one elementwise pass for the log terms of all levels; but each node
-keeps its own bracket updates and its own 1-D dot products, so its estimate
-is bit for bit a lone search's.
+reused length-T vector), so its bits do not depend on the BLAS.  Beside the
+exposure records it returns, counting holds only that byte copy and a few
+length-T vectors.  The fit groups each node's records by one sort, one node
+at a time, then runs every node's search in lockstep, with one elementwise
+pass for the log terms of all levels; but each node keeps its own bracket
+updates and its own 1-D dot products, so its estimate is bit for bit a lone
+search's.
 """
 
 from __future__ import annotations
@@ -52,11 +50,9 @@ class TransitionCounts:
     """Sufficient statistics per node.
 
     Counts are floats so analytically expected counts (an infinite-data
-    surrogate) can be fitted too.  ``exposures[i]`` is node i's
-    ``(levels, hits, misses)``: 1-D float arrays of equal length, possibly
-    empty, holding its distinct positive, finite activity levels in
-    ascending order and the finite, non-negative hit and miss counts at
-    each.  A node whose levels carry no count is fitted as one with none.
+    surrogate) can be fitted too.  ``exposures[i]`` is a pair of 1-D arrays
+    of equal length (weighted in-neighbor activity, binary outcome), both
+    possibly empty.
     """
 
     int_trials: np.ndarray
@@ -77,39 +73,18 @@ class TransitionCounts:
             raise ValidationError("trials and hits must be non-negative")
         if np.any(tallies[1::2] > tallies[::2]):
             raise ValidationError("hits cannot exceed trials")
-        exposures = []
-        for entry in self.exposures:
-            if len(entry) != 3:
-                raise DimensionMismatch("each node's exposures are (levels, hits, misses)")
-            levels, hits, misses = (np.asarray(a, dtype=float) for a in entry)
-            if levels.ndim != 1 or not levels.shape == hits.shape == misses.shape:
-                raise DimensionMismatch("exposure levels, hits and misses need one length")
-            if levels.size and not (
-                    levels[0] > 0.0 and levels[-1] < np.inf and np.all(np.diff(levels) > 0.0)):
-                raise ValidationError("exposure levels must be positive, finite and ascending")
-            tally = np.concatenate([hits, misses])
-            if tally.size and not 0.0 <= tally.min() <= tally.max() < np.inf:
-                raise ValidationError("exposure hits and misses must be finite and >= 0")
-            exposures.append((levels, hits, misses))
-        object.__setattr__(self, "exposures", tuple(exposures))
+        for s, o in self.exposures:
+            s, o = np.asarray(s, dtype=float), np.asarray(o, dtype=float)
+            if s.ndim != 1 or s.shape != o.shape:
+                raise DimensionMismatch("each exposure record needs one activity and one outcome")
+            if not np.all((s > 0.0) & (s < np.inf)):
+                raise ValidationError("exposure records need positive, finite in-neighbor activity")
+            if not np.all((o == 0.0) | (o == 1.0)):
+                raise ValidationError("exposure outcomes must be 0 or 1")
 
     @property
     def n(self) -> int:
         return self.int_trials.shape[0]
-
-
-def _levels(s, activated):
-    """One node's distinct activity levels, ascending, with their hit and
-    miss counts.  A key is the activity's bits (positive floats sort as
-    their bits) with the outcome as a new low bit: one sort groups the
-    node's exposures."""
-    keys = s.view(np.uint64) << 1
-    keys |= activated
-    keys.sort()
-    bits = keys >> 1
-    first = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-    hits = np.add.reduceat(keys & 1, first).astype(float)
-    return bits[first].view(float), hits, np.diff(first, append=len(keys)) - hits
 
 
 def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCounts:
@@ -131,7 +106,7 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
     prev = X[:, :-1]
     s, term = np.empty(log.steps), np.empty(log.steps)
     tallies = np.zeros((4, n))
-    exposures = [(np.empty(0),) * 3] * n
+    exposures = [(np.empty(0), np.empty(0))] * n
     for i in np.flatnonzero(counted):
         # s[k]: node i's in-neighbor weights summed over the active ones at
         # step k, in ascending index order
@@ -144,8 +119,7 @@ def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCo
         tallies[:, i] = [np.count_nonzero(m) for m in (
             quiet, quiet & activated, active, active & activated)]
         records = np.flatnonzero(exposed)
-        if records.size:
-            exposures[i] = _levels(s.take(records), activated.take(records))
+        exposures[i] = (s.take(records), activated.take(records).astype(float))
     return TransitionCounts(*tallies, exposures=tuple(exposures))
 
 
@@ -161,6 +135,24 @@ def _smoothed_ratio(hits, trials, a):
     ok = denom > 0
     out[ok] = (hits[ok] + a) / denom[ok]
     return out
+
+
+def _levels(exposures):
+    """Each node's distinct activity levels, ascending, with their hit and
+    miss counts, grouped one node at a time.  A key is the activity's bits
+    (positive floats sort as their bits) with the outcome as a new low bit:
+    one sort groups a node's records."""
+    parts = []
+    for s, o in exposures:
+        keys = np.asarray(s, dtype=float).view(np.uint64) << 1
+        keys |= np.asarray(o) == 1.0
+        keys.sort()
+        bits = keys >> 1
+        first = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+        hits = np.add.reduceat(keys & 1, first).astype(float)
+        parts.append((bits[first].view(float), hits, np.diff(first, append=len(keys)) - hits))
+    levels, hits, misses = (np.concatenate(column) for column in zip(*parts))
+    return levels, hits, misses, np.array([len(part[0]) for part in parts])
 
 
 def _golden_max_lockstep(levels, hits, misses, per_node, surv):
@@ -201,7 +193,7 @@ def fit_probabilities(counts: TransitionCounts, smoothing: float = 0.0) -> FitRe
 
     ``smoothing`` adds the usual pseudo-count pair to the closed-form
     ratios; with no data at all and smoothing > 0 every probability falls
-    back to the prior value 0.5.  A node with no exposure counts has an
+    back to the prior value 0.5.  A node with no exposure records has an
     unidentifiable external probability: returned as NaN when smoothing is
     zero rather than guessed.
     """
@@ -210,13 +202,10 @@ def fit_probabilities(counts: TransitionCounts, smoothing: float = 0.0) -> FitRe
     p_int = _smoothed_ratio(counts.int_hits, counts.int_trials, smoothing)
     p_con = _smoothed_ratio(counts.con_hits, counts.con_trials, smoothing)
 
-    fitted = np.flatnonzero([np.any(h + m > 0.0) for _, h, m in counts.exposures])
+    fitted = np.flatnonzero([len(s) > 0 for s, _ in counts.exposures])
     p_ext = np.full(counts.n, 0.5 if smoothing > 0.0 else np.nan)
     if fitted.size:
-        parts = [counts.exposures[i] for i in fitted]
-        levels, hits, misses = (np.concatenate(column) for column in zip(*parts))
-        per_node = np.array([len(part[0]) for part in parts])
+        levels = _levels([counts.exposures[i] for i in fitted])
         pin = np.where(np.isfinite(p_int[fitted]), p_int[fitted], 0.0)
-        p_ext[fitted] = _golden_max_lockstep(
-            levels, hits, misses, per_node, np.maximum(1.0 - pin, _TINY))
+        p_ext[fitted] = _golden_max_lockstep(*levels, np.maximum(1.0 - pin, _TINY))
     return FitResult(p_int=p_int, p_ext=p_ext, p_con=p_con)

@@ -354,14 +354,11 @@ def in_order_inflow(E, prev):
     return S
 
 
-def reference_records(E, log, pinned=None, inflow=in_order_inflow):
-    """Tallies and per-node exposure records built one node column at a time
-    with boolean masks over the time-major log: the estimator's earlier,
-    column-mask form.  ``inflow(E, prev)`` gives the weighted active
-    in-neighbour mass of every step and node; ``lambda E, prev: prev @ E``
-    is the earlier estimator's.  Returns ``(int_trials, int_hits,
-    con_trials, con_hits, records)`` with ``records[i]`` node i's
-    ``(s, outcome)`` arrays in time order."""
+def reference_count_transitions(E, log, pinned=None, inflow=in_order_inflow):
+    """Transition counts built one node column at a time with boolean masks
+    over the time-major log: the estimator's earlier, column-mask form.
+    ``inflow(E, prev)`` gives the weighted active in-neighbour mass of every
+    step and node; ``lambda E, prev: prev @ E`` is the earlier estimator's."""
     E = np.asarray(E, dtype=float)
     X = log.states.astype(float)
     n = X.shape[1]
@@ -378,20 +375,8 @@ def reference_records(E, log, pinned=None, inflow=in_order_inflow):
     skip, _ = pin_arrays(dict.fromkeys(() if pinned is None else pinned, 0), n)
     exposed[:, skip] = False
     con_trials[skip] = con_hits[skip] = int_trials[skip] = int_hits[skip] = 0.0
-    records = [(S[exposed[:, i], i], nxt[exposed[:, i], i]) for i in range(n)]
-    return int_trials, int_hits, con_trials, con_hits, records
-
-
-def counts_from_records(int_trials, int_hits, con_trials, con_hits, records):
-    """``TransitionCounts`` whose exposures are per-node ``(s, outcome)``
-    records, each node's aggregated by ``exposure_levels``."""
-    exposures = tuple(exposure_levels(s, outcome) for s, outcome in records)
-    return TransitionCounts(int_trials, int_hits, con_trials, con_hits, exposures)
-
-
-def reference_count_transitions(E, log, pinned=None, inflow=in_order_inflow):
-    """``reference_records`` aggregated into transition counts."""
-    return counts_from_records(*reference_records(E, log, pinned, inflow))
+    exposures = [(S[exposed[:, i], i], nxt[exposed[:, i], i]) for i in range(n)]
+    return TransitionCounts(int_trials, int_hits, con_trials, con_hits, tuple(exposures))
 
 
 def exposure_loglik(p, s, hits, misses, c):
@@ -434,14 +419,15 @@ def exposure_levels(s, outcome):
 
 
 def reference_p_ext(counts, p_int, smoothing=0.0):
-    """External probabilities by one scalar golden-section search per node
-    on its levels."""
+    """External probabilities by one scalar golden-section search per node,
+    on levels aggregated by ``np.unique``."""
     p_ext = np.full(counts.n, np.nan)
-    for i, (levels, hits, misses) in enumerate(counts.exposures):
-        if hits.sum() + misses.sum() == 0.0:
+    for i, (s, outcome) in enumerate(counts.exposures):
+        if len(s) == 0:
             if smoothing > 0.0:
                 p_ext[i] = 0.5
             continue
+        levels, hits, misses = exposure_levels(s, outcome)
         pin = p_int[i] if np.isfinite(p_int[i]) else 0.0
         c = max(1.0 - pin, _TINY)
         p_ext[i] = golden_max(lambda p: exposure_loglik(p, levels, hits, misses, c), 0.0, 1.0)

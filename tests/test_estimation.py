@@ -10,12 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    counts_from_records,
     exposure_levels,
     exposure_loglik,
     reference_count_transitions,
     reference_p_ext,
-    reference_records,
 )
 from risknet.cascade import EventLog, SimConfig, run_discrete
 from risknet.cli import cli_main
@@ -36,36 +34,26 @@ def ring_network(n, p_int, p_ext, p_con):
 
 
 def empty_counts_node():
-    """One node's exposure records when it has none."""
     return (np.empty(0), np.empty(0))
 
 
 def one_node_counts(s, outcome, int_trials=0.0):
-    return counts_from_records(
-        np.array([int_trials]), np.zeros(1), np.zeros(1), np.zeros(1), [(s, outcome)]
-    )
-
-
-def one_node_levels(levels, hits, misses):
-    """One node's counts with its exposure levels given directly."""
     return TransitionCounts(
-        int_trials=np.zeros(1), int_hits=np.zeros(1),
+        int_trials=np.array([int_trials]), int_hits=np.zeros(1),
         con_trials=np.zeros(1), con_hits=np.zeros(1),
-        exposures=((levels, hits, misses),),
+        exposures=((np.asarray(s, dtype=float), np.asarray(outcome, dtype=float)),),
     )
 
 
 def assert_same_counts(got, want):
-    """Equal bit for bit: tallies, every node's levels, hits and misses,
-    dtypes."""
+    """Equal bit for bit: tallies, every node's records in order, dtypes."""
     for label in ("int_trials", "int_hits", "con_trials", "con_hits"):
         a, b = getattr(got, label), getattr(want, label)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), label
     assert len(got.exposures) == len(want.exposures)
-    for node, ref in zip(got.exposures, want.exposures, strict=True):
-        assert len(node) == len(ref) == 3
-        for a, b in zip(node, ref):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for (s, o), (ref_s, ref_o) in zip(got.exposures, want.exposures):
+        assert (s.dtype, o.dtype) == (ref_s.dtype, ref_o.dtype)
+        assert s.tobytes() == ref_s.tobytes() and o.tobytes() == ref_o.tobytes()
 
 
 def random_log(rng, n, steps):
@@ -116,9 +104,9 @@ class TestCountTransitions:
         # node 1 inactive while node 0 active twice: exposures (0.7, outcome)
         log = EventLog(np.array([[1, 0], [1, 0], [0, 1], [0, 1]]))
         c = count_transitions(E, log)
-        levels, hits, misses = c.exposures[1]
-        assert np.array_equal(levels, [0.7])
-        assert np.array_equal(hits, [1.0]) and np.array_equal(misses, [1.0])
+        s, o = c.exposures[1]
+        assert np.array_equal(s, [0.7, 0.7])
+        assert np.array_equal(o, [0.0, 1.0])
         # node 1 is never inactive with quiet in-neighbors in this log
         assert c.int_trials[1] == 0
         assert c.int_trials[0] == 1 and c.con_trials[0] == 2
@@ -180,31 +168,26 @@ class TestCountTransitions:
         # the in-order sum against the earlier estimator's ``prev @ E``, on
         # logs of at most 60 and of at least 5,000 steps: bit for bit when
         # every partial sum is exact (weights in quarters), else within
-        # 1e-15 relative.  The estimator equals the in-order records
-        # aggregated, bit for bit; the two sums are compared record by
-        # record, since records 1 ulp apart would group differently.
+        # 1e-15 relative
         rng = np.random.default_rng(seed)
         E, log = random_log(rng, n, int(rng.integers(5000, 6001) if long else rng.integers(0, 61)))
         if dyadic:
             E = np.ceil(E * 4.0) / 4.0
         got = count_transitions(E, log)
-        matmul = reference_records(E, log, inflow=lambda E, prev: prev @ E)
+        want = reference_count_transitions(E, log, inflow=lambda E, prev: prev @ E)
         if dyadic:
-            assert_same_counts(got, counts_from_records(*matmul))
+            assert_same_counts(got, want)
             return
-        in_order = reference_records(E, log)
-        assert_same_counts(got, counts_from_records(*in_order))
-        for a, b in zip(in_order[:4], matmul[:4]):
-            assert a.tobytes() == b.tobytes()
-        for (s, o), (ref_s, ref_o) in zip(in_order[4], matmul[4], strict=True):
+        for label in ("int_trials", "int_hits", "con_trials", "con_hits"):
+            assert getattr(got, label).tobytes() == getattr(want, label).tobytes(), label
+        for (s, o), (ref_s, ref_o) in zip(got.exposures, want.exposures, strict=True):
             assert o.tobytes() == ref_o.tobytes()
             np.testing.assert_allclose(s, ref_s, rtol=1e-15, atol=0.0)
 
-    def test_peak_memory_stays_near_the_log(self):
+    def test_peak_memory_stays_near_the_records(self):
         # a 40-node, 25,000-step log of the benchmark's weighted round trip:
-        # counting holds one node-major byte copy of the log, per-node
-        # vectors and the levels it returns, not (T, n) floats and not one
-        # record per exposure
+        # counting holds one node-major byte copy of the log and per-node
+        # vectors beside the exposure records it returns, not (T, n) floats
         sparse = generate_synthetic(40, 4.0, 1.5, prob_ranges={"p_ext": (0.1, 0.5)}, seed=1)
         rng = np.random.default_rng([1, 2])
         upper = np.triu(sparse.E, 1) * rng.choice([0.25, 0.5, 0.75, 1.0], size=sparse.E.shape)
@@ -218,92 +201,60 @@ class TestCountTransitions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one float64 (s, outcome) pair per exposure would take over 4 times
-        # the log
-        exposed = sum(hits.sum() + misses.sum() for _, hits, misses in counts.exposures)
-        assert 16 * exposed > 4 * log.states.nbytes
-        assert peak < 3 * log.states.nbytes
+        records = sum(s.nbytes + o.nbytes for s, o in counts.exposures)
+        assert records > 4 * log.states.nbytes
+        assert peak < 1.5 * records
 
-    def test_tracer_probe_counts_records_and_levels(self, tmp_path):
+    def test_tracer_probe_counts_records_and_levels(self):
         # the benchmark's exposure probe reads exposures as per-node
-        # (s, outcome) pairs; the (levels, hits, misses) layout has no
-        # per-step record, so both counters are reported absent (null) and
-        # still dump as strict JSON
+        # (s, outcome) pairs and reports its counters absent otherwise
         tracer_mod = load_tracer()
         tracer = tracer_mod.Tracer()
         probe = tracer_mod._record_exposures(tracer)
         net = ring_network(6, p_int=0.05, p_ext=0.3, p_con=0.6)
         E = net.E * np.array([0.25, 0.5, 0.75, 1.0, 0.5, 0.25])
         log = run_discrete(net, binary_state(np.zeros(6)), SimConfig(steps=3000, seed=4))
-        counts = count_transitions(E, log)
-        assert sum(len(levels) for levels, _, _ in counts.exposures) > 6
-        probe(counts)
-        names = ("estimation.exposure_records", "estimation.exposure_levels")
-        assert all(name in tracer.counts and tracer.counts[name] is None for name in names)
+        probe(count_transitions(E, log))
+        want = reference_count_transitions(E, log).exposures
+        records = tracer.counts["estimation.exposure_records"]
+        levels = tracer.counts["estimation.exposure_levels"]
+        assert type(records) is int and type(levels) is int
+        assert records == sum(len(s) for s, _ in want) > 0
+        assert levels == sum(len(set(s.tolist())) for s, _ in want) > 6
         json.dumps(tracer.counts, allow_nan=False)
-        tracer.dump(tmp_path / "trace.json")
-        doc = json.loads((tmp_path / "trace.json").read_text(), parse_constant=pytest.fail)
-        assert all(doc["counts"][name] is None for name in names)
 
     def test_counts_validation(self):
         with pytest.raises(ValidationError):
-            counts_from_records(
-                np.array([1.0]), np.array([2.0]), np.array([0.0]), np.array([0.0]),
-                [empty_counts_node()],
+            TransitionCounts(
+                int_trials=np.array([1.0]),
+                int_hits=np.array([2.0]),
+                con_trials=np.array([0.0]),
+                con_hits=np.array([0.0]),
+                exposures=(empty_counts_node(),),
             )
 
 
 class TestCountsInputChecks:
     def test_exposure_pair_lengths_must_match(self):
-        # levels, hits and misses of unequal length, and an entry of the
-        # earlier per-record (s, outcome) layout
-        for short in range(3):
-            entry = [np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.array([0.0, 3.0])]
-            entry[short] = entry[short][:1]
-            with pytest.raises(DimensionMismatch):
-                one_node_levels(*entry)
         with pytest.raises(DimensionMismatch):
-            TransitionCounts(
-                int_trials=np.zeros(1), int_hits=np.zeros(1),
-                con_trials=np.zeros(1), con_hits=np.zeros(1),
-                exposures=((np.array([1.0, 2.0]), np.array([1.0, 0.0])),),
-            )
+            one_node_counts([1.0, 2.0], [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_activity_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             one_node_counts([1.0, bad], [0.0, 1.0])
 
-    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
     def test_non_binary_outcome_rejected(self, bad):
-        # a negative or NaN outcome in an (s, outcome) record becomes a hit
-        # count that TransitionCounts rejects; fractional outcomes are valid
-        # expected counts
-        with pytest.raises(ValidationError, match="finite and >= 0"):
+        with pytest.raises(ValidationError, match="0 or 1"):
             one_node_counts([1.0, 2.0], [1.0, bad])
-
-    @pytest.mark.parametrize("levels", [[0.0], [-1.0], [-np.inf, 1.0], [2.0, 1.0], [1.0, 1.0],
-                                        [1.0, np.nan, 2.0]],
-                             ids=["zero", "negative", "minus_inf", "descending", "repeated", "nan"])
-    def test_levels_must_be_positive_and_ascending(self, levels):
-        ones = np.ones(len(levels))
-        with pytest.raises(ValidationError, match="positive, finite and ascending"):
-            one_node_levels(levels, ones, ones)
-
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
-    @pytest.mark.parametrize("column", ["hits", "misses"])
-    def test_non_finite_or_negative_hits_and_misses_rejected(self, bad, column):
-        counts = {"hits": np.array([1.0, 2.0]), "misses": np.array([3.0, 0.5])}
-        counts[column][1] = bad
-        with pytest.raises(ValidationError, match="finite and >= 0"):
-            one_node_levels(np.array([0.5, 1.0]), **counts)
 
     @pytest.mark.parametrize("label", ["int_trials", "int_hits", "con_trials", "con_hits"])
     def test_negative_counts_rejected(self, label):
         fields = {k: np.zeros(1) for k in ("int_trials", "int_hits", "con_trials", "con_hits")}
         fields[label] = np.array([-1.0])
         with pytest.raises(ValidationError, match="non-negative"):
-            counts_from_records(**fields, records=[empty_counts_node()])
+            TransitionCounts(**fields, exposures=(empty_counts_node(),))
 
     @pytest.mark.parametrize("smoothing", [np.nan, np.inf])
     def test_non_finite_smoothing_rejected(self, smoothing):
@@ -339,9 +290,10 @@ class TestFitProbabilities:
         n = len(kinds)
         int_trials = rng.choice([0.0, 5.0, 40.0], size=n)
         int_hits = np.where(rng.random(n) < 0.4, int_trials, np.floor(int_trials * rng.random(n)))
-        counts = counts_from_records(
-            int_trials, int_hits, np.zeros(n), np.zeros(n),
-            [random_exposures(rng, kind) for kind in kinds],
+        counts = TransitionCounts(
+            int_trials=int_trials, int_hits=int_hits,
+            con_trials=np.zeros(n), con_hits=np.zeros(n),
+            exposures=tuple(random_exposures(rng, kind) for kind in kinds),
         )
         fit = fit_probabilities(counts, smoothing=smoothing)
         assert fit.p_ext.tobytes() == reference_p_ext(counts, fit.p_int, smoothing).tobytes()
@@ -361,8 +313,9 @@ class TestFitProbabilities:
                 act = 1.0 - (1.0 - p_int[i]) * (1.0 - p_ext[i]) ** s
                 exposures.append((s, (rng.random(s.size) < act).astype(float)))
             trials = np.full(n, 200.0)
-            counts = counts_from_records(
-                trials, np.round(trials * p_int), np.zeros(n), np.zeros(n), exposures
+            counts = TransitionCounts(
+                int_trials=trials, int_hits=np.round(trials * p_int),
+                con_trials=np.zeros(n), con_hits=np.zeros(n), exposures=tuple(exposures),
             )
             fit = fit_probabilities(counts)
             for i, (s, outcome) in enumerate(exposures):
@@ -377,18 +330,24 @@ class TestFitProbabilities:
 
 
     def test_closed_form_ratio(self):
-        c = counts_from_records(
-            np.array([10.0]), np.array([2.0]), np.array([8.0]), np.array([6.0]),
-            [empty_counts_node()],
+        c = TransitionCounts(
+            int_trials=np.array([10.0]),
+            int_hits=np.array([2.0]),
+            con_trials=np.array([8.0]),
+            con_hits=np.array([6.0]),
+            exposures=(empty_counts_node(),),
         )
         fit = fit_probabilities(c)
         assert fit.p_int[0] == pytest.approx(0.2)
         assert fit.p_con[0] == pytest.approx(0.75)
 
     def test_smoothing_prior_with_no_data(self):
-        c = counts_from_records(
-            np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
-            [empty_counts_node(), empty_counts_node()],
+        c = TransitionCounts(
+            int_trials=np.zeros(2),
+            int_hits=np.zeros(2),
+            con_trials=np.zeros(2),
+            con_hits=np.zeros(2),
+            exposures=(empty_counts_node(), empty_counts_node()),
         )
         fit = fit_probabilities(c, smoothing=1.0)
         assert np.allclose(fit.p_int, 0.5)
@@ -396,34 +355,22 @@ class TestFitProbabilities:
         assert np.allclose(fit.p_con, 0.5)
 
     def test_unidentifiable_external_flagged_not_guessed(self):
-        c = counts_from_records(
-            np.array([5.0]), np.array([1.0]), np.array([5.0]), np.array([4.0]),
-            [empty_counts_node()],
+        c = TransitionCounts(
+            int_trials=np.array([5.0]),
+            int_hits=np.array([1.0]),
+            con_trials=np.array([5.0]),
+            con_hits=np.array([4.0]),
+            exposures=(empty_counts_node(),),
         )
         fit = fit_probabilities(c)
         assert np.isnan(fit.p_ext[0])
         assert not np.isnan(fit.p_int[0])
 
-    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
-    def test_levels_without_counts_fit_as_no_records(self, smoothing):
-        # node 0 has levels but no count at any; node 1 has records
-        c = TransitionCounts(
-            int_trials=np.array([5.0, 5.0]), int_hits=np.array([1.0, 1.0]),
-            con_trials=np.zeros(2), con_hits=np.zeros(2),
-            exposures=((np.array([0.5, 1.0]), np.zeros(2), np.zeros(2)),
-                       exposure_levels([0.5, 1.0, 1.0], [1.0, 0.0, 1.0])),
-        )
-        fit = fit_probabilities(c, smoothing=smoothing)
-        alone = fit_probabilities(counts_from_records(
-            np.array([5.0]), np.array([1.0]), np.zeros(1), np.zeros(1), [empty_counts_node()],
-        ), smoothing=smoothing)
-        assert fit.p_ext[:1].tobytes() == alone.p_ext.tobytes()
-        assert (np.isnan(fit.p_ext[0]) if smoothing == 0.0 else fit.p_ext[0] == 0.5)
-        assert 0.0 < fit.p_ext[1] < 1.0
-
     def test_negative_smoothing_rejected(self):
-        c = counts_from_records(
-            np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), [empty_counts_node()]
+        c = TransitionCounts(
+            int_trials=np.zeros(1), int_hits=np.zeros(1),
+            con_trials=np.zeros(1), con_hits=np.zeros(1),
+            exposures=(empty_counts_node(),),
         )
         with pytest.raises(ValidationError):
             fit_probabilities(c, smoothing=-0.5)
@@ -431,9 +378,12 @@ class TestFitProbabilities:
     def test_infinite_data_surrogate_exact_recovery(self):
         p_int, p_con = 0.07, 0.62
         trials = 1e9
-        c = counts_from_records(
-            np.array([trials]), np.array([trials * p_int]),
-            np.array([trials]), np.array([trials * p_con]), [empty_counts_node()],
+        c = TransitionCounts(
+            int_trials=np.array([trials]),
+            int_hits=np.array([trials * p_int]),
+            con_trials=np.array([trials]),
+            con_hits=np.array([trials * p_con]),
+            exposures=(empty_counts_node(),),
         )
         fit = fit_probabilities(c)
         assert fit.p_int[0] == pytest.approx(p_int, abs=1e-12)
@@ -441,23 +391,34 @@ class TestFitProbabilities:
 
     def test_external_mle_on_analytic_exposure_counts(self):
         # expected hit/miss counts at activity levels 1 and 2 for known
-        # parameters, given as fractional counts; the likelihood maximum
-        # must sit at the generator
+        # parameters; the likelihood maximum must sit at the generator
         p_int, p_ext = 0.1, 0.3
-        levels = np.array([1.0, 2.0])
-        p_act = 1 - (1 - p_int) * (1 - p_ext) ** levels
+        levels = np.array([1.0, 1.0, 2.0, 2.0])
         big = 1e6
+        weights = []
+        outcomes = []
+        for s in (1.0, 2.0):
+            p_act = 1 - (1 - p_int) * (1 - p_ext) ** s
+            weights += [big * p_act, big * (1 - p_act)]
+            outcomes += [1.0, 0.0]
+        # expand to per-record arrays via repetition proportional weights:
+        # use fractional counts directly through np.repeat on a coarse grid
+        s_arr = np.repeat(levels, 1)
+        o_arr = np.array(outcomes)
+        # fractional weights are not representable as records; emulate by
+        # aggregating many duplicated records with integer counts
+        reps = np.maximum(1, np.round(np.array(weights) / 1e3).astype(int))
+        s_full = np.repeat(s_arr, reps)
+        o_full = np.repeat(o_arr, reps)
         c = TransitionCounts(
             int_trials=np.array([1e9]),
             int_hits=np.array([1e8]),  # fixes p_int at 0.1 exactly
             con_trials=np.array([1.0]),
             con_hits=np.array([0.0]),
-            exposures=((levels, big * p_act, big * (1 - p_act)),),
+            exposures=((s_full, o_full),),
         )
         fit = fit_probabilities(c)
-        # measured 3.5e-9 off: the search's 1e-9 bracket and the flatness
-        # of a likelihood summed over 2e6 counts
-        assert fit.p_ext[0] == pytest.approx(p_ext, abs=1e-8)
+        assert fit.p_ext[0] == pytest.approx(p_ext, abs=1e-3)
 
 
 class TestRoundTrip:
