@@ -61,7 +61,8 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """Binary state history; row k is the state at step k."""
+    """Binary state history; row k is the state at step k.  Row 0, the
+    initial state, is required."""
 
     states: np.ndarray
 
@@ -69,6 +70,8 @@ class EventLog:
         s = np.asarray(self.states)
         if s.ndim != 2:
             raise ValidationError("event log must be a 2-D array")
+        if not len(s):
+            raise ValidationError("event log needs at least the initial-state row")
         owned = _binary_copy(s)
         if owned is None:
             raise ValidationError("event log entries must be 0 or 1")

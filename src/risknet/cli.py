@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -153,10 +152,9 @@ def _cmd_control(args) -> int:
         run = run_proactive(net, driver, costs, steps)
     else:
         pinned = _parse_pins(net, args.pin)
+        init = None
         if args.init_active:
             init = continuous_state(_initial_actives(net, args.init_active))
-        else:
-            init = find_steady_state(net)
         steps = ExperimentPlan.steps_reactive if args.steps is None else args.steps
         run = run_reactive(net, driver, costs, init, steps, pinned)
     out = _out_dir(args)
@@ -176,24 +174,8 @@ def _cmd_fit(args) -> int:
     pinned = _parse_pins(net, args.pin)
     counts = count_transitions(net.E, log, pinned=set(pinned))
     fit = fit_probabilities(counts, smoothing=args.smoothing)
-
-    def _clean(v: float):
-        return None if math.isnan(v) else float(v)
-
-    doc = {
-        "schema_version": netio.SCHEMA_VERSION,
-        "nodes": [
-            {
-                "name": net.names[i],
-                "p_int": _clean(fit.p_int[i]),
-                "p_ext": _clean(fit.p_ext[i]),
-                "p_con": _clean(fit.p_con[i]),
-            }
-            for i in range(net.n)
-        ],
-    }
     path = _out_dir(args) / "fitted_params.json"
-    netio.write_json(path, doc)
+    netio.write_fitted_params(path, net.names, fit)
     print(f"wrote {path}")
     return 0
 

@@ -124,29 +124,24 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(same.reshape(len(a), math.prod(a.shape[1:])), axis=1)
 
 
-def _factor_solve(inner: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(K, W)`` for ``inner @ K = rhs``, on one equation or a stack, through
-    the Cholesky factor ``inner = L L'``: with ``Li = inv(L)``,
-    ``W = Li @ rhs`` and ``K = Li' @ W``.  Raises LinAlgError where
-    ``inner`` is not positive definite."""
-    Li = np.linalg.inv(np.linalg.cholesky(inner))
-    W = Li @ rhs
-    return Li.swapaxes(-1, -2) @ W, W
-
-
 def _solve_gain(inner: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_factor_solve` on step k's gain equation, with a finiteness
-    and a definiteness guard (numpy's Cholesky returns NaN for a non-finite
-    matrix instead of raising)."""
+    """``(K, W)`` for step k's gain equation ``inner @ K = rhs``, on one
+    equation or a stack, through the Cholesky factor ``inner = L L'``: with
+    ``Li = inv(L)``, ``W = Li @ rhs`` and ``K = Li' @ W``.  Raises
+    SingularInnerMatrix for a non-finite equation (numpy's Cholesky returns
+    NaN for one instead of raising) or an ``inner`` that is not positive
+    definite."""
     if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
         raise SingularInnerMatrix(f"gain equation is not finite at step {k}")
     try:
-        return _factor_solve(inner, rhs)
+        Li = np.linalg.inv(np.linalg.cholesky(inner))
     except np.linalg.LinAlgError:
         raise SingularInnerMatrix(
             "signal-cost block plus value quadratic is numerically singular; "
             "check the conditioning of R"
         ) from None
+    W = Li @ rhs
+    return Li.swapaxes(-1, -2) @ W, W
 
 
 def _one(results: list):
@@ -528,26 +523,28 @@ def run_reactive(
     net: RiskNetwork,
     driver: DriverSet,
     costs: CostMatrices,
-    init: StateVector,
+    init: StateVector | None,
     steps: int,
     pinned: dict | None = None,
 ) -> ControlRun:
     """Finite-horizon feedback run from ongoing activity toward inactivity.
 
     Linearizes at the natural steady state, builds the gain schedule for
-    ``steps``, then rolls the nonlinear map forward under
-    ``u(k) = -K(k) x(k)`` on the driven nodes, which steers toward the
-    all-inactive state.  Pinned nodes (``{index: 0 or 1}``) are forced to
-    their value at every step (including the initial state) and must not
-    appear in the driver set.  Every argument is checked before the steady
-    state is solved.
+    ``steps``, then rolls the nonlinear map forward from ``init`` (None:
+    that steady state) under ``u(k) = -K(k) x(k)`` on the driven nodes,
+    which steers toward the all-inactive state.  Pinned nodes (``{index:
+    0 or 1}``) are forced to their value at every step (including the
+    initial state) and must not appear in the driver set.  Every argument
+    is checked before the steady state is solved.
     """
     D = _driver_row(driver, net.n)
     check_integer("steps", steps, 1)
-    check_state(init, net.n, CONTINUOUS, "init")
+    if init is not None:
+        check_state(init, net.n, CONTINUOUS, "init")
     prep = _prepare(net, costs, pinned)
     _one(_pin_errors(prep, D))  # raises for a pin on a driven node
-    return _one(_reactive_block(prep.linearized(find_steady_state(net)), D, init, steps))
+    x_s = find_steady_state(net)
+    return _one(_reactive_block(prep.linearized(x_s), D, x_s if init is None else init, steps))
 
 
 def _reactive_block(prep: _Prepared, D: np.ndarray, init: StateVector, steps: int) -> list:

@@ -286,8 +286,9 @@ class CostMatrices:
     """Quadratic cost weights: ``Q_f`` on the final state, ``Q`` on
     intermediate states, ``R`` on the control signal.
 
-    Every entry must be finite; ``Q_f`` and ``Q`` must be positive
-    semidefinite, ``R`` positive definite.
+    They must be nonempty square matrices of one size (or DimensionMismatch
+    names the first that is not, before any other check), with finite
+    entries; ``Q_f`` and ``Q`` positive semidefinite, ``R`` positive definite.
     """
 
     Q_f: np.ndarray
@@ -295,7 +296,10 @@ class CostMatrices:
     R: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.Q_f).shape[0]
+        shape = np.shape(self.Q_f)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise DimensionMismatch(f"Q_f has shape {shape}, expected a nonempty square matrix")
+        n = shape[0]
         Q_f = _check_symmetric_matrix("Q_f", self.Q_f, n)
         Q = _check_symmetric_matrix("Q", self.Q, n)
         R = _check_symmetric_matrix("R", self.R, n)

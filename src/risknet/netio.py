@@ -33,7 +33,10 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
+import numbers
 import operator
+import pathlib
 import random
 
 import numpy as np
@@ -47,7 +50,8 @@ from .errors import (
     UnknownSchemaVersion,
     ValidationError,
 )
-from .experiments import ExperimentPlan, ExperimentResult
+from .experiments import (PHASE_PROACTIVE, PHASE_REACTIVE, STRATIFY_NONE, ExperimentPlan,
+                          ExperimentResult, _candidates)
 from .model import CostMatrices, RiskNetwork, build_network, check_integer, identity_costs
 
 SCHEMA_VERSION = 1
@@ -90,21 +94,25 @@ def write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # network files
 
+def _node_document(names, p_int, p_ext, p_con) -> dict:
+    """The schema version and one ``_NODE_KINDS`` record per node; a NaN
+    probability is written as null."""
+    columns = [[None if math.isnan(v) else float(v) for v in p] for p in (p_int, p_ext, p_con)]
+    return {"schema_version": SCHEMA_VERSION,
+            "nodes": [dict(zip(_NODE_KINDS, row)) for row in zip(names, *columns)]}
+
+
 def network_to_dict(net: RiskNetwork) -> dict:
-    nodes = [
-        {
-            "name": net.names[i],
-            "p_int": float(net.p_int[i]),
-            "p_ext": float(net.p_ext[i]),
-            "p_con": float(net.p_con[i]),
-        }
-        for i in range(net.n)
-    ]
     edges = [
         {"from": net.names[i], "to": net.names[j], "weight": float(net.E[i, j])}
         for i, j in zip(*np.nonzero(net.E))
     ]
-    return {"schema_version": SCHEMA_VERSION, "nodes": nodes, "edges": edges}
+    return _node_document(net.names, net.p_int, net.p_ext, net.p_con) | {"edges": edges}
+
+
+def write_fitted_params(path, names, fit):
+    """Write a fit's ``(p_int, p_ext, p_con)`` as a network file without edges."""
+    write_json(path, _node_document(names, *fit))
 
 
 def _load_json(path) -> dict:
@@ -322,21 +330,15 @@ def load_event_log(path) -> tuple[list, EventLog]:
 # ---------------------------------------------------------------------------
 # control runs
 
-def control_run_to_dict(run: ControlRun) -> dict:
-    return {
+def write_control_run(out_dir, run: ControlRun, names):
+    """Write control.json (costs) plus the trajectory and signal CSVs."""
+    out = pathlib.Path(out_dir)
+    write_json(out / "control.json", {
         "state_cost": float(run.state_cost),
         "control_cost": float(run.control_cost),
         "total_cost": float(run.total_cost),
         "saturation_count": int(run.saturation_count),
-    }
-
-
-def write_control_run(out_dir, run: ControlRun, names):
-    """Write control.json (costs) plus the trajectory and signal CSVs."""
-    import pathlib
-
-    out = pathlib.Path(out_dir)
-    write_json(out / "control.json", control_run_to_dict(run))
+    })
     write_csv(out / "control_trajectory.csv", list(names), run.states.tolist())
     write_csv(out / "control_signals.csv", list(names), run.signals.tolist())
 
@@ -374,7 +376,9 @@ def costs_from_spec(spec: dict, n: int) -> CostMatrices:
 def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
     """Resolve a plan document against a network; returns
     (ExperimentPlan, CostMatrices).  Omitted fields take the
-    ``ExperimentPlan`` defaults; ``num_sets``, which it requires, is 1."""
+    ``ExperimentPlan`` defaults; ``num_sets``, which it requires, is 1.  A
+    value the plan would drop, a ``num_sets`` other than a stratified plan's
+    group total or a ``steps_*`` of a phase it does not run, is rejected."""
     _check_document(doc, _PLAN_KEYS, where)
     for key in ("driver_size", "seed"):
         _require(doc, key, where)
@@ -383,8 +387,7 @@ def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
         for key, kind in _PLAN_KINDS.items() if key in doc
     }
     fields.setdefault("num_sets", 1)
-    pinned = {net.index_of(name): v for name, v in fields.get("pinned", {}).items()}
-    fields["pinned"] = pinned
+    fields["pinned"] = {net.index_of(name): v for name, v in fields.get("pinned", {}).items()}
     baselines = {}
     for label, names in fields.get("baseline_sets", {}).items():
         what = f"{where}: baseline_sets[{label!r}]"
@@ -394,11 +397,14 @@ def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
         )
     fields["baseline_sets"] = baselines
     plan = ExperimentPlan(**fields)
-    if plan.driver_size > net.n - len(pinned):
-        raise ValidationError(
-            f"{where}: driver_size {plan.driver_size} exceeds the "
-            f"{net.n - len(pinned)} non-pinned nodes"
-        )
+    if plan.stratify_by != STRATIFY_NONE and doc.get("num_sets", plan.num_sets) != plan.num_sets:
+        raise ValidationError(f"{where}: num_sets {doc['num_sets']} differs from the "
+                              f"group total {plan.num_sets} of a stratified plan")
+    for phase in (PHASE_REACTIVE, PHASE_PROACTIVE):
+        if f"steps_{phase}" in doc and phase not in plan.phases:
+            raise ValidationError(f"{where}: steps_{phase} is set, but the plan runs "
+                                  f"no {phase} phase")
+    _candidates(plan, net.n)  # driver_size against the non-pinned nodes
     costs = costs_from_spec(doc.get("costs", {"kind": "identity"}), net.n)
     return plan, costs
 
@@ -443,36 +449,28 @@ def write_experiment_csv(path, result: ExperimentResult, names):
     write_csv(path, EXPERIMENT_HEADER, experiment_rows(result, names))
 
 
-def experiment_summary(result: ExperimentResult) -> dict:
+def write_experiment_summary(path, result: ExperimentResult):
+    """Write the plan's counts, the stratum quartiles and each baseline's
+    total cost and rank of ``of`` ranked sets, per phase."""
     strata: dict = {}
     for (phase, value), quartiles in sorted(result.stratum_summary.items()):
         strata.setdefault(phase, {})[str(value)] = quartiles
-    baselines: dict = {}
-    for ev in result.evaluations:
-        if ev.kind != "baseline":
-            continue
-        baselines[ev.label] = {
-            phase: {
-                "total_cost": float(ev.outcomes[phase].total_cost),
-                "rank": ev.outcomes[phase].rank,
-                "of": sum(
-                    1 for other in result.evaluations
-                    if not other.outcomes[phase].error
-                ),
-            }
-            for phase in result.plan.phases
+    ranked = {phase: sum(not ev.outcomes[phase].error for ev in result.evaluations)
+              for phase in result.plan.phases}
+    baselines = {
+        ev.label: {
+            phase: {"total_cost": float(out.total_cost), "rank": out.rank, "of": ranked[phase]}
+            for phase, out in ev.outcomes.items()
         }
-    return {
+        for ev in result.evaluations if ev.kind == "baseline"
+    }
+    write_json(path, {
         "num_sets": result.plan.num_sets,
         "driver_size": result.plan.driver_size,
         "phases": list(result.plan.phases),
         "strata": strata,
         "baselines": baselines,
-    }
-
-
-def write_experiment_summary(path, result: ExperimentResult):
-    write_json(path, experiment_summary(result))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +560,8 @@ def generate_synthetic(
     ------
     ValidationError
         A count or target out of range, or a ``prob_ranges`` entry with
-        another key or not a ``(lo, hi)`` pair with ``0 <= lo <= hi <= 1``;
+        another key or not a ``(lo, hi)`` pair of real numbers (not
+        booleans) with ``0 <= lo <= hi <= 1``;
         checked before any draw.
     TargetsUnreachable
         No attempt met both degree targets.
@@ -577,10 +576,15 @@ def generate_synthetic(
     for key, pair in (prob_ranges or {}).items():
         if key not in ranges:
             raise ValidationError(f"unknown prob_ranges key {key!r}; expected p_int, p_ext or p_con")
-        if not (len(pair) == 2 and 0 <= pair[0] <= pair[1] <= 1):
+        try:
+            lo, hi = pair
+        except (TypeError, ValueError):
+            lo = hi = None
+        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi))
+        if not (real and 0 <= lo <= hi <= 1):
             raise ValidationError(f"{key} range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, "
                                   f"got {pair!r}")
-        ranges[key] = pair
+        ranges[key] = (lo, hi)
 
     rng = np.random.default_rng(seed)
     mean_tol = DEGREE_TOLERANCE * target_mean_degree

@@ -503,7 +503,7 @@ def test_event_log_check_makes_no_log_sized_temporaries():
     np.array([[0.0, 1.0], [-0.0, 1.0]]),
     np.array([[True, False]]),
     np.array([[0, 1]], dtype=object),
-    np.zeros((0, 3)),
+    np.zeros((1, 0)),
 ])
 def test_event_log_owns_a_read_only_copy(states):
     log = EventLog(states)
@@ -525,4 +525,12 @@ def test_event_log_owns_a_read_only_copy(states):
 ])
 def test_event_log_rejects_entries_other_than_0_and_1(states):
     with pytest.raises(ValidationError, match="0 or 1"):
+        EventLog(states)
+
+
+@pytest.mark.parametrize("states", [np.zeros((0, 3)), np.zeros((0, 0), dtype=np.uint8)])
+def test_event_log_needs_the_initial_state_row(states):
+    # a zero-row log had steps == -1, and count_transitions failed on it
+    # with numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValidationError, match="^event log needs at least the initial-state row$"):
         EventLog(states)

@@ -188,6 +188,25 @@ def test_control_reactive_files_equal_the_library_run(
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
+def test_control_without_init_active_solves_the_steady_state_once(
+    chain_net, tmp_path, monkeypatch
+):
+    # the command solved it for the start state, and run_reactive again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_steady_state(*args, **kwargs)
+
+    for module in (risknet.cli, risknet.control):
+        monkeypatch.setattr(module, "find_steady_state", counted)
+    assert cli_main([
+        "control", str(chain_net), "--drivers", "b", "--steps", "30",
+        "--output-dir", str(tmp_path),
+    ]) == 0
+    assert len(calls) == 1
+
+
 def test_experiment_init_active_files_equal_the_library_run(chain_net, tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({
@@ -354,6 +373,33 @@ def test_non_finite_cost_exits_one_before_any_solve(chain_net, tmp_path, capsys,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "ValidationError", "message": "Q has a non-finite entry"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"costs": {"kind": "diagonal", "q_f": [], "q": [], "r": []}}, "DimensionMismatch",
+     "Q_f has shape (0, 0), expected a nonempty square matrix"),
+    ({"costs": {"kind": "dense", "q_f": [], "q": [], "r": []}}, "DimensionMismatch",
+     "Q_f has shape (0,), expected a nonempty square matrix"),
+    ({"stratify_by": "steady_peak", "groups": [[1, 2]], "num_sets": 500}, "ValidationError",
+     "PLAN: num_sets 500 differs from the group total 2 of a stratified plan"),
+    ({"steps_proactive": 5}, "ValidationError",
+     "PLAN: steps_proactive is set, but the plan runs no proactive phase"),
+], ids=["empty_diagonal_costs", "empty_dense_costs", "stratified_num_sets",
+        "steps_of_a_phase_not_run"])
+def test_plan_value_that_cannot_run_exits_one_with_a_json_line(
+    chain_net, tmp_path, capsys, fields, error, message
+):
+    # empty costs printed numpy's "zero-size array" traceback; the other
+    # two values were silently replaced or ignored
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0,
+                                "steps_reactive": 5} | fields))
+    code = cli_main(["experiment", str(chain_net), str(plan), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "message": message.replace("PLAN", str(plan))}
     assert not (tmp_path / "out").exists()
 
 

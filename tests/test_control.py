@@ -328,6 +328,15 @@ class TestReactive:
         uncontrolled_state_cost = float(np.sum(np.full(501, x_s.values[0] ** 2)))
         assert run.total_cost < uncontrolled_state_cost
 
+    def test_no_init_starts_at_the_steady_state(self):
+        net = generate_synthetic(12, 4, 1.0, seed=3)
+        driver, costs = DriverSet((1, 5), 12), identity_costs(12)
+        given = run_reactive(net, driver, costs, find_steady_state(net), 60, {0: 1})
+        default = run_reactive(net, driver, costs, None, 60, {0: 1})
+        for field in ("states", "driven"):
+            assert getattr(default, field).tobytes() == getattr(given, field).tobytes()
+        assert default.total_cost == given.total_cost
+
     def test_full_driver_no_worse_than_subsets(self):
         # weak coupling keeps the rollout in the near-linear regime
         rng = np.random.default_rng(12)

@@ -35,6 +35,7 @@ from risknet.netio import (
     write_control_run,
     write_csv,
     write_event_log,
+    write_fitted_params,
 )
 from helpers import (
     load_matrix_csv,
@@ -66,6 +67,14 @@ class TestNetworkFiles:
         save_network(first, net)
         save_network(second, load_network(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_fitted_params_share_the_node_records(self, tmp_path):
+        net = build_network(["a", "b"], [0.1, 0.2], [0.3, 0.4], [0.5, 0.6], np.zeros((2, 2)))
+        path = tmp_path / "fitted_params.json"
+        write_fitted_params(path, net.names, (net.p_int, np.array([np.nan, 0.4]), net.p_con))
+        nodes = network_to_dict(net)["nodes"]
+        nodes[0]["p_ext"] = None  # an unidentified probability is null
+        assert path.read_text() == netio.dump_json({"schema_version": 1, "nodes": nodes})
 
     def test_edge_to_unknown_node(self, tmp_path):
         doc = dict(MINIMAL)
@@ -530,6 +539,51 @@ class TestPlanFiles:
         with pytest.raises(DimensionMismatch, match="3 nodes, the network has 4"):
             plan_from_dict(doc, self.net4())
 
+    @pytest.mark.parametrize("num_sets", [None, 3])
+    def test_stratified_num_sets_omitted_or_group_total_loads(self, num_sets):
+        doc = dict(self.base_doc(), stratify_by="steady_peak", groups=[[1, 2], [2, 1]])
+        del doc["num_sets"]
+        if num_sets is not None:
+            doc["num_sets"] = num_sets
+        plan, _ = plan_from_dict(doc, self.net4())
+        assert plan.num_sets == 3
+
+    def test_stratified_num_sets_other_than_group_total_rejected(self):
+        # the file's 500 silently became the group total, 3
+        doc = dict(self.base_doc(), num_sets=500, stratify_by="steady_peak",
+                   groups=[[1, 2], [2, 1]])
+        with pytest.raises(ValidationError, match="^plan: num_sets 500 differs from the "
+                                                  "group total 3 of a stratified plan$"):
+            plan_from_dict(doc, self.net4())
+
+    @pytest.mark.parametrize("phase, key", [
+        ("reactive", "steps_proactive"), ("proactive", "steps_reactive"),
+    ])
+    def test_steps_for_a_phase_not_run_rejected(self, phase, key):
+        doc = dict(self.base_doc(), phase=phase)
+        with pytest.raises(ValidationError, match=f"^plan: {key} is set, but the plan runs "
+                                                  f"no {key[6:]} phase$"):
+            plan_from_dict(doc, self.net4())
+        del doc[key]
+        plan, _ = plan_from_dict(doc, self.net4())
+        assert plan.phases == (phase,)
+
+    def test_plan_checks_come_first(self):
+        doc = dict(self.base_doc(), phase="reactive", steps_proactive=2.5)
+        with pytest.raises(ValidationError, match="^steps_proactive must be an integer"):
+            plan_from_dict(doc, self.net4())
+        doc = dict(self.base_doc(), num_sets=0, stratify_by="steady_peak", groups=[[1, 0]])
+        with pytest.raises(ValidationError, match="^stratum count must be >= 1"):
+            plan_from_dict(doc, self.net4())
+
+    def test_readme_plan_loads(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"\*\*Plan\*\*.*?```json\n(.*?)```", readme, re.S).group(1)
+        net = generate_synthetic(40, 18.27, 4.60, seed=1)
+        plan, costs = plan_from_dict(json.loads(block), net)
+        assert plan.num_sets == 767 and plan.phases == ("reactive", "proactive")
+        assert costs.n == 40
+
     def test_unknown_pinned_name(self):
         doc = self.base_doc()
         doc["pinned"] = {"nope": 1}
@@ -565,7 +619,15 @@ class TestGenerateSynthetic:
         ({"p_cont": (0.1, 0.2)}, "unknown prob_ranges key 'p_cont'; expected p_int, p_ext or p_con"),
         ({"p_int": (-0.1, 0.1)},
          "p_int range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got (-0.1, 0.1)"),
-    ], ids=["unknown_key", "below_0"])
+        # these three raised a bare TypeError
+        ({"p_int": 5}, "p_int range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got 5"),
+        ({"p_ext": None},
+         "p_ext range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got None"),
+        ({"p_con": ("a", "b")},
+         "p_con range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got ('a', 'b')"),
+        ({"p_con": (False, True)},
+         "p_con range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got (False, True)"),
+    ], ids=["unknown_key", "below_0", "scalar", "none", "strings", "booleans"])
     def test_probability_ranges_checked_before_drawing(self, ranges, message):
         # an unknown key was ignored, and a range outside [0, 1] failed or
         # passed by seed

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,23 @@ class TestCostMatrices:
         M = np.eye(2)
         with pytest.raises(ValidationError, match="positive definite"):
             CostMatrices(Q_f=M, Q=M, R=np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("matrices, message", [
+        ({"Q_f": 1.0}, "Q_f has shape (), expected a nonempty square matrix"),
+        ({"Q_f": np.ones(2)}, "Q_f has shape (2,), expected a nonempty square matrix"),
+        ({"Q_f": np.ones((2, 3))}, "Q_f has shape (2, 3), expected a nonempty square matrix"),
+        ({"Q_f": np.zeros((0, 0)), "Q": np.zeros((0, 0)), "R": np.zeros((0, 0))},
+         "Q_f has shape (0, 0), expected a nonempty square matrix"),
+        ({"Q": 1.0}, "Q has shape (), expected (2, 2)"),
+        ({"R": np.zeros((0, 0))}, "R has shape (0, 0), expected (2, 2)"),
+        # the shape is checked before the definiteness of Q_f
+        ({"Q_f": np.diag([1.0, -0.5]), "R": np.eye(3)}, "R has shape (3, 3), expected (2, 2)"),
+    ], ids=["scalar", "vector", "not_square", "empty", "scalar_Q", "empty_R", "before_eigvals"])
+    def test_not_a_nonempty_square_matrix_rejected(self, matrices, message):
+        # a scalar Q_f raised IndexError, an empty set of matrices numpy's
+        # "zero-size array to reduction operation maximum" ValueError
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            CostMatrices(**({key: np.eye(2) for key in ("Q_f", "Q", "R")} | matrices))
 
     def test_zero_state_costs_allowed(self):
         CostMatrices(Q_f=np.zeros((2, 2)), Q=np.zeros((2, 2)), R=np.eye(2))
