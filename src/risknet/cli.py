@@ -22,7 +22,7 @@ from .control import run_proactive, run_reactive
 from .dynamics import controllability_rank, find_steady_state, linearize
 from .errors import NumericalError, RiskNetError, ValidationError
 from .estimation import count_transitions, fit_probabilities
-from .experiments import PHASE_PROACTIVE, PHASE_REACTIVE, ExperimentPlan, run_experiment
+from .experiments import DEFAULT_STEPS, PHASE_PROACTIVE, PHASE_REACTIVE, run_experiment
 from .model import (
     DriverSet,
     RiskNetwork,
@@ -142,20 +142,19 @@ def _cmd_control(args) -> int:
     net = netio.load_network(args.network)
     driver = DriverSet(tuple(_parse_names(net, args.drivers)), net.n)
     costs = identity_costs(net.n)
+    steps = DEFAULT_STEPS[args.phase] if args.steps is None else args.steps
     if args.phase == PHASE_PROACTIVE:
         if args.pin or args.init_active:
             raise ValidationError(
                 "--pin and --init-active apply to the reactive phase only; "
                 "a proactive run starts inactive and unpinned"
             )
-        steps = ExperimentPlan.steps_proactive if args.steps is None else args.steps
         run = run_proactive(net, driver, costs, steps)
     else:
         pinned = _parse_pins(net, args.pin)
         init = None
         if args.init_active:
             init = continuous_state(_initial_actives(net, args.init_active))
-        steps = ExperimentPlan.steps_reactive if args.steps is None else args.steps
         run = run_reactive(net, driver, costs, init, steps, pinned)
     out = _out_dir(args)
     netio.write_control_run(out, run, net.names)
@@ -172,6 +171,9 @@ def _cmd_fit(args) -> int:
     if list(names) != list(net.names):
         raise ValidationError("event log columns do not match the network's nodes")
     pinned = _parse_pins(net, args.pin)
+    for i, v in pinned.items():  # the cascade holds a pin from row 1 on
+        if (off := np.flatnonzero(log.states[1:, i] != v)).size:
+            raise ValidationError(f"pin {net.names[i]}={v} does not hold at step {off[0] + 1}")
     counts = count_transitions(net.E, log, pinned=set(pinned))
     fit = fit_probabilities(counts, smoothing=args.smoothing)
     path = _out_dir(args) / "fitted_params.json"
@@ -243,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", choices=(PHASE_REACTIVE, PHASE_PROACTIVE),
                    default=PHASE_REACTIVE)
     p.add_argument("--steps", type=int, default=None,
-                   help=f"default: a plan's {ExperimentPlan.steps_reactive} reactive or "
-                        f"{ExperimentPlan.steps_proactive} proactive steps")
+                   help=f"default: a plan's {DEFAULT_STEPS[PHASE_REACTIVE]} reactive or "
+                        f"{DEFAULT_STEPS[PHASE_PROACTIVE]} proactive steps")
     p.add_argument("--init-active", default="",
                    help="reactive initial actives (default: steady state)")
     p.add_argument("--pin", action="append", default=[], metavar="NAME=0|1")

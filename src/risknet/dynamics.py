@@ -28,8 +28,11 @@ def _raw_map(net: RiskNetwork, x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def unclamped_step(net: RiskNetwork, x: np.ndarray) -> np.ndarray:
-    """Raw uncontrolled update ``F + G`` before projection onto [0, 1]."""
+    """Raw uncontrolled update ``F + G`` before projection onto [0, 1];
+    ValidationError for an ``x`` of another shape than ``(n,)``."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (net.n,):
+        raise ValidationError(f"x has shape {x.shape}, expected ({net.n},)")
     return _raw_map(net, x, net.inflow(x))
 
 
@@ -46,7 +49,7 @@ def step_continuous(
     clamped next state together with a boolean mask of nodes whose raw
     update left [0, 1].  Raises ValidationError for an ``x`` that is not a
     continuous state of n entries, a driver set of another network size or
-    a ``u`` of another shape.
+    a ``u`` of another shape or with a non-finite entry.
     """
     check_state(x, net.n, CONTINUOUS, "x")
     if driver is not None:
@@ -56,6 +59,8 @@ def step_continuous(
         u = np.asarray(u, dtype=float)
         if u.shape != (net.n,):
             raise ValidationError(f"control vector has shape {u.shape}, expected ({net.n},)")
+        if not np.all(np.isfinite(u)):
+            raise ValidationError("control vector u has a non-finite entry")
         if driver is not None:
             d = list(driver.indices)
             raw[d] += u[d]
@@ -98,7 +103,7 @@ def find_steady_state(
     x = np.zeros(net.n)
     residual = np.inf
     for _ in range(max_iter):
-        fx = unclamped_step(net, x).clip(0.0, 1.0)
+        fx = _raw_map(net, x, net.inflow(x)).clip(0.0, 1.0)
         residual = float(np.max(np.abs(fx - x)))
         if residual <= tol:
             return continuous_state(fx)

@@ -30,6 +30,8 @@ STRATIFY_PEAK = "steady_peak"
 PHASE_REACTIVE = "reactive"
 PHASE_PROACTIVE = "proactive"
 PHASE_BOTH = "both"
+#: Steps of each phase, for a plan that does not give them.
+DEFAULT_STEPS = {PHASE_REACTIVE: 500, PHASE_PROACTIVE: 50}
 
 #: Threshold above which a continuous initial entry counts as active.
 ACTIVE_THRESHOLD = 0.5
@@ -43,30 +45,32 @@ _BLOCK_BYTES = 1 << 22
 class ExperimentPlan:
     """Sampling protocol for driver sets.
 
-    ``groups`` lists (stratum value, sets in that stratum) pairs.  It is
-    required when ``stratify_by`` is not "none", and ``num_sets`` then
-    equals the group total; a plan with "none" takes no groups.  ``pinned``
-    nodes are excluded from candidacy and held at their value during
-    reactive runs.  ``baseline_sets`` maps a label to
-    an explicit index tuple.  Counts, sizes, steps, the seed and pinned
-    indices must be integers, and pinned values the integers 0 or 1.
+    ``groups`` lists (stratum value, set count) pairs, each value once; a
+    stratified plan needs them, and its ``num_sets`` is their total (else 1
+    by default).  Each phase the plan runs takes its ``DEFAULT_STEPS``
+    unless given; a value the plan would drop is rejected.  ``pinned`` nodes
+    are excluded from candidacy and held at their value during reactive
+    runs.  ``baseline_sets`` maps a label to a nonempty index tuple.
+    Counts, sizes, steps, the seed and pinned indices must be integers, and
+    pinned values the integers 0 or 1.
     """
 
     driver_size: int
-    num_sets: int
     seed: int
+    num_sets: int | None = None
     pinned: dict = field(default_factory=dict)
     stratify_by: str = STRATIFY_NONE
     groups: tuple = ()
     phase: str = PHASE_REACTIVE
-    steps_reactive: int = 500
-    steps_proactive: int = 50
+    steps_reactive: int | None = None
+    steps_proactive: int | None = None
     baseline_sets: dict = field(default_factory=dict)
     top_fraction: float = 0.25
 
     def __post_init__(self):
         for label in ("num_sets", "steps_reactive", "steps_proactive"):
-            check_integer(label, getattr(self, label))
+            if getattr(self, label) is not None:
+                check_integer(label, getattr(self, label), 1)
         check_integer("driver_size", self.driver_size, 1)
         check_integer("seed", self.seed, 0)
         if self.stratify_by not in (STRATIFY_NONE, STRATIFY_ACTIVE, STRATIFY_PEAK):
@@ -86,19 +90,28 @@ class ExperimentPlan:
             check_integer("stratum count", count, 1)
         groups = tuple(tuple(pair) for pair in self.groups)
         object.__setattr__(self, "groups", groups)
-        if self.stratify_by == STRATIFY_NONE:
-            check_integer("num_sets", self.num_sets, 1)
-            if groups:
-                raise ValidationError("groups apply only to a stratified plan; stratify_by is 'none'")
-        elif not groups:
+        _distinct_indices("stratum value", (value for value, _ in groups))
+        if groups and self.stratify_by == STRATIFY_NONE:
+            raise ValidationError("groups apply only to a stratified plan; stratify_by is 'none'")
+        if not groups and self.stratify_by != STRATIFY_NONE:
             raise ValidationError("stratified plans need groups")
-        else:
-            object.__setattr__(self, "num_sets", sum(c for _, c in groups))
-        for phase in self.phases:
-            check_integer(f"steps_{phase}", getattr(self, f"steps_{phase}"), 1)
+        sets = sum(c for _, c in groups) if groups else 1
+        if groups and self.num_sets not in (None, sets):
+            raise ValidationError(f"num_sets {self.num_sets} differs from the group total "
+                                  f"{sets} of a stratified plan")
+        if self.num_sets is None:
+            object.__setattr__(self, "num_sets", sets)
+        for phase, steps in DEFAULT_STEPS.items():
+            label = f"steps_{phase}"
+            if phase not in self.phases and getattr(self, label) is not None:
+                raise ValidationError(f"{label} is set, but the plan runs no {phase} phase")
+            if phase in self.phases and getattr(self, label) is None:
+                object.__setattr__(self, label, steps)
         check_pins(self.pinned)
         baselines = {str(name): _distinct_indices(f"baseline set {name!r} index", idx)
                      for name, idx in self.baseline_sets.items()}
+        if empty := [name for name, indices in baselines.items() if not indices]:
+            raise ValidationError(f"baseline set {empty[0]!r} is empty")
         object.__setattr__(self, "baseline_sets", baselines)
 
     @property

@@ -296,6 +296,11 @@ class CostMatrices:
     R: np.ndarray
 
     def __post_init__(self):
+        for label in ("Q_f", "Q", "R"):
+            try:
+                np.shape(getattr(self, label))
+            except ValueError:  # numpy's error for a ragged nested list
+                raise DimensionMismatch(f"{label} has rows of unequal length") from None
         shape = np.shape(self.Q_f)
         if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
             raise DimensionMismatch(f"Q_f has shape {shape}, expected a nonempty square matrix")

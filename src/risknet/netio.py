@@ -50,8 +50,7 @@ from .errors import (
     UnknownSchemaVersion,
     ValidationError,
 )
-from .experiments import (PHASE_PROACTIVE, PHASE_REACTIVE, STRATIFY_NONE, ExperimentPlan,
-                          ExperimentResult, _candidates)
+from .experiments import ExperimentPlan, ExperimentResult, _candidates
 from .model import CostMatrices, RiskNetwork, build_network, check_integer, identity_costs
 
 SCHEMA_VERSION = 1
@@ -375,10 +374,9 @@ def costs_from_spec(spec: dict, n: int) -> CostMatrices:
 
 def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
     """Resolve a plan document against a network; returns
-    (ExperimentPlan, CostMatrices).  Omitted fields take the
-    ``ExperimentPlan`` defaults; ``num_sets``, which it requires, is 1.  A
-    value the plan would drop, a ``num_sets`` other than a stratified plan's
-    group total or a ``steps_*`` of a phase it does not run, is rejected."""
+    (ExperimentPlan, CostMatrices).  This checks the document's schema
+    version, keys and JSON kinds and maps node names to indices; the plan
+    fills in omitted fields and checks its own values."""
     _check_document(doc, _PLAN_KEYS, where)
     for key in ("driver_size", "seed"):
         _require(doc, key, where)
@@ -386,7 +384,6 @@ def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
         key: _require(doc, key, where, kind)
         for key, kind in _PLAN_KINDS.items() if key in doc
     }
-    fields.setdefault("num_sets", 1)
     fields["pinned"] = {net.index_of(name): v for name, v in fields.get("pinned", {}).items()}
     baselines = {}
     for label, names in fields.get("baseline_sets", {}).items():
@@ -397,13 +394,6 @@ def plan_from_dict(doc: dict, net: RiskNetwork, where: str = "plan"):
         )
     fields["baseline_sets"] = baselines
     plan = ExperimentPlan(**fields)
-    if plan.stratify_by != STRATIFY_NONE and doc.get("num_sets", plan.num_sets) != plan.num_sets:
-        raise ValidationError(f"{where}: num_sets {doc['num_sets']} differs from the "
-                              f"group total {plan.num_sets} of a stratified plan")
-    for phase in (PHASE_REACTIVE, PHASE_PROACTIVE):
-        if f"steps_{phase}" in doc and phase not in plan.phases:
-            raise ValidationError(f"{where}: steps_{phase} is set, but the plan runs "
-                                  f"no {phase} phase")
     _candidates(plan, net.n)  # driver_size against the non-pinned nodes
     costs = costs_from_spec(doc.get("costs", {"kind": "identity"}), net.n)
     return plan, costs

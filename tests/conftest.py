@@ -5,3 +5,5 @@ from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+pytest_plugins = ["pytester"]

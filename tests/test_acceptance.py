@@ -169,7 +169,7 @@ def test_criterion_6_cost_trends_across_strata():
     assert len(top9) == 9
 
     infeasible_plan = ExperimentPlan(
-        driver_size=12, num_sets=1, seed=100,
+        driver_size=12, seed=100,
         stratify_by="steady_peak", groups=tuple((v, 30) for v in range(1, 13)),
         phase="proactive", steps_proactive=50, top_fraction=0.45,
     )
@@ -179,7 +179,7 @@ def test_criterion_6_cost_trends_across_strata():
     strata = list(range(1, 10))
 
     proactive_plan = ExperimentPlan(
-        driver_size=12, num_sets=1, seed=101,
+        driver_size=12, seed=101,
         stratify_by="steady_peak", groups=tuple((v, 30) for v in strata),
         phase="proactive", steps_proactive=50, top_fraction=0.45,
     )
@@ -194,7 +194,7 @@ def test_criterion_6_cost_trends_across_strata():
     init = np.zeros(net.n)
     init[top9] = 1.0  # ongoing activity: the naturally hottest nodes are on
     reactive_plan = ExperimentPlan(
-        driver_size=12, num_sets=1, seed=202,
+        driver_size=12, seed=202,
         stratify_by="initially_active", groups=tuple((v, 30) for v in strata),
         phase="reactive", steps_reactive=500, top_fraction=0.45,
     )
@@ -280,7 +280,7 @@ def test_criterion_10_cost_trends_at_paper_scale():
     net = generate_synthetic(40, 18.27, 4.60, seed=1)
     strata = list(range(8))
     plan = ExperimentPlan(
-        driver_size=7, num_sets=1, seed=1,
+        driver_size=7, seed=1,
         stratify_by="steady_peak", groups=tuple((v, 50) for v in strata),
         phase="both", steps_reactive=500, steps_proactive=50, top_fraction=0.25,
         baseline_sets={"policy_mix": (3, 8, 11, 17, 22, 29, 35)},

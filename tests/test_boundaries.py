@@ -29,7 +29,7 @@ COSTS = identity_costs(2)
 
 
 def plan(**fields):
-    return ExperimentPlan(**({"driver_size": 1, "num_sets": 1, "seed": 0} | fields))
+    return ExperimentPlan(**({"driver_size": 1, "seed": 0} | fields))
 
 
 #: entry point -> (call taking the count's value, name, minimum)

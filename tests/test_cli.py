@@ -143,6 +143,24 @@ def test_fit_rejects_mismatched_log(tmp_path, chain_net, capsys):
     assert cli_main(["fit", str(bad), str(chain_net), "--output-dir", str(tmp_path)]) == 1
 
 
+def test_fit_pin_value_checked_against_the_log(tmp_path, chain_net, capsys):
+    # the log holds b at 1 from row 1 on; row 0, the initial state, has b at 0
+    assert cli_main(["simulate", str(chain_net), "--steps", "20", "--pin", "b=1",
+                     "--output-dir", str(tmp_path)]) == 0
+    log = str(tmp_path / "events.csv")
+    assert cli_main(["fit", log, str(chain_net), "--pin", "b=1",
+                     "--output-dir", str(tmp_path / "held")]) == 0
+    capsys.readouterr()
+    # the value was ignored, so a pin the log breaks from step 1 on was fitted
+    assert cli_main(["fit", log, str(chain_net), "--pin", "b=0",
+                     "--output-dir", str(tmp_path / "broken")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValidationError", "message": "pin b=0 does not hold at step 1"}
+    ]
+    assert not (tmp_path / "broken" / "fitted_params.json").exists()
+
+
 def test_linearize_outputs(chain_net, tmp_path, capsys):
     out = tmp_path / "lin"
     assert cli_main([
@@ -382,16 +400,21 @@ def test_non_finite_cost_exits_one_before_any_solve(chain_net, tmp_path, capsys,
     ({"costs": {"kind": "dense", "q_f": [], "q": [], "r": []}}, "DimensionMismatch",
      "Q_f has shape (0,), expected a nonempty square matrix"),
     ({"stratify_by": "steady_peak", "groups": [[1, 2]], "num_sets": 500}, "ValidationError",
-     "PLAN: num_sets 500 differs from the group total 2 of a stratified plan"),
+     "num_sets 500 differs from the group total 2 of a stratified plan"),
     ({"steps_proactive": 5}, "ValidationError",
-     "PLAN: steps_proactive is set, but the plan runs no proactive phase"),
+     "steps_proactive is set, but the plan runs no proactive phase"),
+    ({"stratify_by": "steady_peak", "groups": [[1, 1], [1, 1]]}, "ValidationError",
+     "stratum value 1 is repeated"),
+    ({"baseline_sets": {"b": []}}, "ValidationError", "baseline set 'b' is empty"),
 ], ids=["empty_diagonal_costs", "empty_dense_costs", "stratified_num_sets",
-        "steps_of_a_phase_not_run"])
+        "steps_of_a_phase_not_run", "repeated_stratum_value", "empty_baseline_set"])
 def test_plan_value_that_cannot_run_exits_one_with_a_json_line(
     chain_net, tmp_path, capsys, fields, error, message
 ):
-    # empty costs printed numpy's "zero-size array" traceback; the other
-    # two values were silently replaced or ignored
+    # empty costs printed numpy's "zero-size array" traceback; a num_sets or
+    # steps value was silently replaced or ignored, a repeated stratum value
+    # pooled two groups in one summary entry, and an empty baseline set
+    # failed the sweep with a message that did not name it
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0,
                                 "steps_reactive": 5} | fields))
@@ -399,7 +422,7 @@ def test_plan_value_that_cannot_run_exits_one_with_a_json_line(
     assert code == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": error, "message": message.replace("PLAN", str(plan))}
+    assert json.loads(lines[0]) == {"error": error, "message": message}
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,15 +84,32 @@ class TestStepContinuous:
         out, _ = step_continuous(net, x, u, driver)
         assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
 
-    @pytest.mark.parametrize("x, driver, message", [
-        (binary_state([1, 0]), None, "x must be a continuous state of 2 entries"),
-        (continuous_state([0.1, 0.2, 0.3]), None, "x must be a continuous state of 2 entries"),
-        (continuous_state([0.1, 0.2]), DriverSet((1,), 50), "driver set sized for a different"),
-        (continuous_state([0.1, 0.2]), DriverSet((1, 12), 50), "driver set sized for a different"),
+    @pytest.mark.parametrize("x, driver, message, u", [
+        (binary_state([1, 0]), None, "x must be a continuous state of 2 entries", np.zeros(2)),
+        (continuous_state([0.1, 0.2, 0.3]), None, "x must be a continuous state of 2 entries",
+         np.zeros(2)),
+        (continuous_state([0.1, 0.2]), DriverSet((1,), 50), "driver set sized for a different",
+         np.zeros(2)),
+        (continuous_state([0.1, 0.2]), DriverSet((1, 12), 50), "driver set sized for a different",
+         np.zeros(2)),
+        # a NaN reached the clamp and was blamed on x
+        (continuous_state([0.1, 0.2]), None, "control vector u has a non-finite entry",
+         [0.0, np.nan]),
+        (continuous_state([0.1, 0.2]), DriverSet((1,), 2),
+         "control vector u has a non-finite entry", [np.inf, 0.0]),
     ])
-    def test_rejects_state_or_driver_set_of_another_network(self, x, driver, message):
+    def test_rejects_state_or_driver_set_of_another_network(self, x, driver, message, u):
         with pytest.raises(ValidationError, match=message):
-            step_continuous(hand_chain(), x, np.zeros(2), driver)
+            step_continuous(hand_chain(), x, u, driver)
+
+    @pytest.mark.parametrize("x, shape", [
+        ([0.1, 0.2, 0.3], "(3,)"), ([0.1], "(1,)"), ([[0.1, 0.2]], "(1, 2)"),
+    ])
+    def test_unclamped_step_rejects_x_of_another_shape(self, x, shape):
+        # numpy's matmul ValueError named no argument
+        message = f"x has shape {shape}, expected (2,)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            unclamped_step(hand_chain(), x)
 
 
 class TestSteadyState:

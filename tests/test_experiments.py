@@ -1,6 +1,5 @@
 import itertools
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,7 +113,7 @@ class TestPlanValidation:
 
     def test_numpy_integers_accepted(self):
         plan = ExperimentPlan(
-            driver_size=np.int64(2), num_sets=np.int32(1), seed=np.uint8(3),
+            driver_size=np.int64(2), num_sets=np.int32(2), seed=np.uint8(3),
             stratify_by="steady_peak", groups=((np.int64(1), np.int64(2)),),
         )
         assert plan.groups == ((1, 2),) and plan.num_sets == 2
@@ -134,11 +133,39 @@ class TestPlanValidation:
             ExperimentPlan(driver_size=2, num_sets=1, seed=0, groups=((1, 5),))
 
     def test_stratified_num_sets_derived_from_groups(self):
-        plan = ExperimentPlan(
-            driver_size=3, num_sets=999, seed=0,
-            stratify_by="steady_peak", groups=((1, 4), (2, 6)),
-        )
-        assert plan.num_sets == 10
+        fields = dict(driver_size=3, seed=0, stratify_by="steady_peak", groups=((1, 4), (2, 6)))
+        assert ExperimentPlan(**fields).num_sets == 10
+        assert ExperimentPlan(num_sets=10, **fields).num_sets == 10
+        message = "num_sets 999 differs from the group total 10 of a stratified plan"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ExperimentPlan(num_sets=999, **fields)
+
+    def test_defaults_filled_by_the_plan(self):
+        plan = ExperimentPlan(driver_size=1, seed=0)
+        assert (plan.num_sets, plan.steps_reactive, plan.steps_proactive) == (1, 500, None)
+        plan = ExperimentPlan(driver_size=1, seed=0, phase="proactive")
+        assert (plan.steps_reactive, plan.steps_proactive) == (None, 50)
+        plan = ExperimentPlan(driver_size=1, seed=0, phase="both", steps_proactive=7)
+        assert (plan.steps_reactive, plan.steps_proactive) == (500, 7)
+        plan = ExperimentPlan(driver_size=1, seed=0, stratify_by="steady_peak", groups=((1, 2),))
+        assert plan.num_sets == 2
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"num_sets": 500, "stratify_by": "steady_peak", "groups": ((1, 2),)},
+         "num_sets 500 differs from the group total 2 of a stratified plan"),
+        ({"phase": "reactive", "steps_proactive": 50},
+         "steps_proactive is set, but the plan runs no proactive phase"),
+        ({"phase": "proactive", "steps_reactive": 500},
+         "steps_reactive is set, but the plan runs no reactive phase"),
+        # one summary entry pooled both groups of stratum 1
+        ({"stratify_by": "steady_peak", "groups": ((1, 2), (0, 1), (1, 3))},
+         "stratum value 1 is repeated"),
+        # the sweep failed with "driver set must be nonempty", naming no set
+        ({"baseline_sets": {"a": (0,), "b": ()}}, "baseline set 'b' is empty"),
+    ], ids=["num_sets", "steps_proactive", "steps_reactive", "repeated_stratum", "empty_baseline"])
+    def test_value_a_sweep_would_drop_or_cannot_honour_rejected(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ExperimentPlan(driver_size=1, seed=0, **fields)
 
     def test_phases(self):
         assert ExperimentPlan(driver_size=1, num_sets=1, seed=0, phase="both").phases == (
@@ -185,7 +212,7 @@ class TestSampling:
         x_s = find_steady_state(net)
         init = continuous_state(np.zeros(net.n))
         plan = ExperimentPlan(
-            driver_size=4, num_sets=1, seed=3,
+            driver_size=4, seed=3,
             stratify_by="steady_peak", groups=((0, 10), (1, 10), (2, 10)),
             top_fraction=0.3,
         )
@@ -202,7 +229,7 @@ class TestSampling:
         # nobody is initially active, so requiring one active driver is
         # impossible
         plan = ExperimentPlan(
-            driver_size=4, num_sets=1, seed=3,
+            driver_size=4, seed=3,
             stratify_by="initially_active", groups=((1, 5),),
         )
         with pytest.raises(StratumInfeasible, match="stratum 1"):
@@ -218,7 +245,7 @@ class TestSampling:
         net, init, x_s, _ = active_class_net(12, (0, 1, 2))
         states = {"init": init, "x_s": x_s, which: state}
         plan = ExperimentPlan(
-            driver_size=3, num_sets=1, seed=0,
+            driver_size=3, seed=0,
             stratify_by="initially_active", groups=((1, 4),),
         )
         with pytest.raises(ValidationError, match=f"{which} must be a continuous state of 12 entries"):
@@ -252,7 +279,7 @@ class TestDirectStratifiedDraw:
         net, init, x_s, pinned = active_class_net(9, active, pinned=(4,))
         count = 3000
         plan = ExperimentPlan(
-            driver_size=3, num_sets=1, seed=11, pinned=pinned,
+            driver_size=3, seed=11, pinned=pinned,
             stratify_by="initially_active", groups=tuple((v, count) for v in range(4)),
         )
         sets = sample_driver_sets(plan, net, init, x_s)
@@ -271,7 +298,7 @@ class TestDirectStratifiedDraw:
         # the out-of-class side, none for a side that needs no node.
         active = (1, 5, 8)
         net, init, x_s, pinned = active_class_net(9, active, pinned=(4,))
-        plan = ExperimentPlan(driver_size=3, num_sets=1, seed=7, pinned=pinned,
+        plan = ExperimentPlan(driver_size=3, seed=7, pinned=pinned,
                               stratify_by="initially_active",
                               groups=((0, 4), (2, 3), (3, 2), (1, 2)))
         rng = np.random.default_rng(7)
@@ -289,7 +316,7 @@ class TestDirectStratifiedDraw:
         # No in-class candidate (stratum 0) or no out-of-class one
         # (stratum = driver_size): only one side is drawn.
         net, init, x_s, _ = active_class_net(6, active)
-        plan = ExperimentPlan(driver_size=4, num_sets=1, seed=2,
+        plan = ExperimentPlan(driver_size=4, seed=2,
                               stratify_by="initially_active", groups=((value, 20),))
         sets = sample_driver_sets(plan, net, init, x_s)
         assert sets.shape == (20, 4)
@@ -322,8 +349,9 @@ class TestDirectStratifiedDraw:
             n_in = len(set(candidates) & members)
             values = range(max(0, size - (len(candidates) - n_in)), min(size, n_in) + 1)
             groups = data.draw(st.lists(st.tuples(st.sampled_from(values), st.integers(1, 6)),
-                                        min_size=1, max_size=4), label="groups")
-            plan = ExperimentPlan(driver_size=size, num_sets=1, seed=seed, pinned=pins,
+                                        min_size=1, max_size=4, unique_by=lambda g: g[0]),
+                               label="groups")
+            plan = ExperimentPlan(driver_size=size, seed=seed, pinned=pins,
                                   stratify_by=stratify_by, groups=tuple(groups),
                                   top_fraction=top_fraction)
         sets = sample_driver_sets(plan, net, init, x_s)
@@ -352,8 +380,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("init", [binary_state(np.ones(10)), continuous_state(np.ones(7))])
     def test_init_of_another_kind_rejected_for_every_phase(self, init, phase):
         net = small_net()  # 10 nodes
-        plan = ExperimentPlan(driver_size=3, num_sets=2, seed=1, phase=phase,
-                              steps_reactive=5, steps_proactive=5)
+        plan = ExperimentPlan(driver_size=3, num_sets=2, seed=1, phase=phase)
         with pytest.raises(ValidationError, match="init must be a continuous state of 10 entries"):
             run_experiment(plan, net, init, identity_costs(net.n))
 
@@ -366,7 +393,7 @@ class TestRunExperiment:
             "risknet.experiments.sample_driver_sets", lambda *args: wrong
         )
         plan = ExperimentPlan(
-            driver_size=4, num_sets=1, seed=3,
+            driver_size=4, seed=3,
             stratify_by="steady_peak", groups=((0, 1),),
             phase="proactive", steps_proactive=5, top_fraction=0.3,
         )
@@ -427,7 +454,7 @@ class TestRunExperiment:
     def test_stratum_summary_quartiles_present(self):
         net = small_net()
         plan = ExperimentPlan(
-            driver_size=4, num_sets=1, seed=8,
+            driver_size=4, seed=8,
             stratify_by="steady_peak", groups=((1, 6), (2, 6)),
             phase="proactive", steps_proactive=10, top_fraction=0.3,
         )
@@ -461,17 +488,22 @@ class TestSaturatedSteadyState:
         block = experiments._evaluate_block
         monkeypatch.setattr(experiments, "_evaluate_block",
                             lambda phase, *args: evaluated.append(phase) or block(phase, *args))
-        plan = ExperimentPlan(
-            driver_size=2, num_sets=4, seed=5, phase="both", pinned={0: 1},
-            steps_reactive=20, steps_proactive=5,
-            baseline_sets={"free": (1, 2), "pinned": (0, 1)},
-        )
+
+        def sweep(phase):
+            plan = ExperimentPlan(
+                driver_size=2, num_sets=4, seed=5, phase=phase, pinned={0: 1},
+                steps_reactive=None if phase == "proactive" else 20,
+                steps_proactive=None if phase == "reactive" else 5,
+                baseline_sets={"free": (1, 2), "pinned": (0, 1)},
+            )
+            return run_experiment(plan, net, None, identity_costs(net.n))
+
         want = "^update map saturates at node 4 \\(raw value 1.85\\)$"
         for phase in ("both", "reactive"):
             with pytest.raises(SaturatedPoint, match=want):
-                run_experiment(replace(plan, phase=phase), net, None, identity_costs(net.n))
+                sweep(phase)
         assert evaluated == []
-        res = run_experiment(replace(plan, phase="proactive"), net, None, identity_costs(net.n))
+        res = sweep("proactive")
         assert np.array_equal(res.steady_state, point.values)
         assert evaluated == ["proactive"]
         assert all(ev.outcomes["proactive"].error == "" for ev in res.evaluations)

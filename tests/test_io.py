@@ -477,7 +477,7 @@ class TestPlanFiles:
     def test_omitted_fields_take_the_plan_defaults(self):
         doc = {"schema_version": 1, "driver_size": 2, "seed": 11}
         plan, costs = plan_from_dict(doc, self.net4())
-        assert plan == ExperimentPlan(driver_size=2, num_sets=1, seed=11)
+        assert plan == ExperimentPlan(driver_size=2, seed=11)
         assert np.array_equal(costs.R, np.eye(4))
 
     def test_fractional_pin_value_rejected(self):
@@ -552,7 +552,7 @@ class TestPlanFiles:
         # the file's 500 silently became the group total, 3
         doc = dict(self.base_doc(), num_sets=500, stratify_by="steady_peak",
                    groups=[[1, 2], [2, 1]])
-        with pytest.raises(ValidationError, match="^plan: num_sets 500 differs from the "
+        with pytest.raises(ValidationError, match="^num_sets 500 differs from the "
                                                   "group total 3 of a stratified plan$"):
             plan_from_dict(doc, self.net4())
 
@@ -561,7 +561,7 @@ class TestPlanFiles:
     ])
     def test_steps_for_a_phase_not_run_rejected(self, phase, key):
         doc = dict(self.base_doc(), phase=phase)
-        with pytest.raises(ValidationError, match=f"^plan: {key} is set, but the plan runs "
+        with pytest.raises(ValidationError, match=f"^{key} is set, but the plan runs "
                                                   f"no {key[6:]} phase$"):
             plan_from_dict(doc, self.net4())
         del doc[key]
@@ -569,11 +569,13 @@ class TestPlanFiles:
         assert plan.phases == (phase,)
 
     def test_plan_checks_come_first(self):
+        # a given count fails its own rule before it is compared with the
+        # phases or the group total
         doc = dict(self.base_doc(), phase="reactive", steps_proactive=2.5)
         with pytest.raises(ValidationError, match="^steps_proactive must be an integer"):
             plan_from_dict(doc, self.net4())
         doc = dict(self.base_doc(), num_sets=0, stratify_by="steady_peak", groups=[[1, 0]])
-        with pytest.raises(ValidationError, match="^stratum count must be >= 1"):
+        with pytest.raises(ValidationError, match="^num_sets must be >= 1"):
             plan_from_dict(doc, self.net4())
 
     def test_readme_plan_loads(self):
@@ -589,6 +591,50 @@ class TestPlanFiles:
         doc["pinned"] = {"nope": 1}
         with pytest.raises(ValidationError, match="nope"):
             plan_from_dict(doc, self.net4())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           phase=st.sampled_from(["reactive", "proactive", "both"]),
+           stratify_by=st.sampled_from(["none", "initially_active", "steady_peak"]))
+    def test_plan_file_and_library_plan_agree(self, data, phase, stratify_by):
+        # The file reads names and JSON kinds; every value rule is the plan's.
+        # Each draw that breaks a rule is made rarely, so valid plans are common.
+        net = self.net4()
+
+        def rarely():
+            return data.draw(st.integers(0, 3)) == 0
+
+        size = data.draw(st.integers(1, 3))
+        doc = {"schema_version": 1, "driver_size": size, "seed": 0, "phase": phase,
+               "stratify_by": stratify_by}
+        values = data.draw(st.lists(st.integers(0, size + rarely()), unique=True,
+                                    min_size=1 - rarely(), max_size=3))
+        groups = [[value, data.draw(st.integers(1, 4))] for value in values]
+        if groups and rarely():
+            groups.append(groups[0])  # a repeated stratum value
+        if (groups and stratify_by != "none") or rarely():
+            doc["groups"] = groups
+        num_sets = data.draw(st.sampled_from(["omitted", "omitted", "total", "other"]))
+        if num_sets == "total":
+            doc["num_sets"] = sum(count for _, count in groups)
+        elif num_sets == "other":
+            doc["num_sets"] = data.draw(st.integers(0, 12))
+        for steps_phase in ("reactive", "proactive"):
+            if (phase in (steps_phase, "both") or rarely()) and data.draw(st.booleans()):
+                doc[f"steps_{steps_phase}"] = data.draw(st.integers(0, 60))
+        doc["baseline_sets"] = data.draw(st.dictionaries(
+            st.sampled_from(["p", "q"]), st.lists(st.sampled_from(net.names), unique=True)
+        ))
+        fields = {key: value for key, value in doc.items() if key != "schema_version"}
+        fields["baseline_sets"] = {label: tuple(map(net.index_of, names))
+                                   for label, names in doc["baseline_sets"].items()}
+        try:
+            want = ExperimentPlan(**fields)
+        except ValidationError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                plan_from_dict(doc, net)
+        else:
+            assert plan_from_dict(doc, net)[0] == want
 
 
 class TestGenerateSynthetic:

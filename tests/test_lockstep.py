@@ -181,7 +181,7 @@ class TestBlockBoundaries:
         sets = budget + extra
         plan = ExperimentPlan(
             driver_size=7, num_sets=sets, seed=3, pinned={0: 1}, phase=phase,
-            steps_reactive=steps, steps_proactive=steps,
+            **{f"steps_{phase}": steps},
             baseline_sets={"pair": (5, 9), "policy_mix": POLICY_MIX},
         )
         rows = [ev.indices for ev in assert_sweep_equals_per_set(

@@ -215,7 +215,11 @@ class TestCostMatrices:
         ({"R": np.zeros((0, 0))}, "R has shape (0, 0), expected (2, 2)"),
         # the shape is checked before the definiteness of Q_f
         ({"Q_f": np.diag([1.0, -0.5]), "R": np.eye(3)}, "R has shape (3, 3), expected (2, 2)"),
-    ], ids=["scalar", "vector", "not_square", "empty", "scalar_Q", "empty_R", "before_eigvals"])
+        # numpy raised "setting an array element with a sequence"
+        ({"Q_f": [[1, 0], [0]]}, "Q_f has rows of unequal length"),
+        ({"R": [[1, 0], [0, 1, 0]]}, "R has rows of unequal length"),
+    ], ids=["scalar", "vector", "not_square", "empty", "scalar_Q", "empty_R", "before_eigvals",
+            "ragged_Q_f", "ragged_R"])
     def test_not_a_nonempty_square_matrix_rejected(self, matrices, message):
         # a scalar Q_f raised IndexError, an empty set of matrices numpy's
         # "zero-size array to reduction operation maximum" ValueError
