@@ -33,28 +33,39 @@ from .model import (
 )
 
 
-def _parse_names(net: RiskNetwork, spec: str) -> list:
-    return [net.index_of(name.strip()) for name in spec.split(",") if name.strip()]
+def _parse_names(net: RiskNetwork, names: list) -> list:
+    """Indices of the node ``names``; ValidationError for an unknown name or
+    one named twice."""
+    indices = []
+    for name in names:
+        i = net.index_of(name)
+        if i in indices:
+            raise ValidationError(f"node {name!r} is named twice")
+        indices.append(i)
+    return indices
+
+
+def _name_list(spec: str) -> list:
+    """The comma-separated names in ``spec``, blanks dropped."""
+    return [name.strip() for name in spec.split(",") if name.strip()]
 
 
 def _initial_actives(net: RiskNetwork, spec: str) -> np.ndarray:
     """0/1 vector with ones at the comma-separated node names in ``spec``."""
     init = np.zeros(net.n)
-    init[_parse_names(net, spec)] = 1.0
+    init[_parse_names(net, _name_list(spec))] = 1.0
     return init
 
 
 def _parse_pins(net: RiskNetwork, pins: list) -> dict:
-    out = {}
+    names, values = [], []
     for item in pins:
         name, _, value = item.partition("=")
         if value not in ("0", "1"):
             raise ValidationError(f"pin {item!r} must be name=0 or name=1")
-        i = net.index_of(name)
-        if i in out:
-            raise ValidationError(f"node {name!r} is pinned twice")
-        out[i] = int(value)
-    return out
+        names.append(name)
+        values.append(int(value))
+    return dict(zip(_parse_names(net, names), values))
 
 
 def _out_dir(args) -> Path:
@@ -122,7 +133,7 @@ def _cmd_steady_state(args) -> int:
 
 def _cmd_linearize(args) -> int:
     net = netio.load_network(args.network)
-    driver = DriverSet(tuple(_parse_names(net, args.drivers)), net.n)
+    driver = DriverSet(tuple(_parse_names(net, _name_list(args.drivers))), net.n)
     A = linearize(net, find_steady_state(net))
     rank = controllability_rank(A, driver)
     out = _out_dir(args)
@@ -140,7 +151,7 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_control(args) -> int:
     net = netio.load_network(args.network)
-    driver = DriverSet(tuple(_parse_names(net, args.drivers)), net.n)
+    driver = DriverSet(tuple(_parse_names(net, _name_list(args.drivers))), net.n)
     costs = identity_costs(net.n)
     steps = DEFAULT_STEPS[args.phase] if args.steps is None else args.steps
     if args.phase == PHASE_PROACTIVE:

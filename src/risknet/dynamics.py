@@ -37,23 +37,17 @@ def unclamped_step(net: RiskNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def step_continuous(
-    net: RiskNetwork,
-    x: StateVector,
-    u: np.ndarray | None = None,
-    driver: DriverSet | None = None,
+    net: RiskNetwork, x: StateVector, u: np.ndarray | None = None
 ) -> tuple[StateVector, np.ndarray]:
     """One step of the expected-value map.
 
-    ``u`` may be any real vector (negative entries suppress activity); when
-    ``driver`` is given only driven entries of ``u`` act.  Returns the
-    clamped next state together with a boolean mask of nodes whose raw
-    update left [0, 1].  Raises ValidationError for an ``x`` that is not a
-    continuous state of n entries, a driver set of another network size or
-    a ``u`` of another shape or with a non-finite entry.
+    ``u`` may be any real vector of n entries, added to every node
+    (negative entries suppress activity).  Returns the clamped next state
+    together with a boolean mask of nodes whose raw update left [0, 1].
+    Raises ValidationError for an ``x`` that is not a continuous state of n
+    entries or a ``u`` of another shape or with a non-finite entry.
     """
     check_state(x, net.n, CONTINUOUS, "x")
-    if driver is not None:
-        _check_driver(driver, net.n)
     raw = unclamped_step(net, x.values)
     if u is not None:
         u = np.asarray(u, dtype=float)
@@ -61,11 +55,7 @@ def step_continuous(
             raise ValidationError(f"control vector has shape {u.shape}, expected ({net.n},)")
         if not np.all(np.isfinite(u)):
             raise ValidationError("control vector u has a non-finite entry")
-        if driver is not None:
-            d = list(driver.indices)
-            raw[d] += u[d]
-        else:
-            raw = raw + u
+        raw = raw + u
     saturated = (raw < 0.0) | (raw > 1.0)
     return continuous_state(raw.clip(0.0, 1.0)), saturated
 
@@ -101,7 +91,6 @@ def find_steady_state(
     if damping is not None and not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping}")
     x = np.zeros(net.n)
-    residual = np.inf
     for _ in range(max_iter):
         fx = _raw_map(net, x, net.inflow(x)).clip(0.0, 1.0)
         residual = float(np.max(np.abs(fx - x)))
@@ -131,12 +120,14 @@ def linearize(net: RiskNetwork, x_lin: StateVector) -> np.ndarray:
         are not differentiable by this formula.
     """
     check_state(x_lin, net.n, CONTINUOUS, "x_lin")
-    raw = unclamped_step(net, x_lin.values)
-    if np.any((raw < 0.0) | (raw > 1.0)):
-        i = int(np.argmax((raw < 0.0) | (raw > 1.0)))
+    x = x_lin.values
+    s = net.inflow(x)
+    raw = _raw_map(net, x, s)
+    if (saturated := (raw < 0.0) | (raw > 1.0)).any():
+        i = int(np.argmax(saturated))
         raise SaturatedPoint(f"update map saturates at node {i} (raw value {raw[i]:.6g})")
-    A = np.multiply(net.E.T, (net.p_ext * (1.0 - x_lin.values))[:, None], order="C")
-    np.fill_diagonal(A, net.p_con - net.p_int - net.p_ext * net.inflow(x_lin.values))
+    A = np.multiply(net.E.T, (net.p_ext * (1.0 - x))[:, None], order="C")
+    np.fill_diagonal(A, net.p_con - net.p_int - net.p_ext * s)
     return A
 
 
@@ -168,7 +159,5 @@ def controllability_rank(A: np.ndarray, driver: DriverSet) -> int:
         block = A @ block
     kalman = np.hstack(blocks)
     svals = np.linalg.svd(kalman, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
     tol = n * svals[0] * np.finfo(float).eps
     return int(np.count_nonzero(svals > tol))

@@ -52,7 +52,8 @@ class ExperimentPlan:
     are excluded from candidacy and held at their value during reactive
     runs.  ``baseline_sets`` maps a label to a nonempty index tuple.
     Counts, sizes, steps, the seed and pinned indices must be integers, and
-    pinned values the integers 0 or 1.
+    pinned values the integers 0 or 1; the plan stores its counts, size,
+    steps, seed and groups as Python ints.
     """
 
     driver_size: int
@@ -88,7 +89,7 @@ class ExperimentPlan:
             if value > self.driver_size:
                 raise ValidationError(f"stratum value {value} exceeds driver_size {self.driver_size}")
             check_integer("stratum count", count, 1)
-        groups = tuple(tuple(pair) for pair in self.groups)
+        groups = tuple((int(value), int(count)) for value, count in self.groups)
         object.__setattr__(self, "groups", groups)
         _distinct_indices("stratum value", (value for value, _ in groups))
         if groups and self.stratify_by == STRATIFY_NONE:
@@ -107,6 +108,9 @@ class ExperimentPlan:
                 raise ValidationError(f"{label} is set, but the plan runs no {phase} phase")
             if phase in self.phases and getattr(self, label) is None:
                 object.__setattr__(self, label, steps)
+        for label in ("driver_size", "seed", "num_sets", "steps_reactive", "steps_proactive"):
+            if getattr(self, label) is not None:
+                object.__setattr__(self, label, int(getattr(self, label)))
         check_pins(self.pinned)
         baselines = {str(name): _distinct_indices(f"baseline set {name!r} index", idx)
                      for name, idx in self.baseline_sets.items()}

@@ -75,9 +75,11 @@ def dump_json(doc) -> str:
 
 
 def write_json(path, doc):
-    """Write ``doc`` to ``path`` as canonical JSON (:func:`dump_json`)."""
+    """Write ``doc`` to ``path`` as canonical JSON (:func:`dump_json`); a
+    ``doc`` that cannot be serialized leaves ``path`` untouched."""
+    text = dump_json(doc)
     with open(path, "w") as fh:
-        fh.write(dump_json(doc))
+        fh.write(text)
 
 
 def write_csv(path, header, rows):

@@ -223,7 +223,7 @@ def reference_rollout(net, driver, x0, steps, signal, pinned=None):
     saturation = 0
     for k in range(steps):
         signals[k, d] = signal(k, x)
-        nxt, sat = step_continuous(net, continuous_state(x), signals[k], driver)
+        nxt, sat = step_continuous(net, continuous_state(x), signals[k])
         saturation += int(sat.sum())
         x = nxt.values.copy()
         for i, v in pins.items():

@@ -528,6 +528,12 @@ def test_event_log_rejects_entries_other_than_0_and_1(states):
         EventLog(states)
 
 
+@pytest.mark.parametrize("states", [np.zeros(3), np.zeros((1, 2, 2)), 0])
+def test_event_log_must_be_2d(states):
+    with pytest.raises(ValidationError, match="^event log must be a 2-D array$"):
+        EventLog(states)
+
+
 @pytest.mark.parametrize("states", [np.zeros((0, 3)), np.zeros((0, 0), dtype=np.uint8)])
 def test_event_log_needs_the_initial_state_row(states):
     # a zero-row log had steps == -1, and count_transitions failed on it

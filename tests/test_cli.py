@@ -354,16 +354,26 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start b
     (["fit", "{bad}", "{net}"], "UnicodeDecodeError", NOT_UTF8.format(7)),
     (["steady-state", "{bad}"], "UnicodeDecodeError", NOT_UTF8.format(7)),
     (["experiment", "{net}", "{bad}"], "UnicodeDecodeError", NOT_UTF8.format(7)),
+    # a repeated name read three ways: its own pin message, the index of a
+    # repeated driver, and for --init-active no error at all
     (["simulate", "{net}", "--pin", "a=1", "--pin", "a=0"], "ValidationError",
-     "node 'a' is pinned twice"),
+     "node 'a' is named twice"),
     (["control", "{net}", "--drivers", "a,a,b"], "ValidationError",
-     "driver index 0 is repeated"),
+     "node 'a' is named twice"),
+    (["linearize", "{net}", "--drivers", "b, b"], "ValidationError",
+     "node 'b' is named twice"),
+    (["control", "{net}", "--drivers", "a", "--init-active", "c,c"], "ValidationError",
+     "node 'c' is named twice"),
+    (["simulate", "{net}", "--init-active", "b,c,b"], "ValidationError",
+     "node 'b' is named twice"),
     (["generate", "--n", "40", "--mean-degree", "4", "--degree-std", "nan"], "ValidationError",
      "target_degree_std must be finite and >= 0"),
     (["generate", "--n", "40", "--mean-degree", "4", "--degree-std", "inf"], "ValidationError",
      "target_degree_std must be finite and >= 0"),
 ], ids=["inverted_range", "range_past_1", "not_utf8_log", "not_utf8_network", "not_utf8_plan",
-        "repeated_pin", "repeated_driver", "nan_degree_std", "inf_degree_std"])
+        "repeated_pin", "repeated_driver", "repeated_linearize_driver",
+        "repeated_control_init_active", "repeated_simulate_init_active", "nan_degree_std",
+        "inf_degree_std"])
 def test_input_failure_exits_one_with_a_json_line(chain_net, tmp_path, capsys, argv, error,
                                                   message):
     bad = tmp_path / "bad"

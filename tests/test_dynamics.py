@@ -55,24 +55,10 @@ class TestStepContinuous:
 
     def test_control_saturation_flagged(self):
         net = scalar_net()
-        up, sat_up = step_continuous(
-            net, continuous_state([0.5]), np.array([5.0]), DriverSet((0,), 1)
-        )
+        up, sat_up = step_continuous(net, continuous_state([0.5]), np.array([5.0]))
         assert up.values[0] == 1.0 and sat_up[0]
-        down, sat_down = step_continuous(
-            net, continuous_state([0.5]), np.array([-5.0]), DriverSet((0,), 1)
-        )
+        down, sat_down = step_continuous(net, continuous_state([0.5]), np.array([-5.0]))
         assert down.values[0] == 0.0 and sat_down[0]
-
-    def test_control_restricted_to_driver(self):
-        net = hand_chain()
-        u = np.array([0.2, 0.2])
-        only_first, _ = step_continuous(
-            net, continuous_state([0.0, 0.0]), u, DriverSet((0,), 2)
-        )
-        free, _ = step_continuous(net, continuous_state([0.0, 0.0]))
-        assert only_first.values[1] == free.values[1]
-        assert only_first.values[0] == pytest.approx(free.values[0] + 0.2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_maps_into_unit_box_for_any_control(self, seed):
@@ -80,27 +66,24 @@ class TestStepContinuous:
         net = random_network(rng, 6, weighted=True)
         x = continuous_state(rng.uniform(0, 1, size=6))
         u = rng.uniform(-5, 5, size=6)
-        driver = DriverSet(tuple(rng.choice(6, size=3, replace=False)), 6)
-        out, _ = step_continuous(net, x, u, driver)
+        out, _ = step_continuous(net, x, u)
         assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
 
-    @pytest.mark.parametrize("x, driver, message, u", [
-        (binary_state([1, 0]), None, "x must be a continuous state of 2 entries", np.zeros(2)),
-        (continuous_state([0.1, 0.2, 0.3]), None, "x must be a continuous state of 2 entries",
+    @pytest.mark.parametrize("x, message, u", [
+        (binary_state([1, 0]), "x must be a continuous state of 2 entries", np.zeros(2)),
+        (continuous_state([0.1, 0.2, 0.3]), "x must be a continuous state of 2 entries",
          np.zeros(2)),
-        (continuous_state([0.1, 0.2]), DriverSet((1,), 50), "driver set sized for a different",
-         np.zeros(2)),
-        (continuous_state([0.1, 0.2]), DriverSet((1, 12), 50), "driver set sized for a different",
-         np.zeros(2)),
+        (continuous_state([0.1, 0.2]), "control vector has shape (3,), expected (2,)",
+         np.zeros(3)),
+        (continuous_state([0.1, 0.2]), "control vector has shape (1, 2), expected (2,)",
+         [[0.1, 0.2]]),
         # a NaN reached the clamp and was blamed on x
-        (continuous_state([0.1, 0.2]), None, "control vector u has a non-finite entry",
-         [0.0, np.nan]),
-        (continuous_state([0.1, 0.2]), DriverSet((1,), 2),
-         "control vector u has a non-finite entry", [np.inf, 0.0]),
-    ])
-    def test_rejects_state_or_driver_set_of_another_network(self, x, driver, message, u):
-        with pytest.raises(ValidationError, match=message):
-            step_continuous(hand_chain(), x, u, driver)
+        (continuous_state([0.1, 0.2]), "control vector u has a non-finite entry", [0.0, np.nan]),
+        (continuous_state([0.1, 0.2]), "control vector u has a non-finite entry", [np.inf, 0.0]),
+    ], ids=["binary_x", "long_x", "long_u", "matrix_u", "nan_u", "inf_u"])
+    def test_rejects_state_or_control_of_another_shape(self, x, message, u):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            step_continuous(hand_chain(), x, u)
 
     @pytest.mark.parametrize("x, shape", [
         ([0.1, 0.2, 0.3], "(3,)"), ([0.1], "(1,)"), ([[0.1, 0.2]], "(1, 2)"),

@@ -256,6 +256,14 @@ class TestCountsInputChecks:
         with pytest.raises(ValidationError, match="non-negative"):
             TransitionCounts(**fields, exposures=(empty_counts_node(),))
 
+    @pytest.mark.parametrize("label", ["int_hits", "con_trials", "con_hits", "exposures"])
+    def test_tally_or_exposures_of_another_length_rejected(self, label):
+        fields = {k: np.zeros(1) for k in ("int_trials", "int_hits", "con_trials", "con_hits")}
+        fields["exposures"] = (empty_counts_node(),)
+        fields[label] = np.zeros(2) if label != "exposures" else fields[label] * 2
+        with pytest.raises(DimensionMismatch, match=f"^{label} length does not match$"):
+            TransitionCounts(**fields)
+
     @pytest.mark.parametrize("smoothing", [np.nan, np.inf])
     def test_non_finite_smoothing_rejected(self, smoothing):
         with pytest.raises(ValidationError, match="smoothing"):

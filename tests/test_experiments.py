@@ -22,7 +22,7 @@ from risknet.model import (
     continuous_state,
     identity_costs,
 )
-from risknet.netio import experiment_rows, generate_synthetic
+from risknet.netio import experiment_rows, generate_synthetic, write_experiment_summary
 from helpers import contractive_network, reference_steady_state, saturating_net
 
 
@@ -117,6 +117,8 @@ class TestPlanValidation:
             stratify_by="steady_peak", groups=((np.int64(1), np.int64(2)),),
         )
         assert plan.groups == ((1, 2),) and plan.num_sets == 2
+        stored = (plan.driver_size, plan.seed, plan.num_sets, plan.steps_reactive, *plan.groups[0])
+        assert all(type(v) is int for v in stored)
 
     def test_non_integer_baseline_index_rejected(self):
         with pytest.raises(ValidationError, match="integer"):
@@ -413,6 +415,16 @@ class TestRunExperiment:
         (ev,) = res.evaluations
         out = ev.outcomes["reactive"]
         assert out.state_cost == 0.0 and out.control_cost == 0.0
+
+    def test_numpy_plan_writes_the_summary_of_the_int_plan(self, tmp_path):
+        # numpy counts were kept, and json could not write the summary
+        net = small_net()
+        for name, count in (("int", int), ("numpy", np.int64)):
+            plan = ExperimentPlan(driver_size=count(2), seed=count(0), num_sets=count(3),
+                                  phase="proactive")
+            result = run_experiment(plan, net, None, identity_costs(net.n))
+            write_experiment_summary(tmp_path / f"{name}.json", result)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
 
     def test_deterministic_results(self):
         net = small_net()

@@ -198,6 +198,13 @@ class TestEventLogFiles:
         assert names == ["a", "b"]
         assert np.array_equal(loaded.states, log.states)
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_header_of_another_length_rejected(self, tmp_path, names):
+        log = EventLog(np.array([[0, 1], [1, 1]]))
+        with pytest.raises(ValidationError, match="^header length does not match the log$"):
+            write_event_log(tmp_path / "events.csv", log, names)
+        assert not (tmp_path / "events.csv").exists()
+
     def test_bad_row_width(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("a,b\n0,1\n0\n")
@@ -384,6 +391,16 @@ class TestWriteCsv:
             tmp_path = pathlib.Path(tmp)
             write_csv(tmp_path / "rows.csv", ["h"], rows)
             assert (tmp_path / "rows.csv").read_bytes() == old_rule_bytes(tmp_path, ["h"], rows)
+
+
+def test_write_json_that_cannot_serialize_leaves_the_file(tmp_path):
+    # the file was opened for writing first, so a failed call emptied it
+    path = tmp_path / "doc.json"
+    netio.write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        netio.write_json(path, {"a": np.int64(1)})
+    assert path.read_bytes() == before
 
 
 class TestEmittedCsvsSelfRoundTrip:

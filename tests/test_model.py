@@ -12,6 +12,7 @@ from risknet.errors import (
 from risknet.model import (
     CostMatrices,
     DriverSet,
+    StateVector,
     binary_state,
     build_network,
     continuous_state,
@@ -55,6 +56,10 @@ class TestBuildNetwork:
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
             build_network(["a"], [0.1], [0.2], [0.5], [[0.4]])
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValidationError, match="^a network needs at least one node$"):
+            build_network([], [], [], [], np.zeros((0, 0)))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -119,6 +124,15 @@ class TestStateVector:
         continuous_state([0.0, 0.5, 1.0])
         with pytest.raises(ValidationError):
             continuous_state([0.0, 1.2])
+
+    @pytest.mark.parametrize("values, mode, error, message", [
+        ([[0.0, 1.0]], "continuous", DimensionMismatch, "state must be a vector, got shape (1, 2)"),
+        (0.5, "binary", DimensionMismatch, "state must be a vector, got shape ()"),
+        ([0.0, 1.0], "discrete", ValidationError, "unknown state mode 'discrete'"),
+    ])
+    def test_shape_and_mode_rejected(self, values, mode, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            StateVector(values, mode)
 
     def test_values_read_only(self):
         s = continuous_state([0.5])
