@@ -185,7 +185,7 @@ def _cmd_fit(args) -> int:
     for i, v in pinned.items():  # the cascade holds a pin from row 1 on
         if (off := np.flatnonzero(log.states[1:, i] != v)).size:
             raise ValidationError(f"pin {net.names[i]}={v} does not hold at step {off[0] + 1}")
-    counts = count_transitions(net.E, log, pinned=set(pinned))
+    counts = count_transitions(net, log, pinned=set(pinned))
     fit = fit_probabilities(counts, smoothing=args.smoothing)
     path = _out_dir(args) / "fitted_params.json"
     netio.write_fitted_params(path, net.names, fit)

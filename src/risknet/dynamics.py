@@ -149,9 +149,12 @@ def controllability_rank(A: np.ndarray, driver: DriverSet) -> int:
     driver set under the Jacobian ``A``.
 
     Computed by SVD with threshold ``n * max_singular_value * eps`` (eps =
-    double-precision machine epsilon).
+    double-precision machine epsilon).  An ``A`` with a non-finite entry
+    raises ValidationError.
     """
     n = _check_system(A, driver)
+    if not np.all(np.isfinite(A)):
+        raise ValidationError("A has a non-finite entry")
     blocks = []
     block = driver.selection
     for _ in range(n):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .cascade import EventLog
 from .errors import DimensionMismatch, ValidationError
-from .model import pin_arrays
+from .model import RiskNetwork, pin_arrays
 
 #: Golden-section bracket width at which the search stops.
 GOLDEN_TOL = 1e-9
@@ -87,17 +87,18 @@ class TransitionCounts:
         return self.int_trials.shape[0]
 
 
-def count_transitions(E: np.ndarray, log: EventLog, pinned=None) -> TransitionCounts:
-    """Classify every step-k -> step-k+1 transition in ``log``.
+def count_transitions(net: RiskNetwork, log: EventLog, pinned=None) -> TransitionCounts:
+    """Classify every step-k -> step-k+1 transition in ``log`` on the
+    weights of ``net``; a log of another width raises DimensionMismatch.
 
     ``pinned`` is an optional collection of node indices whose columns are
     excluded (their transitions are forced, not sampled), yielding zero
     trials and no exposures for those nodes.  A non-integer index or one
     outside ``range(n)`` raises ValidationError.
     """
-    E, n = np.asarray(E, dtype=float), log.n
-    if E.shape != (n, n):
-        raise DimensionMismatch(f"E has shape {E.shape}, expected ({n}, {n})")
+    E, n = net.E, net.n
+    if log.n != n:
+        raise DimensionMismatch(f"log has {log.n} columns, expected {n}")
     skip, _ = pin_arrays(dict.fromkeys(() if pinned is None else pinned, 0), n)
     counted = np.ones(n, dtype=bool)
     counted[skip] = False

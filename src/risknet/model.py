@@ -51,6 +51,20 @@ class RiskNetwork:
         n x n adjacency with entries in [0, 1]; ``E[i, j]`` is the influence
         of node i on node j.  Weight 1 means a certain link, 0 no link.
         The diagonal is zero: self-activation is carried by ``p_int`` alone.
+
+    The arrays are stored as read-only float copies.
+
+    Raises
+    ------
+    DimensionMismatch
+        Vector lengths or the adjacency shape disagree.
+    ProbabilityOutOfRange
+        Any probability or edge weight outside [0, 1]; the message names
+        the offending entry.
+    SelfLoop
+        Nonzero diagonal entry in ``E``.
+    ValidationError
+        No nodes, or duplicate node names.
     """
 
     names: tuple
@@ -58,6 +72,31 @@ class RiskNetwork:
     p_ext: np.ndarray
     p_con: np.ndarray
     E: np.ndarray
+
+    def __post_init__(self):
+        names = tuple(str(s) for s in self.names)
+        n = len(names)
+        if n == 0:
+            raise ValidationError("a network needs at least one node")
+        if len(set(names)) != n:
+            seen = set()
+            dup = next(s for s in names if s in seen or seen.add(s))
+            raise ValidationError(f"duplicate node name {dup!r}")
+        object.__setattr__(self, "names", names)
+        for label in ("p_int", "p_ext", "p_con"):
+            v = _check_probability_vector(label, getattr(self, label), n)
+            object.__setattr__(self, label, _frozen(v))
+        E = np.asarray(self.E, dtype=float)
+        if E.shape != (n, n):
+            raise DimensionMismatch(f"E has shape {E.shape}, expected ({n}, {n})")
+        bad = np.argwhere((E < 0.0) | (E > 1.0) | ~np.isfinite(E))
+        if bad.size:
+            i, j = bad[0]
+            raise ProbabilityOutOfRange(f"E[{i}, {j}] = {E[i, j]} is outside [0, 1]")
+        diag = np.flatnonzero(np.diag(E))
+        if diag.size:
+            raise SelfLoop(f"E[{diag[0]}, {diag[0]}] must be 0 (no self-loops)")
+        object.__setattr__(self, "E", _frozen(E))
 
     @property
     def n(self) -> int:
@@ -86,51 +125,8 @@ def _check_probability_vector(label: str, v: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def build_network(names, p_int, p_ext, p_con, E) -> RiskNetwork:
-    """Validated constructor for :class:`RiskNetwork`.
-
-    Raises
-    ------
-    DimensionMismatch
-        Vector lengths or the adjacency shape disagree.
-    ProbabilityOutOfRange
-        Any probability or edge weight outside [0, 1]; the message names
-        the offending entry.
-    SelfLoop
-        Nonzero diagonal entry in ``E``.
-    ValidationError
-        Duplicate node names.
-    """
-    names = tuple(str(s) for s in names)
-    n = len(names)
-    if n == 0:
-        raise ValidationError("a network needs at least one node")
-    if len(set(names)) != n:
-        seen = set()
-        dup = next(s for s in names if s in seen or seen.add(s))
-        raise ValidationError(f"duplicate node name {dup!r}")
-
-    p_int = _check_probability_vector("p_int", p_int, n)
-    p_ext = _check_probability_vector("p_ext", p_ext, n)
-    p_con = _check_probability_vector("p_con", p_con, n)
-
-    E = np.asarray(E, dtype=float)
-    if E.shape != (n, n):
-        raise DimensionMismatch(f"E has shape {E.shape}, expected ({n}, {n})")
-    if np.any((E < 0.0) | (E > 1.0) | ~np.isfinite(E)):
-        i, j = np.argwhere((E < 0.0) | (E > 1.0) | ~np.isfinite(E))[0]
-        raise ProbabilityOutOfRange(f"E[{i}, {j}] = {E[i, j]} is outside [0, 1]")
-    diag = np.flatnonzero(np.diag(E))
-    if diag.size:
-        raise SelfLoop(f"E[{diag[0]}, {diag[0]}] must be 0 (no self-loops)")
-
-    return RiskNetwork(
-        names=names,
-        p_int=_frozen(p_int),
-        p_ext=_frozen(p_ext),
-        p_con=_frozen(p_con),
-        E=_frozen(E),
-    )
+#: The network's earlier name as a validated constructor.
+build_network = RiskNetwork
 
 
 def degree_stats(net: RiskNetwork) -> tuple:

@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .experiments import ExperimentPlan, ExperimentResult, _candidates
-from .model import CostMatrices, RiskNetwork, build_network, check_integer, identity_costs
+from .model import CostMatrices, RiskNetwork, check_integer, identity_costs
 
 SCHEMA_VERSION = 1
 
@@ -116,12 +116,21 @@ def write_fitted_params(path, names, fit):
     write_json(path, _node_document(names, *fit))
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; OverflowError if it is too large for a float."""
+    if math.isinf(float(text)):
+        raise OverflowError(f"integer of {len(text.lstrip('-'))} digits is too large for a float")
+    return int(text)
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except OverflowError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 #: The JSON kinds the schemas use, as the Python types ``json.load`` yields.
@@ -227,7 +236,7 @@ def network_from_dict(doc: dict, where: str = "network") -> RiskNetwork:
             raise ValidationError(f"{where}: duplicate edge {src!r} -> {dst!r}")
         seen.add((src, dst))
         E[index[src], index[dst]] = weight
-    return build_network(names, *probs.T, E)
+    return RiskNetwork(names, *probs.T, E)
 
 
 def load_network(path) -> RiskNetwork:
@@ -262,25 +271,30 @@ def write_event_log(path, log: EventLog, names):
         raise ValidationError("header length does not match the log")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(list(names))
-        fh.write(_event_rows(log.states).tobytes().decode("ascii"))
+        fh.flush()
+        fh.buffer.write(_event_rows(log.states))
 
 
 def _read_csv(path) -> tuple[list, list]:
-    """Read a header row and data rows, each cell passed through ``int``."""
+    """Read a header row and data rows, each cell passed through ``int``.
+    A row ``csv`` cannot read raises ParseError naming it (or the header)."""
+    header, rows = None, []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        rows = []
-        for k, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {k + 1} has {len(row)} fields")
-            try:
-                rows.append([int(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {k + 1}: {exc}") from None
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            for k, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: row {k + 1} has {len(row)} fields")
+                try:
+                    rows.append([int(v) for v in row])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {k + 1}: {exc}") from None
+        except csv.Error as exc:
+            where = "header" if header is None else f"row {len(rows) + 1}"
+            raise ParseError(f"{path}: {where}: {exc}") from None
     return header, rows
 
 
@@ -319,7 +333,7 @@ def load_event_log(path) -> tuple[list, EventLog]:
             if header is not None:
                 states = _canonical_states(fh.read(), len(header))
     except (UnicodeDecodeError, csv.Error):
-        pass  # _read_csv raises it again, as it always has
+        pass  # _read_csv reads the file again and reports the fault
     if states is None:
         header, rows = _read_csv(path)
         if not rows:
@@ -614,4 +628,4 @@ def generate_synthetic(
     p_int = rng.uniform(*ranges["p_int"], size=n)
     p_ext = rng.uniform(*ranges["p_ext"], size=n)
     p_con = rng.uniform(*ranges["p_con"], size=n)
-    return build_network(names, p_int, p_ext, p_con, E)
+    return RiskNetwork(names, p_int, p_ext, p_con, E)

@@ -132,7 +132,7 @@ def test_criterion_5_estimator_round_trip():
     )
     cfg = SimConfig(steps=10**5, seed=42, variant="product")
     log = run_discrete(net, binary_state(np.zeros(n)), cfg)
-    fit = fit_probabilities(count_transitions(net.E, log))
+    fit = fit_probabilities(count_transitions(net, log))
     errs = {
         "p_int": float(np.max(np.abs(fit.p_int - 0.05))),
         "p_ext": float(np.max(np.abs(fit.p_ext - 0.3))),

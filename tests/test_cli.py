@@ -341,6 +341,7 @@ def test_malformed_document_exits_one_with_a_json_line(
 
 
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+HUGE_INT = "integer of 401 digits is too large for a float"
 
 
 @pytest.mark.parametrize("argv, error, message", [
@@ -370,19 +371,39 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start b
      "target_degree_std must be finite and >= 0"),
     (["generate", "--n", "40", "--mean-degree", "4", "--degree-std", "inf"], "ValidationError",
      "target_degree_std must be finite and >= 0"),
+    (["fit", "{wide}", "{net}"], "ParseError",
+     "{wide}: header: field larger than field limit (131072)"),
+    (["steady-state", "{huge_p_int}"], "ParseError", "{huge_p_int}: " + HUGE_INT),
+    (["steady-state", "{huge_weight}"], "ParseError", "{huge_weight}: " + HUGE_INT),
+    (["experiment", "{net}", "{huge_q_f}"], "ParseError", "{huge_q_f}: " + HUGE_INT),
 ], ids=["inverted_range", "range_past_1", "not_utf8_log", "not_utf8_network", "not_utf8_plan",
         "repeated_pin", "repeated_driver", "repeated_linearize_driver",
         "repeated_control_init_active", "repeated_simulate_init_active", "nan_degree_std",
-        "inf_degree_std"])
+        "inf_degree_std", "field_over_csv_limit", "huge_int_p_int", "huge_int_weight",
+        "huge_int_q_f"])
 def test_input_failure_exits_one_with_a_json_line(chain_net, tmp_path, capsys, argv, error,
                                                   message):
-    bad = tmp_path / "bad"
-    bad.write_bytes(b"a,b,c\r\n\xff,0,0\r\n")
-    argv = [a.format(net=chain_net, bad=bad) for a in argv]
+    files = {"net": chain_net}
+    for name, data in (("bad", b"a,b,c\r\n\xff,0,0\r\n"),
+                       ("wide", b"a" * 200_000 + b",b,c\r\n0,0,0\r\n")):
+        files[name] = tmp_path / name
+        files[name].write_bytes(data)
+    net = json.loads(chain_net.read_text())
+    nodes, edges, huge = net["nodes"], net["edges"], 10**400
+    docs = {
+        "huge_p_int": net | {"nodes": [nodes[0] | {"p_int": huge}, *nodes[1:]]},
+        "huge_weight": net | {"edges": [edges[0] | {"weight": huge}, *edges[1:]]},
+        "huge_q_f": {"schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0, "costs": {
+            "kind": "diagonal", "q_f": [huge, 1, 1], "q": [1] * 3, "r": [1] * 3}},
+    }
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    argv = [a.format(**files) for a in argv]
     assert cli_main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": error, "message": message}
+    assert json.loads(lines[0]) == {"error": error, "message": message.format(**files)}
     assert not (tmp_path / "out").exists()
 
 

@@ -226,6 +226,13 @@ class TestControllabilityRank:
         with pytest.raises(ValidationError, match="driver set sized for a different network"):
             controllability_rank(np.eye(2), DriverSet((0,), 1))
 
+    @pytest.mark.parametrize("A", [np.array([[0.5, np.inf], [0.0, 0.5]]), np.full((2, 2), np.nan)],
+                             ids=["infinite_entry", "all_nan"])
+    def test_non_finite_jacobian_rejected(self, A):
+        # checked before the first product, where numpy would warn or fail
+        with pytest.raises(ValidationError, match="^A has a non-finite entry$"):
+            controllability_rank(A, DriverSet((0,), 2))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_invariant_under_relabeling(self, seed):
         rng = np.random.default_rng(seed)

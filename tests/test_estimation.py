@@ -17,7 +17,7 @@ from helpers import (
 )
 from risknet.cascade import EventLog, SimConfig, run_discrete
 from risknet.cli import cli_main
-from risknet.errors import DimensionMismatch, ValidationError
+from risknet.errors import DimensionMismatch, ProbabilityOutOfRange, ValidationError
 from risknet.estimation import _TINY, TransitionCounts, count_transitions, fit_probabilities
 from risknet.model import binary_state, build_network
 from risknet.netio import generate_synthetic, save_network, write_event_log
@@ -31,6 +31,12 @@ def ring_network(n, p_int, p_ext, p_con):
     return build_network(
         [f"r{i}" for i in range(n)], [p_int] * n, [p_ext] * n, [p_con] * n, E
     )
+
+
+def network_of(E):
+    """A network that carries the weights ``E``; counting reads only them."""
+    n = len(E)
+    return build_network([f"r{i}" for i in range(n)], [0] * n, [0] * n, [0] * n, E)
 
 
 def empty_counts_node():
@@ -88,14 +94,14 @@ def load_tracer():
 class TestCountTransitions:
     def test_never_active_quiet_node(self):
         log = EventLog(np.zeros((11, 1)))
-        c = count_transitions(np.zeros((1, 1)), log)
+        c = count_transitions(network_of(np.zeros((1, 1))), log)
         assert c.int_trials[0] == 10 and c.int_hits[0] == 0
         assert c.con_trials[0] == 0
         assert len(c.exposures[0][0]) == 0
 
     def test_single_node_hand_classification(self):
         log = EventLog(np.array([[0], [1], [1], [0]]))
-        c = count_transitions(np.zeros((1, 1)), log)
+        c = count_transitions(network_of(np.zeros((1, 1))), log)
         assert (c.int_trials[0], c.int_hits[0]) == (1, 1)
         assert (c.con_trials[0], c.con_hits[0]) == (2, 1)
 
@@ -103,7 +109,7 @@ class TestCountTransitions:
         E = np.array([[0.0, 0.7], [0.0, 0.0]])
         # node 1 inactive while node 0 active twice: exposures (0.7, outcome)
         log = EventLog(np.array([[1, 0], [1, 0], [0, 1], [0, 1]]))
-        c = count_transitions(E, log)
+        c = count_transitions(network_of(E), log)
         s, o = c.exposures[1]
         assert np.array_equal(s, [0.7, 0.7])
         assert np.array_equal(o, [0.0, 1.0])
@@ -113,7 +119,7 @@ class TestCountTransitions:
 
     def test_pinned_columns_masked_out(self):
         log = EventLog(np.array([[0, 1], [1, 1], [0, 1]]))
-        c = count_transitions(np.zeros((2, 2)), log, pinned={1})
+        c = count_transitions(network_of(np.zeros((2, 2))), log, pinned={1})
         assert c.int_trials[1] == 0 and c.con_trials[1] == 0
         assert len(c.exposures[1][0]) == 0
         assert c.int_trials[0] == 1 and c.con_trials[0] == 1
@@ -123,28 +129,33 @@ class TestCountTransitions:
         log = EventLog(np.zeros((3, 2)))
         message = f"pinned index {min(pinned)} out of range for 2 nodes"
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            count_transitions(np.zeros((2, 2)), log, pinned=pinned)
+            count_transitions(network_of(np.zeros((2, 2))), log, pinned=pinned)
 
     def test_non_integer_pinned_index_rejected(self):
         log = EventLog(np.zeros((3, 2)))
         for index in (1.5, True):
             message = re.escape(f"pinned index must be an integer, got {index}")
             with pytest.raises(ValidationError, match=f"^{message}$"):
-                count_transitions(np.zeros((2, 2)), log, pinned={index})
+                count_transitions(network_of(np.zeros((2, 2))), log, pinned={index})
 
     def test_dimension_mismatch(self):
         log = EventLog(np.zeros((3, 2)))
-        with pytest.raises(DimensionMismatch):
-            count_transitions(np.zeros((3, 3)), log)
+        with pytest.raises(DimensionMismatch, match="^log has 2 columns, expected 3$"):
+            count_transitions(network_of(np.zeros((3, 3))), log)
+
+    @pytest.mark.parametrize("weight", [np.nan, -1.0, 2.0])
+    def test_weight_outside_unit_interval_never_reaches_the_count(self, weight):
+        # counting reads its weights from the network, which rejects these
+        with pytest.raises(ProbabilityOutOfRange, match=rf"^E\[0, 1\] = {weight} is outside"):
+            network_of([[0.0, weight], [0.0, 0.0]])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(0, 12),
+        n=st.integers(1, 12),
         steps=st.integers(0, 60),
         pin=st.booleans(),
     )
     @example(seed=5, n=4, steps=1, pin=False)
-    @example(seed=0, n=0, steps=3, pin=True)
     @settings(max_examples=80, deadline=None)
     def test_equals_column_mask_oracle(self, seed, n, steps, pin):
         rng = np.random.default_rng(seed)
@@ -153,12 +164,13 @@ class TestCountTransitions:
         if pin:
             pinned = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
         assert_same_counts(
-            count_transitions(E, log, pinned), reference_count_transitions(E, log, pinned)
+            count_transitions(network_of(E), log, pinned),
+            reference_count_transitions(E, log, pinned),
         )
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(0, 12),
+        n=st.integers(1, 12),
         long=st.booleans(),
         dyadic=st.booleans(),
     )
@@ -173,7 +185,7 @@ class TestCountTransitions:
         E, log = random_log(rng, n, int(rng.integers(5000, 6001) if long else rng.integers(0, 61)))
         if dyadic:
             E = np.ceil(E * 4.0) / 4.0
-        got = count_transitions(E, log)
+        got = count_transitions(network_of(E), log)
         want = reference_count_transitions(E, log, inflow=lambda E, prev: prev @ E)
         if dyadic:
             assert_same_counts(got, want)
@@ -194,10 +206,10 @@ class TestCountTransitions:
         E = upper + upper.T
         net = build_network(sparse.names, sparse.p_int, sparse.p_ext, sparse.p_con, E)
         log = run_discrete(net, binary_state(np.zeros(40)), SimConfig(steps=25_000, seed=1))
-        count_transitions(E, log)  # the first call's imports are not its working memory
+        count_transitions(net, log)  # the first call's imports are not its working memory
         tracemalloc.start()
         try:
-            counts = count_transitions(E, log)
+            counts = count_transitions(net, log)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -214,7 +226,7 @@ class TestCountTransitions:
         net = ring_network(6, p_int=0.05, p_ext=0.3, p_con=0.6)
         E = net.E * np.array([0.25, 0.5, 0.75, 1.0, 0.5, 0.25])
         log = run_discrete(net, binary_state(np.zeros(6)), SimConfig(steps=3000, seed=4))
-        probe(count_transitions(E, log))
+        probe(count_transitions(network_of(E), log))
         want = reference_count_transitions(E, log).exposures
         records = tracer.counts["estimation.exposure_records"]
         levels = tracer.counts["estimation.exposure_levels"]
@@ -435,7 +447,7 @@ class TestRoundTrip:
         net = ring_network(8, p_int=0.05, p_ext=0.3, p_con=0.6)
         E = net.E * np.linspace(0.3, 0.9, 8)
         log = run_discrete(net, binary_state(np.zeros(8)), SimConfig(steps=5000, seed=2))
-        counts = count_transitions(E, log, pinned)
+        counts = count_transitions(network_of(E), log, pinned)
         assert_same_counts(counts, reference_count_transitions(E, log, pinned))
         fit = fit_probabilities(counts)
         assert fit.p_ext.tobytes() == reference_p_ext(counts, fit.p_int).tobytes()
@@ -444,7 +456,7 @@ class TestRoundTrip:
         net = ring_network(6, p_int=0.08, p_ext=0.25, p_con=0.75)
         cfg = SimConfig(steps=3 * 10**4, seed=5, variant="product")
         log = run_discrete(net, binary_state(np.zeros(6)), cfg)
-        fit = fit_probabilities(count_transitions(net.E, log))
+        fit = fit_probabilities(count_transitions(net, log))
         assert np.max(np.abs(fit.p_int - 0.08)) < 0.03
         assert np.max(np.abs(fit.p_ext - 0.25)) < 0.03
         assert np.max(np.abs(fit.p_con - 0.75)) < 0.03
@@ -458,7 +470,7 @@ class TestRoundTrip:
             for seed in seeds:
                 cfg = SimConfig(steps=steps, seed=seed, variant="product")
                 log = run_discrete(net, binary_state(np.zeros(6)), cfg)
-                fit = fit_probabilities(count_transitions(net.E, log))
+                fit = fit_probabilities(count_transitions(net, log))
                 est = np.array([fit.p_int.mean(), fit.p_ext.mean(), fit.p_con.mean()])
                 errs.append(np.abs(est - truth).max())
             return float(np.mean(errs))

@@ -259,6 +259,14 @@ NON_CANONICAL = {
         ("UnicodeDecodeError",
          "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
     ),
+    "header_over_field_limit": (
+        b"a" * 200_000 + b",b\r\n0,1\r\n",
+        ("ParseError", "PATH: header: field larger than field limit (131072)"),
+    ),
+    "row_over_field_limit": (
+        b"a,b\r\n0,1\r\n0," + b"1" * 200_000 + b"\r\n",
+        ("ParseError", "PATH: row 2: field larger than field limit (131072)"),
+    ),
 }
 
 #: Canonical bodies under headers that ``csv`` quotes.

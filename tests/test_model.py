@@ -12,6 +12,7 @@ from risknet.errors import (
 from risknet.model import (
     CostMatrices,
     DriverSet,
+    RiskNetwork,
     StateVector,
     binary_state,
     build_network,
@@ -84,6 +85,24 @@ class TestBuildNetwork:
             net.E[0, 1] = 0.0
         with pytest.raises(ValueError):
             net.p_int[0] = 0.9
+
+    def test_is_the_class(self):
+        assert build_network is RiskNetwork
+
+    def test_class_rejects_out_of_range_probability(self):
+        with pytest.raises(ProbabilityOutOfRange, match=r"^p_int\[0\] = 2.0 is outside \[0, 1\]$"):
+            RiskNetwork(("a",), np.array([2.0]), np.array([0.1]), np.array([0.5]), np.zeros((1, 1)))
+
+    def test_class_keeps_read_only_copies(self):
+        arrays = [np.array([0.1, 0.0]), np.array([0.0, 0.5]), np.array([0.5, 0.5]),
+                  np.array([[0.0, 1.0], [0.0, 0.0]])]
+        net = RiskNetwork(["a", "b"], *arrays)
+        stored = (net.p_int, net.p_ext, net.p_con, net.E)
+        for given, kept in zip(arrays, stored):
+            assert kept is not given and not kept.flags.writeable
+            given[...] = 0.25
+        assert net.names == ("a", "b")
+        assert net.p_int.tolist() == [0.1, 0.0] and net.E[0, 1] == 1.0
 
 
 class TestDegreeStats:
