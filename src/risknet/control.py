@@ -11,22 +11,23 @@ Two control phases are provided:
 
 * reactive: feedback ``u(k) = -K(k) x(k)`` rolled out on the nonlinear map,
   driving ongoing activity toward the all-inactive state;
-* proactive: starting at inactivity, each driven node's expected activation
-  inflow is cancelled exactly, holding it down while undriven nodes evolve
-  freely.
+* proactive: starting at inactivity, each driven node's own raw update is
+  cancelled exactly, holding it at 0 while undriven nodes evolve freely.
 
 Both phases share one rollout: the nonlinear map is stepped forward while
-the driven nodes receive the phase's signal.  It fast-forwards exactly:
-x(k+1) depends only on x(k), the signal map of step k and the pins, and
-the rollout is given a window (p, W) in which the signal map of step k is
-the one of step k - p.  The proactive signal does not depend on k; the
-feedback phase reads the window from its schedule's gain index (equal
-indices are the same gain).  If then x(a) equals x(a + q) bit for bit, with
-q a multiple of p and a + q <= W, every later state up to x(W), and every
-signal and saturation count before step W, repeats with period q; the
-rollout copies them instead of stepping, and steps on from x(W) as usual.
-It copies from the first state at a multiple of p that repeats an earlier
-one: a hash per checked state finds it, its stored bits confirm it.
+the driven nodes receive the phase's signal, a function of the state and
+of the driven nodes' raw update, so the map's formula is written only in
+``dynamics``.  The rollout fast-forwards exactly: x(k+1) depends only on
+x(k), the signal map of step k and the pins, and the rollout is given a
+window (p, W) in which the signal map of step k is the one of step k - p.
+The proactive signal does not depend on k; the feedback phase reads the
+window from its schedule's gain index (equal indices are the same gain).
+If then x(a) equals x(a + q) bit for bit, with q a multiple of p and
+a + q <= W, every later state up to x(W), and every signal and saturation
+count before step W, repeats with period q; the rollout copies them
+instead of stepping, and steps on from x(W) as usual.  It copies from the
+first state at a multiple of p that repeats an earlier one: a hash per
+checked state finds it, its stored bits confirm it.
 
 Costs are always measured on the realized nonlinear trajectory, on absolute
 states (deviation from the all-inactive target), not on deviations from the
@@ -390,13 +391,14 @@ def _rollout_block(
     the driver sets in the rows of ``D`` (all of one size), in lockstep.
 
     Each set has its own step counter.  A step takes every set that is not
-    done: ``signal(rows, ks, X, inflow, at)`` returns the driven nodes'
-    signals (one row per set, in index order) for the sets ``rows`` at
-    their steps ``ks``, states ``X``, inflows ``inflow = E.T x``, which the
-    raw map shares, and ``at``, the flat indices of the driven entries of
-    ``X``.  The nodes of ``pins = (indices, values)`` are forced to their
-    value at every step, including the initial state.  The block stores
-    per set its states and only the driven nodes' signal columns.
+    done: it computes the raw update of every state first, then
+    ``signal(rows, ks, X, driven)`` returns the driven nodes' signals ``U``
+    (one row per set, in index order) for the sets ``rows`` at their steps
+    ``ks``, states ``X`` and the driven nodes' raw updates ``driven``; the
+    driven nodes' update is ``driven + U`` before clamping.  The nodes of
+    ``pins = (indices, values)`` are forced to their value at every step,
+    including the initial state.  The block stores per set its states and
+    only the driven nodes' signal columns.
 
     Set s's ``windows[s] = (period, cycle_end)`` declares that its signal
     map of step k is the one of step ``k - period`` for every ``period <= k
@@ -434,10 +436,10 @@ def _rollout_block(
     while True:
         run = min((due - ka).tolist())
         for _ in range(run):
-            inflow = (ET @ X[:, :, None])[:, :, 0]
-            U = signal(a, ka, X, inflow, at)
-            raw = _raw_map(net, X, inflow)
-            raw.put(at, raw.take(at) + U)
+            raw = _raw_map(net, X, (ET @ X[:, :, None])[:, :, 0])
+            driven = raw.take(at)
+            U = signal(a, ka, X, driven)
+            raw.put(at, driven + U)
             signals[a, ka] = U
             saturation[a, ka] = np.add.reduce((raw < 0.0) | (raw > 1.0), axis=1)
             X = raw.clip(0.0, 1.0)
@@ -514,7 +516,7 @@ def _feedback_block(prep, D, x0, gains, index) -> list:
     the one :func:`_gain_window` reads from ``index[s]``."""
     return _rollout_block(
         prep, D, np.broadcast_to(x0, (len(index), prep.net.n)), index.shape[1],
-        lambda rows, ks, X, inflow, at: (-gains[index[rows, ks]] @ X[:, :, None])[:, :, 0],
+        lambda rows, ks, X, driven: (-gains[index[rows, ks]] @ X[:, :, None])[:, :, 0],
         [_gain_window(i) for i in index], prep.pins,
     )
 
@@ -622,12 +624,12 @@ def run_proactive(
     """Hold the network near inactivity by cancelling driven activation.
 
     Starts at the all-inactive state (the reactive phase's goal).  Each
-    step, every driven node i receives
-    ``u_i = -(p_int_i + p_ext_i * s_i) * (1 - x_i)``, exactly cancelling its
-    expected activation inflow; undriven nodes evolve freely.  The signal
-    does not depend on the step, so the rollout may fast-forward with
-    period 1 over the whole horizon.  Every argument is checked before the
-    first step.
+    step, every driven node receives the negative of its own raw update,
+    so it stays at exactly 0: from 0 that update is ``p_int_i + p_ext_i *
+    s_i``, its expected activation inflow.  Undriven nodes evolve freely.
+    The signal does not depend on the step, so the rollout may
+    fast-forward with period 1 over the whole horizon.  Every argument is
+    checked before the first step.
     """
     D = _driver_row(driver, net.n)
     check_integer("steps", steps, 1)
@@ -638,15 +640,10 @@ def run_proactive(
 def _proactive_block(prep: _Prepared, D: np.ndarray, steps: int) -> list:
     """:func:`run_proactive` for the driver sets in the rows of ``D`` (all
     of one size), in lockstep; returns per set its :class:`ControlRun` or
-    its error.  The phase holds no pins.  The inflow ``E.T x`` of a step is
-    computed once and shared by the signal and the raw map."""
-    net = prep.net
-    p_int, p_ext = net.p_int[D], net.p_ext[D]
-
-    def cancel_inflow(rows, ks, X, inflow, at):
-        return -(p_int[rows] + p_ext[rows] * inflow.take(at)) * (1.0 - X.take(at))
-
+    its error.  The phase holds no pins.  The signal is ``-driven``: the
+    update ``driven + U`` of a driven node is +0.0, so it stays at +0.0."""
+    n = prep.net.n
     return _rollout_block(
-        prep, D, np.zeros((len(D), net.n)), steps, cancel_inflow,
-        [(1, steps)] * len(D), pin_arrays(None, net.n),
+        prep, D, np.zeros((len(D), n)), steps, lambda rows, ks, X, driven: -driven,
+        [(1, steps)] * len(D), pin_arrays(None, n),
     )

@@ -23,7 +23,8 @@ Every object in both documents, nested ones included, rejects keys outside
 its schema (a cost spec, outside its kind's keys), and every value must have
 its schema's JSON kind: names are strings; probabilities, weights, settings
 and cost entries are numbers, not strings or booleans.  Each rejection is a
-``ParseError`` naming the key and its place, e.g. ``nodes[0]``.
+``ParseError`` naming the key and its place, e.g. ``nodes[0]``.  A key given
+twice in one object is a ``ParseError`` naming the file and the key.
 """
 
 from __future__ import annotations
@@ -117,20 +118,37 @@ def write_fitted_params(path, names, fit):
 
 
 def _json_int(text: str) -> int:
-    """A JSON integer; OverflowError if it is too large for a float."""
+    """A JSON integer; ParseError if it is too large for a float."""
     if math.isinf(float(text)):
-        raise OverflowError(f"integer of {len(text.lstrip('-'))} digits is too large for a float")
+        raise ParseError(f"integer of {len(text.lstrip('-'))} digits is too large for a float")
     return int(text)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object; ParseError naming its first repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def _load_json(path) -> dict:
+    """The JSON document at ``path``; ParseError naming ``path`` for bad
+    JSON, a repeated key in an object, an integer too large for a float or
+    nesting too deep for the parser."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_json_int)
+            return json.load(fh, parse_int=_json_int, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    except OverflowError as exc:
+    except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: nesting too deep") from None
 
 
 #: The JSON kinds the schemas use, as the Python types ``json.load`` yields.

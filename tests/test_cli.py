@@ -63,6 +63,15 @@ def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
 
 
+def test_module_entry_point_prints_usage():
+    # ``main`` is the ``risknet`` console script; ``-m`` reaches it the same way
+    env = dict(os.environ, PYTHONPATH=str(Path(risknet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "risknet.cli", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: risknet ")
+
+
 def test_steady_state_prints_closed_form(one_node_net, capsys):
     assert cli_main(["steady-state", str(one_node_net)]) == 0
     out = capsys.readouterr().out
@@ -376,11 +385,16 @@ HUGE_INT = "integer of 401 digits is too large for a float"
     (["steady-state", "{huge_p_int}"], "ParseError", "{huge_p_int}: " + HUGE_INT),
     (["steady-state", "{huge_weight}"], "ParseError", "{huge_weight}: " + HUGE_INT),
     (["experiment", "{net}", "{huge_q_f}"], "ParseError", "{huge_q_f}: " + HUGE_INT),
+    (["steady-state", "{dup_p_int}"], "ParseError", "{dup_p_int}: duplicate key 'p_int'"),
+    (["experiment", "{net}", "{dup_seed}"], "ParseError", "{dup_seed}: duplicate key 'seed'"),
+    (["steady-state", "{deep}"], "ParseError", "{deep}: nesting too deep"),
+    (["experiment", "{net}", "{deep}"], "ParseError", "{deep}: nesting too deep"),
 ], ids=["inverted_range", "range_past_1", "not_utf8_log", "not_utf8_network", "not_utf8_plan",
         "repeated_pin", "repeated_driver", "repeated_linearize_driver",
         "repeated_control_init_active", "repeated_simulate_init_active", "nan_degree_std",
         "inf_degree_std", "field_over_csv_limit", "huge_int_p_int", "huge_int_weight",
-        "huge_int_q_f"])
+        "huge_int_q_f", "duplicate_key_network", "duplicate_key_plan", "deep_nesting_network",
+        "deep_nesting_plan"])
 def test_input_failure_exits_one_with_a_json_line(chain_net, tmp_path, capsys, argv, error,
                                                   message):
     files = {"net": chain_net}
@@ -396,9 +410,15 @@ def test_input_failure_exits_one_with_a_json_line(chain_net, tmp_path, capsys, a
         "huge_q_f": {"schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0, "costs": {
             "kind": "diagonal", "q_f": [huge, 1, 1], "q": [1] * 3, "r": [1] * 3}},
     }
-    for name, doc in docs.items():
+    texts = {name: json.dumps(doc) for name, doc in docs.items()} | {
+        # a node's p_int given twice, 0.05 then 0.9
+        "dup_p_int": json.dumps(net).replace('"p_int": 0.05', '"p_int": 0.05, "p_int": 0.9', 1),
+        "dup_seed": '{"schema_version": 1, "driver_size": 1, "num_sets": 2, "seed": 0, "seed": 1}',
+        "deep": "[" * 200_000 + "]" * 200_000,
+    }
+    for name, text in texts.items():
         files[name] = tmp_path / f"{name}.json"
-        files[name].write_text(json.dumps(doc))
+        files[name].write_text(text)
     argv = [a.format(**files) for a in argv]
     assert cli_main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -565,6 +565,7 @@ class TestRolloutMatchesStepLoop:
             return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
 
         self.assert_same(run, reference_rollout(net, driver, np.zeros(5), 30, cancel_inflow))
+        assert_driven_at_zero(run)
 
 
 def cancel_inflow_signal(net, driver):
@@ -576,6 +577,11 @@ def cancel_inflow_signal(net, driver):
         return -(net.p_int[d] + net.p_ext[d] * s[d]) * (1.0 - x[d])
 
     return cancel_inflow
+
+
+def assert_driven_at_zero(run):
+    """Every driven column of the run's states is +0.0 bit for bit."""
+    assert not run.states[:, list(run.drivers)].view(np.uint64).any()
 
 
 def counted(signal):
@@ -606,7 +612,7 @@ def rollout_one(net, driver, costs, x0, steps, signal, pinned=None, period=0, cy
     prep = _prepare(net, costs, pinned)
     (run,) = _rollout_block(
         prep, np.array([driver.indices]), np.asarray(x0, dtype=float)[None], steps,
-        lambda rows, ks, X, inflow, at: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],
+        lambda rows, ks, X, driven: np.asarray(signal(int(ks[0]), X[0]), dtype=float)[None],
         [(period, cycle_end)], prep.pins,
     )
     return run
@@ -684,7 +690,9 @@ class TestFastForward:
         reference = reference_rollout(
             net, driver, np.zeros(net.n), 300, cancel_inflow_signal(net, driver)
         )
-        assert_same_run(run_proactive(net, driver, costs, 300), reference, costs)
+        proactive = run_proactive(net, driver, costs, 300)
+        assert_same_run(proactive, reference, costs)
+        assert_driven_at_zero(proactive)
         signal = counted(cancel_inflow_signal(net, driver))
         run = rollout_one(net, driver, costs, np.zeros(net.n), 300, signal,
                           period=1, cycle_end=300)
@@ -734,12 +742,14 @@ class TestFastForward:
             feedback_reference(net, driver, x0, gain_stack(sched), pinned),
             costs,
         )
+        proactive = run_proactive(net, driver, costs, horizon)
         assert_same_run(
-            run_proactive(net, driver, costs, horizon),
+            proactive,
             reference_rollout(net, driver, np.zeros(n), horizon,
                               cancel_inflow_signal(net, driver)),
             costs,
         )
+        assert_driven_at_zero(proactive)
 
 
 def first_repeat(states, period, end):
