@@ -158,12 +158,6 @@ def _check_costs(costs: CostMatrices, n: int) -> None:
         raise DimensionMismatch("cost matrices sized for a different network")
 
 
-def _driver_row(driver: DriverSet, n: int) -> np.ndarray:
-    """The one-row index matrix of a driver set checked against n nodes."""
-    _check_driver(driver, n)
-    return np.array([driver.indices])
-
-
 def riccati_schedule(
     A: np.ndarray, driver: DriverSet, costs: CostMatrices, horizon: int
 ) -> GainSchedule:
@@ -368,11 +362,23 @@ class _Prepared:
         return _Prepared(self.net, self.costs, self.pins, linearize(self.net, x_s))
 
 
-def _prepare(net: RiskNetwork, costs: CostMatrices, pinned: dict | None) -> _Prepared:
-    """The preparation without a Jacobian, checked before any solve: costs
-    of another size raise DimensionMismatch, a bad pin map ValidationError."""
+def _prepare(net: RiskNetwork, costs: CostMatrices, pinned: dict | None, driver: DriverSet | None = None,
+             steps: int | None = None, init: StateVector | None = None) -> _Prepared:
+    """The preparation without a Jacobian, after every check a call makes
+    before its steady-state solve, in this order (an argument left None is
+    not checked): the driver set against the network, ``steps``, ``init``,
+    the size of the costs, the pin map and a pin on a driven node."""
+    if driver is not None:
+        _check_driver(driver, net.n)
+    if steps is not None:
+        check_integer("steps", steps, 1)
+    if init is not None:
+        check_state(init, net.n, CONTINUOUS, "init")
     _check_costs(costs, net.n)
-    return _Prepared(net, costs, pin_arrays(pinned, net.n))
+    prep = _Prepared(net, costs, pin_arrays(pinned, net.n))
+    if driver is not None:
+        _one(_pin_errors(prep, np.array([driver.indices])))
+    return prep
 
 
 def _pin_errors(prep: _Prepared, D: np.ndarray) -> list:
@@ -539,13 +545,9 @@ def run_reactive(
     initial state) and must not appear in the driver set.  Every argument
     is checked before the steady state is solved.
     """
-    D = _driver_row(driver, net.n)
-    check_integer("steps", steps, 1)
-    if init is not None:
-        check_state(init, net.n, CONTINUOUS, "init")
-    prep = _prepare(net, costs, pinned)
-    _one(_pin_errors(prep, D))  # raises for a pin on a driven node
+    prep = _prepare(net, costs, pinned, driver, steps, init)
     x_s = find_steady_state(net)
+    D = np.array([driver.indices])
     return _one(_reactive_block(prep.linearized(x_s), D, x_s if init is None else init, steps))
 
 
@@ -587,22 +589,19 @@ def rollout_feedback(
     rollout copies the states, signals and saturation counts forward to
     step W once the closed-loop state repeats bit for bit at a multiple of
     p.  Equal indices are the same gain, so this is exact: byte for byte
-    the result of stepping every gain.  Before the first step it raises
-    ValidationError for a driver set, init, gains' shape or pin that does
-    not fit the network or an index that is not a nonempty 1-D integer
-    array of rows of ``gains``, and DimensionMismatch for wrong-size costs.
+    the result of stepping every gain.  Before the first step it makes the
+    checks of :func:`_prepare`, then raises ValidationError for gains of
+    another shape or an index that is not a nonempty 1-D integer array of
+    rows of ``gains``.
     """
-    D = _driver_row(driver, net.n)
-    check_state(init, net.n, CONTINUOUS, "init")
+    prep = _prepare(net, costs, pinned, driver, init=init)
     gains, index = schedule.gains, np.asarray(schedule.index)
-    if gains.shape[1:] != D.shape[1:] + (net.n,):
-        raise ValidationError(f"gains of shape {gains.shape[1:]} for {D.size} drivers")
+    if gains.shape[1:] != (driver.size, net.n):
+        raise ValidationError(f"gains of shape {gains.shape[1:]} for {driver.size} drivers")
     if not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
             and 0 <= index.min() <= index.max() < len(gains)):
         raise ValidationError(f"index must be a nonempty 1-D integer array in [0, {len(gains)})")
-    prep = _prepare(net, costs, pinned)
-    _one(_pin_errors(prep, D))  # raises for a pin on a driven node
-    return _one(_feedback_block(prep, D, init.values, gains, index[None]))
+    return _one(_feedback_block(prep, np.array([driver.indices]), init.values, gains, index[None]))
 
 
 def _gain_window(index: np.ndarray) -> tuple[int, int]:
@@ -631,10 +630,8 @@ def run_proactive(
     fast-forward with period 1 over the whole horizon.  Every argument is
     checked before the first step.
     """
-    D = _driver_row(driver, net.n)
-    check_integer("steps", steps, 1)
-    prep = _prepare(net, costs, None)
-    return _one(_proactive_block(prep, D, steps))
+    prep = _prepare(net, costs, None, driver, steps)
+    return _one(_proactive_block(prep, np.array([driver.indices]), steps))
 
 
 def _proactive_block(prep: _Prepared, D: np.ndarray, steps: int) -> list:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,8 @@ class ExperimentPlan:
         top = self.top_fraction
         if isinstance(top, bool) or not isinstance(top, numbers.Real) or not 0.0 < top <= 1.0:
             raise ValidationError(f"top_fraction must be a number in (0, 1], got {top!r}")
+        if not isinstance(self.groups, Iterable):
+            raise ValidationError(f"groups must be a list of pairs, got {type(self.groups).__name__}")
         for pair in self.groups:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ValidationError(f"group {pair!r} must be a (stratum value, count) pair")
@@ -112,6 +115,9 @@ class ExperimentPlan:
             if getattr(self, label) is not None:
                 object.__setattr__(self, label, int(getattr(self, label)))
         check_pins(self.pinned)
+        if not isinstance(self.baseline_sets, Mapping):
+            raise ValidationError("baseline_sets must be a map, got "
+                                  + type(self.baseline_sets).__name__)
         baselines = {str(name): _distinct_indices(f"baseline set {name!r} index", idx)
                      for name, idx in self.baseline_sets.items()}
         if empty := [name for name, indices in baselines.items() if not indices]:
@@ -341,19 +347,17 @@ def run_experiment(
     only their outcomes are kept, ranked once per phase after its last block.
 
     A call either raises before its first evaluation or records failures
-    per set.  Before the steady state is solved it checks ``init`` (a
-    continuous state of n entries), the pins, the baseline sets, the
-    ``driver_size`` against the non-pinned nodes, the size of the costs
-    and the ``initially_active`` strata of a given ``init``.  The solve may
+    per set.  Before the steady state is solved it checks ``init``, the
+    costs and the pins (:func:`~risknet.control._prepare`), then the
+    ``driver_size`` against the non-pinned nodes, the baseline sets and the
+    ``initially_active`` strata of a given ``init``.  The solve may
     raise NoConvergence, sampling StratumInfeasible, and a plan with a
     reactive phase SaturatedPoint.  A pin on a driven node, a
     singular gain equation or a non-finite rollout is recorded on its
     evaluation, with the error text of a one-set run, and leaves the other
     sets of the block unchanged.
     """
-    if init is not None:
-        check_state(init, net.n, CONTINUOUS, "init")
-    prep = _prepare(net, costs, plan.pinned)
+    prep = _prepare(net, costs, plan.pinned, init=init)
     candidates = _candidates(plan, net.n)
     baselines = [(name, "baseline", DriverSet(indices, net.n).indices, None)
                  for name, indices in sorted(plan.baseline_sets.items())]

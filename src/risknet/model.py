@@ -16,6 +16,7 @@ concurrent readers.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,20 +84,11 @@ class RiskNetwork:
             dup = next(s for s in names if s in seen or seen.add(s))
             raise ValidationError(f"duplicate node name {dup!r}")
         object.__setattr__(self, "names", names)
-        for label in ("p_int", "p_ext", "p_con"):
-            v = _check_probability_vector(label, getattr(self, label), n)
-            object.__setattr__(self, label, _frozen(v))
-        E = np.asarray(self.E, dtype=float)
-        if E.shape != (n, n):
-            raise DimensionMismatch(f"E has shape {E.shape}, expected ({n}, {n})")
-        bad = np.argwhere((E < 0.0) | (E > 1.0) | ~np.isfinite(E))
-        if bad.size:
-            i, j = bad[0]
-            raise ProbabilityOutOfRange(f"E[{i}, {j}] = {E[i, j]} is outside [0, 1]")
-        diag = np.flatnonzero(np.diag(E))
+        for label, shape in (("p_int", (n,)), ("p_ext", (n,)), ("p_con", (n,)), ("E", (n, n))):
+            object.__setattr__(self, label, _check_probabilities(label, getattr(self, label), shape))
+        diag = np.flatnonzero(np.diag(self.E))
         if diag.size:
             raise SelfLoop(f"E[{diag[0]}, {diag[0]}] must be 0 (no self-loops)")
-        object.__setattr__(self, "E", _frozen(E))
 
     @property
     def n(self) -> int:
@@ -114,15 +106,17 @@ class RiskNetwork:
             raise ValidationError(f"unknown node name {name!r}") from None
 
 
-def _check_probability_vector(label: str, v: np.ndarray, n: int) -> np.ndarray:
+def _check_probabilities(label: str, v, shape: tuple) -> np.ndarray:
+    """``v`` as a read-only float array of ``shape``; DimensionMismatch for
+    another shape, ProbabilityOutOfRange naming its first entry outside [0, 1]."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise DimensionMismatch(f"{label} has shape {v.shape}, expected ({n},)")
-    bad = np.flatnonzero((v < 0.0) | (v > 1.0) | ~np.isfinite(v))
+    if v.shape != shape:
+        raise DimensionMismatch(f"{label} has shape {v.shape}, expected {shape}")
+    bad = np.argwhere((v < 0.0) | (v > 1.0) | ~np.isfinite(v))
     if bad.size:
-        i = int(bad[0])
-        raise ProbabilityOutOfRange(f"{label}[{i}] = {v[i]} is outside [0, 1]")
-    return v
+        at = tuple(bad[0].tolist())
+        raise ProbabilityOutOfRange(f"{label}{list(at)} = {v[at]} is outside [0, 1]")
+    return _frozen(v)
 
 
 #: The network's earlier name as a validated constructor.
@@ -172,20 +166,24 @@ def check_state(state: StateVector, n: int, mode: str, what: str) -> None:
         raise ValidationError(f"{what} must be a {mode} state of {n} entries")
 
 
-def check_pins(pinned: dict) -> None:
-    """Reject a pin map whose keys are not integers or whose values are not
-    the integers 0 and 1 (``True`` and ``1.0`` are refused)."""
+def check_pins(pinned: Mapping) -> None:
+    """Reject a pin map that is not a mapping, whose keys are not integers
+    or whose values are not the integers 0 and 1 (``True`` and ``1.0`` are
+    refused)."""
+    if not isinstance(pinned, Mapping):
+        raise ValidationError("pinned must be a map of node index to 0 or 1, got "
+                              + type(pinned).__name__)
     for i, v in pinned.items():
         check_integer("pinned index", i)
         if not (_is_integer(v) and v in (0, 1)):
             raise ValidationError(f"pinned value for node {i} must be 0 or 1")
 
 
-def pin_arrays(pinned: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted indices and float values of a ``{node index: 0 or 1}`` pin map.
-    Raises ValidationError for a map that :func:`check_pins` rejects and
-    for an index outside ``range(n)``."""
-    pinned = pinned or {}
+def pin_arrays(pinned: Mapping | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted indices and float values of a ``{node index: 0 or 1}`` pin map
+    (None: no pins).  Raises ValidationError for a map that
+    :func:`check_pins` rejects and for an index outside ``range(n)``."""
+    pinned = {} if pinned is None else pinned
     check_pins(pinned)
     idx = np.array(sorted(pinned), dtype=int)
     bad = idx[(idx < 0) | (idx >= n)]
@@ -245,13 +243,12 @@ class DriverSet:
     n: int
 
     def __post_init__(self):
+        check_integer("n", self.n, 1)
         idx = _distinct_indices("driver index", self.indices)
         if not idx:
             raise ValidationError("driver set must be nonempty")
         if idx[0] < 0 or idx[-1] >= self.n:
-            raise ValidationError(
-                f"driver indices {idx} out of range for {self.n} nodes"
-            )
+            raise ValidationError(f"driver indices {idx} out of range for {self.n} nodes")
         object.__setattr__(self, "indices", idx)
 
     @property

@@ -40,6 +40,7 @@ COUNTS = {
         lambda v: monte_carlo_mean(NET, binary_state([0, 0]), SimConfig(steps=1, seed=0), v),
         "trials", 1,
     ),
+    "DriverSet.n": (lambda v: DriverSet((0,), v), "n", 1),
     "riccati_schedule": (lambda v: riccati_schedule(0.5 * np.eye(2), DRIVER, COSTS, v), "horizon", 1),
     "run_reactive": (
         lambda v: run_reactive(NET, DRIVER, COSTS, continuous_state([0.5, 0.5]), v), "steps", 1,
@@ -99,6 +100,36 @@ def test_pin_value_rule(entry, value):
 def test_pin_index_rule(entry):
     with pytest.raises(ValidationError, match=re.escape("pinned index must be an integer, got 1.5")):
         PIN_ENTRIES[entry]({1.5: 1})
+
+
+def not_a_map(kind):
+    return f"pinned must be a map of node index to 0 or 1, got {kind}"
+
+
+#: entry point -> (call with a pin map that is not a mapping, message)
+NOT_A_MAP = {
+    "SimConfig": (lambda: SimConfig(steps=1, seed=0, pinned=[0]), not_a_map("list")),
+    "SimConfig.None": (lambda: SimConfig(steps=1, seed=0, pinned=None), not_a_map("NoneType")),
+    "ExperimentPlan": (lambda: plan(pinned=[0]), not_a_map("list")),
+    "pin_arrays": (lambda: pin_arrays(set(), 2), not_a_map("set")),
+    "json plan": (
+        lambda: plan_from_dict({"schema_version": 1, "driver_size": 1, "seed": 0, "pinned": ["a"]},
+                               NET),
+        "plan: pinned must be an object, got a list",
+    ),
+    # the index-set form that count_transitions takes
+    "run_reactive": (
+        lambda: run_reactive(NET, DRIVER, COSTS, continuous_state([0.5, 0.5]), 3, {1}),
+        not_a_map("set"),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_A_MAP)
+def test_pin_map_rule(entry):
+    call, message = NOT_A_MAP[entry]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 #: node a flips every step and drives b: the undamped solve never converges

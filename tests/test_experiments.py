@@ -169,6 +169,15 @@ class TestPlanValidation:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ExperimentPlan(driver_size=1, seed=0, **fields)
 
+    # a library caller got AttributeError or "'int' object is not iterable"
+    @pytest.mark.parametrize("fields, message", [
+        ({"baseline_sets": [(0,)]}, "baseline_sets must be a map, got list"),
+        ({"stratify_by": "steady_peak", "groups": 3}, "groups must be a list of pairs, got int"),
+    ], ids=["baseline_sets", "groups"])
+    def test_field_of_another_kind_rejected(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ExperimentPlan(driver_size=1, seed=0, **fields)
+
     def test_phases(self):
         assert ExperimentPlan(driver_size=1, num_sets=1, seed=0, phase="both").phases == (
             "reactive", "proactive",
