@@ -181,11 +181,7 @@ def _cmd_fit(args) -> int:
     names, log = netio.load_event_log(args.log)
     if list(names) != list(net.names):
         raise ValidationError("event log columns do not match the network's nodes")
-    pinned = _parse_pins(net, args.pin)
-    for i, v in pinned.items():  # the cascade holds a pin from row 1 on
-        if (off := np.flatnonzero(log.states[1:, i] != v)).size:
-            raise ValidationError(f"pin {net.names[i]}={v} does not hold at step {off[0] + 1}")
-    counts = count_transitions(net, log, pinned=set(pinned))
+    counts = count_transitions(net, log, pinned=_parse_pins(net, args.pin))
     fit = fit_probabilities(counts, smoothing=args.smoothing)
     path = _out_dir(args) / "fitted_params.json"
     netio.write_fitted_params(path, net.names, fit)

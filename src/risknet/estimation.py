@@ -91,15 +91,18 @@ def count_transitions(net: RiskNetwork, log: EventLog, pinned=None) -> Transitio
     """Classify every step-k -> step-k+1 transition in ``log`` on the
     weights of ``net``; a log of another width raises DimensionMismatch.
 
-    ``pinned`` is an optional collection of node indices whose columns are
-    excluded (their transitions are forced, not sampled), yielding zero
-    trials and no exposures for those nodes.  A non-integer index or one
-    outside ``range(n)`` raises ValidationError.
+    ``pinned`` is the ``{node index: 0 or 1}`` map of :func:`pin_arrays`.  A
+    pinned column is forced: it yields no trials and no exposures, and must
+    hold its value from row 1 on, as ``run_discrete`` writes it; else
+    ValidationError names the node, the value and the first step it breaks.
     """
     E, n = net.E, net.n
     if log.n != n:
         raise DimensionMismatch(f"log has {log.n} columns, expected {n}")
-    skip, _ = pin_arrays(dict.fromkeys(() if pinned is None else pinned, 0), n)
+    skip, values = pin_arrays(pinned, n)
+    for i, v in zip(skip, values):
+        if (off := np.flatnonzero(log.states[1:, i] != v)).size:
+            raise ValidationError(f"pin {net.names[i]}={v:g} does not hold at step {off[0] + 1}")
     counted = np.ones(n, dtype=bool)
     counted[skip] = False
 

@@ -51,7 +51,7 @@ class ExperimentPlan:
     by default).  Each phase the plan runs takes its ``DEFAULT_STEPS``
     unless given; a value the plan would drop is rejected.  ``pinned`` nodes
     are excluded from candidacy and held at their value during reactive
-    runs.  ``baseline_sets`` maps a label to a nonempty index tuple.
+    runs.  ``baseline_sets`` maps a label to a nonempty index list or tuple.
     Counts, sizes, steps, the seed and pinned indices must be integers, and
     pinned values the integers 0 or 1; the plan stores its counts, size,
     steps, seed and groups as Python ints.
@@ -84,7 +84,8 @@ class ExperimentPlan:
             raise ValidationError(f"top_fraction must be a number in (0, 1], got {top!r}")
         if not isinstance(self.groups, Iterable):
             raise ValidationError(f"groups must be a list of pairs, got {type(self.groups).__name__}")
-        for pair in self.groups:
+        groups = tuple(self.groups)  # one pass: a generator is read once
+        for pair in groups:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ValidationError(f"group {pair!r} must be a (stratum value, count) pair")
             value, count = pair
@@ -92,7 +93,7 @@ class ExperimentPlan:
             if value > self.driver_size:
                 raise ValidationError(f"stratum value {value} exceeds driver_size {self.driver_size}")
             check_integer("stratum count", count, 1)
-        groups = tuple((int(value), int(count)) for value, count in self.groups)
+        groups = tuple((int(value), int(count)) for value, count in groups)
         object.__setattr__(self, "groups", groups)
         _distinct_indices("stratum value", (value for value, _ in groups))
         if groups and self.stratify_by == STRATIFY_NONE:
@@ -118,8 +119,12 @@ class ExperimentPlan:
         if not isinstance(self.baseline_sets, Mapping):
             raise ValidationError("baseline_sets must be a map, got "
                                   + type(self.baseline_sets).__name__)
-        baselines = {str(name): _distinct_indices(f"baseline set {name!r} index", idx)
-                     for name, idx in self.baseline_sets.items()}
+        baselines = {}
+        for name, idx in self.baseline_sets.items():
+            if not isinstance(idx, (tuple, list)):
+                raise ValidationError(f"baseline set {name!r} must be a list of indices, got "
+                                      + type(idx).__name__)
+            baselines[str(name)] = _distinct_indices(f"baseline set {name!r} index", idx)
         if empty := [name for name, indices in baselines.items() if not indices]:
             raise ValidationError(f"baseline set {empty[0]!r} is empty")
         object.__setattr__(self, "baseline_sets", baselines)

@@ -39,6 +39,7 @@ import numbers
 import operator
 import pathlib
 import random
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -583,9 +584,9 @@ def generate_synthetic(
     Raises
     ------
     ValidationError
-        A count or target out of range, or a ``prob_ranges`` entry with
-        another key or not a ``(lo, hi)`` pair of real numbers (not
-        booleans) with ``0 <= lo <= hi <= 1``;
+        A count or target out of range, a ``prob_ranges`` that is not a
+        mapping, or an entry of it with another key or not a ``(lo, hi)``
+        pair of real numbers (not booleans) with ``0 <= lo <= hi <= 1``;
         checked before any draw.
     TargetsUnreachable
         No attempt met both degree targets.
@@ -596,8 +597,11 @@ def generate_synthetic(
         raise ValidationError("target_mean_degree must be in (0, n)")
     if not 0 <= target_degree_std < np.inf:
         raise ValidationError("target_degree_std must be finite and >= 0")
+    prob_ranges = {} if prob_ranges is None else prob_ranges
+    if not isinstance(prob_ranges, Mapping):
+        raise ValidationError(f"prob_ranges must be a map, got {type(prob_ranges).__name__}")
     ranges = dict(DEFAULT_PROB_RANGES)
-    for key, pair in (prob_ranges or {}).items():
+    for key, pair in prob_ranges.items():
         if key not in ranges:
             raise ValidationError(f"unknown prob_ranges key {key!r}; expected p_int, p_ext or p_con")
         try:

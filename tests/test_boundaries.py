@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from risknet import control, experiments
-from risknet.cascade import SimConfig, monte_carlo_mean
+from risknet.cascade import EventLog, SimConfig, monte_carlo_mean
 from risknet.control import (GainSchedule, riccati_schedule, rollout_feedback, run_proactive,
                              run_reactive)
 from risknet.dynamics import find_steady_state
 from risknet.errors import DimensionMismatch, NoConvergence, StratumInfeasible, ValidationError
+from risknet.estimation import count_transitions
 from risknet.experiments import ExperimentPlan, run_experiment
 from risknet.model import (DriverSet, binary_state, build_network, continuous_state, identity_costs,
                            pin_arrays)
@@ -26,6 +27,8 @@ NET = build_network(["a", "b"], [0.1, 0.1], [0.2, 0.2], [0.5, 0.5], [[0, 1], [1,
 QUIET = build_network(["a", "b"], [0.0, 0.0], [0.2, 0.2], [0.5, 0.5], [[0, 1], [1, 0]])
 DRIVER = DriverSet((0,), 2)
 COSTS = identity_costs(2)
+#: both columns active from row 1 on: the log honours the pin {0: 1}
+ACTIVE_LOG = EventLog(np.ones((2, 2)))
 
 
 def plan(**fields):
@@ -85,6 +88,7 @@ PIN_ENTRIES = {
     "ExperimentPlan": lambda pinned: plan(pinned=pinned),
     "pin_arrays": lambda pinned: pin_arrays(pinned, 2),
     "json plan": json_plan,
+    "count_transitions": lambda pinned: count_transitions(NET, ACTIVE_LOG, pinned),
 }
 
 
@@ -96,7 +100,8 @@ def test_pin_value_rule(entry, value):
     PIN_ENTRIES[entry]({0: 1})
 
 
-@pytest.mark.parametrize("entry", ["SimConfig", "ExperimentPlan", "pin_arrays"])
+@pytest.mark.parametrize("entry",
+                         ["SimConfig", "ExperimentPlan", "pin_arrays", "count_transitions"])
 def test_pin_index_rule(entry):
     with pytest.raises(ValidationError, match=re.escape("pinned index must be an integer, got 1.5")):
         PIN_ENTRIES[entry]({1.5: 1})
@@ -117,11 +122,12 @@ NOT_A_MAP = {
                                NET),
         "plan: pinned must be an object, got a list",
     ),
-    # the index-set form that count_transitions takes
     "run_reactive": (
         lambda: run_reactive(NET, DRIVER, COSTS, continuous_state([0.5, 0.5]), 3, {1}),
         not_a_map("set"),
     ),
+    "count_transitions.set": (lambda: count_transitions(NET, ACTIVE_LOG, {1}), not_a_map("set")),
+    "count_transitions.list": (lambda: count_transitions(NET, ACTIVE_LOG, [1]), not_a_map("list")),
 }
 
 

@@ -119,12 +119,23 @@ class TestCountTransitions:
 
     def test_pinned_columns_masked_out(self):
         log = EventLog(np.array([[0, 1], [1, 1], [0, 1]]))
-        c = count_transitions(network_of(np.zeros((2, 2))), log, pinned={1})
+        c = count_transitions(network_of(np.zeros((2, 2))), log, pinned={1: 1})
         assert c.int_trials[1] == 0 and c.con_trials[1] == 0
         assert len(c.exposures[1][0]) == 0
         assert c.int_trials[0] == 1 and c.con_trials[0] == 1
 
-    @pytest.mark.parametrize("pinned", [{-1}, {2}, {-1, 7}])
+    def test_contradicted_pin_rejected(self):
+        # a pin map's values were never read: this log's column r1 drops from
+        # its pinned 1 at step 2, and its counts were returned all the same
+        log = EventLog(np.array([[0, 1], [1, 1], [0, 0]]))
+        with pytest.raises(ValidationError, match="^pin r1=1 does not hold at step 2$"):
+            count_transitions(network_of(np.zeros((2, 2))), log, pinned={1: 1})
+        # row 0 is the initial state, which a pin does not constrain
+        log = EventLog(np.array([[0, 1], [1, 0], [0, 0]]))
+        c = count_transitions(network_of(np.zeros((2, 2))), log, pinned={1: 0})
+        assert c.con_trials[1] == 0 and c.int_trials[0] == c.con_trials[0] == 1
+
+    @pytest.mark.parametrize("pinned", [{-1: 0}, {2: 0}, {-1: 0, 7: 0}])
     def test_pinned_index_out_of_range_rejected(self, pinned):
         log = EventLog(np.zeros((3, 2)))
         message = f"pinned index {min(pinned)} out of range for 2 nodes"
@@ -136,7 +147,7 @@ class TestCountTransitions:
         for index in (1.5, True):
             message = re.escape(f"pinned index must be an integer, got {index}")
             with pytest.raises(ValidationError, match=f"^{message}$"):
-                count_transitions(network_of(np.zeros((2, 2))), log, pinned={index})
+                count_transitions(network_of(np.zeros((2, 2))), log, pinned={index: 0})
 
     def test_dimension_mismatch(self):
         log = EventLog(np.zeros((3, 2)))
@@ -162,7 +173,12 @@ class TestCountTransitions:
         E, log = random_log(rng, n, steps)
         pinned = None
         if pin:
-            pinned = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+            nodes = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+            pinned = {i: int(rng.integers(0, 2)) for i in nodes}
+            states = log.states.copy()  # a pinned column holds its value from row 1 on
+            for i, v in pinned.items():
+                states[1:, i] = v
+            log = EventLog(states)
         assert_same_counts(
             count_transitions(network_of(E), log, pinned),
             reference_count_transitions(E, log, pinned),
@@ -442,11 +458,12 @@ class TestFitProbabilities:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("pinned", [None, {3}])
+    @pytest.mark.parametrize("pinned", [None, {3: 1}])
     def test_long_simulated_log_equals_the_per_node_oracles(self, pinned):
         net = ring_network(8, p_int=0.05, p_ext=0.3, p_con=0.6)
         E = net.E * np.linspace(0.3, 0.9, 8)
-        log = run_discrete(net, binary_state(np.zeros(8)), SimConfig(steps=5000, seed=2))
+        config = SimConfig(steps=5000, seed=2, pinned=pinned or {})
+        log = run_discrete(net, binary_state(np.zeros(8)), config)
         counts = count_transitions(network_of(E), log, pinned)
         assert_same_counts(counts, reference_count_transitions(E, log, pinned))
         fit = fit_probabilities(counts)

@@ -173,10 +173,19 @@ class TestPlanValidation:
     @pytest.mark.parametrize("fields, message", [
         ({"baseline_sets": [(0,)]}, "baseline_sets must be a map, got list"),
         ({"stratify_by": "steady_peak", "groups": 3}, "groups must be a list of pairs, got int"),
-    ], ids=["baseline_sets", "groups"])
+        # a bare "'int' object is not iterable"
+        ({"baseline_sets": {"b": 3}}, "baseline set 'b' must be a list of indices, got int"),
+    ], ids=["baseline_sets", "groups", "baseline_set"])
     def test_field_of_another_kind_rejected(self, fields, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ExperimentPlan(driver_size=1, seed=0, **fields)
+
+    def test_groups_read_once(self):
+        # a generator was used up by the pair check: "stratified plans need groups"
+        fields = dict(driver_size=1, seed=0, stratify_by="steady_peak")
+        plan = ExperimentPlan(groups=((1, 2) for _ in range(1)), **fields)
+        assert plan == ExperimentPlan(groups=((1, 2),), **fields)
+        assert plan.groups == ((1, 2),) and plan.num_sets == 2
 
     def test_phases(self):
         assert ExperimentPlan(driver_size=1, num_sets=1, seed=0, phase="both").phases == (

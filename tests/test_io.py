@@ -698,7 +698,9 @@ class TestGenerateSynthetic:
          "p_con range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got ('a', 'b')"),
         ({"p_con": (False, True)},
          "p_con range must be a (lo, hi) pair with 0 <= lo <= hi <= 1, got (False, True)"),
-    ], ids=["unknown_key", "below_0", "scalar", "none", "strings", "booleans"])
+        # an AttributeError: 'list' object has no attribute 'items'
+        ([("p_int", (0.1, 0.2))], "prob_ranges must be a map, got list"),
+    ], ids=["unknown_key", "below_0", "scalar", "none", "strings", "booleans", "not_a_map"])
     def test_probability_ranges_checked_before_drawing(self, ranges, message):
         # an unknown key was ignored, and a range outside [0, 1] failed or
         # passed by seed
